@@ -42,7 +42,6 @@ class RunConfig:
     jmax: float = 10.0
     lmax: float = 10.0
     N: int = 64
-    Nz: int = 8
     n: int = 0
     format: str = "csv"
     out: str | None = None
@@ -62,7 +61,6 @@ _CONFIG_CASTS = {
     "jmax": float,
     "lmax": float,
     "N": int,
-    "Nz": int,
     "n": int,
     "format": str,
     "out": str,
@@ -94,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jmax", type=float, default=None, help="spinor level cap")
     common.add_argument("--lmax", type=float, default=None, help="highest weight cap")
     common.add_argument("--N", type=int, default=None, help="sequence-space truncation")
-    common.add_argument("--Nz", type=int, default=None, help="Z-window half width")
     common.add_argument("--n", type=int, default=None, help="homogeneity index")
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
@@ -244,6 +241,8 @@ def _cmd_summability(args, cfg: RunConfig) -> int:
     n_values = [int(part) for part in args.nlist.split(",") if part.strip()]
     if not n_values:
         raise ValueError("empty N list")
+    if n_values[0] < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError(f"N values must be >= 2 and strictly increasing, got {args.nlist}")
     rows = []
     prev = None
     for n_val in n_values:
@@ -283,6 +282,9 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         cfg.context()  # validates q and tol
+        for cap in ("jmax", "lmax"):
+            if not 0 <= getattr(cfg, cap) < math.inf:
+                raise ValueError(f"{cap} must be finite and >= 0, got {getattr(cfg, cap)}")
         handler = {
             "spectrum": _cmd_spectrum,
             "dims": _cmd_dims,

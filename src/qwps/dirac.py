@@ -402,23 +402,20 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     """Norm of [Q, pi(gen)] on two truncated GNS copies, interior block only.
 
     Q swaps the copies with eigenvalue ±(lam+1); pi is the GNS multiplication
-    operator of the generator.  Multiplication moves shell lam to lam ± 1/2,
-    so columns are restricted to shells lam <= cap - 1/2, where the truncated
-    commutator agrees exactly with the densely defined one.
+    operator P of the generator on each copy.  Then [Q, pi] = [[0, C], [C, 0]]
+    with C = DP - PD, D = diag(lam+1), so both have the norm of C, whose
+    entries are (lam_row - lam_col) P = ±P/2.  Multiplication moves shell lam
+    to lam ± 1/2, so columns are restricted to shells lam <= cap - 1/2, where
+    the truncated commutator agrees exactly with the densely defined one.
     """
     lam_cap = hi(lam_cap)
     if lam_cap.twice < 2:
         raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")
-    P = _gns_multiplication_matrix(gen, lam_cap, ctx)
+    P = _gns_multiplication_matrix(gen, lam_cap, ctx).tocoo()
     shells = _shell_of_index(lam_cap)
-    dvals = shells / 2.0 + 1.0
-    D = sp.diags(dvals)
-    Q = sp.bmat([[None, D], [D, None]], format="csr")
-    Pi = sp.bmat([[P, None], [None, P]], format="csr")
-    comm = (Q @ Pi - Pi @ Q).tocsc()
-    interior = np.concatenate([shells <= lam_cap.twice - 1] * 2)
-    sub = comm[:, np.where(interior)[0]]
-    return operator_norm(sub)
+    vals = (shells[P.row] - shells[P.col]) / 2.0 * P.data
+    C = sp.csr_matrix((vals, (P.row, P.col)), shape=P.shape)
+    return operator_norm(C[:, np.flatnonzero(shells <= lam_cap.twice - 1)])
 
 
 def multiplication_commutator_coefficients(gen: str, idx: BasisIndex, ctx: QContext):

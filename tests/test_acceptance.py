@@ -162,7 +162,7 @@ def test_criterion_10_commutator_plateau():
     report(
         10,
         "multiplication commutator norms plateau between caps 20 and 40",
-        increment < 0.01 and n40 >= n20 - 1e-6,
+        increment < 0.01 and n40 >= n20 - 1e-12,
         f"norms {n20:.9f} -> {n40:.9f}, increment {increment:.2e}",
     )
 

@@ -57,6 +57,26 @@ def test_bad_q_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summability", "--nlist", "2,2"],
+        ["summability", "--nlist", "1,2"],
+        ["spectrum", "--triple", "odd", "--jmax", "inf"],
+        ["spectrum", "--triple", "odd", "--jmax", "-1"],
+        ["dims", "--jmax", "-3"],
+        ["spectrum", "--triple", "even", "--lmax", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_caps_and_nlist_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_dims_match(capsys):
     code, out, _ = run_cli(capsys, ["dims", "--k", "2", "--l", "3", "--jmax", "10"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qwps.cg import cg_block
 from qwps.coaction import (
@@ -14,6 +15,8 @@ from qwps.coord import BasisIndex
 from qwps.dirac import (
     SpectrumTable,
     SpinorBasisIndex,
+    _gns_multiplication_matrix,
+    _shell_of_index,
     ambient_dirac_spectrum,
     chirality_checks,
     commutator_norm,
@@ -28,7 +31,7 @@ from qwps.dirac import (
     spinor_vector,
     summability_partial_sum,
 )
-from qwps.operators import TruncatedOperator
+from qwps.operators import TruncatedOperator, operator_norm
 from qwps.qcore import QContext, hi
 
 CTX = QContext(0.5, 1e-9)
@@ -254,8 +257,42 @@ def test_commutator_norm_identity_is_zero():
 def test_commutator_norm_plateau_small():
     n10 = commutator_norm("alpha", hi(10), CTX)
     n20 = commutator_norm("alpha", hi(20), CTX)
-    assert n20 >= n10 - 1e-8  # nondecreasing up to solver noise
+    assert n20 >= n10 - 1e-12  # the cap-10 block is a submatrix of the cap-20 one
     assert abs(n20 - n10) / n10 < 0.01
+
+
+def _doubled_commutator_interior(gen, cap):
+    """The interior block of [Q, Pi] on two GNS copies, built explicitly."""
+    P = _gns_multiplication_matrix(gen, hi(cap), CTX)
+    shells = _shell_of_index(hi(cap))
+    D = sp.diags(shells / 2.0 + 1.0)
+    Q = sp.bmat([[None, D], [D, None]], format="csr")
+    Pi = sp.bmat([[P, None], [None, P]], format="csr")
+    comm = (Q @ Pi - Pi @ Q).tocsc()
+    interior = np.concatenate([shells <= 2 * cap - 1] * 2)
+    return comm[:, np.flatnonzero(interior)].toarray()
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+def test_commutator_norm_matches_doubled_operator(gen, cap):
+    expected = np.linalg.norm(_doubled_commutator_interior(gen, cap), 2)
+    assert commutator_norm(gen, hi(cap), CTX) == pytest.approx(expected, rel=1e-13)
+
+
+def test_sparse_operator_norm_matches_dense():
+    rng = np.random.default_rng(1)
+    blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in (3, 3, 1, 4)]
+    mat = sp.block_diag(blocks, format="csr")
+    perm = rng.permutation(mat.shape[1])
+    mats = [
+        mat[:, perm],
+        sp.csr_matrix((5, 7)),
+        sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]])),
+    ]
+    for m in mats:
+        dense = np.linalg.norm(m.toarray(), 2)
+        assert operator_norm(m) == pytest.approx(dense, rel=1e-13, abs=0.0)
 
 
 def test_commutator_norm_beta_bounded():

@@ -87,15 +87,6 @@ class CoinvariantSpinorIndex:
         return self.p * wp.s
 
 
-def _spinor_index_legal(wp: WeightPair, j: HalfInt, p: HalfInt, arrow: str) -> bool:
-    v2 = p.twice * wp.s  # twice p(l+k)
-    if (v2 - j.twice) % 2:
-        return False
-    if arrow == "down":
-        return -j.twice + 2 <= v2 <= j.twice
-    return -j.twice <= v2 <= j.twice + 2
-
-
 def degree(wp: WeightPair, idx: BasisIndex) -> int:
     """Homogeneity order -(m+n)k + (m-n)l of a basis matrix element."""
     t = -(idx.m.twice + idx.n.twice) * wp.k + (idx.m.twice - idx.n.twice) * wp.l

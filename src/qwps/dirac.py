@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import coord
 from .cg import cg_block, cg_coeff_updown
@@ -229,7 +228,9 @@ def ambient_dirac_spectrum(j_max) -> SpectrumTable:
 
 def q_dirac_check(j_max, ctx: QContext) -> float:
     """Assemble q^{-D} as a 2x2 block operator in the right regular action and
-    report the worst eigenvector residual over the spinor basis with j <= j_max.
+    report its worst backward error over the spinor basis with j <= j_max:
+    max ||(q^{-D} - ev) v||_inf / (ev_max ||v||_inf), where ev_max =
+    q^{-(2 j_max + 3/2)} is the largest expected eigenvalue on the truncation.
 
     In the ordered spinor components (e_+, e_-) the blocks are
 
@@ -245,6 +246,7 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     q = ctx.q
     lam_q = q - 1.0 / q
     pref = q**1.5
+    ev_max = q ** (-(2 * j_max.float + 1.5))
     worst = 0.0
     for idx in spinor_basis(j_max):
         v = spinor_vector(idx, ctx)
@@ -262,7 +264,7 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
         else:
             expected = q ** (2 * idx.j.float + 0.5)
         resid = (Spinor(out_minus, out_plus) - expected * v).norm_inf()
-        worst = max(worst, resid)
+        worst = max(worst, resid / (ev_max * v.norm_inf()))
     return worst
 
 
@@ -347,6 +349,8 @@ def _gns_multiplication_matrix(gen: str, lam_cap: HalfInt, ctx: QContext):
 
     Basis layout: shells ascending, index offset + (i_m * (2lam+1) + i_n).
     """
+    import scipy.sparse as sp
+
     if gen == "one":
         _, total = _shell_offsets(lam_cap)
         return sp.identity(total, format="csr")
@@ -408,6 +412,8 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     to lam ± 1/2, so columns are restricted to shells lam <= cap - 1/2, where
     the truncated commutator agrees exactly with the densely defined one.
     """
+    import scipy.sparse as sp
+
     lam_cap = hi(lam_cap)
     if lam_cap.twice < 2:
         raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")

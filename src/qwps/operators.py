@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import math
+import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 
 __all__ = ["TruncatedOperator", "operator_norm"]
@@ -48,9 +48,11 @@ def operator_norm(mat) -> float:
     root of the largest eigenvalue over the components.  Components of equal
     size are stacked and diagonalised in one batched LAPACK call.
     """
-    if not sp.issparse(mat):
+    # a sparse input can only exist once scipy.sparse is loaded, so the dense
+    # path never imports scipy
+    sp = sys.modules.get("scipy.sparse")
+    if sp is None or not sp.issparse(mat):
         return float(np.linalg.norm(np.asarray(mat), 2))
-    # imported here so that importing the package does not load csgraph
     from scipy.sparse.csgraph import connected_components
 
     gram = (mat.conj().T @ mat).tocsr()

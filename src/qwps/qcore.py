@@ -42,7 +42,6 @@ __all__ = [
     "irrep_word",
     "dual_irrep_matrix",
     "coproduct_action",
-    "coproduct_action_word",
 ]
 
 LETTERS = ("e", "f", "k", "kinv")
@@ -348,11 +347,3 @@ def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:
     if letter in ("e", "f"):
         return np.kron(r1(letter), r2("k")) + np.kron(r1("kinv"), r2(letter))
     raise ValueError(f"unknown generator letter {letter!r}")
-
-
-def coproduct_action_word(lam1, lam2, word, ctx: QContext) -> np.ndarray:
-    d = (hi(lam1).twice + 1) * (hi(lam2).twice + 1)
-    out = np.eye(d, dtype=complex)
-    for letter in _as_word(word):
-        out = out @ coproduct_action(lam1, lam2, letter, ctx)
-    return out

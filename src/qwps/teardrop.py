@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .operators import TruncatedOperator, operator_norm
 from .qcore import QContext
@@ -115,6 +114,8 @@ def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> Truncated
 
 def _ambient_letter(letter: str, n_z: int, n_n: int, ctx: QContext):
     """Sparse matrix of a generator on the window z in [-n_z, n_z], n in [0, n_n)."""
+    import scipy.sparse as sp
+
     q = ctx.q
     zs = 2 * n_z + 1
     dim = zs * n_n
@@ -142,6 +143,8 @@ def _ambient_letter(letter: str, n_z: int, n_n: int, ctx: QContext):
 
 
 def _ambient_word(word, n_z: int, n_n: int, ctx: QContext):
+    import scipy.sparse as sp
+
     mats = {}
     out = sp.identity((2 * n_z + 1) * n_n, format="csr")
     for letter in word:

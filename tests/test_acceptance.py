@@ -128,7 +128,7 @@ def test_criterion_07_odd_pairing_and_reported_divergence():
 def test_criterion_08_q_dirac_identity():
     worst = dirac.q_dirac_check(hi(2), DEFAULT_CTX)
     report(8, "q^{-D} block identity reproduces the spinor eigenvalues, j <= 2",
-           worst < 1e-7, f"max residual {worst:.2e}")
+           worst < DEFAULT_CTX.tol, f"max backward error {worst:.2e}")
 
 
 def test_criterion_09_summability():

@@ -1,12 +1,27 @@
 """Command line interface: golden outputs, exit codes, config precedence."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import qwps
 from qwps.cli import main
+
+README_COMMANDS = [
+    "spectrum --triple even --k 1 --l 1 --lmax 3",
+    "spectrum --triple odd --k 1 --l 2 --jmax 10 --format json",
+    "dims --k 2 --l 3 --jmax 25",
+    "verify --suite su2q-relations",
+    "verify --suite wp-relations --k 1 --l 3 --dump gens.jsonl",
+    "summability --k 1 --l 1 --triple odd --nlist 512,1024,2048",
+    "ktheory --l 2 --n 1 --j 1",
+]
+SUITES = ["su2q-relations", "wp-relations", "haar", "equivariance", "qdirac", "chirality",
+          "fredholm", "teardrop"]
 
 
 def run_cli(capsys, argv):
@@ -227,3 +242,56 @@ def test_console_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["reduced"] == "1"
+
+
+def run_fresh(code, cwd):
+    """Run a script in a fresh interpreter that imports this copy of qwps."""
+    src = os.path.dirname(os.path.dirname(qwps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_commands_do_not_load_scipy(tmp_path):
+    argvs = README_COMMANDS + [f"verify --suite {suite}" for suite in SUITES]
+    proc = run_fresh(
+        f"""
+        import contextlib, io, sys
+        import qwps, qwps.cli
+        assert "scipy" not in sys.modules, "import"
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = qwps.cli.main(argv.split())
+            assert code == 0, (argv, code)
+            assert "scipy" not in sys.modules, argv
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sparse_operator_norm_loads_scipy_on_demand(tmp_path):
+    proc = run_fresh(
+        """
+        import sys
+        import qwps
+        assert "scipy" not in sys.modules
+        import numpy as np
+        import scipy.sparse as sp
+        from qwps.operators import operator_norm
+        dense = np.arange(1.0, 37.0).reshape(6, 6) * (np.arange(36).reshape(6, 6) % 4 == 0)
+        got, want = operator_norm(sp.csr_matrix(dense)), np.linalg.norm(dense, 2)
+        assert abs(got - want) <= 1e-14 * want, (got, want)
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_qdirac_small_q_passes(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "qdirac", "--q", "0.1"])
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["threshold"] == 1e-9
+    assert report["max_residual"] < report["threshold"]

@@ -106,7 +106,7 @@ def test_ambient_spectrum_counts(tj):
 
 
 def test_q_dirac_eigenvalues():
-    assert q_dirac_check(hi(2), CTX) < 100 * CTX.tol
+    assert q_dirac_check(hi(2), CTX) < CTX.tol
 
 
 def test_q_dirac_guard():

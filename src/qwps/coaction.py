@@ -195,22 +195,23 @@ def homogeneous_coord_basis(wp: WeightPair, order: int, lam_max) -> list[BasisIn
     return out
 
 
+def _p_window(wp: WeightPair, lo: int, hi: int, t: int) -> list[int]:
+    """Doubled p, ascending, with lo <= 2p(l+k) <= hi and 2p(l+k) = t mod 2."""
+    s = wp.s
+    return [tp for tp in range(-(-lo // s), hi // s + 1) if (tp * s - t) % 2 == 0]
+
+
 def coinvariant_coord_basis(wp: WeightPair, lam_max) -> list[BasisIndex]:
-    """Degree-0 basis: indices (lam, p(l+k), p(l-k)) over half-integer p."""
+    """Degree-0 basis: indices (lam, p(l+k), p(l-k)) over half-integer p.
+
+    |p(l-k)| <= |p(l+k)| <= lam, so the window on m alone bounds n too.
+    """
     lam_max = hi(lam_max)
-    out = []
-    for tl in range(0, lam_max.twice + 1):
-        lam = HalfInt(tl)
-        s = wp.s
-        for tp in range(-tl // s - 1, tl // s + 2):
-            m2 = tp * s
-            n2 = tp * (wp.l - wp.k)
-            if abs(m2) > tl or abs(n2) > tl:
-                continue
-            if (tl - m2) % 2:
-                continue
-            out.append(BasisIndex(lam, HalfInt(m2), HalfInt(n2)))
-    return out
+    return [
+        BasisIndex(HalfInt(tl), HalfInt(tp * wp.s), HalfInt(tp * (wp.l - wp.k)))
+        for tl in range(0, lam_max.twice + 1)
+        for tp in _p_window(wp, -tl, tl, tl)
+    ]
 
 
 def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[CoinvariantSpinorIndex]:
@@ -222,10 +223,8 @@ def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[CoinvariantSpinorInd
         for arrow in ("down", "up"):
             lo = -tj + 2 if arrow == "down" else -tj
             hi_ = tj if arrow == "down" else tj + 2
-            for tp in range(-(tj + 2) // wp.s - 2, (tj + 2) // wp.s + 3):
-                v2 = tp * wp.s
-                if lo <= v2 <= hi_ and (v2 - tj) % 2 == 0:
-                    out.append(CoinvariantSpinorIndex(j, HalfInt(tp), arrow))
+            for tp in _p_window(wp, lo, hi_, tj):
+                out.append(CoinvariantSpinorIndex(j, HalfInt(tp), arrow))
     return out
 
 
@@ -256,26 +255,14 @@ def dim_V_down(wp: WeightPair, j) -> int:
 
 def dim_V_down_oracle(wp: WeightPair, j) -> int:
     """Count half-integers p with p(l+k) in {-j+1, ..., j}."""
-    j = hi(j)
-    t, s = j.twice, wp.s
-    count = 0
-    for tp in range(-(t + 2) // s - 2, (t + 2) // s + 3):
-        v2 = tp * s
-        if -t + 2 <= v2 <= t and (v2 - t) % 2 == 0:
-            count += 1
-    return count
+    t = hi(j).twice
+    return len(_p_window(wp, -t + 2, t, t))
 
 
 def dim_V_up_oracle(wp: WeightPair, j) -> int:
     """Count half-integers p with p(l+k) in {-j, ..., j+1}."""
-    j = hi(j)
-    t, s = j.twice, wp.s
-    count = 0
-    for tp in range(-(t + 2) // s - 2, (t + 2) // s + 3):
-        v2 = tp * s
-        if -t <= v2 <= t + 2 and (v2 - t) % 2 == 0:
-            count += 1
-    return count
+    t = hi(j).twice
+    return len(_p_window(wp, -t, t + 2, t))
 
 
 def dim_V(wp: WeightPair, lam) -> int:
@@ -296,14 +283,8 @@ def dim_V(wp: WeightPair, lam) -> int:
 
 def dim_V_oracle(wp: WeightPair, lam) -> int:
     """Count half-integers p with p(l+k) in {-lam, ..., lam}."""
-    lam = hi(lam)
-    t, s = lam.twice, wp.s
-    count = 0
-    for tp in range(-t // s - 2, t // s + 3):
-        v2 = tp * s
-        if -t <= v2 <= t and (v2 - t) % 2 == 0:
-            count += 1
-    return count
+    t = hi(lam).twice
+    return len(_p_window(wp, -t, t, t))
 
 
 def dim_table(wp: WeightPair, index_max) -> list[dict]:

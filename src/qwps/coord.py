@@ -147,11 +147,6 @@ class AlgebraElement:
             {i: c for i, c in self.terms.items() if abs(c) > threshold}
         )
 
-    def max_lambda(self) -> HalfInt:
-        if not self.terms:
-            return hi(0)
-        return HalfInt(max(i.lam.twice for i in self.terms))
-
     def __len__(self):
         return len(self.terms)
 

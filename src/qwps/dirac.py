@@ -49,7 +49,6 @@ __all__ = [
     "even_triple_spectrum",
     "summability_partial_sum",
     "commutator_norm",
-    "multiplication_commutator_coefficients",
     "even_triple_operators",
     "chirality_checks",
     "fredholm_degeneracy",
@@ -422,22 +421,6 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     vals = (shells[P.row] - shells[P.col]) / 2.0 * P.data
     C = sp.csr_matrix((vals, (P.row, P.col)), shape=P.shape)
     return operator_norm(C[:, np.flatnonzero(shells <= lam_cap.twice - 1)])
-
-
-def multiplication_commutator_coefficients(gen: str, idx: BasisIndex, ctx: QContext):
-    """Coefficients of [Q, pi(gen)] applied to an unnormalized basis vector
-    t^{lam}_{mn} in one copy, keyed by the target index in the other copy.
-
-    Each coefficient equals (mu - lam) times the product of the two coupling
-    coefficients of the multiplication rule, i.e. -(1/2) C_q C_q on the
-    lam - 1/2 shell and +(1/2) C_q C_q on the lam + 1/2 shell.
-    """
-    alpha, beta, _, _ = coord.gens(ctx)
-    g = alpha if gen == "alpha" else beta
-    prod = multiply(g, AlgebraElement.basis(idx), ctx)
-    return {
-        tgt: (tgt.lam.float - idx.lam.float) * c for tgt, c in prod.terms.items()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "LETTERS",
     "q_int",
     "q_sqrt_int",
-    "counit",
     "antipode_letter",
     "theta_letter",
     "star_antipode_letter",
@@ -196,14 +195,6 @@ def q_sqrt_int(n, ctx: QContext) -> float:
     if v < 0:
         raise ValueError(f"[{n}] = {v} < 0, square root undefined")
     return math.sqrt(v)
-
-
-def counit(letter: str) -> float:
-    if letter in ("k", "kinv"):
-        return 1.0
-    if letter in ("e", "f"):
-        return 0.0
-    raise ValueError(f"unknown generator letter {letter!r}")
 
 
 def antipode_letter(letter: str, ctx: QContext):

@@ -11,12 +11,14 @@ coordinate algebra lives on l2(Z) ⊗ l2(N0),
     alpha . e_z ⊗ e_n = sqrt(1 - q^{2(n+1)}) e_z ⊗ e_{n+1},
     beta  . e_z ⊗ e_n = q^n e_{z+1} ⊗ e_n.
 
-Everything here is evaluated on finite windows.  Restricting the ambient
-representation to the invariant subspaces X_m (spanned by e_{m+p} ⊗ e_p^s)
-recovers the closed forms above independently of m, degree-nl elements move
-X_m to X_{m+n}, and products drawn from alpha*^j times the degree-nl
-component exhibit the shift-power block pattern whose limit classes are the
-finite-rank/cofinite projections encoded by :class:`ProjectionClass`.
+The models are evaluated on finite truncations.  The ambient generators are
+weighted shifts, so an ambient word is applied exactly to one basis vector at
+a time.  Restricting the ambient representation to the invariant subspaces
+X_m (spanned by e_{m+p} ⊗ e_p^s) recovers the closed forms above
+independently of m, degree-nl elements move X_m to X_{m+n}, and products
+drawn from alpha*^j times the degree-nl component exhibit the shift-power
+block pattern whose limit classes are the finite-rank/cofinite projections
+encoded by :class:`ProjectionClass`.
 """
 
 from __future__ import annotations
@@ -109,49 +111,37 @@ def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> Truncated
 
 
 # ---------------------------------------------------------------------------
-# ambient representation on a truncation of l2(Z) ⊗ l2(N0)
+# ambient representation on l2(Z) ⊗ l2(N0)
 
 
-def _ambient_letter(letter: str, n_z: int, n_n: int, ctx: QContext):
-    """Sparse matrix of a generator on the window z in [-n_z, n_z], n in [0, n_n)."""
-    import scipy.sparse as sp
+def _ambient_word(word, z: int, n: int, ctx: QContext):
+    """Image of e_z ⊗ e_n under a word in the generators, as (coeff, z', n').
 
+    Every generator is a weighted shift, so a word sends a basis vector to one
+    multiple of one basis vector; the rightmost letter acts first, and alpha*
+    kills e_0.  The coefficients are multiplied in word order, the association
+    order of the matrix product of the letters.
+    """
     q = ctx.q
-    zs = 2 * n_z + 1
-    dim = zs * n_n
-
-    def idx(z, n):
-        return (z + n_z) * n_n + n
-
-    rows, cols, vals = [], [], []
-    for z in range(-n_z, n_z + 1):
-        for n in range(n_n):
-            c = idx(z, n)
-            if letter == "alpha" and n + 1 < n_n:
-                rows.append(idx(z, n + 1)); cols.append(c)
-                vals.append(math.sqrt(1.0 - q ** (2 * (n + 1))))
-            elif letter == "alphastar" and n - 1 >= 0:
-                rows.append(idx(z, n - 1)); cols.append(c)
-                vals.append(math.sqrt(1.0 - q ** (2 * n)))
-            elif letter == "beta" and z + 1 <= n_z:
-                rows.append(idx(z + 1, n)); cols.append(c)
-                vals.append(q**n)
-            elif letter == "betastar" and z - 1 >= -n_z:
-                rows.append(idx(z - 1, n)); cols.append(c)
-                vals.append(q**n)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def _ambient_word(word, n_z: int, n_n: int, ctx: QContext):
-    import scipy.sparse as sp
-
-    mats = {}
-    out = sp.identity((2 * n_z + 1) * n_n, format="csr")
-    for letter in word:
-        if letter not in mats:
-            mats[letter] = _ambient_letter(letter, n_z, n_n, ctx)
-        out = out @ mats[letter]
-    return out
+    coeffs = []
+    for letter in reversed(word):
+        if letter == "alpha":
+            n += 1
+            coeffs.append(math.sqrt(1.0 - q ** (2 * n)))
+        elif letter == "alphastar":
+            if n == 0:
+                return 0.0, z, n
+            coeffs.append(math.sqrt(1.0 - q ** (2 * n)))
+            n -= 1
+        elif letter == "beta":
+            coeffs.append(q**n)
+            z += 1
+        elif letter == "betastar":
+            coeffs.append(q**n)
+            z -= 1
+        else:
+            raise ValueError(f"unknown generator letter {letter!r}")
+    return math.prod(reversed(coeffs)), z, n
 
 
 def _wp_word(l: int, gen: str):
@@ -171,18 +161,12 @@ def wp_rep_via_ambient(
     representation to the invariant subspace spanned by e_{m+p} ⊗ e^s_p."""
     _check_wp_args(l, s, N)
     word = _wp_word(l, gen)
-    n_z = abs(m) + N + len(word) + 2
-    n_n = l * (N + 2) + len(word)
-    big = _ambient_word(word, n_z, n_n, ctx).tocsc()
-
-    def idx(z, n):
-        return (z + n_z) * n_n + n
-
     mat = np.zeros((N, N), dtype=complex)
     for p in range(N):
-        col = big[:, idx(m + p, l * p + s - 1)].toarray().ravel()
-        for p_out in range(N):
-            mat[p_out, p] = col[idx(m + p_out, l * p_out + s - 1)]
+        coeff, z, n = _ambient_word(word, m + p, l * p + s - 1, ctx)
+        p_out = z - m
+        if 0 <= p_out < N and n == l * p_out + s - 1:
+            mat[p_out, p] = coeff
     basis = tuple((s, p) for p in range(N))
     return TruncatedOperator(basis, mat)
 
@@ -311,13 +295,6 @@ def block_structure_evidence(l: int, n: int, j: int, N: int, ctx: QContext) -> d
     report = {"l": l, "n": n, "j": j, "N": N, "samples": [], "pass": True}
     for sample in _degree_samples(l, n):
         word = ("alphastar",) * j + sample
-        n_z = N + len(word) + abs(n) + 4
-        n_n = l * (N + 3) + len(word)
-        big = _ambient_word(word, n_z, n_n, ctx).tocsc()
-
-        def idx(z, nn):
-            return (z + n_z) * n_n + nn
-
         entry = {"word": "*".join(word) if word else "1", "blocks": {}, "off_pattern": 0.0}
         blocks: dict[tuple, np.ndarray] = {}
         off_pattern = 0.0
@@ -329,19 +306,16 @@ def block_structure_evidence(l: int, n: int, j: int, N: int, ctx: QContext) -> d
             m_t, s_t, pow_t = target
             block = np.zeros((N, N))
             for p in range(N):
-                col = big[:, idx(m0 + p, l * p + s_in - 1)].toarray().ravel()
-                nz = np.nonzero(np.abs(col) > 1e-16)[0]
-                for flat in nz:
-                    z_out, n_out = divmod(int(flat), n_n)
-                    z_out -= n_z
-                    p_out, s_out = divmod(n_out, l)
-                    s_out += 1
-                    m_out = z_out - p_out
-                    if (m_out, s_out) == (m_t, s_t):
-                        if p_out < N:
-                            block[p_out, p] = col[flat].real
-                    else:
-                        off_pattern = max(off_pattern, abs(col[flat]))
+                coeff, z_out, n_out = _ambient_word(word, m0 + p, l * p + s_in - 1, ctx)
+                if abs(coeff) <= 1e-16:
+                    continue
+                p_out, s_out = divmod(n_out, l)
+                s_out += 1
+                if (z_out - p_out, s_out) == (m_t, s_t):
+                    if p_out < N:
+                        block[p_out, p] = coeff
+                else:
+                    off_pattern = max(off_pattern, abs(coeff))
             blocks[(s_t, s_in)] = (block, pow_t)
         entry["off_pattern"] = float(off_pattern)
         ok = off_pattern < 10 * ctx.tol
@@ -358,23 +332,14 @@ def block_structure_evidence(l: int, n: int, j: int, N: int, ctx: QContext) -> d
 
 def _shift_plus_compact(block: np.ndarray, power: int, q: float, N: int) -> dict:
     """Fit block ~ c * Shift^power + compact and test the geometric tail."""
-    diag = []
-    for p_in in range(N):
-        p_out = p_in - power
-        if 0 <= p_out < N:
-            diag.append(block[p_out, p_in])
-    c = diag[-1] if diag else 0.0
+    rows = np.arange(max(0, -power), min(N, N - power))
+    cols = rows + power
+    c = block[rows[-1], cols[-1]] if len(rows) else 0.0
     resid = block.copy()
-    for p_in in range(N):
-        p_out = p_in - power
-        if 0 <= p_out < N:
-            resid[p_out, p_in] -= c
-    tail_max = 0.0
+    resid[rows, cols] -= c
     half = N // 2
-    for r in range(N):
-        for cidx in range(N):
-            if max(r, cidx) >= half:
-                tail_max = max(tail_max, abs(resid[r, cidx]))
+    resid[:half, :half] = 0.0
+    tail_max = np.abs(resid).max()
     threshold = q ** (N / 4.0)
     return {
         "shift_power": power,

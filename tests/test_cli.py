@@ -265,6 +265,12 @@ def test_cli_commands_do_not_load_scipy(tmp_path):
                 code = qwps.cli.main(argv.split())
             assert code == 0, (argv, code)
             assert "scipy" not in sys.modules, argv
+        from qwps.qcore import QContext
+        from qwps.teardrop import block_structure_evidence, wp_rep_via_ambient
+        ctx = QContext(0.5, 1e-9)
+        wp_rep_via_ambient(2, 1, 1, "b", 8, ctx)
+        assert block_structure_evidence(2, 1, 1, 16, ctx)["pass"]
+        assert "scipy" not in sys.modules, "teardrop"
         """,
         tmp_path,
     )

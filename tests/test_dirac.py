@@ -1,21 +1,23 @@
 """Spectral triples: spinor basis, spectra, summability, commutators, grading."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qwps.cg import cg_block
 from qwps.coaction import (
     WeightPair,
     coinvariant_spinor_basis,
     dim_V_down_oracle,
     dim_V_oracle,
 )
-from qwps.coord import BasisIndex
+from qwps.coord import BasisIndex, gens, gns_basis_vector, multiply
 from qwps.dirac import (
     SpectrumTable,
     SpinorBasisIndex,
     _gns_multiplication_matrix,
+    _shell_offsets,
     _shell_of_index,
     ambient_dirac_spectrum,
     chirality_checks,
@@ -23,7 +25,6 @@ from qwps.dirac import (
     even_triple_operators,
     even_triple_spectrum,
     fredholm_degeneracy,
-    multiplication_commutator_coefficients,
     odd_triple_spectrum,
     q_dirac_check,
     spinor_basis,
@@ -32,7 +33,7 @@ from qwps.dirac import (
     summability_partial_sum,
 )
 from qwps.operators import TruncatedOperator, operator_norm
-from qwps.qcore import QContext, hi
+from qwps.qcore import HalfInt, QContext, hi, q_int, weight_range
 
 CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]
@@ -158,8 +159,6 @@ def test_even_spectrum_examples():
 
 
 def test_spectrum_totals_match_enumeration():
-    import math
-
     from qwps.coaction import coinvariant_coord_basis
 
     pairs = [
@@ -235,19 +234,34 @@ def test_summability_cube_converges(wp, triple):
 # commutator boundedness evidence
 
 
-def test_commutator_coefficients_are_half_cg_products():
-    for gen in ("alpha", "beta"):
-        for idx in (BasisIndex.of(1, 0, 1), BasisIndex.of(1.5, 0.5, -0.5)):
-            coeffs = multiplication_commutator_coefficients(gen, idx, CTX)
-            assert coeffs
-            block = cg_block(hi(0.5), idx.lam, CTX)
-            a = hi(0.5)
-            b = hi(0.5) if gen == "alpha" else hi(-0.5)
-            for tgt, coeff in coeffs.items():
-                sign = 0.5 if tgt.lam.twice > idx.lam.twice else -0.5
-                cm = block.coeff(tgt.lam, tgt.m, a, idx.m)
-                cn = block.coeff(tgt.lam, tgt.n, b, idx.n)
-                assert coeff == pytest.approx(sign * cm * cn, abs=1e-13)
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+def test_gns_multiplication_matrix_matches_multiply(gen, q):
+    # reference: multiply the generator into each orthonormal GNS vector and
+    # divide every coefficient by the norm of its target t^lam_mn
+    ctx = QContext(q, 1e-9)
+    cap = hi(3)
+    alpha, beta, _, _ = gens(ctx)
+    g = alpha if gen == "alpha" else beta
+    offsets, total = _shell_offsets(cap)
+
+    def position(idx):
+        tl = idx.lam.twice
+        return offsets[tl] + (idx.m.twice + tl) // 2 * (tl + 1) + (idx.n.twice + tl) // 2
+
+    expected = np.zeros((total, total), dtype=complex)
+    for tl in range(cap.twice + 1):
+        lam = HalfInt(tl)
+        for m in weight_range(lam):
+            for n in weight_range(lam):
+                idx = BasisIndex(lam, m, n)
+                out = multiply(g, gns_basis_vector(idx, ctx), ctx)
+                for tgt, c in out.terms.items():
+                    if tgt.lam.twice <= cap.twice:
+                        nrm = q**tgt.m.float * math.sqrt(q_int(2 * tgt.lam + 1, ctx))
+                        expected[position(tgt), position(idx)] += c / nrm
+    got = _gns_multiplication_matrix(gen, cap, ctx).toarray()
+    assert np.abs(got - expected).max() <= 1e-14
 
 
 def test_commutator_norm_identity_is_zero():

@@ -6,6 +6,7 @@ import pytest
 from qwps.qcore import QContext
 from qwps.teardrop import (
     TruncatedSeqSpace,
+    _ambient_word,
     block_structure_evidence,
     ktheory_class,
     lens_commutation_residual,
@@ -76,6 +77,34 @@ def test_wp_rep_independent_of_m():
         assert np.array_equal(mats[1], mats[2])
         closed = wp_rep(l, 0, s, gen, 12, CTX).matrix
         assert np.abs(mats[0] - closed).max() < 1e-12
+
+
+def _apply(words, z, n, ctx):
+    """Sum of coefficient * word over (coefficient, word) pairs, on e_z ⊗ e_n."""
+    out = {}
+    for c, word in words:
+        coeff, z_out, n_out = _ambient_word(word, z, n, ctx)
+        out[(z_out, n_out)] = out.get((z_out, n_out), 0.0) + c * coeff
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_ambient_words_satisfy_su2q_relations(q):
+    ctx = QContext(q, 1e-9)
+    relations = [
+        ([(1, ("beta", "alpha"))], [(q, ("alpha", "beta"))]),
+        ([(1, ("betastar", "alpha"))], [(q, ("alpha", "betastar"))]),
+        ([(1, ("beta", "betastar"))], [(1, ("betastar", "beta"))]),
+        ([(1, ("alpha", "alphastar")), (1, ("beta", "betastar"))], [(1, ())]),
+        ([(1, ("alphastar", "alpha")), (q**2, ("betastar", "beta"))], [(1, ())]),
+    ]
+    for z in range(-2, 3):
+        for n in range(9):
+            for lhs, rhs in relations:
+                left, right = _apply(lhs, z, n, ctx), _apply(rhs, z, n, ctx)
+                assert left.keys() == right.keys(), (lhs, z, n)
+                for k in left:
+                    assert left[k] == pytest.approx(right[k], rel=1e-15, abs=1e-15), (lhs, z, n)
 
 
 def test_lens_rep_beta_coefficients():

@@ -1,4 +1,4 @@
-"""q-deformed Clebsch-Gordan matrices, computed numerically with a cache.
+"""q-deformed Clebsch-Gordan matrices from the q-Racah single sum, with a cache.
 
 The tensor product of two ladder-form irreducibles decomposes with
 multiplicity one,
@@ -7,15 +7,25 @@ multiplicity one,
 
 and the change of basis is encoded as a real orthogonal matrix C whose row
 (mu, m) holds the coordinates of the new ladder basis vector in the tensor
-basis (m1, m2).  Rows are built by extracting the one-dimensional kernel of
-the raising action on each weight space and lowering with Delta(f),
-normalized by the ladder coefficients, so that
+basis (m1, m2), so that
 
     C (rho_lam1 ⊗ rho_lam2)(Delta(g)) C^t = blockdiag(rho_mu(g)).
 
-The overall sign per block is fixed by making the highest-weight row's
-coefficient on the maximal-m1 column positive; this reproduces the closed
-forms used for the spinor decomposition (see :func:`cg_coeff_updown`).
+Every entry comes from the closed single sum (Kirillov-Reshetikhin 1989;
+Klimyk-Schmüdgen 1997, ch. 3); with a = lam1, b = lam2, c = mu,
+alpha = m1, beta = m2, gamma = m,
+
+    C = q^{(a+b-c)(a+b+c+1)/2 + a beta - b alpha} Delta(abc) sqrt([2c+1])
+        sqrt([a+alpha]! [a-alpha]! [b+beta]! [b-beta]! [c+gamma]! [c-gamma]!)
+        sum_z (-1)^z q^{-z(a+b+c+1)} / ([z]! [a+b-c-z]! [a-alpha-z]! [b+beta-z]!
+                                       [c-b+alpha+z]! [c-a-beta+z]!)
+
+with Delta(abc) = sqrt([a+b-c]! [a-b+c]! [-a+b+c]! / [a+b+c+1]!).  This is
+the convention in which the highest-weight row's coefficient on the
+maximal-m1 column is positive; it reproduces the closed forms used for the
+spinor decomposition (see :func:`cg_coeff_updown`).  Each block is checked
+for orthogonality and intertwining when it is built, and a block that fails
+raises instead of being cached.
 """
 
 from __future__ import annotations
@@ -26,24 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (
-    HalfInt,
-    QContext,
-    coproduct_action,
-    hi,
-    q_int,
-    q_sqrt_int,
-    weight_position,
-    weight_range,
-)
+from .qcore import HalfInt, QContext, coproduct_action, hi, irrep_matrix, q_int, weight_range
 
 __all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
-# kernel-extraction threshold is this multiple of ctx.tol
-_KERNEL_THRESHOLD_FACTOR = 10.0
+# build-time bound on a block's orthogonality and intertwining errors; fixed,
+# because the cache key (2 lam1, 2 lam2, q) carries no tolerance
+_BLOCK_GATE = 1e-12
 
 
 def couple(lam1, lam2) -> list[HalfInt]:
@@ -111,130 +113,96 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
 
 
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
-    w1 = weight_range(lam1)
-    w2 = weight_range(lam2)
-    col_index = tuple((m1, m2) for m1 in w1 for m2 in w2)
+    col_index = tuple((m1, m2) for m1 in weight_range(lam1) for m2 in weight_range(lam2))
+    row_index = tuple((mu, m) for mu in couple(lam1, lam2) for m in weight_range(mu))
+    matrix = _racah_matrix(lam1.twice, lam2.twice, ctx.q)
+    _check_block(matrix, lam1, lam2, ctx)
+    row_pos = {(mu.twice, m.twice): i for i, (mu, m) in enumerate(row_index)}
     col_pos = {(m1.twice, m2.twice): i for i, (m1, m2) in enumerate(col_index)}
-    dim = len(col_index)
+    return CGBlock(lam1, lam2, matrix, row_index, col_index, row_pos, col_pos)
 
-    E = coproduct_action(lam1, lam2, "e", ctx).real
-    F = coproduct_action(lam1, lam2, "f", ctx).real
 
-    # columns of each total weight, used to restrict the raising action
-    weight_cols: dict[int, list[int]] = {}
-    for i, (m1, m2) in enumerate(col_index):
-        weight_cols.setdefault(m1.twice + m2.twice, []).append(i)
+def _racah_matrix(a2: int, b2: int, q: float) -> np.ndarray:
+    """The single sum for every entry of the (a, b) = (a2/2, b2/2) block.
 
-    if min(lam1.twice, lam2.twice) == 1:
-        blocks = _spin_half_blocks(lam1, lam2, F, weight_cols, col_index, ctx)
-    else:
-        blocks = {
-            mu: _lowering_chain(E, F, weight_cols, col_index, mu, ctx)
-            for mu in couple(lam1, lam2)
-        }
+    With [n]! = q^{-n(n-1)/2} G_n, G_n = prod_{k<=n} (1 - q^{2k})/(1 - q^2),
+    the powers of q of each term fold into one exponent, kept as the integer
+    e4 = 4 * exponent, and only G_n (which stays moderate) is multiplied out.
+    """
+    cs = np.arange(abs(a2 - b2), a2 + b2 + 1, 2)
+    offsets = np.concatenate([[0], np.cumsum(cs + 1)[:-1]])
+    al2 = np.arange(-a2, a2 + 1, 2)
+    be2 = np.arange(-b2, b2 + 1, 2)
+    # nonzero entries: row (c, gamma = alpha + beta) with |gamma| <= c
+    ci, i, j = np.nonzero(np.abs(al2[None, :, None] + be2[None, None, :]) <= cs[:, None, None])
+    c2, al2, be2 = cs[ci], al2[i], be2[j]
+    rows = offsets[ci] + (c2 + al2 + be2) // 2
+    cols = i * (b2 + 1) + j
 
-    rows = np.zeros((dim, dim))
-    row_index = []
-    row_pos = {}
+    # integer arguments of the q-factorials
+    s = (a2 + b2 + c2) // 2 + 1  # a + b + c + 1
+    tri = ((a2 + b2 - c2) // 2, (a2 - b2 + c2) // 2, (b2 - a2 + c2) // 2)  # Delta(abc)
+    top = (
+        (a2 + al2) // 2, (a2 - al2) // 2, (b2 + be2) // 2, (b2 - be2) // 2,
+        (c2 + al2 + be2) // 2, (c2 - al2 - be2) // 2,
+    )
+    z_shift = (c2 - b2 + al2) // 2, (c2 - a2 - be2) // 2
+    z_lo = np.maximum(0, -np.minimum(*z_shift))
+    z_hi = np.minimum(tri[0], np.minimum(top[1], top[2]))
+
+    k = np.arange(1, a2 + b2 + 3)
+    g = np.concatenate([[1.0], np.cumprod((1.0 - q ** (2 * k)) / (1.0 - q * q))])
+    # four times the q-exponent: of the leading power, Delta(abc), sqrt([2c+1])
+    # and the square-rooted factorials; sqrt([n]!) contributes -pair(n)
+    e4 = (
+        2 * tri[0] * s + (a2 * be2 - b2 * al2)
+        - sum(_pair(n) for n in tri) + _pair(s) - 2 * c2 - sum(_pair(n) for n in top)
+    )
+    scale = np.sqrt(
+        g[tri[0]] * g[tri[1]] * g[tri[2]] / g[s]
+        * (1.0 - q ** (2 * (c2 + 1))) / (1.0 - q * q)
+        * np.prod([g[n] for n in top], axis=0)
+    )
+
+    # one (entry, z) pair per term of the alternating sum; the range is never empty
+    count = z_hi - z_lo + 1
+    entry = np.repeat(np.arange(rows.size), count)
+    z = z_lo[entry] + np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    bottom = (
+        z, tri[0][entry] - z, top[1][entry] - z, top[2][entry] - z,
+        z_shift[0][entry] + z, z_shift[1][entry] + z,
+    )
+    term_e4 = e4[entry] - 4 * z * s[entry] + 2 * sum(_pair(n) for n in bottom)
+    sign = np.where(z % 2, -1.0, 1.0)
+    terms = sign * q ** (term_e4 / 4.0) / np.prod([g[n] for n in bottom], axis=0)
+
+    dim = (a2 + 1) * (b2 + 1)
+    matrix = np.zeros((dim, dim))
+    matrix[rows, cols] = scale * np.bincount(entry, weights=terms, minlength=rows.size)
+    return matrix
+
+
+def _pair(n):
+    return n * (n - 1)
+
+
+def _check_block(matrix: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> None:
+    """Raise unless C is orthogonal and C Delta(e) C^t = blockdiag(rho_mu(e)) to _BLOCK_GATE."""
+    target = np.zeros_like(matrix)
     r = 0
     for mu in couple(lam1, lam2):
-        block_rows = blocks[mu]
-        for j, m in enumerate(weight_range(mu)):
-            rows[r] = block_rows[j]
-            row_index.append((mu, m))
-            row_pos[(mu.twice, m.twice)] = r
-            r += 1
-
-    return CGBlock(lam1, lam2, rows, tuple(row_index), col_index, row_pos, col_pos)
-
-
-def _lowering_chain(E, F, weight_cols, col_index, mu, ctx):
-    """Rows of the mu block in ascending weight order, built by lowering the
-    kernel vector of the raising action."""
-    top = _highest_weight_vector(E, weight_cols, col_index, mu, ctx)
-    chain = [top]
-    m = mu
-    while m.twice > -mu.twice:
-        lowered = F @ chain[-1]
-        norm = q_sqrt_int(mu - m + 1, ctx) * q_sqrt_int(mu + m, ctx)
-        chain.append(lowered / norm)
-        m = m - hi(1)
-    return list(reversed(chain))
-
-
-def _spin_half_blocks(lam1, lam2, F, weight_cols, col_index, ctx):
-    """Stable construction when one factor is spin 1/2.
-
-    The top chain has nonnegative components throughout (Delta(f) has
-    nonnegative entries), so lowering it is cancellation free.  Every weight
-    space of the lower component is two dimensional, and its ladder basis
-    vector is the orthogonal complement of the top row at the same weight;
-    computing it as a rotation avoids the catastrophic cancellation the
-    direct lowering suffers at large weights.
-    """
-    mus = couple(lam1, lam2)
-    mu_top = mus[-1]
-    dim = len(col_index)
-
-    # top chain: highest weight vector is the single maximal column
-    top_vec = np.zeros(dim)
-    top_vec[weight_cols[mu_top.twice][0]] = 1.0
-    chain = [top_vec]
-    m = mu_top
-    while m.twice > -mu_top.twice:
-        lowered = F @ chain[-1]
-        norm = q_sqrt_int(mu_top - m + 1, ctx) * q_sqrt_int(mu_top + m, ctx)
-        chain.append(lowered / norm)
-        m = m - hi(1)
-    top_rows = list(reversed(chain))
-    blocks = {mu_top: top_rows}
-
-    if len(mus) == 2:
-        mu_low = mus[0]
-        low_rows = []
-        for m in weight_range(mu_low):
-            cols = weight_cols[m.twice]
-            assert len(cols) == 2
-            top_here = top_rows[weight_position(mu_top, m)]
-            x, y = top_here[cols[0]], top_here[cols[1]]
-            vec = np.zeros(dim)
-            vec[cols[0]], vec[cols[1]] = -y, x
-            vec /= math.hypot(x, y)
-            lead = max(cols, key=lambda c: col_index[c][0].twice)
-            if vec[lead] < 0:
-                vec = -vec
-            low_rows.append(vec)
-        blocks[mu_low] = low_rows
-    return blocks
-
-
-def _highest_weight_vector(E, weight_cols, col_index, mu, ctx):
-    """Unit kernel vector of the raising action on the weight-mu subspace."""
-    cols = weight_cols[mu.twice]
-    cols_up = weight_cols.get(mu.twice + 2, [])
-    dim = E.shape[0]
-    v_local = None
-    if not cols_up:
-        # top weight space is one dimensional, nothing to solve
-        v_local = np.ones(1)
-    else:
-        sub = E[np.ix_(cols_up, cols)]
-        u, s, vt = np.linalg.svd(sub)
-        threshold = _KERNEL_THRESHOLD_FACTOR * ctx.tol
-        n_small = int(np.sum(s < threshold)) + (len(cols) - len(s))
-        if n_small != 1:
-            raise RuntimeError(
-                f"raising action on weight {mu} subspace has a {n_small}-dimensional "
-                f"kernel; expected exactly one (numerical degeneracy)"
-            )
-        v_local = vt[-1]
-    vec = np.zeros(dim)
-    vec[cols] = v_local / np.linalg.norm(v_local)
-    # sign convention: coefficient on the maximal-m1 column is positive
-    lead = max(cols, key=lambda c: col_index[c][0].twice)
-    if vec[lead] < 0:
-        vec = -vec
-    return vec
+        d = mu.twice + 1
+        target[r : r + d, r : r + d] = irrep_matrix(mu, "e", ctx).real
+        r += d
+    raising = matrix @ coproduct_action(lam1, lam2, "e", ctx).real @ matrix.T
+    orth_err = np.abs(matrix @ matrix.T - np.eye(len(matrix))).max()
+    inter_err = np.abs(raising - target).max() / max(1.0, np.abs(target).max())
+    if not (orth_err <= _BLOCK_GATE and inter_err <= _BLOCK_GATE):
+        raise ValueError(
+            f"Clebsch-Gordan block ({lam1}, {lam2}) at q = {ctx.q} fails its build check: "
+            f"orthogonality error {orth_err:.3g}, intertwining error {inter_err:.3g} "
+            f"(bound {_BLOCK_GATE:g})"
+        )
 
 
 def cg_coeff_updown(j, mu, ctx: QContext) -> tuple[float, float]:

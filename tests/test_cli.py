@@ -295,6 +295,24 @@ def test_sparse_operator_norm_loads_scipy_on_demand(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["verify --suite wp-relations --k 1 --l 2 --tol 0.5", "verify --suite chirality --tol 0.3"],
+)
+def test_loose_tol_verify_has_no_traceback(tmp_path, argv):
+    # a loose --tol once set the Clebsch-Gordan kernel threshold and raised a traceback
+    proc = run_fresh(
+        f"""
+        import sys
+        import qwps.cli
+        sys.exit(qwps.cli.main({argv.split()!r}))
+        """,
+        tmp_path,
+    )
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+
+
 def test_qdirac_small_q_passes(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "qdirac", "--q", "0.1"])
     report = json.loads(out)

@@ -342,6 +342,16 @@ def test_even_triple_operators_structure():
     assert np.allclose(evals, np.sort(expected), atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5])
+def test_even_triple_pi_a_is_hermitian(q):
+    # a = beta beta^* is self-adjoint; pi(a) is built from (1, lam)
+    # Clebsch-Gordan blocks, whose errors show up as non-Hermitian entries
+    ops = even_triple_operators(WeightPair(1, 2), 10, QContext(q, 1e-9))
+    keep = [i for i, (idx, _) in enumerate(ops["basis"]) if idx.lam.twice <= 18]
+    p = ops["pi_a"].matrix[np.ix_(keep, keep)]
+    assert np.abs(p - p.conj().T).max() <= 1e-11
+
+
 def test_even_triple_nonzero_order_component():
     # the construction extends to any homogeneous component
     report = chirality_checks(WeightPair(1, 2), hi(3), CTX, order=2)

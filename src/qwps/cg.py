@@ -65,7 +65,8 @@ class CGBlock:
     ``matrix[row, col]`` with rows indexed by (mu, m) pairs (mu ascending,
     m ascending within a block) and columns by tensor pairs (m1, m2) in
     lexicographic order.  Row (mu, m) is supported on columns with
-    m1 + m2 = m.
+    m1 + m2 = m, so ``table`` maps each column (2 m1, 2 m2) to its nonzero
+    entries {2 mu: C_q(lam1 lam2 mu; m1 m2 m1+m2)}, mu ascending.
     """
 
     lam1: HalfInt
@@ -73,21 +74,20 @@ class CGBlock:
     matrix: np.ndarray
     row_index: tuple
     col_index: tuple
-    _row_pos: dict = field(repr=False)
-    _col_pos: dict = field(repr=False)
+    table: dict = field(repr=False)
 
     def row_position(self, mu, m) -> int:
-        return self._row_pos[(hi(mu).twice, hi(m).twice)]
+        return self.row_index.index((hi(mu), hi(m)))
 
     def col_position(self, m1, m2) -> int:
-        return self._col_pos[(hi(m1).twice, hi(m2).twice)]
+        return self.col_index.index((hi(m1), hi(m2)))
 
     def coeff(self, mu, m, m1, m2) -> float:
-        """C_q(lam1 lam2 mu; m1 m2 m) with m = m1 + m2; zero when (mu, m) is illegal."""
-        key = (hi(mu).twice, hi(m).twice)
-        if key not in self._row_pos:
+        """C_q(lam1 lam2 mu; m1 m2 m); zero unless m = m1 + m2 and (mu, m) is legal."""
+        m1, m2 = hi(m1).twice, hi(m2).twice
+        if hi(m).twice != m1 + m2:
             return 0.0
-        return float(self.matrix[self._row_pos[key], self.col_position(m1, m2)])
+        return self.table[m1, m2].get(hi(mu).twice, 0.0)
 
 
 def clear_cache():
@@ -117,9 +117,14 @@ def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
     row_index = tuple((mu, m) for mu in couple(lam1, lam2) for m in weight_range(mu))
     matrix = _racah_matrix(lam1.twice, lam2.twice, ctx.q)
     _check_block(matrix, lam1, lam2, ctx)
-    row_pos = {(mu.twice, m.twice): i for i, (mu, m) in enumerate(row_index)}
-    col_pos = {(m1.twice, m2.twice): i for i, (m1, m2) in enumerate(col_index)}
-    return CGBlock(lam1, lam2, matrix, row_index, col_index, row_pos, col_pos)
+    # row-major nonzeros, so each column's entries arrive mu ascending
+    rows, cols = np.nonzero(matrix)
+    row_mu = [mu.twice for mu, _ in row_index]
+    col_key = [(m1.twice, m2.twice) for m1, m2 in col_index]
+    table = {key: {} for key in col_key}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+        table[col_key[c]][row_mu[r]] = v
+    return CGBlock(lam1, lam2, matrix, row_index, col_index, table)
 
 
 def _racah_matrix(a2: int, b2: int, q: float) -> np.ndarray:

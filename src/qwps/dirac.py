@@ -332,14 +332,7 @@ def _shell_offsets(lam_cap: HalfInt):
 
 def _cg_leg_vector(block, tl: int, target_tl: int, a_twice: int) -> np.ndarray:
     """C_q(1/2, lam, mu; a, w) over the weights w of shell lam, as an array."""
-    mu = HalfInt(target_tl)
-    out = np.zeros(tl + 1)
-    for i in range(tl + 1):
-        w = HalfInt(2 * i - tl)
-        tgt = HalfInt(w.twice + a_twice)
-        if abs(tgt.twice) <= target_tl:
-            out[i] = block.coeff(mu, tgt, HalfInt(a_twice), w)
-    return out
+    return np.array([block.table[a_twice, w].get(target_tl, 0.0) for w in range(-tl, tl + 1, 2)])
 
 
 def _gns_multiplication_matrix(gen: str, lam_cap: HalfInt, ctx: QContext):

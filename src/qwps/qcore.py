@@ -170,8 +170,8 @@ class QContext:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
     @property
     def prune(self) -> float:

@@ -70,6 +70,17 @@ def test_block_invariants(q):
             row_m = np.array([m.twice for _, m in block.row_index])
             col_m = np.array([m1.twice + m2.twice for m1, m2 in block.col_index])
             assert not block.matrix[row_m[:, None] != col_m[None, :]].any()
+            # the coupling table holds each nonzero entry once, exactly, under
+            # its column's (2 m1, 2 m2) and its row's 2 mu
+            rows, cols = np.nonzero(block.matrix)
+            row_mu = np.array([mu.twice for mu, _ in block.row_index])
+            col_m1 = np.array([m1.twice for m1, _ in block.col_index])
+            entries = zip(col_m1[cols].tolist(), (col_m - col_m1)[cols].tolist(),
+                          row_mu[rows].tolist(), block.matrix[rows, cols].tolist())
+            listed = [(k1, k2, tmu, v) for (k1, k2), col in block.table.items()
+                      for tmu, v in col.items()]
+            assert sorted(listed) == sorted(entries)
+            assert all(list(col) == sorted(col) for col in block.table.values())
 
 
 @pytest.mark.parametrize("fault", ["scaled_row", "nan"])

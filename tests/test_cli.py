@@ -81,6 +81,7 @@ def test_bad_q_is_usage_error(capsys):
         ["spectrum", "--triple", "odd", "--jmax", "-1"],
         ["dims", "--jmax", "-3"],
         ["spectrum", "--triple", "even", "--lmax", "-1"],
+        ["verify", "--suite", "su2q-relations", "--tol", "inf"],
     ],
     ids=" ".join,
 )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwps import coord
+from qwps.cg import cg_block, couple
 from qwps.coord import (
     AlgebraElement,
     BasisIndex,
@@ -87,6 +88,42 @@ def test_unit_is_neutral(a):
     bound = 1.01 * CTX.prune
     assert (multiply(unit(), a, CTX) - a).norm_inf() <= bound
     assert (multiply(a, unit(), CTX) - a).norm_inf() <= bound
+
+
+def reference_multiply(a, b, ctx):
+    """The product rule one coefficient at a time, read from the block matrix:
+    every mu of couple(), skipping zero coefficients, then the prune."""
+    out = {}
+    for i1, c1 in a.terms.items():
+        for i2, c2 in b.terms.items():
+            block = cg_block(i1.lam, i2.lam, ctx)
+            m, n = i1.m + i2.m, i1.n + i2.n
+
+            def coeff(mu, w, w1, w2):
+                row = block.row_position(mu, w)
+                return float(block.matrix[row, block.col_position(w1, w2)])
+
+            for mu in couple(i1.lam, i2.lam):
+                if abs(m.twice) > mu.twice or abs(n.twice) > mu.twice:
+                    continue
+                cm = coeff(mu, m, i1.m, i2.m)
+                if cm == 0.0:
+                    continue
+                cn = coeff(mu, n, i1.n, i2.n)
+                if cn == 0.0:
+                    continue
+                idx = BasisIndex(mu, m, n)
+                out[idx] = out.get(idx, 0) + c1 * c2 * cm * cn
+    return {i: c for i, c in out.items() if abs(c) > ctx.prune}
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@settings(max_examples=40, deadline=None)
+@given(a=elements, b=elements)
+def test_product_matches_per_coefficient_reference(q, a, b):
+    # same values and same term order: the table-driven sum rounds like the reference
+    ctx = QContext(q, 1e-9)
+    assert list(multiply(a, b, ctx).terms.items()) == list(reference_multiply(a, b, ctx).items())
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

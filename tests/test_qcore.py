@@ -66,6 +66,9 @@ def test_qcontext_validation():
         QContext(0.0, 1e-9)
     with pytest.raises(ValueError):
         QContext(0.5, 0.0)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            QContext(0.5, tol)
 
 
 def test_q_int_examples():

@@ -76,19 +76,6 @@ class CGBlock:
     col_index: tuple
     table: dict = field(repr=False)
 
-    def row_position(self, mu, m) -> int:
-        return self.row_index.index((hi(mu), hi(m)))
-
-    def col_position(self, m1, m2) -> int:
-        return self.col_index.index((hi(m1), hi(m2)))
-
-    def coeff(self, mu, m, m1, m2) -> float:
-        """C_q(lam1 lam2 mu; m1 m2 m); zero unless m = m1 + m2 and (mu, m) is legal."""
-        m1, m2 = hi(m1).twice, hi(m2).twice
-        if hi(m).twice != m1 + m2:
-            return 0.0
-        return self.table[m1, m2].get(hi(mu).twice, 0.0)
-
 
 def clear_cache():
     with _cache_lock:

@@ -102,7 +102,9 @@ class AlgebraElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {idx: c for idx, coeff in (terms or {}).items() if (c := complex(coeff)) != 0}
+        # 0 + c stores a -0.0 part as +0.0
+        items = (terms or {}).items()
+        self.terms = {idx: 0 + c for idx, coeff in items if (c := complex(coeff)) != 0}
 
     @staticmethod
     def zero() -> "AlgebraElement":
@@ -176,15 +178,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
     Sums run on doubled weights (2 mu, 2 m, 2 n) through each block's coupling
     table; the terms with |coefficient| <= ctx.prune are dropped as roundoff.
     """
-    tables: dict[tuple, dict] = {}
-    right = [(i2.lam, i2.lam.twice, i2.m.twice, i2.n.twice, c2) for i2, c2 in b.terms.items()]
+    right = [(i2.lam, i2.m.twice, i2.n.twice, c2) for i2, c2 in b.terms.items()]
     out: dict[tuple, complex] = {}
     for i1, c1 in a.terms.items():
-        l1, m1, n1 = i1.lam.twice, i1.m.twice, i1.n.twice
-        for lam2, l2, m2, n2, c2 in right:
-            table = tables.get((l1, l2))
-            if table is None:
-                table = tables[l1, l2] = cg_block(i1.lam, lam2, ctx).table
+        m1, n1 = i1.m.twice, i1.n.twice
+        for lam2, m2, n2, c2 in right:
+            table = cg_block(i1.lam, lam2, ctx).table
             col_n = table[n1, n2]
             m, n = m1 + m2, n1 + n2
             c12 = c1 * c2

@@ -114,7 +114,7 @@ def test_singlet_row_against_null_space_oracle():
     null = np.array([sub[0, 1], -sub[0, 0]])
     null /= np.linalg.norm(null)
     block = cg_block(hi(0.5), hi(0.5), ctx)
-    row = block.matrix[block.row_position(hi(0), hi(0))]
+    row = block.matrix[block.row_index.index((hi(0), hi(0)))]
     assert abs(row[0]) < 1e-14 and abs(row[3]) < 1e-14
     vec = np.array([row[1], row[2]])
     # ratio c2/c1 = -q and unit length
@@ -176,12 +176,12 @@ def test_closed_form_matches_block_rows(tj):
         for tmu in range(-tj, tj + 1, 2):
             mu = hi(tmu / 2)
             c, s = cg_coeff_updown(j, mu, ctx)
-            row = block.row_position(j, mu)
+            row = block.row_index.index((j, mu))
             got = []
             for dm, spin in ((hi(0.5), hi(-0.5)), (hi(-0.5), hi(0.5))):
                 m1 = mu + dm
                 if abs(m1.twice) <= jm.twice:
-                    got.append(block.matrix[row, block.col_position(m1, spin)])
+                    got.append(block.matrix[row, block.col_index.index((m1, spin))])
                 else:
                     got.append(0.0)
             assert got[0] == pytest.approx(c, abs=1e-12)
@@ -215,5 +215,8 @@ def test_cache_returns_same_object_and_is_thread_safe():
 def test_row_lookup_weight_conservation():
     ctx = ctx_for(0.5)
     block = cg_block(hi(1), hi(0.5), ctx)
-    # coefficient with mismatched total weight reads as zero
-    assert block.coeff(hi(1.5), hi(1.5), hi(1), hi(-0.5)) == 0.0
+    # the entry with mismatched total weight is zero, and the table column
+    # (m1, m2) = (1, -1/2) lists only the mu that carry m = 1/2
+    row = block.row_index.index((hi(1.5), hi(1.5)))
+    assert block.matrix[row, block.col_index.index((hi(1), hi(-0.5)))] == 0.0
+    assert list(block.table[2, -1]) == [1, 3]

@@ -87,8 +87,9 @@ def test_wp_b_oracle_for_unit_weights():
     from qwps.cg import cg_block
 
     block = cg_block(hi(0.5), hi(0.5), CTX)
-    cm = block.coeff(hi(1), hi(1), hi(0.5), hi(0.5))
-    cn = block.coeff(hi(1), hi(0), hi(-0.5), hi(0.5))
+    # C(1/2 1/2 1; 1/2 1/2 1) and C(1/2 1/2 1; -1/2 1/2 0), keyed by doubled weights
+    cm = block.table[1, 1][2]
+    cn = block.table[-1, 1][2]
     expected = AlgebraElement.basis(BasisIndex.of(1, 1, 0), cm * cn)
     assert (b - expected).norm_inf() < 1e-14
 

@@ -100,8 +100,8 @@ def reference_multiply(a, b, ctx):
             m, n = i1.m + i2.m, i1.n + i2.n
 
             def coeff(mu, w, w1, w2):
-                row = block.row_position(mu, w)
-                return float(block.matrix[row, block.col_position(w1, w2)])
+                row = block.row_index.index((mu, w))
+                return float(block.matrix[row, block.col_index.index((w1, w2))])
 
             for mu in couple(i1.lam, i2.lam):
                 if abs(m.twice) > mu.twice or abs(n.twice) > mu.twice:
@@ -306,6 +306,8 @@ def test_jsonl_round_trip():
     assert len(text.splitlines()) == 3
     back = from_jsonl(text)
     assert (a - back).norm_inf() == 0.0
+    # a -0.0 part (from negating a real coefficient) is stored as +0.0
+    assert "-0.0" not in to_jsonl(-a) + to_jsonl(a * -2.0)
 
 
 def test_records_are_sorted_and_typed():

@@ -18,7 +18,7 @@ from .coord import AlgebraElement, BasisIndex
 from .coaction import CoinvariantSpinorIndex, WeightPair
 from .dirac import SpectrumTable, Spinor, SpinorBasisIndex
 from .operators import TruncatedOperator
-from .teardrop import ProjectionClass, TruncatedSeqSpace
+from .teardrop import ProjectionClass
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,5 @@ __all__ = [
     "SpinorBasisIndex",
     "TruncatedOperator",
     "ProjectionClass",
-    "TruncatedSeqSpace",
     "__version__",
 ]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,18 @@ class CGBlock:
     row_index: tuple
     col_index: tuple
     table: dict = field(repr=False)
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """The table by position, [i1, k, i2] for the k-th mu, zero where
+        |m1 + m2| > mu; built when GNS multiplication first reads it."""
+        a2, b2 = self.lam1.twice, self.lam2.twice
+        mus = np.arange(abs(a2 - b2), a2 + b2 + 1, 2)[:, None]
+        m = np.arange(-a2, a2 + 1, 2)[:, None, None] + np.arange(-b2, b2 + 1, 2)
+        row = np.cumsum(mus + 1)[:, None] - mus - 1 + (m + mus) // 2
+        legal = np.abs(m) <= mus
+        col = np.arange(self.matrix.shape[1]).reshape(a2 + 1, 1, b2 + 1)
+        return np.where(legal, self.matrix[np.where(legal, row, 0), col], 0.0)
 
 
 def clear_cache():

@@ -31,6 +31,7 @@ _SUITES = (
     "fredholm",
     "teardrop",
 )
+_FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -93,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lmax", type=float, default=None, help="highest weight cap")
     common.add_argument("--N", type=int, default=None, help="sequence-space truncation")
     common.add_argument("--n", type=int, default=None, help="homogeneity index")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     common.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
@@ -281,6 +282,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         cfg.context()  # validates q and tol
+        if cfg.format not in _FORMATS:
+            raise ValueError(f"format must be csv or json, got {cfg.format!r}")
         for cap in ("jmax", "lmax"):
             if not 0 <= getattr(cfg, cap) < math.inf:
                 raise ValueError(f"{cap} must be finite and >= 0, got {getattr(cfg, cap)}")

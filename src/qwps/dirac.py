@@ -11,8 +11,10 @@ Two constructions are assembled and verified on finite truncations:
 The module also carries the ambient quantum SU(2) ingredients these are cut
 from: the orthonormal spinor basis built from the coupling coefficients
 C_{j mu}, S_{j mu}, the classical Dirac spectrum with its multiplicities,
-and the block-operator identity expressing q^{-D} through the right regular
-action, which is verified rather than assumed.
+the block-operator identity expressing q^{-D} through the right regular
+action, which is verified rather than assumed, and one unpruned builder of
+left multiplication on the orthonormal GNS basis, which gives both the even
+triple's pi(a), pi(b) and the commutator evidence.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .coaction import (
     homogeneous_coord_basis,
     wp_gens,
 )
-from .coord import AlgebraElement, BasisIndex, gns_basis_vector, multiply, right_act
+from .coord import AlgebraElement, BasisIndex, right_act
 from .operators import TruncatedOperator, operator_norm
 from .qcore import HalfInt, QContext, hi, q_int, weight_range
 
@@ -267,29 +269,31 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     return worst
 
 
+def _shells(wp: WeightPair, triple: str, cap):
+    """(|eigenvalue|, multiplicity) of every shell with index <= cap: 2(j+1)
+    with dim V^down_{j+1} for the odd triple, lam+1 with dim V_lam for the even."""
+    ts = range(hi(cap).twice + 1)
+    if triple == "odd":
+        return zip([t + 2.0 for t in ts], [dim_V_down(wp, HalfInt(t + 2)) for t in ts])
+    if triple == "even":
+        return zip([t / 2.0 + 1 for t in ts], [dim_V(wp, HalfInt(t)) for t in ts])
+    raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
+
+
+def _spectrum(wp: WeightPair, triple: str, cap) -> SpectrumTable:
+    pairs = [(sign * ev, mult) for ev, mult in _shells(wp, triple, cap) for sign in (1, -1)]
+    return SpectrumTable.from_pairs(pairs)
+
+
 def odd_triple_spectrum(wp: WeightPair, j_max) -> SpectrumTable:
     """Shifted coinvariant Dirac spectrum: ±2(j+1), each with multiplicity
     dim V^down_{j+1} (equal to the up dimension at level j)."""
-    j_max = hi(j_max)
-    pairs = []
-    for tj in range(0, j_max.twice + 1):
-        mult = dim_V_down(wp, HalfInt(tj + 2))
-        ev = tj / 2.0 * 2 + 2  # 2(j+1)
-        pairs.append((ev, mult))
-        pairs.append((-ev, mult))
-    return SpectrumTable.from_pairs(pairs)
+    return _spectrum(wp, "odd", j_max)
 
 
 def even_triple_spectrum(wp: WeightPair, lam_max) -> SpectrumTable:
     """Even-triple spectrum: ±(lam+1) with multiplicity dim V_lam."""
-    lam_max = hi(lam_max)
-    pairs = []
-    for tl in range(0, lam_max.twice + 1):
-        mult = dim_V(wp, HalfInt(tl))
-        ev = tl / 2.0 + 1
-        pairs.append((ev, mult))
-        pairs.append((-ev, mult))
-    return SpectrumTable.from_pairs(pairs)
+    return _spectrum(wp, "even", lam_max)
 
 
 def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -> float:
@@ -300,120 +304,106 @@ def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -
     """
     if hi(N).twice < 2:
         raise ValueError(f"N must be >= 1, got {N}")
-    N = hi(N)
     total = 0.0
-    if triple == "odd":
-        for tj in range(0, N.twice + 1):
-            mult = dim_V_down(wp, HalfInt(tj + 2))
-            if mult:
-                total += 2.0 * mult * float(tj / 2.0 * 2 + 2) ** (-exponent)
-    elif triple == "even":
-        for tl in range(0, N.twice + 1):
-            mult = dim_V(wp, HalfInt(tl))
-            if mult:
-                total += 2.0 * mult * float(tl / 2.0 + 1) ** (-exponent)
-    else:
-        raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
+    for ev, mult in _shells(wp, triple, N):
+        if mult:
+            total += 2.0 * mult * ev ** (-exponent)
     return total
 
 
 # ---------------------------------------------------------------------------
-# auxiliary swap operator on two GNS copies and its commutators
+# left multiplication on the GNS space; the auxiliary swap's commutators
 
 
-def _shell_offsets(lam_cap: HalfInt):
-    offsets = []
-    total = 0
-    for tl in range(0, lam_cap.twice + 1):
-        offsets.append(total)
-        total += (tl + 1) ** 2
-    return offsets, total
+def _gns_labels(lam_cap: HalfInt) -> tuple:
+    """Doubled (lam, m, n) of every GNS vector with lam <= lam_cap, in that order."""
+    size = np.arange(1, lam_cap.twice + 2) ** 2
+    tl = np.repeat(np.arange(lam_cap.twice + 1), size)
+    i = np.arange(tl.size) - np.repeat(np.cumsum(size) - size, size)
+    return tl, 2 * (i // (tl + 1)) - tl, 2 * (i % (tl + 1)) - tl
 
 
-def _cg_leg_vector(block, tl: int, target_tl: int, a_twice: int) -> np.ndarray:
-    """C_q(1/2, lam, mu; a, w) over the weights w of shell lam, as an array."""
-    return np.array([block.table[a_twice, w].get(target_tl, 0.0) for w in range(-tl, tl + 1, 2)])
+def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
+    """Left multiplication by ``element`` on the orthonormal GNS vectors
+    e(lam, m, n) = q^m sqrt([2lam+1]) t^lam_{mn} named by ``labels``, three int
+    arrays (2 lam, 2 m, 2 n).  A term c t^lam'_{m'n'} sends e(lam, m, n) to
 
+        sum_mu c C(lam' lam mu; m' m) C(lam' lam mu; n' n) q^{-m'}
+               sqrt([2lam+1]/[2mu+1]) e(mu, m'+m, n'+n),
 
-def _gns_multiplication_matrix(gen: str, lam_cap: HalfInt, ctx: QContext):
-    """Sparse matrix of multiplication by alpha or beta on the orthonormal GNS
-    basis |lam m n>, truncated to shells lam <= lam_cap.
-
-    Basis layout: shells ascending, index offset + (i_m * (2lam+1) + i_n).
+    reading the coefficients from ``cg_block(lam', lam)``.  Returns the triplets
+    (rows, cols, vals) as positions in ``labels``.  Nothing is pruned; images
+    outside ``labels`` are dropped.
     """
-    import scipy.sparse as sp
+    tl, tm, tn = (np.asarray(x, dtype=int) for x in labels)
+    out = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    if not tl.size:
+        return out[0]
+    top = int(tl.max())
 
-    if gen == "one":
-        _, total = _shell_offsets(lam_cap)
-        return sp.identity(total, format="csr")
-    if gen not in ("alpha", "beta"):
-        raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
-    a_twice = 1
-    b_twice = 1 if gen == "alpha" else -1
-    offsets, total = _shell_offsets(lam_cap)
-    rows, cols, vals = [], [], []
-    q = ctx.q
-    for tl in range(0, lam_cap.twice + 1):
-        d = tl + 1
-        block = cg_block(hi(0.5), HalfInt(tl), ctx)
-        base = offsets[tl]
-        ii = np.arange(d)
-        col_grid = base + (ii[:, None] * d + ii[None, :])
-        for target_tl in (tl + 1, tl - 1):
-            if target_tl < 0 or target_tl > lam_cap.twice:
-                continue
-            dt = target_tl + 1
-            um = _cg_leg_vector(block, tl, target_tl, a_twice)
-            vn = _cg_leg_vector(block, tl, target_tl, b_twice)
-            # positions of m+a and n+b inside the target shell
-            im_t = (2 * ii - tl + a_twice + target_tl) // 2
-            in_t = (2 * ii - tl + b_twice + target_tl) // 2
-            valid_m = (im_t >= 0) & (im_t < dt) & (um != 0.0)
-            valid_n = (in_t >= 0) & (in_t < dt) & (vn != 0.0)
-            if not valid_m.any() or not valid_n.any():
-                continue
-            scale = q ** (-a_twice / 2.0) * math.sqrt(
-                q_int(HalfInt(tl) * 2 + 1, ctx) / q_int(HalfInt(target_tl) * 2 + 1, ctx)
-            )
-            coeffs = scale * np.outer(um, vn)
-            row_grid = offsets[target_tl] + (im_t[:, None] * dt + in_t[None, :])
-            mask = valid_m[:, None] & valid_n[None, :]
-            rows.append(row_grid[mask])
-            cols.append(col_grid[mask])
-            vals.append(coeffs[mask])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
+    def slot(l2, m2, n2):
+        # shells ascending, (m, n) row-major; shell 2lam starts at sum_{t < 2lam} (t+1)^2
+        return l2 * (l2 + 1) * (2 * l2 + 1) // 6 + (m2 + l2) // 2 * (l2 + 1) + (n2 + l2) // 2
 
-
-def _shell_of_index(lam_cap: HalfInt) -> np.ndarray:
-    parts = []
-    for tl in range(0, lam_cap.twice + 1):
-        parts.append(np.full((tl + 1) ** 2, tl, dtype=int))
-    return np.concatenate(parts)
+    position = np.full(slot(top + 1, -top - 1, -top - 1), -1)
+    position[slot(tl, tm, tn)] = np.arange(tl.size)
+    qdim = np.array([q_int(t + 1, ctx) for t in range(top + 1)])
+    shells = np.flatnonzero(np.bincount(tl, minlength=top + 1))
+    coeffs = np.array(list(element.terms.values()), dtype=complex)
+    if not coeffs.imag.any():  # real elements give real matrices
+        coeffs = coeffs.real
+    for idx, c in zip(element.terms, coeffs):
+        l2, a, b = idx.lam.twice, idx.m.twice, idx.n.twice
+        # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (mu, w); shell s from start[s]
+        blocks = [cg_block(idx.lam, HalfInt(s), ctx).coupling for s in shells.tolist()]
+        start = np.zeros(top + 1, dtype=int)
+        start[shells] = np.cumsum([0] + [blk[0].size for blk in blocks[:-1]])
+        leg_m = np.concatenate([blk[(a + l2) // 2].ravel() for blk in blocks])
+        leg_n = np.concatenate([blk[(b + l2) // 2].ravel() for blk in blocks])
+        # every (mu, label) pair that the coupling allows with legal weights
+        mu = tl + np.arange(-l2, l2 + 1, 2)[:, None]
+        lo = np.abs(l2 - tl)
+        ok = (mu >= lo) & (mu <= top) & (np.abs(a + tm) <= mu) & (np.abs(b + tn) <= mu)
+        shift, col = np.nonzero(ok)
+        s, mu = tl[col], mu[shift, col]
+        at = start[s] + (mu - lo[col]) // 2 * (s + 1)
+        cm = leg_m[at + (tm[col] + s) // 2]
+        cn = leg_n[at + (tn[col] + s) // 2]
+        row = position[slot(mu, a + tm[col], b + tn[col])]
+        keep = (row >= 0) & (cm != 0.0) & (cn != 0.0)
+        vals = c * (ctx.q ** (-a / 2.0) * np.sqrt(qdim[s] / qdim[mu])) * (cm * cn)
+        out.append((row[keep], col[keep], vals[keep]))
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     """Norm of [Q, pi(gen)] on two truncated GNS copies, interior block only.
 
-    Q swaps the copies with eigenvalue ±(lam+1); pi is the GNS multiplication
-    operator P of the generator on each copy.  Then [Q, pi] = [[0, C], [C, 0]]
-    with C = DP - PD, D = diag(lam+1), so both have the norm of C, whose
-    entries are (lam_row - lam_col) P = ±P/2.  Multiplication moves shell lam
-    to lam ± 1/2, so columns are restricted to shells lam <= cap - 1/2, where
-    the truncated commutator agrees exactly with the densely defined one.
+    ``gen`` is "alpha", "beta" or "one".  Q swaps the copies with eigenvalue
+    ±(lam+1); pi is left multiplication P by the generator on each copy (see
+    :func:`gns_multiplication`).  Then [Q, pi] = [[0, C], [C, 0]] with
+    C = DP - PD, D = diag(lam+1), so both have the norm of C, whose entries
+    are (lam_row - lam_col) P = ±P/2.  Multiplication moves shell lam to
+    lam ± 1/2, so columns are restricted to shells lam <= cap - 1/2, where the
+    truncated commutator agrees exactly with the densely defined one.
     """
     import scipy.sparse as sp
 
     lam_cap = hi(lam_cap)
     if lam_cap.twice < 2:
         raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")
-    P = _gns_multiplication_matrix(gen, lam_cap, ctx).tocoo()
-    shells = _shell_of_index(lam_cap)
-    vals = (shells[P.row] - shells[P.col]) / 2.0 * P.data
-    C = sp.csr_matrix((vals, (P.row, P.col)), shape=P.shape)
-    return operator_norm(C[:, np.flatnonzero(shells <= lam_cap.twice - 1)])
+    elements = dict(zip(("alpha", "beta"), coord.gens(ctx)), one=coord.unit())
+    if gen not in elements:
+        raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
+    labels = _gns_labels(lam_cap)
+    rows, cols, vals = gns_multiplication(elements[gen], labels, ctx)
+    shells = labels[0]
+    # the interior shells are a prefix of the (lam, m, n) order
+    interior = int(np.count_nonzero(shells <= lam_cap.twice - 1))
+    keep = cols < interior
+    rows, cols = rows[keep], cols[keep]
+    vals = (shells[rows] - shells[cols]) / 2.0 * vals[keep]
+    return operator_norm(sp.csr_matrix((vals, (rows, cols)), shape=(shells.size, interior)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,31 +415,20 @@ def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext, order: int = 0
 
     Returns a dict with the doubled basis ((index, arrow) pairs), the Dirac
     swap D' (eigenvalues ±(lam+1)), the chirality omega, the Fredholm swap F',
-    and the represented generators pi(a), pi(b).
+    and the represented generators pi(a), pi(b): left multiplication on the
+    orthonormal GNS vectors of the component (:func:`gns_multiplication`).
     """
     lam_max = hi(lam_max)
     base = homogeneous_coord_basis(wp, order, lam_max)
-    pos = {idx: i for i, idx in enumerate(base)}
     B = len(base)
-    a_el, b_el = wp_gens(wp, ctx)
-
-    def rep_matrix(element: AlgebraElement) -> np.ndarray:
-        mat = np.zeros((B, B), dtype=complex)
-        for col, idx in enumerate(base):
-            out = multiply(element, gns_basis_vector(idx, ctx), ctx)
-            for tgt, c in out.terms.items():
-                row = pos.get(tgt)
-                if row is not None:
-                    nrm = ctx.q ** tgt.m.float * math.sqrt(q_int(2 * tgt.lam + 1, ctx))
-                    mat[row, col] += c / nrm
-        return mat
-
-    Pa = rep_matrix(a_el)
-    Pb = rep_matrix(b_el)
-    lam_plus_1 = np.array([idx.lam.float + 1.0 for idx in base])
+    labels = np.array([[getattr(i, w).twice for i in base] for w in ("lam", "m", "n")], dtype=int)
+    Pa, Pb = np.zeros((2, B, B), dtype=complex)
+    for mat, element in zip((Pa, Pb), wp_gens(wp, ctx)):
+        rows, cols, vals = gns_multiplication(element, labels, ctx)
+        np.add.at(mat, (rows, cols), vals)
     eye = np.eye(B)
     zero = np.zeros((B, B))
-    dblock = np.diag(lam_plus_1)
+    dblock = np.diag(labels[0] / 2.0 + 1.0)
     basis = tuple((idx, "up") for idx in base) + tuple((idx, "down") for idx in base)
     mk = lambda m: TruncatedOperator(basis, m)  # noqa: E731
     return {

@@ -32,7 +32,6 @@ from .operators import TruncatedOperator, operator_norm
 from .qcore import QContext
 
 __all__ = [
-    "TruncatedSeqSpace",
     "ProjectionClass",
     "wp_rep",
     "wp_rep_via_ambient",
@@ -43,31 +42,6 @@ __all__ = [
     "ktheory_class",
     "projection_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class TruncatedSeqSpace:
-    """l copies of a length-N truncation of l2(N0); basis (s, p), flat index
-    (s-1)*N + p."""
-
-    l: int
-    N: int
-
-    def __post_init__(self):
-        if self.l < 1 or self.N < 1:
-            raise ValueError("need l >= 1 and N >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.l * self.N
-
-    def index(self, s: int, p: int) -> int:
-        if not (1 <= s <= self.l and 0 <= p < self.N):
-            raise ValueError(f"(s, p) = ({s}, {p}) outside the truncation")
-        return (s - 1) * self.N + p
-
-    def labels(self):
-        return tuple((s, p) for s in range(1, self.l + 1) for p in range(self.N))
 
 
 def _check_wp_args(l, s, N):

@@ -81,6 +81,14 @@ def test_block_invariants(q):
                       for tmu, v in col.items()]
             assert sorted(listed) == sorted(entries)
             assert all(list(col) == sorted(col) for col in block.table.values())
+            # the coupling array holds the same entries at (m1, mu, m2), zero elsewhere
+            mus = [mu.twice for mu in couple(lam1, lam2)]
+            from_table = np.zeros((t1 + 1, len(mus), t2 + 1))
+            for (k1, k2), col in block.table.items():
+                for tmu, v in col.items():
+                    from_table[(k1 + t1) // 2, mus.index(tmu), (k2 + t2) // 2] = v
+            assert block.coupling.shape == from_table.shape
+            assert (block.coupling == from_table).all()
 
 
 @pytest.mark.parametrize("fault", ["scaled_row", "nan"])

@@ -234,6 +234,19 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["spectrum", "--triple", "even"], ["dims"], ["verify", "--suite", "haar"]]
+)
+def test_config_file_rejects_unknown_format(tmp_path, capsys, command):
+    # argparse restricts --format; a config file must not get round that
+    config = tmp_path / "fmt.cfg"
+    config.write_text("format=xml\n")
+    code, out, err = run_cli(capsys, command + ["--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: format must be csv or json, got 'xml'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qwps.cli", "ktheory", "--l", "3", "--n", "-1", "--j", "2"],

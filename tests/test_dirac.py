@@ -11,20 +11,20 @@ from qwps.coaction import (
     coinvariant_spinor_basis,
     dim_V_down_oracle,
     dim_V_oracle,
+    wp_gens,
 )
-from qwps.coord import BasisIndex, gens, gns_basis_vector, multiply
+from qwps.coord import BasisIndex, gens, gns_basis_vector, multiply, unit
 from qwps.dirac import (
     SpectrumTable,
     SpinorBasisIndex,
-    _gns_multiplication_matrix,
-    _shell_offsets,
-    _shell_of_index,
+    _gns_labels,
     ambient_dirac_spectrum,
     chirality_checks,
     commutator_norm,
     even_triple_operators,
     even_triple_spectrum,
     fredholm_degeneracy,
+    gns_multiplication,
     odd_triple_spectrum,
     q_dirac_check,
     spinor_basis,
@@ -33,7 +33,7 @@ from qwps.dirac import (
     summability_partial_sum,
 )
 from qwps.operators import TruncatedOperator, operator_norm
-from qwps.qcore import HalfInt, QContext, hi, q_int, weight_range
+from qwps.qcore import HalfInt, QContext, hi, q_int
 
 CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]
@@ -234,38 +234,70 @@ def test_summability_cube_converges(wp, triple):
 # commutator boundedness evidence
 
 
+def _multiply_reference(element, base, ctx):
+    """Left multiplication on the orthonormal GNS vectors of ``base``: multiply
+    the element into each vector and divide every coefficient by the norm of
+    its target t^lam_mn."""
+    pos = {idx: i for i, idx in enumerate(base)}
+    mat = np.zeros((len(base), len(base)), dtype=complex)
+    for col, idx in enumerate(base):
+        for tgt, c in multiply(element, gns_basis_vector(idx, ctx), ctx).terms.items():
+            if tgt in pos:
+                nrm = ctx.q**tgt.m.float * math.sqrt(q_int(2 * tgt.lam + 1, ctx))
+                mat[pos[tgt], col] += c / nrm
+    return mat
+
+
+GNS_ELEMENTS = [("alpha", None), ("beta", None), ("one", None)] + [
+    (name, wp) for wp in ((1, 1), (1, 2), (2, 3), (3, 5)) for name in ("a", "b")
+]
+GNS_IDS = [name if wp is None else f"{name}-{wp[0]},{wp[1]}" for name, wp in GNS_ELEMENTS]
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
-@pytest.mark.parametrize("gen", ["alpha", "beta"])
-def test_gns_multiplication_matrix_matches_multiply(gen, q):
-    # reference: multiply the generator into each orthonormal GNS vector and
-    # divide every coefficient by the norm of its target t^lam_mn
+@pytest.mark.parametrize("name, wp", GNS_ELEMENTS, ids=GNS_IDS)
+def test_gns_multiplication_matrix_matches_multiply(name, wp, q):
+    # the reference multiplies at tol 1e-300, so that it prunes nothing; the
+    # generators act on every shell up to 3, and pi(a), pi(b) are the
+    # even-triple operators on the degree-0 basis up to lam 5
+    ref_ctx = QContext(q, 1e-300)
     ctx = QContext(q, 1e-9)
-    cap = hi(3)
-    alpha, beta, _, _ = gens(ctx)
-    g = alpha if gen == "alpha" else beta
-    offsets, total = _shell_offsets(cap)
-
-    def position(idx):
-        tl = idx.lam.twice
-        return offsets[tl] + (idx.m.twice + tl) // 2 * (tl + 1) + (idx.n.twice + tl) // 2
-
-    expected = np.zeros((total, total), dtype=complex)
-    for tl in range(cap.twice + 1):
-        lam = HalfInt(tl)
-        for m in weight_range(lam):
-            for n in weight_range(lam):
-                idx = BasisIndex(lam, m, n)
-                out = multiply(g, gns_basis_vector(idx, ctx), ctx)
-                for tgt, c in out.terms.items():
-                    if tgt.lam.twice <= cap.twice:
-                        nrm = q**tgt.m.float * math.sqrt(q_int(2 * tgt.lam + 1, ctx))
-                        expected[position(tgt), position(idx)] += c / nrm
-    got = _gns_multiplication_matrix(gen, cap, ctx).toarray()
-    assert np.abs(got - expected).max() <= 1e-14
+    if wp is None:
+        alpha, beta, _, _ = gens(ref_ctx)
+        element = {"alpha": alpha, "beta": beta, "one": unit()}[name]
+        labels = _gns_labels(hi(3))
+        base = [BasisIndex(HalfInt(tl), HalfInt(tm), HalfInt(tn))
+                for tl, tm, tn in np.array(labels).T.tolist()]
+        got = np.zeros((len(base), len(base)))
+        rows, cols, vals = gns_multiplication(element, labels, ctx)
+        np.add.at(got, (rows, cols), vals)
+    else:
+        wp = WeightPair(*wp)
+        element = dict(zip("ab", wp_gens(wp, ref_ctx)))[name]
+        ops = even_triple_operators(wp, hi(5), ctx)
+        B = len(ops["basis"]) // 2
+        base = [idx for idx, _ in ops["basis"][:B]]
+        full = ops[f"pi_{name}"].matrix
+        assert (full[B:, B:] == full[:B, :B]).all()
+        assert not full[:B, B:].any() and not full[B:, :B].any()
+        got = full[:B, :B]
+    expected = _multiply_reference(element, base, ref_ctx)
+    assert np.abs(expected).max() > 0
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_commutator_norm_identity_is_zero():
     assert commutator_norm("one", hi(4), CTX) == 0.0
+
+
+def test_gns_multiplication_edge_cases():
+    with pytest.raises(ValueError):
+        commutator_norm("gamma", hi(4), CTX)
+    rows, cols, vals = gns_multiplication(unit(), np.zeros((3, 0), dtype=int), CTX)
+    assert rows.size == cols.size == vals.size == 0
+    # images outside the labels are dropped: alpha sends shell 0 to shell 1/2 only
+    rows, cols, vals = gns_multiplication(gens(CTX)[0], _gns_labels(hi(0)), CTX)
+    assert rows.size == 0
 
 
 def test_commutator_norm_plateau_small():
@@ -277,8 +309,11 @@ def test_commutator_norm_plateau_small():
 
 def _doubled_commutator_interior(gen, cap):
     """The interior block of [Q, Pi] on two GNS copies, built explicitly."""
-    P = _gns_multiplication_matrix(gen, hi(cap), CTX)
-    shells = _shell_of_index(hi(cap))
+    labels = _gns_labels(hi(cap))
+    shells = labels[0]
+    alpha, beta, _, _ = gens(CTX)
+    rows, cols, vals = gns_multiplication(alpha if gen == "alpha" else beta, labels, CTX)
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(shells.size, shells.size))
     D = sp.diags(shells / 2.0 + 1.0)
     Q = sp.bmat([[None, D], [D, None]], format="csr")
     Pi = sp.bmat([[P, None], [None, P]], format="csr")

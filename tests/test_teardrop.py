@@ -5,7 +5,6 @@ import pytest
 
 from qwps.qcore import QContext
 from qwps.teardrop import (
-    TruncatedSeqSpace,
     _ambient_word,
     block_structure_evidence,
     ktheory_class,
@@ -18,18 +17,6 @@ from qwps.teardrop import (
 )
 
 CTX = QContext(0.5, 1e-9)
-
-
-def test_seq_space_indexing():
-    space = TruncatedSeqSpace(3, 4)
-    assert space.dim == 12
-    assert space.index(1, 0) == 0
-    assert space.index(2, 1) == 5
-    assert len(space.labels()) == 12
-    with pytest.raises(ValueError):
-        space.index(4, 0)
-    with pytest.raises(ValueError):
-        TruncatedSeqSpace(0, 4)
 
 
 def test_wp_rep_diagonal():

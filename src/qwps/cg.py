@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import HalfInt, QContext, coproduct_action, hi, irrep_matrix, q_int, weight_range
+from .qcore import HalfInt, QContext, coproduct_action, hi, irrep_matrix, q_int
 
 __all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
 
@@ -65,16 +65,17 @@ class CGBlock:
 
     ``matrix[row, col]`` with rows indexed by (mu, m) pairs (mu ascending,
     m ascending within a block) and columns by tensor pairs (m1, m2) in
-    lexicographic order.  Row (mu, m) is supported on columns with
-    m1 + m2 = m, so ``table`` maps each column (2 m1, 2 m2) to its nonzero
-    entries {2 mu: C_q(lam1 lam2 mu; m1 m2 m1+m2)}, mu ascending.
+    lexicographic order: row (mu, m) sits at mu + m plus the sum of 2mu'+1
+    over |lam1-lam2| <= mu' < mu, column (m1, m2) at
+    (lam1 + m1)(2lam2 + 1) + lam2 + m2.  Row (mu, m) is
+    supported on columns with m1 + m2 = m, so ``table`` maps each column
+    (2 m1, 2 m2) to its nonzero entries {2 mu: C_q(lam1 lam2 mu; m1 m2 m1+m2)},
+    mu ascending.
     """
 
     lam1: HalfInt
     lam2: HalfInt
     matrix: np.ndarray
-    row_index: tuple
-    col_index: tuple
     table: dict = field(repr=False)
 
     @cached_property
@@ -113,18 +114,17 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
 
 
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
-    col_index = tuple((m1, m2) for m1 in weight_range(lam1) for m2 in weight_range(lam2))
-    row_index = tuple((mu, m) for mu in couple(lam1, lam2) for m in weight_range(mu))
-    matrix = _racah_matrix(lam1.twice, lam2.twice, ctx.q)
+    a2, b2 = lam1.twice, lam2.twice
+    matrix = _racah_matrix(a2, b2, ctx.q)
     _check_block(matrix, lam1, lam2, ctx)
     # row-major nonzeros, so each column's entries arrive mu ascending
     rows, cols = np.nonzero(matrix)
-    row_mu = [mu.twice for mu, _ in row_index]
-    col_key = [(m1.twice, m2.twice) for m1, m2 in col_index]
+    row_mu = [mu for mu in range(abs(a2 - b2), a2 + b2 + 1, 2) for _ in range(mu + 1)]
+    col_key = [(m1, m2) for m1 in range(-a2, a2 + 1, 2) for m2 in range(-b2, b2 + 1, 2)]
     table = {key: {} for key in col_key}
     for r, c, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
         table[col_key[c]][row_mu[r]] = v
-    return CGBlock(lam1, lam2, matrix, row_index, col_index, table)
+    return CGBlock(lam1, lam2, matrix, table)
 
 
 def _racah_matrix(a2: int, b2: int, q: float) -> np.ndarray:

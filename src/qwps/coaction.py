@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .coord import AlgebraElement, BasisIndex, gens, multiply, star, unit
-from .qcore import HalfInt, QContext, hi, weight_range
+from .qcore import HalfInt, QContext, hi
 
 __all__ = [
     "WeightPair",
@@ -31,7 +31,6 @@ __all__ = [
     "uq_degree",
     "spinor_degree",
     "coinvariant_coord_basis",
-    "homogeneous_coord_basis",
     "coinvariant_spinor_basis",
     "dim_V_down",
     "dim_V_down_oracle",
@@ -179,20 +178,6 @@ def spinor_degree(wp: WeightPair, i: int, sign: str) -> int:
     if sign in ("-", "minus", "down"):
         return i + wp.s
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
-def homogeneous_coord_basis(wp: WeightPair, order: int, lam_max) -> list[BasisIndex]:
-    """All basis indices of the given homogeneity order with lam <= lam_max."""
-    lam_max = hi(lam_max)
-    out = []
-    for tl in range(0, lam_max.twice + 1):
-        lam = HalfInt(tl)
-        for m in weight_range(lam):
-            for n in weight_range(lam):
-                idx = BasisIndex(lam, m, n)
-                if degree(wp, idx) == order:
-                    out.append(idx)
-    return out
 
 
 def _p_window(wp: WeightPair, lo: int, hi: int, t: int) -> list[int]:

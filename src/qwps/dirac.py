@@ -27,15 +27,9 @@ import numpy as np
 
 from . import coord
 from .cg import cg_block, cg_coeff_updown
-from .coaction import (
-    WeightPair,
-    dim_V,
-    dim_V_down,
-    homogeneous_coord_basis,
-    wp_gens,
-)
+from .coaction import WeightPair, coinvariant_coord_basis, dim_V, dim_V_down, wp_gens
 from .coord import AlgebraElement, BasisIndex, right_act
-from .operators import TruncatedOperator, operator_norm
+from .operators import operator_norm
 from .qcore import HalfInt, QContext, hi, q_int, weight_range
 
 __all__ = [
@@ -410,16 +404,17 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
 # even triple: operators, chirality, Fredholm degeneracy
 
 
-def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext, order: int = 0):
-    """Truncated even-triple data on two copies of the homogeneous component.
+def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext) -> dict:
+    """Truncated even-triple data on two copies of the degree-zero component.
 
-    Returns a dict with the doubled basis ((index, arrow) pairs), the Dirac
-    swap D' (eigenvalues ±(lam+1)), the chirality omega, the Fredholm swap F',
-    and the represented generators pi(a), pi(b): left multiplication on the
-    orthonormal GNS vectors of the component (:func:`gns_multiplication`).
+    Returns a dict with the doubled basis ((index, arrow) pairs; the component
+    is listed by :func:`~qwps.coaction.coinvariant_coord_basis`) and, as square
+    ndarrays on that basis, the Dirac swap "D" (eigenvalues ±(lam+1)), the
+    chirality "omega", the Fredholm swap "F" and the represented generators
+    "pi_a", "pi_b": left multiplication on the orthonormal GNS vectors of the
+    component (:func:`gns_multiplication`).
     """
-    lam_max = hi(lam_max)
-    base = homogeneous_coord_basis(wp, order, lam_max)
+    base = coinvariant_coord_basis(wp, lam_max)
     B = len(base)
     labels = np.array([[getattr(i, w).twice for i in base] for w in ("lam", "m", "n")], dtype=int)
     Pa, Pb = np.zeros((2, B, B), dtype=complex)
@@ -429,54 +424,43 @@ def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext, order: int = 0
     eye = np.eye(B)
     zero = np.zeros((B, B))
     dblock = np.diag(labels[0] / 2.0 + 1.0)
-    basis = tuple((idx, "up") for idx in base) + tuple((idx, "down") for idx in base)
-    mk = lambda m: TruncatedOperator(basis, m)  # noqa: E731
     return {
-        "basis": basis,
-        "D": mk(np.block([[zero, dblock], [dblock, zero]])),
-        "omega": mk(np.block([[eye, zero], [zero, -eye]])),
-        "F": mk(np.block([[zero, eye], [eye, zero]])),
-        "pi_a": mk(np.block([[Pa, zero], [zero, Pa]])),
-        "pi_b": mk(np.block([[Pb, zero], [zero, Pb]])),
+        "basis": tuple((idx, "up") for idx in base) + tuple((idx, "down") for idx in base),
+        "D": np.block([[zero, dblock], [dblock, zero]]),
+        "omega": np.block([[eye, zero], [zero, -eye]]),
+        "F": np.block([[zero, eye], [eye, zero]]),
+        "pi_a": np.block([[Pa, zero], [zero, Pa]]),
+        "pi_b": np.block([[Pb, zero], [zero, Pb]]),
     }
 
 
-def chirality_checks(wp: WeightPair, lam_max, ctx: QContext, order: int = 0) -> dict:
+def chirality_checks(wp: WeightPair, lam_max, ctx: QContext) -> dict:
     """Exact grading identities on the truncated even triple."""
-    ops = even_triple_operators(wp, lam_max, ctx, order)
-    omega = ops["omega"].matrix
-    D = ops["D"].matrix
+    ops = even_triple_operators(wp, lam_max, ctx)
+    omega, D, pi_a, pi_b = (ops[name] for name in ("omega", "D", "pi_a", "pi_b"))
     n = omega.shape[0]
     report = {
         "omega_squared": float(np.abs(omega @ omega - np.eye(n)).max()),
         "omega_selfadjoint": float(np.abs(omega - omega.conj().T).max()),
         "anticommutes_dirac": float(np.abs(omega @ D + D @ omega).max()),
-        "commutes_pi_a": float(
-            np.abs(ops["pi_a"].matrix @ omega - omega @ ops["pi_a"].matrix).max()
-        ),
-        "commutes_pi_b": float(
-            np.abs(ops["pi_b"].matrix @ omega - omega @ ops["pi_b"].matrix).max()
-        ),
+        "commutes_pi_a": float(np.abs(pi_a @ omega - omega @ pi_a).max()),
+        "commutes_pi_b": float(np.abs(pi_b @ omega - omega @ pi_b).max()),
     }
     report["max"] = max(report.values())
     return report
 
 
-def fredholm_degeneracy(wp: WeightPair, lam_max, ctx: QContext, order: int = 0) -> dict:
+def fredholm_degeneracy(wp: WeightPair, lam_max, ctx: QContext) -> dict:
     """Degeneracy evidence: F' squares to one, is self-adjoint and commutes
     with the represented algebra on the truncation."""
-    ops = even_triple_operators(wp, lam_max, ctx, order)
-    F = ops["F"].matrix
+    ops = even_triple_operators(wp, lam_max, ctx)
+    F, pi_a, pi_b = (ops[name] for name in ("F", "pi_a", "pi_b"))
     n = F.shape[0]
     report = {
         "F_squared": float(np.abs(F @ F - np.eye(n)).max()),
         "F_selfadjoint": float(np.abs(F - F.conj().T).max()),
-        "commutes_pi_a": float(
-            np.abs(F @ ops["pi_a"].matrix - ops["pi_a"].matrix @ F).max()
-        ),
-        "commutes_pi_b": float(
-            np.abs(F @ ops["pi_b"].matrix - ops["pi_b"].matrix @ F).max()
-        ),
+        "commutes_pi_a": float(np.abs(F @ pi_a - pi_a @ F).max()),
+        "commutes_pi_b": float(np.abs(F @ pi_b - pi_b @ F).max()),
     }
     report["max"] = max(report.values())
     return report

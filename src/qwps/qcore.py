@@ -62,12 +62,14 @@ class HalfInt:
 
     @staticmethod
     def of(value: Union["HalfInt", int, float]) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2, or a HalfInt."""
+        """Coerce an int, an exact multiple of 1/2 whose double is finite, or a HalfInt."""
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, int):
             return HalfInt(2 * value)
         doubled = 2 * value
+        if not math.isfinite(doubled):
+            raise ValueError(f"{value!r} is out of range: twice it is not finite")
         if doubled != int(doubled):
             raise ValueError(f"{value!r} is not a half-integer")
         return HalfInt(int(doubled))

@@ -16,6 +16,18 @@ def ctx_for(q=0.5):
     return QContext(q, 1e-9)
 
 
+def row_of(block, mu, m):
+    """Row of (mu, m): the rows of every mu' < mu come first, m ascending."""
+    lo = abs(block.lam1.twice - block.lam2.twice)
+    return sum(t + 1 for t in range(lo, mu.twice, 2)) + (mu.twice + m.twice) // 2
+
+
+def col_of(block, m1, m2):
+    """Column of (m1, m2), lexicographic."""
+    t1, t2 = block.lam1.twice, block.lam2.twice
+    return (t1 + m1.twice) // 2 * (t2 + 1) + (t2 + m2.twice) // 2
+
+
 def test_couple_examples():
     assert couple(hi(0), hi(1.5)) == [hi(1.5)]
     assert couple(hi(0.5), hi(0.5)) == [hi(0), hi(1)]
@@ -67,14 +79,17 @@ def test_block_invariants(q):
             lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
             assert block_errors(lam1, lam2, ctx) < 1e-13, (t1, t2)
             block = cg_block(lam1, lam2, ctx)
-            row_m = np.array([m.twice for _, m in block.row_index])
-            col_m = np.array([m1.twice + m2.twice for m1, m2 in block.col_index])
+            # doubled labels of every row (mu, m) and column (m1, m2), in the
+            # layout the CGBlock docstring states
+            mus = [mu.twice for mu in couple(lam1, lam2)]
+            row_mu = np.repeat(mus, np.array(mus) + 1)
+            row_m = np.concatenate([np.arange(-t, t + 1, 2) for t in mus])
+            col_m1 = np.repeat(np.arange(-t1, t1 + 1, 2), t2 + 1)
+            col_m = col_m1 + np.tile(np.arange(-t2, t2 + 1, 2), t1 + 1)
             assert not block.matrix[row_m[:, None] != col_m[None, :]].any()
             # the coupling table holds each nonzero entry once, exactly, under
             # its column's (2 m1, 2 m2) and its row's 2 mu
             rows, cols = np.nonzero(block.matrix)
-            row_mu = np.array([mu.twice for mu, _ in block.row_index])
-            col_m1 = np.array([m1.twice for m1, _ in block.col_index])
             entries = zip(col_m1[cols].tolist(), (col_m - col_m1)[cols].tolist(),
                           row_mu[rows].tolist(), block.matrix[rows, cols].tolist())
             listed = [(k1, k2, tmu, v) for (k1, k2), col in block.table.items()
@@ -82,7 +97,6 @@ def test_block_invariants(q):
             assert sorted(listed) == sorted(entries)
             assert all(list(col) == sorted(col) for col in block.table.values())
             # the coupling array holds the same entries at (m1, mu, m2), zero elsewhere
-            mus = [mu.twice for mu in couple(lam1, lam2)]
             from_table = np.zeros((t1 + 1, len(mus), t2 + 1))
             for (k1, k2), col in block.table.items():
                 for tmu, v in col.items():
@@ -122,7 +136,7 @@ def test_singlet_row_against_null_space_oracle():
     null = np.array([sub[0, 1], -sub[0, 0]])
     null /= np.linalg.norm(null)
     block = cg_block(hi(0.5), hi(0.5), ctx)
-    row = block.matrix[block.row_index.index((hi(0), hi(0)))]
+    row = block.matrix[row_of(block, hi(0), hi(0))]
     assert abs(row[0]) < 1e-14 and abs(row[3]) < 1e-14
     vec = np.array([row[1], row[2]])
     # ratio c2/c1 = -q and unit length
@@ -184,12 +198,12 @@ def test_closed_form_matches_block_rows(tj):
         for tmu in range(-tj, tj + 1, 2):
             mu = hi(tmu / 2)
             c, s = cg_coeff_updown(j, mu, ctx)
-            row = block.row_index.index((j, mu))
+            row = row_of(block, j, mu)
             got = []
             for dm, spin in ((hi(0.5), hi(-0.5)), (hi(-0.5), hi(0.5))):
                 m1 = mu + dm
                 if abs(m1.twice) <= jm.twice:
-                    got.append(block.matrix[row, block.col_index.index((m1, spin))])
+                    got.append(block.matrix[row, col_of(block, m1, spin)])
                 else:
                     got.append(0.0)
             assert got[0] == pytest.approx(c, abs=1e-12)
@@ -225,6 +239,6 @@ def test_row_lookup_weight_conservation():
     block = cg_block(hi(1), hi(0.5), ctx)
     # the entry with mismatched total weight is zero, and the table column
     # (m1, m2) = (1, -1/2) lists only the mu that carry m = 1/2
-    row = block.row_index.index((hi(1.5), hi(1.5)))
-    assert block.matrix[row, block.col_index.index((hi(1), hi(-0.5)))] == 0.0
+    row = row_of(block, hi(1.5), hi(1.5))
+    assert block.matrix[row, col_of(block, hi(1), hi(-0.5))] == 0.0
     assert list(block.table[2, -1]) == [1, 3]

@@ -1,5 +1,7 @@
 """Command line interface: golden outputs, exit codes, config precedence."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qwps
 from qwps.cli import main
@@ -82,6 +86,11 @@ def test_bad_q_is_usage_error(capsys):
         ["dims", "--jmax", "-3"],
         ["spectrum", "--triple", "even", "--lmax", "-1"],
         ["verify", "--suite", "su2q-relations", "--tol", "inf"],
+        # finite caps whose double overflows to inf
+        ["spectrum", "--triple", "odd", "--jmax", "1e308"],
+        ["dims", "--jmax", "1e308"],
+        ["spectrum", "--triple", "even", "--lmax", "9e307"],
+        ["verify", "--suite", "qdirac", "--jmax", "1e308"],
     ],
     ids=" ".join,
 )
@@ -91,6 +100,51 @@ def test_bad_caps_and_nlist_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# edge values for every numeric flag; the finite ones stay small, because a
+# large finite cap, N, nlist entry or l allocates without bound
+EDGE_VALUES = ["nan", "inf", "-1", "0", "0.3", "2.5", "1e308", "0.5", "1", "2", "3", "8"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["spectrum", "dims", "summability", "ktheory", "verify"]))
+    argv = [command]
+    flags = ["--q", "--tol", "--k", "--l", "--jmax", "--lmax", "--N", "--n"]
+    if command == "spectrum":
+        argv += ["--triple", draw(st.sampled_from(["odd", "even"]))]
+    elif command == "summability":
+        argv += ["--triple", draw(st.sampled_from(["odd", "even"]))]
+        increasing = st.lists(st.sampled_from(["2", "3", "5", "8"]), unique=True).map(sorted)
+        nlist = draw(increasing | st.lists(st.sampled_from(EDGE_VALUES), max_size=3))
+        argv += ["--nlist", ",".join(nlist)]
+    elif command == "ktheory":
+        flags.append("--j")
+    elif command == "verify":
+        argv += ["--suite", "su2q-relations"]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+        argv += [flag, draw(st.sampled_from(EDGE_VALUES))]
+    return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@example(["spectrum", "--triple", "odd", "--jmax", "1e308"])
+@example(["spectrum", "--triple", "even", "--lmax", "1e308"])
+@example(["dims", "--jmax", "1e308"])
+@given(cli_argv())
+def test_cli_exit_code_contract(argv):
+    # every argv ends in exit code 0, 1 or 2, with no exception escaping main;
+    # argparse rejects malformed values itself, by SystemExit(2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))
 
 
 def test_dims_match(capsys):

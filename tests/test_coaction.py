@@ -16,7 +16,6 @@ from qwps.coaction import (
     dim_V_down_oracle,
     dim_V_oracle,
     dim_V_up_oracle,
-    homogeneous_coord_basis,
     project_degree,
     spinor_degree,
     uq_degree,
@@ -24,7 +23,7 @@ from qwps.coaction import (
     wp_gens,
 )
 from qwps.coord import AlgebraElement, BasisIndex, gens, multiply, right_act, star
-from qwps.qcore import QContext, hi
+from qwps.qcore import HalfInt, QContext, hi, weight_range
 
 CTX = QContext(0.5, 1e-9)
 
@@ -160,12 +159,28 @@ def test_coinvariant_coord_basis_examples():
     assert [i for i in small if i.lam.twice == 1] == []
 
 
-@pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (3, 4)])
+def degree_zero_scan(wp, lam_max):
+    """Oracle: every (lam, m, n) with lam <= lam_max, in that order, kept if
+    it has degree 0."""
+    lams = [HalfInt(tl) for tl in range(hi(lam_max).twice + 1)]
+    scan = (BasisIndex(lam, m, n) for lam in lams
+            for m in weight_range(lam) for n in weight_range(lam))
+    return [idx for idx in scan if degree(wp, idx) == 0]
+
+
+COPRIME_UP_TO_9 = [(k, s - k) for s in range(2, 10) for k in range(1, s)
+                   if math.gcd(k, s - k) == 1]
+
+
+@pytest.mark.parametrize("k,l", COPRIME_UP_TO_9)
 def test_coinvariant_coord_basis_is_degree_zero_scan(k, l):
+    # same indices in the same order as the scan, at every cap up to 6; the
+    # scan at a smaller cap is the prefix with lam <= cap
     wp = WeightPair(k, l)
-    fast = set(coinvariant_coord_basis(wp, hi(3)))
-    brute = set(homogeneous_coord_basis(wp, 0, hi(3)))
-    assert fast == brute
+    brute = degree_zero_scan(wp, 6)
+    for t in range(13):
+        fast = coinvariant_coord_basis(wp, hi(t / 2))
+        assert fast == [idx for idx in brute if idx.lam.twice <= t]
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3)])

@@ -100,8 +100,13 @@ def reference_multiply(a, b, ctx):
             m, n = i1.m + i2.m, i1.n + i2.n
 
             def coeff(mu, w, w1, w2):
-                row = block.row_index.index((mu, w))
-                return float(block.matrix[row, block.col_index.index((w1, w2))])
+                # rows (mu, m) with mu, then m, ascending; columns (m1, m2)
+                # lexicographic (the CGBlock layout)
+                t1, t2 = i1.lam.twice, i2.lam.twice
+                row = sum(t + 1 for t in range(abs(t1 - t2), mu.twice, 2))
+                row += (mu.twice + w.twice) // 2
+                col = (t1 + w1.twice) // 2 * (t2 + 1) + (t2 + w2.twice) // 2
+                return float(block.matrix[row, col])
 
             for mu in couple(i1.lam, i2.lam):
                 if abs(m.twice) > mu.twice or abs(n.twice) > mu.twice:

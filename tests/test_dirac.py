@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from qwps.coaction import (
     WeightPair,
+    coinvariant_coord_basis,
     coinvariant_spinor_basis,
     dim_V_down_oracle,
     dim_V_oracle,
@@ -159,8 +160,6 @@ def test_even_spectrum_examples():
 
 
 def test_spectrum_totals_match_enumeration():
-    from qwps.coaction import coinvariant_coord_basis
-
     pairs = [
         WeightPair(k, l)
         for k in range(1, 7)
@@ -277,7 +276,7 @@ def test_gns_multiplication_matrix_matches_multiply(name, wp, q):
         ops = even_triple_operators(wp, hi(5), ctx)
         B = len(ops["basis"]) // 2
         base = [idx for idx, _ in ops["basis"][:B]]
-        full = ops[f"pi_{name}"].matrix
+        full = ops[f"pi_{name}"]
         assert (full[B:, B:] == full[:B, :B]).all()
         assert not full[:B, B:].any() and not full[B:, :B].any()
         got = full[:B, :B]
@@ -367,7 +366,13 @@ def test_fredholm_exact(wp):
 
 def test_even_triple_operators_structure():
     ops = even_triple_operators(WeightPair(1, 1), hi(2), CTX)
-    d = ops["D"].matrix
+    # two copies of the degree-0 basis, each operator a square array on it
+    base = coinvariant_coord_basis(WeightPair(1, 1), hi(2))
+    assert ops["basis"] == tuple((i, "up") for i in base) + tuple((i, "down") for i in base)
+    for name in ("D", "omega", "F", "pi_a", "pi_b"):
+        assert isinstance(ops[name], np.ndarray)
+        assert ops[name].shape == (2 * len(base), 2 * len(base))
+    d = ops["D"]
     evals = np.sort(np.linalg.eigvalsh(d))
     # eigenvalues ±(lam+1) with multiplicity dim V_lam
     expected = []
@@ -383,16 +388,8 @@ def test_even_triple_pi_a_is_hermitian(q):
     # Clebsch-Gordan blocks, whose errors show up as non-Hermitian entries
     ops = even_triple_operators(WeightPair(1, 2), 10, QContext(q, 1e-9))
     keep = [i for i, (idx, _) in enumerate(ops["basis"]) if idx.lam.twice <= 18]
-    p = ops["pi_a"].matrix[np.ix_(keep, keep)]
+    p = ops["pi_a"][np.ix_(keep, keep)]
     assert np.abs(p - p.conj().T).max() <= 1e-11
-
-
-def test_even_triple_nonzero_order_component():
-    # the construction extends to any homogeneous component
-    report = chirality_checks(WeightPair(1, 2), hi(3), CTX, order=2)
-    assert report["max"] < 1e-12
-    report = fredholm_degeneracy(WeightPair(1, 2), hi(3), CTX, order=2)
-    assert report["max"] < 1e-12
 
 
 def test_coinvariant_spinors_are_ambient_eigenvectors():

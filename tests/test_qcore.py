@@ -46,8 +46,10 @@ def test_halfint_integrality(a):
 
 
 def test_halfint_of_rejects_non_half_integer():
-    with pytest.raises(ValueError):
-        hi(0.3)
+    # 2 * 1e308 overflows to inf, which int() cannot convert
+    for value in (0.3, 1e308, -1e308, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            hi(value)
 
 
 def test_halfint_str():

@@ -33,9 +33,11 @@ __all__ = [
     "coinvariant_coord_basis",
     "coinvariant_spinor_basis",
     "dim_V_down",
+    "dim_V_down_doubled",
     "dim_V_down_oracle",
     "dim_V_up_oracle",
     "dim_V",
+    "dim_V_doubled",
     "dim_V_oracle",
     "dim_table",
 ]
@@ -88,7 +90,8 @@ class CoinvariantSpinorIndex:
 
 def degree(wp: WeightPair, idx: BasisIndex) -> int:
     """Homogeneity order -(m+n)k + (m-n)l of a basis matrix element."""
-    t = -(idx.m.twice + idx.n.twice) * wp.k + (idx.m.twice - idx.n.twice) * wp.l
+    _, tm, tn = idx
+    t = -(tm + tn) * wp.k + (tm - tn) * wp.l
     assert t % 2 == 0
     return t // 2
 
@@ -193,7 +196,7 @@ def coinvariant_coord_basis(wp: WeightPair, lam_max) -> list[BasisIndex]:
     """
     lam_max = hi(lam_max)
     return [
-        BasisIndex(HalfInt(tl), HalfInt(tp * wp.s), HalfInt(tp * (wp.l - wp.k)))
+        BasisIndex.doubled(tl, tp * wp.s, tp * (wp.l - wp.k))
         for tl in range(0, lam_max.twice + 1)
         for tp in _p_window(wp, -tl, tl, tl)
     ]
@@ -218,12 +221,16 @@ def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[CoinvariantSpinorInd
 
 
 def dim_V_down(wp: WeightPair, j) -> int:
-    """Closed-form dimension of the level-j down space of coinvariant spinors."""
-    j = hi(j)
-    if j.twice < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
+    """Closed-form dimension of the level-j down space of coinvariant spinors;
+    :func:`dim_V_down_doubled` at 2j."""
+    return dim_V_down_doubled(wp, hi(j).twice)
+
+
+def dim_V_down_doubled(wp: WeightPair, t: int) -> int:
+    """dim V^down_j at j = t/2, in integer arithmetic on the doubled index t."""
+    if t < 0:
+        raise ValueError(f"j must be >= 0, got {HalfInt(t)}")
     s = wp.s
-    t = j.twice
     if t == 0:
         return 0
     if s % 2 == 0:
@@ -251,12 +258,16 @@ def dim_V_up_oracle(wp: WeightPair, j) -> int:
 
 
 def dim_V(wp: WeightPair, lam) -> int:
-    """Closed-form dimension of the degree-0 subspace at highest weight lam."""
-    lam = hi(lam)
-    if lam.twice < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    """Closed-form dimension of the degree-0 subspace at highest weight lam;
+    :func:`dim_V_doubled` at 2 lam."""
+    return dim_V_doubled(wp, hi(lam).twice)
+
+
+def dim_V_doubled(wp: WeightPair, t: int) -> int:
+    """dim V_lam at lam = t/2, in integer arithmetic on the doubled index t."""
+    if t < 0:
+        raise ValueError(f"lam must be >= 0, got {HalfInt(t)}")
     s = wp.s
-    t = lam.twice
     if s % 2 == 0:
         if t % 2:
             return 0

@@ -9,15 +9,13 @@ product is the Clebsch-Gordan rule
 
 with coefficients read from :func:`qwps.cg.cg_block` rows, so t^0_{00} is the
 unit.  Star, the dual pairing with generator words, the left/right regular
-actions, the Haar state and the GNS basis all live here, together with the
-residual reports that drive the verification CLI.
+actions, the Haar state and its GNS inner product all live here, together
+with the residual reports that drive the verification CLI.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .qcore import (
     q_int,
     star_antipode_letter,
     theta_letter,
-    weight_position,
     weight_range,
 )
 
@@ -47,7 +44,6 @@ __all__ = [
     "left_act",
     "haar",
     "inner",
-    "gns_basis_vector",
     "to_records",
     "from_records",
     "to_jsonl",
@@ -60,26 +56,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Label (lam, m, n) of the matrix element t^lam_{mn}."""
+class BasisIndex(tuple):
+    """Label (lam, m, n) of the matrix element t^lam_{mn}.
 
-    lam: HalfInt
-    m: HalfInt
-    n: HalfInt
+    An immutable tuple of the doubled integers (2 lam, 2 m, 2 n), so hashing
+    and equality run on ints; ``lam``, ``m`` and ``n`` read them back as
+    :class:`HalfInt`.  Both constructors check that lam >= 0 and that m and n
+    lie in {-lam, ..., lam}.
+    """
 
-    def __post_init__(self):
-        lam, m, n = self.lam, self.m, self.n
-        if lam.twice < 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
-        for name, w in (("m", m), ("n", n)):
-            if abs(w.twice) > lam.twice:
-                raise ValueError(f"|{name}| = |{w}| exceeds lam = {lam}")
-            if (lam.twice - w.twice) % 2:
-                raise ValueError(f"{name} = {w} has wrong parity for lam = {lam}")
+    __slots__ = ()
 
-    def __hash__(self):
-        return hash((self.lam.twice, self.m.twice, self.n.twice))
+    def __new__(cls, lam: HalfInt, m: HalfInt, n: HalfInt):
+        return cls.doubled(lam.twice, m.twice, n.twice)
+
+    @classmethod
+    def doubled(cls, tl: int, tm: int, tn: int) -> "BasisIndex":
+        """The index (tl/2, tm/2, tn/2), from its doubled integers."""
+        if abs(tm) > tl or abs(tn) > tl or (tl - tm) % 2 or (tl - tn) % 2:
+            lam = HalfInt(tl)
+            if tl < 0:
+                raise ValueError(f"lam must be >= 0, got {lam}")
+            for name, w in (("m", HalfInt(tm)), ("n", HalfInt(tn))):
+                if abs(w.twice) > tl:
+                    raise ValueError(f"|{name}| = |{w}| exceeds lam = {lam}")
+                if (tl - w.twice) % 2:
+                    raise ValueError(f"{name} = {w} has wrong parity for lam = {lam}")
+        return tuple.__new__(cls, (tl, tm, tn))
+
+    lam = property(lambda self: HalfInt(self[0]))
+    m = property(lambda self: HalfInt(self[1]))
+    n = property(lambda self: HalfInt(self[2]))
+
+    def __getnewargs__(self):
+        return self.lam, self.m, self.n
 
     @staticmethod
     def of(lam, m, n) -> "BasisIndex":
@@ -87,6 +97,9 @@ class BasisIndex:
 
     def __str__(self):
         return f"t[{self.lam};{self.m},{self.n}]"
+
+    def __repr__(self):
+        return f"BasisIndex(lam={self.lam!r}, m={self.m!r}, n={self.n!r})"
 
 
 _UNIT_INDEX = BasisIndex.of(0, 0, 0)
@@ -149,7 +162,7 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         parts = []
-        for idx in sorted(self.terms, key=lambda i: (i.lam.twice, i.m.twice, i.n.twice)):
+        for idx in sorted(self.terms):
             parts.append(f"({self.terms[idx]:.6g})*{idx}")
         return " + ".join(parts)
 
@@ -178,12 +191,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
     Sums run on doubled weights (2 mu, 2 m, 2 n) through each block's coupling
     table; the terms with |coefficient| <= ctx.prune are dropped as roundoff.
     """
-    right = [(i2.lam, i2.m.twice, i2.n.twice, c2) for i2, c2 in b.terms.items()]
+    right = [(HalfInt(l2), m2, n2, c2) for (l2, m2, n2), c2 in b.terms.items()]
     out: dict[tuple, complex] = {}
-    for i1, c1 in a.terms.items():
-        m1, n1 = i1.m.twice, i1.n.twice
+    for (l1, m1, n1), c1 in a.terms.items():
+        lam1 = HalfInt(l1)
         for lam2, m2, n2, c2 in right:
-            table = cg_block(i1.lam, lam2, ctx).table
+            table = cg_block(lam1, lam2, ctx).table
             col_n = table[n1, n2]
             m, n = m1 + m2, n1 + n2
             c12 = c1 * c2
@@ -193,8 +206,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
                     key = (mu, m, n)
                     out[key] = out.get(key, 0) + c12 * cm * cn
     return AlgebraElement({
-        BasisIndex(HalfInt(mu), HalfInt(m), HalfInt(n)): c
-        for (mu, m, n), c in out.items() if abs(c) > ctx.prune
+        BasisIndex.doubled(*key): c for key, c in out.items() if abs(c) > ctx.prune
     })
 
 
@@ -205,10 +217,9 @@ def star(a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     t*(x) = conj(t(S(x)*)) by :func:`star_pairing_residual`.
     """
     out: dict[BasisIndex, complex] = {}
-    for idx, c in a.terms.items():
-        power = (idx.n - idx.m).as_int()
-        factor = (-ctx.q) ** power
-        tgt = BasisIndex(idx.lam, -idx.m, -idx.n)
+    for (tl, tm, tn), c in a.terms.items():
+        factor = (-ctx.q) ** ((tn - tm) // 2)
+        tgt = BasisIndex.doubled(tl, -tm, -tn)
         out[tgt] = out.get(tgt, 0) + factor * c.conjugate()
     return AlgebraElement(out)
 
@@ -216,30 +227,19 @@ def star(a: AlgebraElement, ctx: QContext) -> AlgebraElement:
 def pairing(a: AlgebraElement, word, ctx: QContext) -> complex:
     """Dual pairing: linear extension of t^lam_{mn}(x) = (rho_lam(x))_{mn}."""
     total = 0j
-    mats: dict[int, np.ndarray] = {}
-    for idx, c in a.terms.items():
-        mat = mats.get(idx.lam.twice)
-        if mat is None:
-            mat = irrep_word(idx.lam, word, ctx)
-            mats[idx.lam.twice] = mat
-        total += c * mat[weight_position(idx.lam, idx.m), weight_position(idx.lam, idx.n)]
+    for (tl, tm, tn), c in a.terms.items():
+        total += c * irrep_word(HalfInt(tl), word, ctx)[(tm + tl) // 2, (tn + tl) // 2]
     return total
 
 
 def right_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     """Right regular representation: the word acts on the column index n."""
     out: dict[BasisIndex, complex] = {}
-    mats: dict[int, np.ndarray] = {}
-    for idx, c in a.terms.items():
-        mat = mats.get(idx.lam.twice)
-        if mat is None:
-            mat = irrep_word(idx.lam, word, ctx)
-            mats[idx.lam.twice] = mat
-        col = weight_position(idx.lam, idx.n)
-        for i, n_new in enumerate(weight_range(idx.lam)):
-            v = mat[i, col]
+    for (tl, tm, tn), c in a.terms.items():
+        col = irrep_word(HalfInt(tl), word, ctx)[:, (tn + tl) // 2]
+        for tn_new, v in zip(range(-tl, tl + 1, 2), col.tolist()):
             if v != 0:
-                tgt = BasisIndex(idx.lam, idx.m, n_new)
+                tgt = BasisIndex.doubled(tl, tm, tn_new)
                 out[tgt] = out.get(tgt, 0) + c * v
     return AlgebraElement(out)
 
@@ -262,17 +262,14 @@ def left_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     """Left regular representation: acts on the row index m through the dual
     representation twisted by the automorphism theta."""
     out: dict[BasisIndex, complex] = {}
-    mats: dict[int, np.ndarray] = {}
-    for idx, c in a.terms.items():
-        mat = mats.get(idx.lam.twice)
+    mats: dict[int, list] = {}
+    for (tl, tm, tn), c in a.terms.items():
+        mat = mats.get(tl)
         if mat is None:
-            mat = _left_matrix(idx.lam, word, ctx)
-            mats[idx.lam.twice] = mat
-        row = weight_position(idx.lam, idx.m)
-        for i, m_new in enumerate(weight_range(idx.lam)):
-            v = mat[row, i]
+            mat = mats[tl] = _left_matrix(HalfInt(tl), word, ctx).tolist()
+        for tm_new, v in zip(range(-tl, tl + 1, 2), mat[(tm + tl) // 2]):
             if v != 0:
-                tgt = BasisIndex(idx.lam, m_new, idx.n)
+                tgt = BasisIndex.doubled(tl, tm_new, tn)
                 out[tgt] = out.get(tgt, 0) + c * v
     return AlgebraElement(out)
 
@@ -287,25 +284,19 @@ def inner(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> complex:
     return haar(multiply(star(a, ctx), b, ctx))
 
 
-def gns_basis_vector(idx: BasisIndex, ctx: QContext) -> AlgebraElement:
-    """Orthonormal GNS basis vector q^m sqrt([2 lam + 1]) t^lam_{mn}."""
-    scale = ctx.q ** idx.m.float * math.sqrt(q_int(2 * idx.lam + 1, ctx))
-    return AlgebraElement.basis(idx, scale)
-
-
 # ---------------------------------------------------------------------------
 # serialization (line-delimited records, used by the CLI for golden files)
 
 
 def to_records(a: AlgebraElement) -> list[dict]:
     recs = []
-    for idx in sorted(a.terms, key=lambda i: (i.lam.twice, i.m.twice, i.n.twice)):
+    for idx in sorted(a.terms):
         c = a.terms[idx]
         recs.append(
             {
-                "two_lambda": idx.lam.twice,
-                "two_m": idx.m.twice,
-                "two_n": idx.n.twice,
+                "two_lambda": idx[0],
+                "two_m": idx[1],
+                "two_n": idx[2],
                 "re": c.real,
                 "im": c.imag,
             }
@@ -316,10 +307,8 @@ def to_records(a: AlgebraElement) -> list[dict]:
 def from_records(records) -> AlgebraElement:
     terms = {}
     for rec in records:
-        idx = BasisIndex(
-            HalfInt(int(rec["two_lambda"])),
-            HalfInt(int(rec["two_m"])),
-            HalfInt(int(rec["two_n"])),
+        idx = BasisIndex.doubled(
+            int(rec["two_lambda"]), int(rec["two_m"]), int(rec["two_n"])
         )
         terms[idx] = terms.get(idx, 0) + complex(rec["re"], rec["im"])
     return AlgebraElement(terms)

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import coord
 from .cg import cg_block, cg_coeff_updown
-from .coaction import WeightPair, coinvariant_coord_basis, dim_V, dim_V_down, wp_gens
+from .coaction import WeightPair, coinvariant_coord_basis, dim_V_doubled, dim_V_down_doubled
+from .coaction import wp_gens
 from .coord import AlgebraElement, BasisIndex, right_act
 from .operators import operator_norm
 from .qcore import HalfInt, QContext, hi, q_int, weight_range
@@ -268,9 +269,9 @@ def _shells(wp: WeightPair, triple: str, cap):
     with dim V^down_{j+1} for the odd triple, lam+1 with dim V_lam for the even."""
     ts = range(hi(cap).twice + 1)
     if triple == "odd":
-        return zip([t + 2.0 for t in ts], [dim_V_down(wp, HalfInt(t + 2)) for t in ts])
+        return zip([t + 2.0 for t in ts], [dim_V_down_doubled(wp, t + 2) for t in ts])
     if triple == "even":
-        return zip([t / 2.0 + 1 for t in ts], [dim_V(wp, HalfInt(t)) for t in ts])
+        return zip([t / 2.0 + 1 for t in ts], [dim_V_doubled(wp, t) for t in ts])
     raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
 
 
@@ -347,7 +348,7 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
     if not coeffs.imag.any():  # real elements give real matrices
         coeffs = coeffs.real
     for idx, c in zip(element.terms, coeffs):
-        l2, a, b = idx.lam.twice, idx.m.twice, idx.n.twice
+        l2, a, b = idx
         # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (mu, w); shell s from start[s]
         blocks = [cg_block(idx.lam, HalfInt(s), ctx).coupling for s in shells.tolist()]
         start = np.zeros(top + 1, dtype=int)
@@ -416,7 +417,7 @@ def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext) -> dict:
     """
     base = coinvariant_coord_basis(wp, lam_max)
     B = len(base)
-    labels = np.array([[getattr(i, w).twice for i in base] for w in ("lam", "m", "n")], dtype=int)
+    labels = np.array(base, dtype=int).T
     Pa, Pb = np.zeros((2, B, B), dtype=complex)
     for mat, element in zip((Pa, Pb), wp_gens(wp, ctx)):
         rows, cols, vals = gns_multiplication(element, labels, ctx)

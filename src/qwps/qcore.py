@@ -160,7 +160,7 @@ def hi(value) -> HalfInt:
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter q in (0, 1) plus the numeric tolerance.
+    """Deformation parameter q in (0, 1) plus the numeric tolerance tol in (0, 1).
 
     A single context is the source of q for every module; immutable, safe to
     share across threads.
@@ -172,8 +172,9 @@ class QContext:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        # tol >= 1 would let the prune (tol/100) empty products and pass vacuously
+        if not (0.0 < self.tol < 1.0):
+            raise ValueError(f"tol must be finite and lie in (0, 1), got {self.tol}")
 
     @property
     def prune(self) -> float:
@@ -256,6 +257,7 @@ def _check_highest_weight(lam) -> HalfInt:
 
 
 _irrep_cache: dict = {}
+_word_cache: dict = {}
 _irrep_lock = threading.Lock()
 
 
@@ -312,13 +314,24 @@ def _as_word(word) -> tuple[str, ...]:
 
 
 def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
-    """Product of generator matrices in word order; the empty word is the identity."""
+    """Product of generator matrices in word order; the empty word is the identity.
+
+    Memoized on (2 lam, word, q) like the generator matrices; the shared
+    product is returned read-only, so a caller that writes must copy it.
+    """
     lam = _check_highest_weight(lam)
-    d = lam.twice + 1
-    out = np.eye(d, dtype=complex)
-    for letter in _as_word(word):
+    word = _as_word(word)
+    key = (lam.twice, word, ctx.q)
+    with _irrep_lock:
+        cached = _word_cache.get(key)
+    if cached is not None:
+        return cached
+    out = np.eye(lam.twice + 1, dtype=complex)
+    for letter in word:
         out = out @ irrep_matrix(lam, letter, ctx)
-    return out
+    out.flags.writeable = False
+    with _irrep_lock:
+        return _word_cache.setdefault(key, out)
 
 
 def dual_irrep_matrix(lam, letter: str, ctx: QContext) -> np.ndarray:

@@ -91,6 +91,9 @@ def test_bad_q_is_usage_error(capsys):
         ["dims", "--jmax", "1e308"],
         ["spectrum", "--triple", "even", "--lmax", "9e307"],
         ["verify", "--suite", "qdirac", "--jmax", "1e308"],
+        # tol >= 1 would prune whole products and pass vacuously
+        ["verify", "--suite", "su2q-relations", "--tol", "1e300"],
+        ["verify", "--suite", "haar", "--tol", "5"],
     ],
     ids=" ".join,
 )
@@ -312,12 +315,14 @@ def test_console_entry_point():
     assert data["reduced"] == "1"
 
 
-def run_fresh(code, cwd):
-    """Run a script in a fresh interpreter that imports this copy of qwps."""
+def run_fresh(code, cwd, argv=None):
+    """Run a script, or ``python -m`` with ``argv`` when ``code`` is None, in a
+    fresh interpreter that imports this copy of qwps."""
     src = os.path.dirname(os.path.dirname(qwps.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+    args = ["-m", *argv] if code is None else ["-c", textwrap.dedent(code)]
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 
@@ -378,6 +383,24 @@ def test_loose_tol_verify_has_no_traceback(tmp_path, argv):
         tmp_path,
     )
     assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spectrum --triple even --q 1.5",
+        "summability --nlist 2,2",
+        "spectrum --triple odd --jmax -1",
+        "verify --suite su2q-relations --tol 1e300",
+    ],
+)
+def test_usage_errors_exit_2_in_fresh_interpreter(tmp_path, argv):
+    # the benchmark's usage probes, run as `python -m qwps.cli` in a new process
+    proc = run_fresh(None, tmp_path, ["qwps.cli", *argv.split()])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -12,7 +12,9 @@ from qwps.coaction import (
     degree,
     dim_table,
     dim_V,
+    dim_V_doubled,
     dim_V_down,
+    dim_V_down_doubled,
     dim_V_down_oracle,
     dim_V_oracle,
     dim_V_up_oracle,
@@ -259,6 +261,24 @@ def test_dimensions_match_oracles(k, l):
         x = hi(t / 2)
         assert dim_V_down(wp, x) == dim_V_down_oracle(wp, x)
         assert dim_V(wp, x) == dim_V_oracle(wp, x)
+
+
+def test_doubled_dimension_cores_match_oracles():
+    # every coprime pair with k + l <= 12, doubled indices up to three periods 2(k + l)
+    pairs = [(k, s - k) for s in range(2, 13) for k in range(1, s) if math.gcd(k, s) == 1]
+    for k, l in pairs:
+        wp = WeightPair(k, l)
+        for t in range(0, 6 * wp.s + 1):
+            assert dim_V_down_doubled(wp, t) == dim_V_down_oracle(wp, HalfInt(t)), (k, l, t)
+            assert dim_V_doubled(wp, t) == dim_V_oracle(wp, HalfInt(t)), (k, l, t)
+    families = ((dim_V_down_doubled, dim_V_down, "j"), (dim_V_doubled, dim_V, "lam"))
+    for core, wrapper, name in families:
+        for bad in (-1, -2):
+            for call in (lambda: core(WeightPair(1, 2), bad),
+                         lambda: wrapper(WeightPair(1, 2), HalfInt(bad))):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"{name} must be >= 0, got {HalfInt(bad)}"
 
 
 @pytest.mark.parametrize("k,l", COPRIME_PAIRS)

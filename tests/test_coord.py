@@ -1,5 +1,7 @@
 """Coordinate algebra: product, star, pairing, regular actions, Haar state."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from qwps.coord import (
     BasisIndex,
     from_jsonl,
     gens,
-    gns_basis_vector,
     haar,
     inner,
     left_act,
@@ -54,6 +55,43 @@ def test_basis_index_validation():
         BasisIndex.of(1, 2, 0)
     with pytest.raises(ValueError):
         BasisIndex.of(1, 0.5, 0)  # parity mismatch
+
+
+BAD_INDICES = [
+    ((-0.5, 0, 0), "lam must be >= 0, got -1/2"),
+    ((1, 2, 0), "|m| = |2| exceeds lam = 1"),
+    ((1, 0.5, 0), "m = 1/2 has wrong parity for lam = 1"),
+    ((1, 0, 3), "|n| = |3| exceeds lam = 1"),
+    ((1.5, 0.5, 1), "n = 1 has wrong parity for lam = 3/2"),
+    ((1.5, -2.5, 0.5), "|m| = |-5/2| exceeds lam = 3/2"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_INDICES, ids=[str(a) for a, _ in BAD_INDICES])
+def test_basis_index_rejects_bad_labels(args, message):
+    # the text the dataclass-based index raised, from both constructors
+    doubled = [int(2 * x) for x in args]
+    for build in (lambda: BasisIndex.of(*args), lambda: BasisIndex.doubled(*doubled)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_basis_index_contract():
+    for idx in SMALL_INDICES:
+        tl, tm, tn = idx
+        assert hash(idx) == hash((tl, tm, tn))
+        assert all(type(x) is HalfInt for x in (idx.lam, idx.m, idx.n))
+        assert (idx.lam.twice, idx.m.twice, idx.n.twice) == (tl, tm, tn)
+        same = BasisIndex.doubled(tl, tm, tn)
+        assert same == idx and hash(same) == hash(idx) and type(same) is BasisIndex
+        assert BasisIndex.of(tl / 2, tm / 2, tn / 2) == idx
+        assert {idx: 1}[same] == 1
+        for name in ("lam", "m", "n"):
+            with pytest.raises(AttributeError):
+                setattr(idx, name, HalfInt(0))
+        assert pickle.loads(pickle.dumps(idx)) == idx
+        assert repr(idx) == f"BasisIndex(lam={idx.lam!r}, m={idx.m!r}, n={idx.n!r})"
 
 
 def test_element_drops_zeros():
@@ -280,6 +318,11 @@ def test_inner_examples():
 def test_haar_orthogonality(q):
     ctx = QContext(q, 1e-9)
     assert coord.haar_orthogonality_residual(ctx, 1.5) < ctx.tol
+
+
+def gns_basis_vector(idx, ctx):
+    """Orthonormal GNS basis vector q^m sqrt([2 lam + 1]) t^lam_{mn}."""
+    return AlgebraElement.basis(idx, ctx.q ** idx.m.float * np.sqrt(q_int(2 * idx.lam + 1, ctx)))
 
 
 def test_gns_basis_examples():

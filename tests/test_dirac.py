@@ -10,11 +10,13 @@ from qwps.coaction import (
     WeightPair,
     coinvariant_coord_basis,
     coinvariant_spinor_basis,
+    dim_V,
+    dim_V_down,
     dim_V_down_oracle,
     dim_V_oracle,
     wp_gens,
 )
-from qwps.coord import BasisIndex, gens, gns_basis_vector, multiply, unit
+from qwps.coord import AlgebraElement, BasisIndex, gens, multiply, unit
 from qwps.dirac import (
     SpectrumTable,
     SpinorBasisIndex,
@@ -210,6 +212,23 @@ def test_summability_monotone(triple):
 
 @pytest.mark.parametrize("triple", ["odd", "even"])
 @pytest.mark.parametrize("wp", WPS, ids=str)
+def test_summability_matches_halfint_dimension_sum(wp, triple):
+    # the sum over the doubled-int cores, bitwise against one over the HalfInt wrappers
+    for N, exponent in ((1, 2), (7.5, 2), (512, 2), (2048, 3)):
+        expected = 0.0
+        for t in range(int(2 * N) + 1):
+            if triple == "odd":
+                ev, mult = t + 2.0, dim_V_down(wp, HalfInt(t + 2))
+            else:
+                ev, mult = t / 2.0 + 1, dim_V(wp, HalfInt(t))
+            if mult:
+                expected += 2.0 * mult * ev ** (-exponent)
+        got = summability_partial_sum(wp, N, triple, exponent)
+        assert got.hex() == expected.hex(), (N, exponent)
+
+
+@pytest.mark.parametrize("triple", ["odd", "even"])
+@pytest.mark.parametrize("wp", WPS, ids=str)
 def test_summability_log_divergence(wp, triple):
     s512 = summability_partial_sum(wp, 512, triple)
     s1024 = summability_partial_sum(wp, 1024, triple)
@@ -237,13 +256,16 @@ def _multiply_reference(element, base, ctx):
     """Left multiplication on the orthonormal GNS vectors of ``base``: multiply
     the element into each vector and divide every coefficient by the norm of
     its target t^lam_mn."""
+    def norm(idx):
+        return ctx.q**idx.m.float * math.sqrt(q_int(2 * idx.lam + 1, ctx))
+
     pos = {idx: i for i, idx in enumerate(base)}
     mat = np.zeros((len(base), len(base)), dtype=complex)
     for col, idx in enumerate(base):
-        for tgt, c in multiply(element, gns_basis_vector(idx, ctx), ctx).terms.items():
+        vector = AlgebraElement.basis(idx, norm(idx))
+        for tgt, c in multiply(element, vector, ctx).terms.items():
             if tgt in pos:
-                nrm = ctx.q**tgt.m.float * math.sqrt(q_int(2 * tgt.lam + 1, ctx))
-                mat[pos[tgt], col] += c / nrm
+                mat[pos[tgt], col] += c / norm(tgt)
     return mat
 
 

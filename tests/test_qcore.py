@@ -71,6 +71,10 @@ def test_qcontext_validation():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             QContext(0.5, tol)
+    # tol >= 1 prunes whole products (tol/100) and would pass a suite vacuously
+    for tol in (1.0, 1e300):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            QContext(0.5, tol)
 
 
 def test_q_int_examples():
@@ -189,6 +193,22 @@ def test_irrep_word_exponent_pairs():
     a = irrep_word(hi(1), [("e", 2)], ctx)
     b = irrep_word(hi(1), ("e", "e"), ctx)
     assert np.abs(a - b).max() == 0
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_irrep_word_memo_is_fresh_product_and_read_only(q):
+    ctx = ctx_for(q)
+    words = [(), ("e",), ("f", "kinv"), ("e", "f", "k"), ("kinv", "kinv", "f", "e")]
+    for lam in LAMBDAS:
+        for word in words:
+            fresh = np.eye(lam.twice + 1, dtype=complex)
+            for letter in word:
+                fresh = fresh @ irrep_matrix(lam, letter, ctx)
+            for _ in range(2):  # the first call may build the entry, the second reads it
+                got = irrep_word(lam, list(word), ctx)
+                assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ _SUITES = (
     "teardrop",
 )
 _FORMATS = ("csv", "json")
+# jmax/lmax above this exit 2: at cap 1e4 dims took 17-19 s (its oracle grows with
+# the square of the cap) and spectrum 0.4 s; at 1e5 dims would take about 30 min
+CAP_GUARD = 10_000
 
 
 @dataclass
@@ -285,8 +288,11 @@ def main(argv=None) -> int:
         if cfg.format not in _FORMATS:
             raise ValueError(f"format must be csv or json, got {cfg.format!r}")
         for cap in ("jmax", "lmax"):
-            if not 0 <= getattr(cfg, cap) < math.inf:
-                raise ValueError(f"{cap} must be finite and >= 0, got {getattr(cfg, cap)}")
+            value = getattr(cfg, cap)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{cap} must be finite and >= 0, got {value}")
+            if value > CAP_GUARD:
+                raise ValueError(f"{cap} = {value:g} exceeds the cost guard {CAP_GUARD}")
         handler = {
             "spectrum": _cmd_spectrum,
             "dims": _cmd_dims,

@@ -189,7 +189,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
     """Bilinear extension of the Clebsch-Gordan product rule.
 
     Sums run on doubled weights (2 mu, 2 m, 2 n) through each block's coupling
-    table; the terms with |coefficient| <= ctx.prune are dropped as roundoff.
+    table.  Nothing is pruned: only exact zeros are dropped, so the result does
+    not depend on ctx.tol.
     """
     right = [(HalfInt(l2), m2, n2, c2) for (l2, m2, n2), c2 in b.terms.items()]
     out: dict[tuple, complex] = {}
@@ -205,9 +206,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
                 if cn is not None:
                     key = (mu, m, n)
                     out[key] = out.get(key, 0) + c12 * cm * cn
-    return AlgebraElement({
-        BasisIndex.doubled(*key): c for key, c in out.items() if abs(c) > ctx.prune
-    })
+    return AlgebraElement({BasisIndex.doubled(*key): c for key, c in out.items()})
 
 
 def star(a: AlgebraElement, ctx: QContext) -> AlgebraElement:

@@ -36,7 +36,6 @@ __all__ = [
     "theta_letter",
     "star_antipode_letter",
     "weight_range",
-    "weight_position",
     "irrep_matrix",
     "irrep_word",
     "dual_irrep_matrix",
@@ -163,7 +162,8 @@ class QContext:
     """Deformation parameter q in (0, 1) plus the numeric tolerance tol in (0, 1).
 
     A single context is the source of q for every module; immutable, safe to
-    share across threads.
+    share across threads.  tol only sets the pass/fail thresholds of the
+    checks: no computed number depends on it, and nothing is pruned by it.
     """
 
     q: float = 0.5
@@ -172,14 +172,10 @@ class QContext:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        # tol >= 1 would let the prune (tol/100) empty products and pass vacuously
+        # a threshold >= 1 passes residuals as large as the unit-size quantities
+        # the checks compare, so a suite would pass vacuously
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tol must be finite and lie in (0, 1), got {self.tol}")
-
-    @property
-    def prune(self) -> float:
-        # coefficient magnitudes at or below this are treated as CG roundoff
-        return self.tol / 100.0
 
 
 def q_int(n, ctx: QContext) -> float:
@@ -241,14 +237,6 @@ def weight_range(lam) -> list[HalfInt]:
     return [HalfInt(t) for t in range(-lam.twice, lam.twice + 1, 2)]
 
 
-def weight_position(lam, m) -> int:
-    """Index of weight m in the ordered basis of the highest-weight-lam module."""
-    lam, m = hi(lam), hi(m)
-    if abs(m.twice) > lam.twice or (lam.twice - m.twice) % 2:
-        raise ValueError(f"weight {m} not in module of highest weight {lam}")
-    return (m.twice + lam.twice) // 2
-
-
 def _check_highest_weight(lam) -> HalfInt:
     lam = hi(lam)
     if lam.twice < 0:
@@ -256,7 +244,6 @@ def _check_highest_weight(lam) -> HalfInt:
     return lam
 
 
-_irrep_cache: dict = {}
 _word_cache: dict = {}
 _irrep_lock = threading.Lock()
 
@@ -265,16 +252,18 @@ def irrep_matrix(lam, letter: str, ctx: QContext) -> np.ndarray:
     """Matrix of the generator on the highest-weight-lam module (column convention).
 
     Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
-    line, f the (i-1, i) line, k the diagonal q^m.
+    line, f the (i-1, i) line, k the diagonal q^m.  Shared with the one-letter
+    word of :func:`irrep_word`'s memo and read-only, so a caller that writes
+    must copy it.
     """
     lam = _check_highest_weight(lam)
     if letter not in LETTERS:
         raise ValueError(f"unknown generator letter {letter!r}")
-    key = (lam.twice, letter, ctx.q)
+    key = (lam.twice, (letter,), ctx.q)
     with _irrep_lock:
-        cached = _irrep_cache.get(key)
+        cached = _word_cache.get(key)
     if cached is not None:
-        return cached.copy()
+        return cached
 
     weights = weight_range(lam)
     d = len(weights)
@@ -290,9 +279,9 @@ def irrep_matrix(lam, letter: str, ctx: QContext) -> np.ndarray:
         elif letter == "f":
             if i - 1 >= 0:
                 mat[i - 1, i] = q_sqrt_int(lam - m + 1, ctx) * q_sqrt_int(lam + m, ctx)
+    mat.flags.writeable = False
     with _irrep_lock:
-        _irrep_cache[key] = mat
-    return mat.copy()
+        return _word_cache.setdefault(key, mat)
 
 
 def _as_word(word) -> tuple[str, ...]:
@@ -316,8 +305,9 @@ def _as_word(word) -> tuple[str, ...]:
 def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
     """Product of generator matrices in word order; the empty word is the identity.
 
-    Memoized on (2 lam, word, q) like the generator matrices; the shared
-    product is returned read-only, so a caller that writes must copy it.
+    Memoized on (2 lam, word, q), in the memo that also holds the generator
+    matrices; the shared product is returned read-only, so a caller that
+    writes must copy it.
     """
     lam = _check_highest_weight(lam)
     word = _as_word(word)
@@ -326,8 +316,8 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
         cached = _word_cache.get(key)
     if cached is not None:
         return cached
-    out = np.eye(lam.twice + 1, dtype=complex)
-    for letter in word:
+    out = irrep_matrix(lam, word[0], ctx) if word else np.eye(lam.twice + 1, dtype=complex)
+    for letter in word[1:]:
         out = out @ irrep_matrix(lam, letter, ctx)
     out.flags.writeable = False
     with _irrep_lock:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qwps
-from qwps.cli import main
+from qwps.cli import RunConfig, _run_suite, main
 
 README_COMMANDS = [
     "spectrum --triple even --k 1 --l 1 --lmax 3",
@@ -91,7 +91,11 @@ def test_bad_q_is_usage_error(capsys):
         ["dims", "--jmax", "1e308"],
         ["spectrum", "--triple", "even", "--lmax", "9e307"],
         ["verify", "--suite", "qdirac", "--jmax", "1e308"],
-        # tol >= 1 would prune whole products and pass vacuously
+        # finite caps above the cost guard
+        ["spectrum", "--triple", "odd", "--jmax", "1e9"],
+        ["dims", "--jmax", "1e9"],
+        ["spectrum", "--triple", "even", "--lmax", "10000.5"],
+        # a threshold tol >= 1 would pass vacuously
         ["verify", "--suite", "su2q-relations", "--tol", "1e300"],
         ["verify", "--suite", "haar", "--tol", "5"],
     ],
@@ -198,6 +202,23 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+# suites whose residuals read k and l; the others run at one pair per q
+PAIRED_SUITES = {"wp-relations", "chirality", "fredholm", "teardrop"}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("suite", SUITES)
+def test_residuals_do_not_depend_on_tol(suite, q):
+    # tol sets the pass/fail threshold only; no product is pruned by it
+    pairs = [(1, 3), (3, 4), (5, 3)] if suite in PAIRED_SUITES else [(1, 3)]
+    for k, l in pairs:
+        residuals = [
+            _run_suite(suite, RunConfig(q=q, tol=tol, k=k, l=l))["residuals"]
+            for tol in (1e-9, 1e-3, 0.5)
+        ]
+        assert residuals[0] == residuals[1] == residuals[2], (k, l)
 
 
 def test_verify_dump_golden_elements(tmp_path, capsys):

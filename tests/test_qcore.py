@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwps.qcore import (
+    LETTERS,
     HalfInt,
     QContext,
     coproduct_action,
@@ -71,7 +72,7 @@ def test_qcontext_validation():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             QContext(0.5, tol)
-    # tol >= 1 prunes whole products (tol/100) and would pass a suite vacuously
+    # a threshold tol >= 1 would pass a suite vacuously
     for tol in (1.0, 1e300):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             QContext(0.5, tol)
@@ -199,16 +200,21 @@ def test_irrep_word_exponent_pairs():
 def test_irrep_word_memo_is_fresh_product_and_read_only(q):
     ctx = ctx_for(q)
     words = [(), ("e",), ("f", "kinv"), ("e", "f", "k"), ("kinv", "kinv", "f", "e")]
+    words += [(letter,) for letter in LETTERS]
     for lam in LAMBDAS:
         for word in words:
             fresh = np.eye(lam.twice + 1, dtype=complex)
             for letter in word:
                 fresh = fresh @ irrep_matrix(lam, letter, ctx)
+            calls = [lambda: irrep_word(lam, list(word), ctx)]
+            if len(word) == 1:  # a generator matrix is the one-letter entry of the memo
+                calls.append(lambda: irrep_matrix(lam, word[0], ctx))
             for _ in range(2):  # the first call may build the entry, the second reads it
-                got = irrep_word(lam, list(word), ctx)
-                assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
-                with pytest.raises(ValueError, match="read-only"):
-                    got[0, 0] = 1.0
+                for call in calls:
+                    got = call()
+                    assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+                    with pytest.raises(ValueError, match="read-only"):
+                        got[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

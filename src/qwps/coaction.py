@@ -7,9 +7,10 @@ The coaction by the circle algebra is equivalent to the integer grading
 so the generators satisfy deg(alpha) = -k and deg(beta) = l.  The degree-zero
 subalgebra is the quantum weighted projective algebra; it is generated by
 a = beta beta* and b = beta^k alpha^l, and this module verifies its defining
-relations inside the coordinate algebra, enumerates coinvariant bases, and
+relations inside the coordinate algebra, enumerates its orthogonal basis, and
 evaluates the eigenspace dimension formulas against brute-force counting
-oracles.
+oracles.  The coinvariant spinors are the ambient spinor labels that
+:func:`qwps.dirac.coinvariant_spinor_basis` lists with the same p-window.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .qcore import HalfInt, QContext, hi
 
 __all__ = [
     "WeightPair",
-    "CoinvariantSpinorIndex",
     "degree",
     "project_degree",
     "wp_gens",
@@ -31,7 +31,6 @@ __all__ = [
     "uq_degree",
     "spinor_degree",
     "coinvariant_coord_basis",
-    "coinvariant_spinor_basis",
     "dim_V_down",
     "dim_V_down_doubled",
     "dim_V_down_oracle",
@@ -62,30 +61,6 @@ class WeightPair:
     @property
     def s(self) -> int:
         return self.k + self.l
-
-
-@dataclass(frozen=True)
-class CoinvariantSpinorIndex:
-    """Label (j, p, arrow) of a coinvariant spinor basis vector.
-
-    The underlying ket is |j, p(l+k)-1/2, p(l-k), arrow>; legality is decided
-    by exact integer arithmetic on doubled values:
-    down needs p(l+k) in {-j+1, ..., j}, up needs p(l+k) in {-j, ..., j+1}.
-    """
-
-    j: HalfInt
-    p: HalfInt
-    arrow: str
-
-    def __post_init__(self):
-        if self.arrow not in ("up", "down"):
-            raise ValueError(f"arrow must be 'up' or 'down', got {self.arrow!r}")
-        if self.j.twice < 0:
-            raise ValueError(f"j must be >= 0, got {self.j}")
-
-    def weight_value(self, wp: WeightPair) -> HalfInt:
-        """p(l+k), the quantity the admissibility windows constrain."""
-        return self.p * wp.s
 
 
 def degree(wp: WeightPair, idx: BasisIndex) -> int:
@@ -200,20 +175,6 @@ def coinvariant_coord_basis(wp: WeightPair, lam_max) -> list[BasisIndex]:
         for tl in range(0, lam_max.twice + 1)
         for tp in _p_window(wp, -tl, tl, tl)
     ]
-
-
-def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[CoinvariantSpinorIndex]:
-    """All legal (j, p, arrow) labels with j <= j_max, ordered by (j, p, arrow)."""
-    j_max = hi(j_max)
-    out = []
-    for tj in range(0, j_max.twice + 1):
-        j = HalfInt(tj)
-        for arrow in ("down", "up"):
-            lo = -tj + 2 if arrow == "down" else -tj
-            hi_ = tj if arrow == "down" else tj + 2
-            for tp in _p_window(wp, lo, hi_, tj):
-                out.append(CoinvariantSpinorIndex(j, HalfInt(tp), arrow))
-    return out
 
 
 # ---------------------------------------------------------------------------

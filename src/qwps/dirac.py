@@ -2,7 +2,8 @@
 
 Two constructions are assembled and verified on finite truncations:
 
-* the odd triple on the coinvariant spinors of quantum SU(2), whose shifted
+* the odd triple on the coinvariant spinors of quantum SU(2), listed as
+  ambient spinor labels by :func:`coinvariant_spinor_basis`, whose shifted
   Dirac operator has eigenvalues ±2(j+1) with multiplicity dim V^down_{j+1};
 * the even triple on two copies of the degree-zero component, with the
   self-adjoint swap operator of eigenvalues ±(lam+1), the chirality grading
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import coord
 from .cg import cg_block, cg_coeff_updown
-from .coaction import WeightPair, coinvariant_coord_basis, dim_V_doubled, dim_V_down_doubled
-from .coaction import wp_gens
+from .coaction import WeightPair, _p_window, coinvariant_coord_basis, dim_V_doubled
+from .coaction import dim_V_down_doubled, wp_gens
 from .coord import AlgebraElement, BasisIndex, right_act
 from .operators import operator_norm
 from .qcore import HalfInt, QContext, hi, q_int, weight_range
@@ -38,8 +39,8 @@ __all__ = [
     "Spinor",
     "SpectrumTable",
     "spinor_basis",
+    "coinvariant_spinor_basis",
     "spinor_vector",
-    "spinor_inner",
     "ambient_dirac_spectrum",
     "q_dirac_check",
     "odd_triple_spectrum",
@@ -168,6 +169,23 @@ def spinor_basis(j_max) -> list[SpinorBasisIndex]:
     return out
 
 
+def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[SpinorBasisIndex]:
+    """Coinvariant spinor labels |j, p(l+k) - 1/2, p(l-k), arrow> over
+    half-integer p with j <= j_max, ordered (j, arrow, p).
+
+    They are the labels of :func:`spinor_basis` whose legs have degrees
+    cancelling the spin-1/2 orders (-k on e_+, l on e_-); the ambient rule
+    |m| <= lam is the window 1 - 2lam <= 2p(l+k) <= 1 + 2lam.
+    """
+    j_max = hi(j_max)
+    return [
+        SpinorBasisIndex(HalfInt(tj), HalfInt(tp * wp.s - 1), HalfInt(tp * (wp.l - wp.k)), arrow)
+        for tj in range(0, j_max.twice + 1)
+        for arrow, tl in (("down", tj - 1), ("up", tj + 1))
+        for tp in _p_window(wp, 1 - tl, 1 + tl, tj)
+    ]
+
+
 def spinor_vector(idx: SpinorBasisIndex, ctx: QContext) -> Spinor:
     """Orthonormal spinor basis vector as an element of coord ⊗ M_{1/2}.
 
@@ -204,11 +222,6 @@ def spinor_vector(idx: SpinorBasisIndex, ctx: QContext) -> Spinor:
             BasisIndex(lam, idx.m, idx.mu - half), scale * plus_coeff
         )
     return Spinor(minus, plus)
-
-
-def spinor_inner(a: Spinor, b: Spinor, ctx: QContext) -> complex:
-    """Inner product on coord ⊗ M_{1/2}: Haar pairing summed over the two legs."""
-    return coord.inner(a.minus, b.minus, ctx) + coord.inner(a.plus, b.plus, ctx)
 
 
 def ambient_dirac_spectrum(j_max) -> SpectrumTable:

@@ -43,6 +43,13 @@ __all__ = [
     "projection_matrix",
 ]
 
+# wp_relation_residuals forms about 2l(l+3) products of N x N matrices, and call
+# overhead dominates below N = 32: l(l+3) max(N, 32)^3 = 3.2e10 took 15.5 s and
+# 580 MB at l = 1, N = 2,000, and 2.4e10 took 16 s at l = 300, N = 64 (2 cores)
+RELATION_WORK_GUARD = 32_000_000_000
+# ktheory_class lists l ranks: 1.5 s and 161 MB at l = 1e6, 13 s and 1.3 GB at 1e7
+KTHEORY_GUARD = 1_000_000
+
 
 def _check_wp_args(l, s, N):
     if l < 1:
@@ -148,8 +155,20 @@ def wp_rep_via_ambient(
 def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
     """Spectral-norm residuals of the defining relations on the truncation,
     per copy s; the b* b relation is evaluated on the interior columns only
-    (b leaks through the top of the truncation)."""
+    (b leaks through the top of the truncation).  Refuses l and N beyond
+    RELATION_WORK_GUARD, and l, q for which q^{-2l} overflows a double."""
+    _check_wp_args(l, 1, N)
+    work = l * (l + 3) * max(N, 32) ** 3
+    if work > RELATION_WORK_GUARD:
+        raise ValueError(
+            f"l = {l}, N = {N}: l(l+3) max(N, 32)^3 = {work:.3g} exceeds the cost guard "
+            f"{RELATION_WORK_GUARD:.3g}"
+        )
     q = ctx.q
+    try:
+        q_inv_2l = q ** (-2 * l)  # the coefficient of the a b* relation
+    except OverflowError:
+        raise ValueError(f"l = {l}, q = {q:g}: q^(-2l) overflows a double") from None
     out = {}
     for s in range(1, l + 1):
         a = wp_rep(l, 0, s, "a", N, ctx).matrix
@@ -164,7 +183,7 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
             return outm
 
         r_sa = np.abs(a - a.conj().T).max()
-        r_ab = operator_norm(a @ bs - q ** (-2 * l) * bs @ a)
+        r_ab = operator_norm(a @ bs - q_inv_2l * bs @ a)
         rhs_bsb = q ** (2 * l) * a @ poly([-(q ** (2 * (mm + 1))) for mm in range(l)])
         diff = bs @ b - rhs_bsb
         r_bsb = operator_norm(diff[:, : N - 1])
@@ -386,6 +405,8 @@ def ktheory_class(l: int, n: int, j: int) -> ProjectionClass:
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
+    if l > KTHEORY_GUARD:
+        raise ValueError(f"l = {l} exceeds the cost guard {KTHEORY_GUARD}")
     if not (0 <= j <= l - 1):
         raise ValueError(f"need 0 <= j <= l-1, got j = {j}")
     ranks = tuple([n] * (l - j) + [n + 1] * j)

@@ -98,6 +98,15 @@ def test_bad_q_is_usage_error(capsys):
         # a threshold tol >= 1 would pass vacuously
         ["verify", "--suite", "su2q-relations", "--tol", "1e300"],
         ["verify", "--suite", "haar", "--tol", "5"],
+        # teardrop work l(l+3) max(N, 32)^3 above its guard, and q^(-2l) overflowing
+        ["verify", "--suite", "teardrop", "--l", "512"],
+        ["verify", "--suite", "teardrop", "--N", "1000000"],
+        ["verify", "--suite", "teardrop", "--q", "0.01", "--l", "100"],
+        ["verify", "--suite", "teardrop", "--q", "1e-200"],
+        # ktheory lists l ranks; summability lists 2N + 1 shells per --nlist entry
+        ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
+        ["summability", "--nlist", "1000000000"],
+        ["summability", "--nlist", "600000,700000"],
     ],
     ids=" ".join,
 )
@@ -109,9 +118,9 @@ def test_bad_caps_and_nlist_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
-# edge values for every numeric flag; the finite ones stay small, because a
-# large finite cap, N, nlist entry or l allocates without bound
-EDGE_VALUES = ["nan", "inf", "-1", "0", "0.3", "2.5", "1e308", "0.5", "1", "2", "3", "8"]
+# edge values for every numeric flag
+EDGE_VALUES = ["nan", "inf", "-1", "0", "0.3", "2.5", "1e308", "0.5", "1", "2", "3", "8",
+               "1000000000"]
 
 
 @st.composite
@@ -345,6 +354,20 @@ def run_fresh(code, cwd, argv=None):
     args = ["-m", *argv] if code is None else ["-c", textwrap.dedent(code)]
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
+
+
+def test_package_import_does_not_load_numpy(tmp_path):
+    # the package exports only __version__; the numeric modules load on demand
+    proc = run_fresh(
+        """
+        import sys
+        import qwps
+        assert "numpy" not in sys.modules
+        assert [name for name in vars(qwps) if not name.startswith("__")] == []
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_commands_do_not_load_scipy(tmp_path):

@@ -5,10 +5,8 @@ import math
 import pytest
 
 from qwps.coaction import (
-    CoinvariantSpinorIndex,
     WeightPair,
     coinvariant_coord_basis,
-    coinvariant_spinor_basis,
     degree,
     dim_table,
     dim_V,
@@ -140,10 +138,10 @@ def test_right_action_shifts_degree():
         degs = {degree(wp, idx) for idx in a.terms}
         assert len(degs) == 1
         (d,) = degs
-        for letter, shift in (("e", -wp.s), ("f", wp.s), ("k", 0)):
-            moved = right_act(letter, a, CTX)
+        for word in ("e", "f", "k", ("e", "f"), ("f", "k")):
+            moved = right_act(word, a, CTX)
             for idx in moved.terms:
-                assert degree(wp, idx) == d + shift
+                assert degree(wp, idx) == d + uq_degree(wp, word)
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (1, 4)])
@@ -206,64 +204,6 @@ def test_coord_basis_cardinality_matches_dimensions(k, l):
     wp = WeightPair(k, l)
     count = len(coinvariant_coord_basis(wp, hi(8)))
     assert count == sum(dim_V(wp, hi(t / 2)) for t in range(17))
-
-
-def test_spinor_index_validation():
-    with pytest.raises(ValueError):
-        CoinvariantSpinorIndex(hi(1), hi(0), "sideways")
-    with pytest.raises(ValueError):
-        CoinvariantSpinorIndex(hi(-1), hi(0), "up")
-
-
-def test_spinor_basis_examples():
-    for wp in (WeightPair(1, 1), WeightPair(1, 2)):
-        basis = coinvariant_spinor_basis(wp, hi(3))
-        assert not any(x.arrow == "down" and x.j.twice <= 1 for x in basis)
-    down1 = [
-        x
-        for x in coinvariant_spinor_basis(WeightPair(1, 1), hi(1))
-        if x.arrow == "down" and x.j.twice == 2
-    ]
-    assert {x.weight_value(WeightPair(1, 1)).twice for x in down1} == {0, 2}
-    assert len(down1) == 2
-
-
-def test_spinor_basis_recombination_oracle():
-    # a (j, p, arrow) label is legal exactly when the constituent matrix
-    # elements of its expansion exist (skipping boundary legs whose coupling
-    # coefficient vanishes)
-    for k, l in [(1, 1), (1, 2), (2, 3)]:
-        wp = WeightPair(k, l)
-        basis = set()
-        s = wp.s
-        for tj in range(0, 13):
-            for tp in range(-12, 13):
-                v2 = tp * s  # twice p(l+k)
-                if (v2 - tj) % 2:
-                    continue
-                m2 = v2 - 1  # twice of p(l+k) - 1/2
-                mu2 = tp * (l - k)  # twice of p(l-k)
-                for arrow in ("down", "up"):
-                    lam2 = tj - 1 if arrow == "down" else tj + 1
-                    if lam2 < 0 or abs(m2) > lam2:
-                        continue
-                    legs = []
-                    if arrow == "down":
-                        if mu2 != tj:  # e_- leg survives unless mu = j
-                            legs.append(mu2 + 1)
-                        if mu2 != -tj:  # e_+ leg survives unless mu = -j
-                            legs.append(mu2 - 1)
-                    else:
-                        legs = [mu2 + 1, mu2 - 1]
-                    if abs(mu2) > tj:
-                        continue
-                    if all(abs(n2) <= lam2 for n2 in legs) and legs:
-                        basis.add((tj, tp, arrow))
-        fast = {
-            (x.j.twice, x.p.twice, x.arrow)
-            for x in coinvariant_spinor_basis(wp, hi(6))
-        }
-        assert fast == basis
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,22 @@ import scipy.sparse as sp
 from qwps.coaction import (
     WeightPair,
     coinvariant_coord_basis,
-    coinvariant_spinor_basis,
+    degree,
     dim_V,
     dim_V_down,
     dim_V_down_oracle,
     dim_V_oracle,
+    spinor_degree,
     wp_gens,
 )
-from qwps.coord import AlgebraElement, BasisIndex, gens, multiply, unit
+from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, unit
 from qwps.dirac import (
     SpectrumTable,
     SpinorBasisIndex,
     _gns_labels,
     ambient_dirac_spectrum,
     chirality_checks,
+    coinvariant_spinor_basis,
     commutator_norm,
     even_triple_operators,
     even_triple_spectrum,
@@ -31,7 +33,6 @@ from qwps.dirac import (
     odd_triple_spectrum,
     q_dirac_check,
     spinor_basis,
-    spinor_inner,
     spinor_vector,
     summability_partial_sum,
 )
@@ -42,11 +43,20 @@ CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]
 
 
+def spinor_inner(a, b):
+    """Inner product on coord ⊗ M_{1/2}: the Haar pairing summed over both legs."""
+    return inner(a.minus, b.minus, CTX) + inner(a.plus, b.plus, CTX)
+
+
 # ---------------------------------------------------------------------------
 # spinor basis
 
 
 def test_spinor_index_validation():
+    with pytest.raises(ValueError):
+        SpinorBasisIndex(hi(1), hi(0.5), hi(0), "sideways")
+    with pytest.raises(ValueError):
+        SpinorBasisIndex(hi(-1), hi(0.5), hi(0), "up")
     with pytest.raises(ValueError):
         SpinorBasisIndex(hi(0), hi(0.5), hi(0), "down")  # down needs j >= 1/2
     with pytest.raises(ValueError):
@@ -79,7 +89,7 @@ def test_spinor_vectors_normalized(tj):
         if idx.j.twice != tj:
             continue
         v = spinor_vector(idx, CTX)
-        assert spinor_inner(v, v, CTX) == pytest.approx(1.0, abs=1e-10)
+        assert spinor_inner(v, v) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spinor_vectors_orthogonal():
@@ -87,7 +97,84 @@ def test_spinor_vectors_orthogonal():
     vecs = [spinor_vector(i, CTX) for i in basis]
     for i in range(len(basis)):
         for k in range(i + 1, len(basis)):
-            assert abs(spinor_inner(vecs[i], vecs[k], CTX)) < 1e-10
+            assert abs(spinor_inner(vecs[i], vecs[k])) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# coinvariant spinors
+
+
+def test_coinvariant_spinor_basis_examples():
+    for wp in (WeightPair(1, 1), WeightPair(1, 2)):
+        basis = coinvariant_spinor_basis(wp, hi(3))
+        assert not any(x.arrow == "down" and x.j.twice <= 1 for x in basis)
+    down1 = [
+        x
+        for x in coinvariant_spinor_basis(WeightPair(1, 1), hi(1))
+        if x.arrow == "down" and x.j.twice == 2
+    ]
+    # twice p(l+k) = twice (m + 1/2)
+    assert {x.m.twice + 1 for x in down1} == {0, 2}
+    assert len(down1) == 2
+
+
+def test_coinvariant_spinor_basis_recombination_oracle():
+    # a (j, p, arrow) label is legal exactly when the constituent matrix
+    # elements of its expansion exist (skipping boundary legs whose coupling
+    # coefficient vanishes)
+    for k, l in [(1, 1), (1, 2), (2, 3)]:
+        wp = WeightPair(k, l)
+        basis = set()
+        s = wp.s
+        for tj in range(0, 13):
+            for tp in range(-12, 13):
+                v2 = tp * s  # twice p(l+k)
+                if (v2 - tj) % 2:
+                    continue
+                m2 = v2 - 1  # twice of p(l+k) - 1/2
+                mu2 = tp * (l - k)  # twice of p(l-k)
+                for arrow in ("down", "up"):
+                    lam2 = tj - 1 if arrow == "down" else tj + 1
+                    if lam2 < 0 or abs(m2) > lam2:
+                        continue
+                    legs = []
+                    if arrow == "down":
+                        if mu2 != tj:  # e_- leg survives unless mu = j
+                            legs.append(mu2 + 1)
+                        if mu2 != -tj:  # e_+ leg survives unless mu = -j
+                            legs.append(mu2 - 1)
+                    else:
+                        legs = [mu2 + 1, mu2 - 1]
+                    if abs(mu2) > tj:
+                        continue
+                    if all(abs(n2) <= lam2 for n2 in legs) and legs:
+                        basis.add((tj, m2, mu2, arrow))
+        fast = {
+            (x.j.twice, x.m.twice, x.mu.twice, x.arrow)
+            for x in coinvariant_spinor_basis(wp, hi(6))
+        }
+        assert fast == basis
+
+
+COPRIME_UP_TO_5 = [(k, l) for k in range(1, 6) for l in range(1, 6) if math.gcd(k, l) == 1]
+
+
+@pytest.mark.parametrize("k,l", COPRIME_UP_TO_5)
+def test_coinvariant_spinor_basis_is_degree_zero_scan(k, l):
+    # oracle: the ambient labels, in spinor_basis order, whose every leg has
+    # the degree cancelling its spin-1/2 order (i = -k: -k on e_+, l on e_-);
+    # the scan at a smaller cap is the prefix with j <= cap
+    wp = WeightPair(k, l)
+
+    def coinvariant(idx):
+        vec = spinor_vector(idx, CTX)
+        legs = [(t, "+") for t in vec.plus.terms] + [(t, "-") for t in vec.minus.terms]
+        return all(degree(wp, t) + spinor_degree(wp, -wp.k, sign) == 0 for t, sign in legs)
+
+    brute = [idx for idx in spinor_basis(hi(4)) if coinvariant(idx)]
+    for tj in range(9):
+        fast = coinvariant_spinor_basis(wp, hi(tj / 2))
+        assert fast == [idx for idx in brute if idx.j.twice <= tj]
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +506,15 @@ def test_coinvariant_spinors_are_ambient_eigenvectors():
     # degrees cancelling the spin-1/2 coaction orders (-k on e_+, l on e_-);
     # the ambient Dirac is diagonal on them, and after the +1/2 shift the
     # eigenvalue is exactly ±2(j+1)
-    from qwps.coaction import degree
-
     for wp in WPS:
-        for label in coinvariant_spinor_basis(wp, hi(3)):
-            m = label.p * wp.s - hi(0.5)
-            mu = label.p * (wp.l - wp.k)
-            idx = SpinorBasisIndex(label.j, m, mu, label.arrow)
+        for idx in coinvariant_spinor_basis(wp, hi(3)):
             vec = spinor_vector(idx, CTX)
             for term in vec.plus.terms:
                 assert degree(wp, term) == wp.k
             for term in vec.minus.terms:
                 assert degree(wp, term) == -wp.l
-            j = float(label.j)
-            if label.arrow == "up":
+            j = float(idx.j)
+            if idx.arrow == "up":
                 ambient = 2 * j + 1.5
                 assert ambient + 0.5 == 2 * (j + 1)
             else:

@@ -1,10 +1,14 @@
 """Teardrop operator models, lens space, block patterns, projection classes."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qwps.qcore import QContext
 from qwps.teardrop import (
+    KTHEORY_GUARD,
+    RELATION_WORK_GUARD,
     _ambient_word,
     block_structure_evidence,
     ktheory_class,
@@ -55,6 +59,22 @@ def test_wp_rep_argument_validation():
 def test_wp_relations_on_interior(l):
     res = wp_relation_residuals(l, 64, CTX)
     assert res["max"] < CTX.tol
+
+
+def test_wp_relation_guards():
+    # 2000 is the largest N allowed at l = 1, and 347 the largest l at N = 64;
+    # q^(-2l) overflows a double beyond l = 511 at q = 0.5 and l = 77 at q = 0.01
+    assert 1 * 4 * 2000**3 <= RELATION_WORK_GUARD < 1 * 4 * 2001**3
+    assert 347 * 350 * 64**3 <= RELATION_WORK_GUARD < 348 * 351 * 64**3
+    for l, N, ctx, message in [
+        (1, 2001, CTX, "exceeds the cost guard"),
+        (348, 64, CTX, "exceeds the cost guard"),
+        (78, 2, QContext(0.01, 1e-9), "q = 0.01: q^(-2l) overflows"),
+        (1, 4, QContext(1e-200, 1e-9), "q = 1e-200: q^(-2l) overflows"),
+        (0, 4, CTX, "l must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wp_relation_residuals(l, N, ctx)
 
 
 def test_wp_rep_independent_of_m():
@@ -201,6 +221,9 @@ def test_ktheory_range_checks():
         ktheory_class(2, 0, 2)
     with pytest.raises(ValueError):
         ktheory_class(0, 0, 0)
+    with pytest.raises(ValueError, match="exceeds the cost guard"):
+        ktheory_class(KTHEORY_GUARD + 1, 1, 1)
+    assert len(ktheory_class(1000, 1, 1).ranks) == 1000
 
 
 def test_projection_matrices_exact():

@@ -23,6 +23,7 @@ from qwps.coaction import (
     wp_gens,
 )
 from qwps.coord import AlgebraElement, BasisIndex, gens, multiply, right_act, star
+from qwps.dirac import SpinorBasisIndex, coinvariant_spinor_basis
 from qwps.qcore import HalfInt, QContext, hi, weight_range
 
 CTX = QContext(0.5, 1e-9)
@@ -204,6 +205,19 @@ def test_coord_basis_cardinality_matches_dimensions(k, l):
     wp = WeightPair(k, l)
     count = len(coinvariant_coord_basis(wp, hi(8)))
     assert count == sum(dim_V(wp, hi(t / 2)) for t in range(17))
+
+
+def test_spinor_index_validation():
+    # coinvariant spinors are labelled |j, p(l+k) - 1/2, p(l-k), arrow>; at
+    # p = 0 that is m = -1/2, mu = 0
+    with pytest.raises(ValueError):
+        SpinorBasisIndex(hi(1), hi(-0.5), hi(0), "sideways")
+    with pytest.raises(ValueError):
+        SpinorBasisIndex(hi(-1), hi(-0.5), hi(0), "up")
+    with pytest.raises(ValueError):
+        spinor_degree(WeightPair(1, 1), -1, "sideways")
+    idx = SpinorBasisIndex(hi(1), hi(-0.5), hi(0), "up")
+    assert idx in coinvariant_spinor_basis(WeightPair(1, 1), hi(1))
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ def spinor_inner(a, b):
 
 def test_spinor_index_validation():
     with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(1), hi(0.5), hi(0), "sideways")
-    with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(-1), hi(0.5), hi(0), "up")
-    with pytest.raises(ValueError):
         SpinorBasisIndex(hi(0), hi(0.5), hi(0), "down")  # down needs j >= 1/2
     with pytest.raises(ValueError):
         SpinorBasisIndex(hi(1), hi(0), hi(2), "up")  # |mu| > j

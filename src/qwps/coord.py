@@ -44,6 +44,7 @@ __all__ = [
     "left_act",
     "haar",
     "inner",
+    "gram",
     "to_records",
     "from_records",
     "to_jsonl",
@@ -280,7 +281,38 @@ def haar(a: AlgebraElement) -> complex:
 
 def inner(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> complex:
     """GNS inner product h(a* b)."""
-    return haar(multiply(star(a, ctx), b, ctx))
+    return complex(gram([a], [b], ctx)[0, 0])
+
+
+def gram(left, right, ctx: QContext) -> np.ndarray:
+    """Matrix of GNS inner products h(a* b), a from ``left``, b from ``right``.
+
+    Each entry sums only the unit coefficient of star(a) b: the mu = 0 entries
+    of the coupling tables, added in the order :func:`multiply` adds them, so
+    it equals haar(multiply(star(a, ctx), b, ctx)) bit for bit.  Every pair of
+    terms reads its own block, whatever its highest weights.
+    """
+    right_terms = [b.terms.items() for b in right]
+    tables: dict[tuple, dict] = {}
+    rows = []
+    for a in left:
+        a_star = star(a, ctx).terms.items()
+        row = []
+        for b_terms in right_terms:
+            total = 0
+            for (l1, m1, n1), c1 in a_star:
+                for (l2, m2, n2), c2 in b_terms:
+                    table = tables.get((l1, l2))
+                    if table is None:
+                        table = tables[l1, l2] = cg_block(HalfInt(l1), HalfInt(l2), ctx).table
+                    cm = table[m1, m2].get(0)
+                    if cm is not None:
+                        cn = table[n1, n2].get(0)
+                        if cn is not None:
+                            total = total + c1 * c2 * cm * cn
+            row.append(total)
+        rows.append(row)
+    return np.array(rows, dtype=complex).reshape(len(left), len(right))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +446,11 @@ def haar_orthogonality_residual(ctx: QContext, lam_max=2) -> float:
         for m in weight_range(lam):
             for n in weight_range(lam):
                 indices.append(BasisIndex(lam, m, n))
-    worst = 0.0
-    for i1 in indices:
-        for i2 in indices:
-            val = inner(AlgebraElement.basis(i1), AlgebraElement.basis(i2), ctx)
-            if i1 == i2:
-                expected = ctx.q ** (-2 * i1.m.float) / q_int(2 * i1.lam + 1, ctx)
-            else:
-                expected = 0.0
-            worst = max(worst, abs(val - expected))
-    return worst
+    basis = [AlgebraElement.basis(idx) for idx in indices]
+    deviation = gram(basis, basis, ctx)
+    for k, idx in enumerate(indices):
+        deviation[k, k] -= ctx.q ** (-2 * idx.m.float) / q_int(2 * idx.lam + 1, ctx)
+    return float(np.abs(deviation).max(initial=0.0))
 
 
 _SWEEDLER = {

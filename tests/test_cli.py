@@ -107,6 +107,9 @@ def test_bad_q_is_usage_error(capsys):
         ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
         ["summability", "--nlist", "1000000000"],
         ["summability", "--nlist", "600000,700000"],
+        # the even triple builds b = beta^k alpha^l; k + l above its guard
+        ["verify", "--suite", "chirality", "--l", "1000000000"],
+        ["verify", "--suite", "fredholm", "--l", "1000000000"],
     ],
     ids=" ".join,
 )
@@ -138,7 +141,8 @@ def cli_argv(draw):
     elif command == "ktheory":
         flags.append("--j")
     elif command == "verify":
-        argv += ["--suite", "su2q-relations"]
+        argv += ["--suite", draw(st.sampled_from(["su2q-relations", "haar", "chirality",
+                                                  "fredholm"]))]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
         argv += [flag, draw(st.sampled_from(EDGE_VALUES))]
     return argv + draw(st.sampled_from([[], ["--format", "json"]]))

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwps import coord
-from qwps.cg import cg_block, couple
+from qwps.cg import cg_block, clear_cache, couple
 from qwps.coord import (
     AlgebraElement,
     BasisIndex,
     from_jsonl,
     gens,
+    gram,
     haar,
     inner,
     left_act,
@@ -321,6 +322,103 @@ def test_inner_examples():
 def test_haar_orthogonality(q):
     ctx = QContext(q, 1e-9)
     assert coord.haar_orthogonality_residual(ctx, 1.5) < ctx.tol
+
+
+def reference_inner(a, b, ctx):
+    """h(a* b) read off the whole product, as inner computed it before gram."""
+    return haar(multiply(star(a, ctx), b, ctx))
+
+
+GRAM_INDICES = [
+    BasisIndex.doubled(tl, tm, tn)
+    for tl in range(0, 7)
+    for tm in range(-tl, tl + 1, 2)
+    for tn in range(-tl, tl + 1, 2)
+]
+gram_elements = st.dictionaries(
+    st.sampled_from(GRAM_INDICES), coeffs, min_size=1, max_size=6
+).map(AlgebraElement)
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(gram_elements, max_size=4), ys=st.lists(gram_elements, max_size=4))
+def test_gram_matches_whole_product_reference(q, xs, ys):
+    # gram sums the unit coefficient in multiply's order, so every entry is bitwise equal
+    ctx = QContext(q, 1e-9)
+    g = gram(xs, ys, ctx)
+    assert g.shape == (len(xs), len(ys))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert g[i, j] == reference_inner(x, y, ctx)
+            assert inner(x, y, ctx) == reference_inner(x, y, ctx)
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_gram_of_basis_matches_whole_product_reference(q):
+    ctx = QContext(q, 1e-9)
+    basis = [AlgebraElement.basis(idx) for idx in GRAM_INDICES if idx.lam.twice <= 4]
+    assert len(basis) == 55
+    g = gram(basis, basis, ctx)
+    expected = [[reference_inner(x, y, ctx) for y in basis] for x in basis]
+    assert g.tolist() == expected
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_gram_of_dense_elements_matches_whole_product_reference(q):
+    # every index with lam <= 3 in each element, so each entry sums 140 terms
+    # and a change in their order would show
+    ctx = QContext(q, 1e-9)
+    xs = [
+        AlgebraElement({idx: complex(np.cos(k * s), np.sin(2 * k + s)) for k, idx in
+                        enumerate(GRAM_INDICES)})
+        for s in (1, 2)
+    ]
+    expected = [[reference_inner(x, y, ctx) for y in xs] for x in xs]
+    assert gram(xs, xs, ctx).tolist() == expected
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(gram_elements, max_size=4))
+def test_gram_is_hermitian(q, xs):
+    # h(x*) = conj(h(x)); the two sums round differently, within eps of their
+    # l1 sizes (the worst of 6,000 random draws was 0.14 eps)
+    ctx = QContext(q, 1e-9)
+    g = gram(xs, xs, ctx)
+    size = np.array([sum(map(abs, x.terms.values())) for x in xs])
+    star_size = np.array([sum(map(abs, star(x, ctx).terms.values())) for x in xs])
+    scale = np.outer(star_size, size)
+    assert np.all(np.abs(g - g.conj().T) <= np.finfo(float).eps * (scale + scale.T))
+
+
+def test_gram_of_empty_lists():
+    assert gram([], [], CTX).shape == (0, 0)
+    assert gram([unit()], [], CTX).shape == (1, 0)
+
+
+@pytest.fixture
+def fresh_cg_cache():
+    clear_cache()
+    yield
+    clear_cache()
+
+
+def test_haar_check_reads_computed_cg_entries(fresh_cg_cache):
+    # one mu = 0 coefficient of the cached (1, 1) block, off by one part in a million
+    ctx = QContext(0.5, 1e-9)
+    assert coord.haar_orthogonality_residual(ctx, 2) < ctx.tol
+    column = cg_block(1, 1, ctx).table[0, 0]
+    column[0] *= 1 + 1e-6
+    assert coord.haar_orthogonality_residual(ctx, 2) > ctx.tol
+
+
+def test_haar_check_reads_blocks_of_unequal_weights(fresh_cg_cache):
+    # a mu = 0 entry planted in the (1, 0) block, which has none, reaches an
+    # off-diagonal pair: no pair is taken to be zero from its weights alone
+    ctx = QContext(0.5, 1e-9)
+    cg_block(1, 0, ctx).table[0, 0][0] = 1e-3  # read twice, for m and n: 1e-6
+    assert coord.haar_orthogonality_residual(ctx, 2) > ctx.tol
 
 
 def gns_basis_vector(idx, ctx):

@@ -253,28 +253,20 @@ def dim_table(wp: WeightPair, index_max) -> list[dict]:
     index_max = hi(index_max)
     step = 2 if wp.s % 2 == 0 else 1
     rows = []
-    for t in range(0, index_max.twice + 1, step):
-        x = HalfInt(t)
-        closed, oracle = dim_V_down(wp, x), dim_V_down_oracle(wp, x)
-        rows.append(
-            {
-                "family": "V_down",
-                "index": x.float,
-                "closed_form": closed,
-                "oracle": oracle,
-                "match": closed == oracle,
-            }
-        )
-    for t in range(0, index_max.twice + 1, step):
-        x = HalfInt(t)
-        closed, oracle = dim_V(wp, x), dim_V_oracle(wp, x)
-        rows.append(
-            {
-                "family": "V",
-                "index": x.float,
-                "closed_form": closed,
-                "oracle": oracle,
-                "match": closed == oracle,
-            }
-        )
+    for family, closed_form, oracle in (
+        ("V_down", dim_V_down, dim_V_down_oracle),
+        ("V", dim_V, dim_V_oracle),
+    ):
+        for t in range(0, index_max.twice + 1, step):
+            x = HalfInt(t)
+            closed, counted = closed_form(wp, x), oracle(wp, x)
+            rows.append(
+                {
+                    "family": family,
+                    "index": x.float,
+                    "closed_form": closed,
+                    "oracle": counted,
+                    "match": closed == counted,
+                }
+            )
     return rows

@@ -1,8 +1,9 @@
 """Finite truncations of densely defined operators.
 
 A TruncatedOperator is a square matrix together with the explicit ordered
-basis of the truncated Hilbert space it acts on; everything downstream that
-needs operator norms of such truncations goes through the helper here.
+basis of the truncated Hilbert space it acts on.  Only the commutator norms
+go through operator_norm; the teardrop relations are diagonals or single
+shifts, and are normed entrywise.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ coordinate algebra lives on l2(Z) ⊗ l2(N0),
     alpha . e_z ⊗ e_n = sqrt(1 - q^{2(n+1)}) e_z ⊗ e_{n+1},
     beta  . e_z ⊗ e_n = q^n e_{z+1} ⊗ e_n.
 
-The models are evaluated on finite truncations.  The ambient generators are
+The models are evaluated on finite truncations, the relations of a and b
+entrywise on their coefficient arrays.  The ambient generators are
 weighted shifts, so an ambient word is applied exactly to one basis vector at
 a time.  Restricting the ambient representation to the invariant subspaces
 X_m (spanned by e_{m+p} ⊗ e_p^s) recovers the closed forms above
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator, operator_norm
+from .operators import TruncatedOperator
 from .qcore import QContext
 
 __all__ = [
@@ -43,9 +44,10 @@ __all__ = [
     "projection_matrix",
 ]
 
-# wp_relation_residuals forms about 2l(l+3) products of N x N matrices, and call
-# overhead dominates below N = 32: l(l+3) max(N, 32)^3 = 3.2e10 took 15.5 s and
-# 580 MB at l = 1, N = 2,000, and 2.4e10 took 16 s at l = 300, N = 64 (2 cores)
+# wp_relation_residuals keeps the bound it had as about 2l(l+3) dense N x N products,
+# so it refuses the same l and N.  Entrywise its work is about l^2 N: 0.31 s at the
+# edge l = 986, N = 32, 79 ms at l = 500, N = 32 (15.7 s dense), 74 ms at l = 347,
+# N = 64 and 1 ms at l = 1, N = 2,000 (medians of 7, 2 cores)
 RELATION_WORK_GUARD = 32_000_000_000
 # ktheory_class lists l ranks: 1.5 s and 161 MB at l = 1e6, 13 s and 1.3 GB at 1e7
 KTHEORY_GUARD = 1_000_000
@@ -60,12 +62,24 @@ def _check_wp_args(l, s, N):
         raise ValueError(f"N must be >= 2, got {N}")
 
 
-def _bstar_coeff(l, s, p, q):
-    """Coefficient of b* on e_p (p >= 1); the r = s factor kills e_0 exactly."""
-    prod = 1.0
-    for r in range(1, l + 1):
-        prod *= math.sqrt(1.0 - q ** (2 * (l * p + s - r)))
-    return q ** (l * p + s - 1) * prod
+def _copy_coefficients(l, s, N, q, steps):
+    """Weights of the copy-s shifts on e_0 .. e_{N-1}, one row per s if s is an
+    int column: with n = lp + s - 1, q^{2n}, q^n and, for p < N - 1, the product
+    of sqrt(1 - q^{2(n+i)}) over i in steps, in that order.  The powers are
+    Python's q**e, as in the scalar formulas; numpy's SIMD power rounds some of
+    them differently."""
+    n = l * np.arange(N) + s - 1
+    pw = np.array([q**e for e in range(2 * int(np.max(n)) + 1)])
+    prod = np.ones(n[..., 1:].shape)
+    for i in steps:
+        prod *= np.sqrt(1.0 - pw[2 * (n[..., :-1] + i)])
+    return pw[2 * n], pw[n], prod
+
+
+def _wp_coefficients(l, s, N, q):
+    """The diagonal of a on copy s, and c with b* e_{p+1} = c[p] e_p, b e_p = c[p] e_{p+1}."""
+    a, root, prod = _copy_coefficients(l, s, N, q, range(l, 0, -1))
+    return a, root[..., 1:] * prod
 
 
 def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> TruncatedOperator:
@@ -74,21 +88,12 @@ def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> Truncated
     interface keeps it so the independence can be verified against the
     ambient construction (:func:`wp_rep_via_ambient`)."""
     _check_wp_args(l, s, N)
-    q = ctx.q
-    mat = np.zeros((N, N), dtype=complex)
-    if gen == "a":
-        for p in range(N):
-            mat[p, p] = q ** (2 * (l * p + s - 1))
-    elif gen == "bstar":
-        for p in range(1, N):
-            mat[p - 1, p] = _bstar_coeff(l, s, p, q)
-    elif gen == "b":
-        for p in range(1, N):
-            mat[p, p - 1] = _bstar_coeff(l, s, p, q)
-    else:
+    offset = {"a": 0, "bstar": 1, "b": -1}.get(gen)
+    if offset is None:
         raise ValueError(f"gen must be 'a', 'b' or 'bstar', got {gen!r}")
-    basis = tuple((s, p) for p in range(N))
-    return TruncatedOperator(basis, mat)
+    a, c = _wp_coefficients(l, s, N, ctx.q)
+    mat = np.diag(a if offset == 0 else c, offset).astype(complex)
+    return TruncatedOperator(tuple((s, p) for p in range(N)), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +160,10 @@ def wp_rep_via_ambient(
 def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
     """Spectral-norm residuals of the defining relations on the truncation,
     per copy s; the b* b relation is evaluated on the interior columns only
-    (b leaks through the top of the truncation).  Refuses l and N beyond
+    (b leaks through the top of the truncation).  Each difference is diagonal
+    or one shift, so its norm is its largest absolute entry, taken on the
+    coefficient arrays in the association order of the dense matrix products.
+    The max is NaN if any residual is.  Refuses l and N beyond
     RELATION_WORK_GUARD, and l, q for which q^{-2l} overflows a double."""
     _check_wp_args(l, 1, N)
     work = l * (l + 3) * max(N, 32) ** 3
@@ -169,33 +177,27 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
         q_inv_2l = q ** (-2 * l)  # the coefficient of the a b* relation
     except OverflowError:
         raise ValueError(f"l = {l}, q = {q:g}: q^(-2l) overflows a double") from None
-    out = {}
-    for s in range(1, l + 1):
-        a = wp_rep(l, 0, s, "a", N, ctx).matrix
-        b = wp_rep(l, 0, s, "b", N, ctx).matrix
-        bs = wp_rep(l, 0, s, "bstar", N, ctx).matrix
-        eye = np.eye(N)
+    a, c = _wp_coefficients(l, np.arange(1, l + 1)[:, None], N, q)
 
-        def poly(factors):
-            outm = eye.copy()
-            for c in factors:
-                outm = outm @ (eye + c * a)
-            return outm
+    def rhs(scale, factors):
+        """(scale a) prod (1 + f a) over factors, the right-hand sides' diagonals."""
+        prod = np.ones_like(a)
+        for f in factors:
+            prod *= 1.0 + f * a
+        return scale * a * prod
 
-        r_sa = np.abs(a - a.conj().T).max()
-        r_ab = operator_norm(a @ bs - q_inv_2l * bs @ a)
-        rhs_bsb = q ** (2 * l) * a @ poly([-(q ** (2 * (mm + 1))) for mm in range(l)])
-        diff = bs @ b - rhs_bsb
-        r_bsb = operator_norm(diff[:, : N - 1])
-        rhs_bbs = a @ poly([-(q ** (-2 * (mm - 1))) for mm in range(1, l + 1)])
-        r_bbs = operator_norm(b @ bs - rhs_bbs)
-        out[f"s={s}"] = {
-            "a_selfadjoint": float(r_sa),
-            "a_bstar": float(r_ab),
-            "bstar_b_interior": float(r_bsb),
-            "b_bstar": float(r_bbs),
-        }
-    out["max"] = max(v for d in out.values() if isinstance(d, dict) for v in d.values())
+    bb = c * c  # b* b on e_0 .. e_{N-2}, and b b* on e_1 .. e_{N-1}
+    rhs_bsb = rhs(q ** (2 * l), [-(q ** (2 * m)) for m in range(1, l + 1)])
+    rhs_bbs = rhs(1.0, [-(q ** (-2 * (m - 1))) for m in range(1, l + 1)])
+    diffs = {
+        "a_selfadjoint": a - a.conj(),
+        "a_bstar": a[:, :-1] * c - q_inv_2l * c * a[:, 1:],
+        "bstar_b_interior": bb - rhs_bsb[:, :-1],
+        "b_bstar": np.pad(bb, ((0, 0), (1, 0))) - rhs_bbs,
+    }
+    res = {key: np.abs(d).max(axis=1) for key, d in diffs.items()}
+    out = {f"s={s}": {key: float(r[s - 1]) for key, r in res.items()} for s in range(1, l + 1)}
+    out["max"] = float(np.max(list(res.values())))
     return out
 
 
@@ -203,50 +205,36 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
 # quantum lens space representation
 
 
+def _check_lens_args(l, s, n_z, N):
+    if n_z < 3:
+        raise ValueError(f"need n_z >= 3, got {n_z}")
+    _check_wp_args(l, s, N)
+
+
 def lens_rep(l: int, s: int, gen: str, n_z: int, N: int, ctx: QContext) -> TruncatedOperator:
     """Generators of the lens-space subalgebra on the window
     z in [-n_z, n_z], p in [0, N): alpha^l raises p keeping z, beta shifts z
     with the diagonal weight q^{lp+s-1}."""
-    if n_z < 3:
-        raise ValueError(f"need n_z >= 3, got {n_z}")
-    _check_wp_args(l, s, N)
-    q = ctx.q
+    _check_lens_args(l, s, n_z, N)
+    _, beta_w, alpha_w = _copy_coefficients(l, s, N, ctx.q, range(1, l + 1))
     zs = 2 * n_z + 1
-    dim = zs * N
-
-    def idx(z, p):
-        return (z + n_z) * N + p
-
-    mat = np.zeros((dim, dim), dtype=complex)
-    for z in range(-n_z, n_z + 1):
-        for p in range(N):
-            if gen == "alpha_l":
-                if p + 1 < N:
-                    coeff = 1.0
-                    for r in range(l):
-                        coeff *= math.sqrt(1.0 - q ** (2 * (p * l + s + r)))
-                    mat[idx(z, p + 1), idx(z, p)] = coeff
-            elif gen == "beta":
-                if z + 1 <= n_z:
-                    mat[idx(z + 1, p), idx(z, p)] = q ** (l * p + s - 1)
-            else:
-                raise ValueError(f"gen must be 'alpha_l' or 'beta', got {gen!r}")
+    if gen == "alpha_l":
+        mat = np.kron(np.eye(zs), np.diag(alpha_w, -1))
+    elif gen == "beta":
+        mat = np.kron(np.eye(zs, k=-1), np.diag(beta_w))
+    else:
+        raise ValueError(f"gen must be 'alpha_l' or 'beta', got {gen!r}")
     basis = tuple((z, p) for z in range(-n_z, n_z + 1) for p in range(N))
-    return TruncatedOperator(basis, mat)
+    return TruncatedOperator(basis, mat.astype(complex))
 
 
 def lens_commutation_residual(l: int, s: int, n_z: int, N: int, ctx: QContext) -> float:
-    """beta alpha^l = q^l alpha^l beta on the interior of the window."""
-    al = lens_rep(l, s, "alpha_l", n_z, N, ctx).matrix
-    be = lens_rep(l, s, "beta", n_z, N, ctx).matrix
-    diff = be @ al - ctx.q**l * al @ be
-    # interior columns: images of both orders stay inside the window
-    keep = []
-    for z in range(-n_z, n_z + 1):
-        for p in range(N):
-            if z + 1 <= n_z and p + 1 < N:
-                keep.append((z + n_z) * N + p)
-    return float(np.abs(diff[:, keep]).max())
+    """beta alpha^l = q^l alpha^l beta on the interior of the window, where
+    both sides send e_z ⊗ e_p to a multiple of e_{z+1} ⊗ e_{p+1} that does
+    not depend on z."""
+    _check_lens_args(l, s, n_z, N)
+    _, beta_w, alpha_w = _copy_coefficients(l, s, N, ctx.q, range(1, l + 1))
+    return float(np.abs(beta_w[1:] * alpha_w - ctx.q**l * alpha_w * beta_w[:-1]).max())
 
 
 # ---------------------------------------------------------------------------

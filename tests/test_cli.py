@@ -141,8 +141,7 @@ def cli_argv(draw):
     elif command == "ktheory":
         flags.append("--j")
     elif command == "verify":
-        argv += ["--suite", draw(st.sampled_from(["su2q-relations", "haar", "chirality",
-                                                  "fredholm"]))]
+        argv += ["--suite", draw(st.sampled_from(SUITES))]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
         argv += [flag, draw(st.sampled_from(EDGE_VALUES))]
     return argv + draw(st.sampled_from([[], ["--format", "json"]]))
@@ -200,6 +199,17 @@ def test_verify_teardrop_suite(capsys):
     )
     report = json.loads(out)
     assert code == 0 and report["pass"] is True
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_verify_teardrop_overflow_is_a_verification_failure(capsys):
+    # the right-hand sides overflow at large l for this q; that is a failed
+    # check with its report, not a usage error
+    code, out, err = run_cli(capsys, ["verify", "--suite", "teardrop", "--q", "0.9", "--l", "300",
+                                      "--N", "4"])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    assert "error:" not in err and "Traceback" not in err
 
 
 def test_verify_unknown_suite_is_usage_error():

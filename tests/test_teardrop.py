@@ -1,10 +1,13 @@
 """Teardrop operator models, lens space, block patterns, projection classes."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from qwps import teardrop
+from qwps.operators import operator_norm
 from qwps.qcore import QContext
 from qwps.teardrop import (
     KTHEORY_GUARD,
@@ -21,6 +24,128 @@ from qwps.teardrop import (
 )
 
 CTX = QContext(0.5, 1e-9)
+ORACLE_Q = [0.3, 0.5, 0.8, 0.9]
+
+
+# ---------------------------------------------------------------------------
+# dense references: the scalar loops and N x N products the entrywise
+# evaluation replaced, kept to compare against bitwise
+
+
+def reference_bstar_coeff(l, s, p, q):
+    prod = 1.0
+    for r in range(1, l + 1):
+        prod *= math.sqrt(1.0 - q ** (2 * (l * p + s - r)))
+    return q ** (l * p + s - 1) * prod
+
+
+def reference_wp_rep(l, s, gen, N, q):
+    mat = np.zeros((N, N), dtype=complex)
+    if gen == "a":
+        for p in range(N):
+            mat[p, p] = q ** (2 * (l * p + s - 1))
+    elif gen == "bstar":
+        for p in range(1, N):
+            mat[p - 1, p] = reference_bstar_coeff(l, s, p, q)
+    else:
+        for p in range(1, N):
+            mat[p, p - 1] = reference_bstar_coeff(l, s, p, q)
+    return mat
+
+
+def reference_wp_relation_residuals(l, N, q):
+    q_inv_2l = q ** (-2 * l)
+    out = {}
+    for s in range(1, l + 1):
+        a, b, bs = (reference_wp_rep(l, s, gen, N, q) for gen in ("a", "b", "bstar"))
+        eye = np.eye(N)
+
+        def poly(factors):
+            outm = eye.copy()
+            for c in factors:
+                outm = outm @ (eye + c * a)
+            return outm
+
+        rhs_bsb = q ** (2 * l) * a @ poly([-(q ** (2 * (mm + 1))) for mm in range(l)])
+        rhs_bbs = a @ poly([-(q ** (-2 * (mm - 1))) for mm in range(1, l + 1)])
+        out[f"s={s}"] = {
+            "a_selfadjoint": float(np.abs(a - a.conj().T).max()),
+            "a_bstar": operator_norm(a @ bs - q_inv_2l * bs @ a),
+            "bstar_b_interior": operator_norm((bs @ b - rhs_bsb)[:, : N - 1]),
+            "b_bstar": operator_norm(b @ bs - rhs_bbs),
+        }
+    out["max"] = max(v for d in out.values() for v in d.values())
+    return out
+
+
+def reference_lens_rep(l, s, gen, n_z, N, q):
+    def idx(z, p):
+        return (z + n_z) * N + p
+
+    mat = np.zeros(((2 * n_z + 1) * N,) * 2, dtype=complex)
+    for z in range(-n_z, n_z + 1):
+        for p in range(N):
+            if gen == "alpha_l" and p + 1 < N:
+                coeff = 1.0
+                for r in range(l):
+                    coeff *= math.sqrt(1.0 - q ** (2 * (p * l + s + r)))
+                mat[idx(z, p + 1), idx(z, p)] = coeff
+            elif gen == "beta" and z + 1 <= n_z:
+                mat[idx(z + 1, p), idx(z, p)] = q ** (l * p + s - 1)
+    return mat
+
+
+def reference_lens_commutation_residual(l, s, n_z, N, q):
+    al = reference_lens_rep(l, s, "alpha_l", n_z, N, q)
+    be = reference_lens_rep(l, s, "beta", n_z, N, q)
+    diff = be @ al - q**l * al @ be
+    keep = [
+        (z + n_z) * N + p
+        for z in range(-n_z, n_z + 1)
+        for p in range(N)
+        if z + 1 <= n_z and p + 1 < N
+    ]
+    return float(np.abs(diff[:, keep]).max())
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_wp_relations_match_dense_reference_bitwise(q):
+    ctx = QContext(q, 1e-9)
+    for l in (1, 2, 3, 4, 7):
+        for N in (2, 8, 32, 64):
+            got = wp_relation_residuals(l, N, ctx)
+            want = reference_wp_relation_residuals(l, N, q)
+            assert list(got) == list(want)
+            for key in want:
+                assert got[key] == want[key], (l, N, key)
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_wp_rep_matches_scalar_reference_bitwise(q):
+    ctx = QContext(q, 1e-9)
+    for l in (1, 2, 3, 4, 7):
+        for N in (2, 8, 32, 64):
+            for s in range(1, l + 1):
+                for gen in ("a", "b", "bstar"):
+                    got = wp_rep(l, 0, s, gen, N, ctx)
+                    assert got.basis == tuple((s, p) for p in range(N))
+                    want = reference_wp_rep(l, s, gen, N, q)
+                    assert got.matrix.dtype == want.dtype
+                    assert np.array_equal(got.matrix, want), (l, N, s, gen)
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_lens_matches_dense_reference_bitwise(q):
+    ctx = QContext(q, 1e-9)
+    for l in (1, 2, 3, 4):
+        for s in range(1, l + 1):
+            for N, n_z in ((2, 3), (5, 3), (10, 5)):
+                got = lens_commutation_residual(l, s, n_z, N, ctx)
+                assert got == reference_lens_commutation_residual(l, s, n_z, N, q), (l, s, N)
+                for gen in ("alpha_l", "beta"):
+                    mat = lens_rep(l, s, gen, n_z, N, ctx).matrix
+                    assert mat.dtype == complex
+                    assert np.array_equal(mat, reference_lens_rep(l, s, gen, n_z, N, q))
 
 
 def test_wp_rep_diagonal():
@@ -59,6 +184,28 @@ def test_wp_rep_argument_validation():
 def test_wp_relations_on_interior(l):
     res = wp_relation_residuals(l, 64, CTX)
     assert res["max"] < CTX.tol
+
+
+def test_wp_relations_at_the_guards_accepted_edge():
+    # the largest l at N = 64 and the largest N at l = 1 that the cost guard accepts
+    for l, N in [(347, 64), (1, 2000)]:
+        assert wp_relation_residuals(l, N, CTX)["max"] < CTX.tol
+
+
+def test_wp_relation_report_max_propagates_nan(monkeypatch):
+    # Python's max drops a NaN that follows a finite value; the report must not
+    coefficients = teardrop._wp_coefficients
+
+    def nan_in_second_copy(l, s, N, q):
+        a, c = coefficients(l, s, N, q)
+        c[1, 0] = math.nan
+        return a, c
+
+    monkeypatch.setattr(teardrop, "_wp_coefficients", nan_in_second_copy)
+    res = wp_relation_residuals(2, 8, CTX)
+    assert not math.isnan(res["s=1"]["a_bstar"])
+    assert math.isnan(res["s=2"]["a_bstar"])
+    assert math.isnan(res["max"])
 
 
 def test_wp_relation_guards():
@@ -139,6 +286,10 @@ def test_lens_rep_alpha_keeps_z():
 def test_lens_rep_window_guard():
     with pytest.raises(ValueError):
         lens_rep(1, 1, "beta", 2, 6, CTX)
+    with pytest.raises(ValueError):
+        lens_commutation_residual(1, 1, 2, 6, CTX)
+    with pytest.raises(ValueError):
+        lens_rep(1, 1, "gamma", 3, 6, CTX)
 
 
 @pytest.mark.parametrize("l,s", [(1, 1), (2, 1), (2, 2), (3, 3)])

@@ -3,12 +3,13 @@ weighted projective spaces.
 
 Modules
 -------
-qcore     exact half-integer weights, q-integers, ladder-form irreducibles
+exact     half-integer weights, dimensions, spectra, K-theory classes (no numpy)
+qcore     q-integers, ladder-form irreducibles
 cg        orthogonal q-Clebsch-Gordan block matrices with a cache
 coord     the coordinate algebra: product, star, pairing, actions, Haar state
-coaction  circle grading, the degree-zero subalgebra and its dimensions
-dirac     spinor bases, odd and even spectral triples, summability, commutators
-teardrop  weight-(1, l) operator models and K-theory projection classes
+coaction  circle grading and the degree-zero subalgebra
+dirac     spinor bases, odd and even spectral triples, commutators
+teardrop  weight-(1, l) operator models and K-theory projection matrices
 cli       command line front end (spectrum, dims, verify, summability, ktheory)
 
 The package itself holds only ``__version__``; import names from the modules.

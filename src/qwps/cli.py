@@ -5,6 +5,9 @@ Subcommands: spectrum, dims, verify, summability, ktheory.  Configuration
 precedence is flags > config file (flat key=value lines) > defaults; every
 command is deterministic given its configuration.  Exit codes: 0 success,
 1 verification failure, 2 usage error.
+
+Only :mod:`qwps.exact` is imported up front, so the counting commands and
+usage errors run without numpy; verify imports the numeric modules.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from . import coaction, coord, dirac, teardrop
-from .coaction import WeightPair
-from .qcore import QContext, hi
+from . import exact
+from .exact import QContext, WeightPair, hi
 
 __all__ = ["RunConfig", "main"]
 
@@ -164,16 +166,16 @@ def _rows_to_csv(header, rows) -> str:
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
     wp = cfg.weight_pair()
     if args.triple == "odd":
-        table = dirac.odd_triple_spectrum(wp, hi(cfg.jmax))
+        table = exact.odd_triple_spectrum(wp, hi(cfg.jmax))
     else:
-        table = dirac.even_triple_spectrum(wp, hi(cfg.lmax))
+        table = exact.even_triple_spectrum(wp, hi(cfg.lmax))
     _emit(table.to_csv_text() if cfg.format == "csv" else table.to_json_text() + "\n", cfg)
     return 0
 
 
 def _cmd_dims(args, cfg: RunConfig) -> int:
     wp = cfg.weight_pair()
-    rows = coaction.dim_table(wp, hi(cfg.jmax))
+    rows = exact.dim_table(wp, hi(cfg.jmax))
     header = ("family", "index", "closed_form", "oracle", "match")
     if cfg.format == "csv":
         _emit(_rows_to_csv(header, rows), cfg)
@@ -183,6 +185,7 @@ def _cmd_dims(args, cfg: RunConfig) -> int:
 
 
 def _run_suite(suite: str, cfg: RunConfig) -> dict:
+    from . import coaction, coord, dirac, teardrop
     ctx = cfg.context()
     wp = cfg.weight_pair()
     if suite == "su2q-relations":
@@ -222,6 +225,7 @@ def _run_suite(suite: str, cfg: RunConfig) -> dict:
 
 def _dump_elements(suite: str, cfg: RunConfig, path: str) -> None:
     """Golden-file hook: serialize the elements a suite is built from."""
+    from . import coaction, coord
     ctx = cfg.context()
     if suite == "wp-relations":
         a, b = coaction.wp_gens(cfg.weight_pair(), ctx)
@@ -255,8 +259,8 @@ def _cmd_summability(args, cfg: RunConfig) -> int:
     rows = []
     prev = None
     for n_val in n_values:
-        sigma = dirac.summability_partial_sum(wp, n_val, args.triple)
-        sigma3 = dirac.summability_partial_sum(wp, n_val, args.triple, exponent=3)
+        sigma = exact.summability_partial_sum(wp, n_val, args.triple)
+        sigma3 = exact.summability_partial_sum(wp, n_val, args.triple, exponent=3)
         if prev is None:
             ratio = float("nan")
         else:
@@ -280,7 +284,7 @@ def _cmd_summability(args, cfg: RunConfig) -> int:
 
 
 def _cmd_ktheory(args, cfg: RunConfig) -> int:
-    cls = teardrop.ktheory_class(cfg.l, cfg.n, args.j)
+    cls = exact.ktheory_class(cfg.l, cfg.n, args.j)
     _emit(json.dumps(cls.to_dict(), indent=2, ensure_ascii=False) + "\n", cfg)
     return 0
 

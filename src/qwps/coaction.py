@@ -7,23 +7,23 @@ The coaction by the circle algebra is equivalent to the integer grading
 so the generators satisfy deg(alpha) = -k and deg(beta) = l.  The degree-zero
 subalgebra is the quantum weighted projective algebra; it is generated by
 a = beta beta* and b = beta^k alpha^l, and this module verifies its defining
-relations inside the coordinate algebra, enumerates its orthogonal basis, and
-evaluates the eigenspace dimension formulas against brute-force counting
-oracles.  The coinvariant spinors are the ambient spinor labels that
+relations inside the coordinate algebra and enumerates its orthogonal basis.
+The eigenspace dimension formulas and their counting oracles live in
+:mod:`qwps.exact`.  The coinvariant spinors are the ambient spinor labels that
 :func:`qwps.dirac.coinvariant_spinor_basis` lists with the same p-window.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import reduce
 
 from .coord import AlgebraElement, BasisIndex, gens, multiply, star, unit
-from .qcore import HalfInt, QContext, hi
+from .exact import QContext, WeightPair, _p_window, hi
+# bench/ reads the five dimension functions under this module's name
+from .exact import dim_V, dim_V_down, dim_V_oracle  # noqa: F401
+from .exact import dim_V_down_oracle, dim_V_up_oracle  # noqa: F401
 
 __all__ = [
-    "WeightPair",
     "degree",
     "project_degree",
     "wp_gens",
@@ -31,36 +31,10 @@ __all__ = [
     "uq_degree",
     "spinor_degree",
     "coinvariant_coord_basis",
-    "dim_V_down",
-    "dim_V_down_doubled",
-    "dim_V_down_oracle",
-    "dim_V_up_oracle",
-    "dim_V",
-    "dim_V_doubled",
-    "dim_V_oracle",
-    "dim_table",
 ]
 
 # beta^k alpha^l blows up combinatorially; verify_wp_relations refuses beyond this
 WP_RELATION_GUARD = 8
-
-
-@dataclass(frozen=True)
-class WeightPair:
-    """Coprime positive integers (k, l) selecting the circle coaction."""
-
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.l < 1:
-            raise ValueError(f"k, l must be positive, got ({self.k}, {self.l})")
-        if math.gcd(self.k, self.l) != 1:
-            raise ValueError(f"k = {self.k} and l = {self.l} are not coprime")
-
-    @property
-    def s(self) -> int:
-        return self.k + self.l
 
 
 def degree(wp: WeightPair, idx: BasisIndex) -> int:
@@ -158,12 +132,6 @@ def spinor_degree(wp: WeightPair, i: int, sign: str) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _p_window(wp: WeightPair, lo: int, hi: int, t: int) -> list[int]:
-    """Doubled p, ascending, with lo <= 2p(l+k) <= hi and 2p(l+k) = t mod 2."""
-    s = wp.s
-    return [tp for tp in range(-(-lo // s), hi // s + 1) if (tp * s - t) % 2 == 0]
-
-
 def coinvariant_coord_basis(wp: WeightPair, lam_max) -> list[BasisIndex]:
     """Degree-0 basis: indices (lam, p(l+k), p(l-k)) over half-integer p.
 
@@ -175,98 +143,3 @@ def coinvariant_coord_basis(wp: WeightPair, lam_max) -> list[BasisIndex]:
         for tl in range(0, lam_max.twice + 1)
         for tp in _p_window(wp, -tl, tl, tl)
     ]
-
-
-# ---------------------------------------------------------------------------
-# eigenspace dimensions: closed forms and enumeration oracles
-
-
-def dim_V_down(wp: WeightPair, j) -> int:
-    """Closed-form dimension of the level-j down space of coinvariant spinors;
-    :func:`dim_V_down_doubled` at 2j."""
-    return dim_V_down_doubled(wp, hi(j).twice)
-
-
-def dim_V_down_doubled(wp: WeightPair, t: int) -> int:
-    """dim V^down_j at j = t/2, in integer arithmetic on the doubled index t."""
-    if t < 0:
-        raise ValueError(f"j must be >= 0, got {HalfInt(t)}")
-    s = wp.s
-    if t == 0:
-        return 0
-    if s % 2 == 0:
-        if t % 2:
-            return 0
-        jj, h = t // 2, s // 2
-        return jj // h + (jj - 1) // h + 1
-    if t % 2 == 0:
-        jj = t // 2
-        return jj // s + (jj - 1) // s + 1
-    # half-odd j: [j/s + 1/2] + [(j-1)/s + 1/2] in exact integer arithmetic
-    return (t + s) // (2 * s) + (t - 2 + s) // (2 * s)
-
-
-def dim_V_down_oracle(wp: WeightPair, j) -> int:
-    """Count half-integers p with p(l+k) in {-j+1, ..., j}."""
-    t = hi(j).twice
-    return len(_p_window(wp, -t + 2, t, t))
-
-
-def dim_V_up_oracle(wp: WeightPair, j) -> int:
-    """Count half-integers p with p(l+k) in {-j, ..., j+1}."""
-    t = hi(j).twice
-    return len(_p_window(wp, -t, t + 2, t))
-
-
-def dim_V(wp: WeightPair, lam) -> int:
-    """Closed-form dimension of the degree-0 subspace at highest weight lam;
-    :func:`dim_V_doubled` at 2 lam."""
-    return dim_V_doubled(wp, hi(lam).twice)
-
-
-def dim_V_doubled(wp: WeightPair, t: int) -> int:
-    """dim V_lam at lam = t/2, in integer arithmetic on the doubled index t."""
-    if t < 0:
-        raise ValueError(f"lam must be >= 0, got {HalfInt(t)}")
-    s = wp.s
-    if s % 2 == 0:
-        if t % 2:
-            return 0
-        return 2 * ((t // 2) // (s // 2)) + 1
-    if t % 2 == 0:
-        return 2 * ((t // 2) // s) + 1
-    return 2 * ((t + s) // (2 * s))
-
-
-def dim_V_oracle(wp: WeightPair, lam) -> int:
-    """Count half-integers p with p(l+k) in {-lam, ..., lam}."""
-    t = hi(lam).twice
-    return len(_p_window(wp, -t, t, t))
-
-
-def dim_table(wp: WeightPair, index_max) -> list[dict]:
-    """Rows (family, index, closed_form, oracle, match) for both dimension formulas.
-
-    Half-integer rows appear only when k+l is odd; for even k+l those spaces
-    vanish identically and the rows are omitted.
-    """
-    index_max = hi(index_max)
-    step = 2 if wp.s % 2 == 0 else 1
-    rows = []
-    for family, closed_form, oracle in (
-        ("V_down", dim_V_down, dim_V_down_oracle),
-        ("V", dim_V, dim_V_oracle),
-    ):
-        for t in range(0, index_max.twice + 1, step):
-            x = HalfInt(t)
-            closed, counted = closed_form(wp, x), oracle(wp, x)
-            rows.append(
-                {
-                    "family": family,
-                    "index": x.float,
-                    "closed_form": closed,
-                    "oracle": counted,
-                    "match": closed == counted,
-                }
-            )
-    return rows

@@ -9,7 +9,8 @@ Two constructions are assembled and verified on finite truncations:
   self-adjoint swap operator of eigenvalues ±(lam+1), the chirality grading
   and the (degenerate) Fredholm swap.
 
-The module also carries the ambient quantum SU(2) ingredients these are cut
+Their spectra and summability sums are counted in :mod:`qwps.exact`; the
+module also carries the ambient quantum SU(2) ingredients these are cut
 from: the orthonormal spinor basis built from the coupling coefficients
 C_{j mu}, S_{j mu}, the classical Dirac spectrum with its multiplicities,
 the block-operator identity expressing q^{-D} through the right regular
@@ -20,7 +21,6 @@ triple's pi(a), pi(b) and the commutator evidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,24 +28,21 @@ import numpy as np
 
 from . import coord
 from .cg import cg_block, cg_coeff_updown
-from .coaction import WeightPair, _p_window, coinvariant_coord_basis, dim_V_doubled
-from .coaction import dim_V_down_doubled, wp_gens
+from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex, right_act
+from .exact import HalfInt, QContext, SpectrumTable, WeightPair, _p_window, hi
+from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import operator_norm
-from .qcore import HalfInt, QContext, hi, q_int, weight_range
+from .qcore import q_int, weight_range
 
 __all__ = [
     "SpinorBasisIndex",
     "Spinor",
-    "SpectrumTable",
     "spinor_basis",
     "coinvariant_spinor_basis",
     "spinor_vector",
     "ambient_dirac_spectrum",
     "q_dirac_check",
-    "odd_triple_spectrum",
-    "even_triple_spectrum",
-    "summability_partial_sum",
     "commutator_norm",
     "even_triple_operators",
     "chirality_checks",
@@ -110,51 +107,6 @@ class Spinor:
 
     def norm_inf(self) -> float:
         return max(self.minus.norm_inf(), self.plus.norm_inf())
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Eigenvalue/multiplicity rows, strictly increasing, zero rows omitted."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        prev = None
-        for ev, mult in self.rows:
-            if mult <= 0:
-                raise ValueError(f"multiplicity must be positive, got {mult} at {ev}")
-            if prev is not None and ev <= prev:
-                raise ValueError("eigenvalues must be strictly increasing")
-            prev = ev
-
-    @staticmethod
-    def from_pairs(pairs) -> "SpectrumTable":
-        merged: dict[float, int] = {}
-        for ev, mult in pairs:
-            if mult:
-                merged[ev] = merged.get(ev, 0) + mult
-        return SpectrumTable(tuple(sorted(merged.items())))
-
-    def multiplicity(self, eigenvalue: float) -> int:
-        for ev, mult in self.rows:
-            if ev == eigenvalue:
-                return mult
-        return 0
-
-    def total(self) -> int:
-        return sum(mult for _, mult in self.rows)
-
-    def to_csv_text(self) -> str:
-        lines = ["eigenvalue,multiplicity"]
-        for ev, mult in self.rows:
-            lines.append(f"{ev:.17g},{mult}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        return json.dumps(
-            [{"eigenvalue": ev, "multiplicity": mult} for ev, mult in self.rows],
-            indent=2,
-        )
 
 
 def spinor_basis(j_max) -> list[SpinorBasisIndex]:
@@ -279,48 +231,6 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
         resid = (Spinor(out_minus, out_plus) - expected * v).norm_inf()
         worst = max(worst, resid / (ev_max * v.norm_inf()))
     return worst
-
-
-def _shells(wp: WeightPair, triple: str, cap):
-    """(|eigenvalue|, multiplicity) of every shell with index <= cap: 2(j+1)
-    with dim V^down_{j+1} for the odd triple, lam+1 with dim V_lam for the even."""
-    ts = range(hi(cap).twice + 1)
-    if triple == "odd":
-        return zip([t + 2.0 for t in ts], [dim_V_down_doubled(wp, t + 2) for t in ts])
-    if triple == "even":
-        return zip([t / 2.0 + 1 for t in ts], [dim_V_doubled(wp, t) for t in ts])
-    raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
-
-
-def _spectrum(wp: WeightPair, triple: str, cap) -> SpectrumTable:
-    pairs = [(sign * ev, mult) for ev, mult in _shells(wp, triple, cap) for sign in (1, -1)]
-    return SpectrumTable.from_pairs(pairs)
-
-
-def odd_triple_spectrum(wp: WeightPair, j_max) -> SpectrumTable:
-    """Shifted coinvariant Dirac spectrum: ±2(j+1), each with multiplicity
-    dim V^down_{j+1} (equal to the up dimension at level j)."""
-    return _spectrum(wp, "odd", j_max)
-
-
-def even_triple_spectrum(wp: WeightPair, lam_max) -> SpectrumTable:
-    """Even-triple spectrum: ±(lam+1) with multiplicity dim V_lam."""
-    return _spectrum(wp, "even", lam_max)
-
-
-def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -> float:
-    """Partial trace sum(mult * |eigenvalue|^-exponent) over shells with index <= N.
-
-    With exponent 2 the sum diverges logarithmically in N for both triples
-    (the dimension is exactly 2); with exponent 3 it converges.
-    """
-    if hi(N).twice < 2:
-        raise ValueError(f"N must be >= 1, got {N}")
-    total = 0.0
-    for ev, mult in _shells(wp, triple, N):
-        if mult:
-            total += 2.0 * mult * ev ** (-exponent)
-    return total
 
 
 # ---------------------------------------------------------------------------

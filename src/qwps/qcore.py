@@ -1,9 +1,9 @@
 """q-arithmetic and the finite dimensional representation theory of U_q(su2).
 
 Weights live in (1/2)Z and are kept exact by storing twice their value as an
-integer (:class:`HalfInt`).  The deformation parameter q and the numeric
-tolerance travel together in a :class:`QContext`; every module downstream
-takes its q from there.
+integer (:class:`~qwps.exact.HalfInt`).  The deformation parameter q and the
+numeric tolerance travel together in a :class:`~qwps.exact.QContext`; every
+module downstream takes its q from there.
 
 The irreducible module of highest weight lam has the ordered weight basis
 u_{lam,-lam}, ..., u_{lam,lam} and the generators act in ladder form
@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
+from .exact import HalfInt, QContext, hi
+
 __all__ = [
-    "HalfInt",
-    "QContext",
-    "hi",
     "LETTERS",
     "q_int",
     "q_sqrt_int",
@@ -43,139 +40,6 @@ __all__ = [
 ]
 
 LETTERS = ("e", "f", "k", "kinv")
-
-
-@dataclass(frozen=True)
-class HalfInt:
-    """Exact half-integer, stored as twice its value.
-
-    All weight bookkeeping (lambda, m, n, j, mu, p) goes through this type so
-    that basis indexing never suffers floating point drift.
-    """
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError(f"twice must be int, got {type(self.twice).__name__}")
-
-    @staticmethod
-    def of(value: Union["HalfInt", int, float]) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2 whose double is finite, or a HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        doubled = 2 * value
-        if not math.isfinite(doubled):
-            raise ValueError(f"{value!r} is out of range: twice it is not finite")
-        if doubled != int(doubled):
-            raise ValueError(f"{value!r} is not a half-integer")
-        return HalfInt(int(doubled))
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    @property
-    def float(self) -> float:
-        return self.twice / 2.0
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def as_int(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def _coerce(self, other) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, int):
-            return HalfInt(2 * other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(self.twice + o.twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(self.twice - o.twice)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(o.twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice < o.twice
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice <= o.twice
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice > o.twice
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice >= o.twice
-
-    def __eq__(self, other):
-        if isinstance(other, (HalfInt, int)):
-            return self.twice == self._coerce(other).twice
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.twice)
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self):
-        return f"HalfInt({self.twice})"
-
-
-def hi(value) -> HalfInt:
-    """Shorthand for :meth:`HalfInt.of`."""
-    return HalfInt.of(value)
-
-
-@dataclass(frozen=True)
-class QContext:
-    """Deformation parameter q in (0, 1) plus the numeric tolerance tol in (0, 1).
-
-    A single context is the source of q for every module; immutable, safe to
-    share across threads.  tol only sets the pass/fail thresholds of the
-    checks: no computed number depends on it, and nothing is pruned by it.
-    """
-
-    q: float = 0.5
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        # a threshold >= 1 passes residuals as large as the unit-size quantities
-        # the checks compare, so a suite would pass vacuously
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must be finite and lie in (0, 1), got {self.tol}")
 
 
 def q_int(n, ctx: QContext) -> float:

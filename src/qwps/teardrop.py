@@ -19,28 +19,25 @@ X_m (spanned by e_{m+p} ⊗ e_p^s) recovers the closed forms above
 independently of m, degree-nl elements move X_m to X_{m+n}, and products
 drawn from alpha*^j times the degree-nl component exhibit the shift-power
 block pattern whose limit classes are the finite-rank/cofinite projections
-encoded by :class:`ProjectionClass`.
+encoded by :class:`~qwps.exact.ProjectionClass`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import QContext
 from .operators import TruncatedOperator
-from .qcore import QContext
 
 __all__ = [
-    "ProjectionClass",
     "wp_rep",
     "wp_rep_via_ambient",
     "wp_relation_residuals",
     "lens_rep",
     "lens_commutation_residual",
     "block_structure_evidence",
-    "ktheory_class",
     "projection_matrix",
 ]
 
@@ -49,8 +46,6 @@ __all__ = [
 # edge l = 986, N = 32, 79 ms at l = 500, N = 32 (15.7 s dense), 74 ms at l = 347,
 # N = 64 and 1 ms at l = 1, N = 2,000 (medians of 7, 2 cores)
 RELATION_WORK_GUARD = 32_000_000_000
-# ktheory_class lists l ranks: 1.5 s and 161 MB at l = 1e6, 13 s and 1.3 GB at 1e7
-KTHEORY_GUARD = 1_000_000
 
 
 def _check_wp_args(l, s, N):
@@ -180,11 +175,13 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
     a, c = _wp_coefficients(l, np.arange(1, l + 1)[:, None], N, q)
 
     def rhs(scale, factors):
-        """(scale a) prod (1 + f a) over factors, the right-hand sides' diagonals."""
+        """(scale a) prod (1 + f a) over factors, the right-hand sides' diagonals;
+        one that overflows reads inf, and its residual fails the report."""
         prod = np.ones_like(a)
-        for f in factors:
-            prod *= 1.0 + f * a
-        return scale * a * prod
+        with np.errstate(over="ignore"):
+            for f in factors:
+                prod *= 1.0 + f * a
+            return scale * a * prod
 
     bb = c * c  # b* b on e_0 .. e_{N-2}, and b b* on e_1 .. e_{N-1}
     rhs_bsb = rhs(q ** (2 * l), [-(q ** (2 * m)) for m in range(1, l + 1)])
@@ -332,75 +329,7 @@ def _shift_plus_compact(block: np.ndarray, power: int, q: float, N: int) -> dict
 
 
 # ---------------------------------------------------------------------------
-# K-theory projection classes
-
-
-@dataclass(frozen=True)
-class ProjectionClass:
-    """Symbolic projection data of the module class of a homogeneous component.
-
-    free_rank counts identity summands; when complemented, the projection is
-    one minus the listed finite-rank parts.  ranks[s-1] is the P index on
-    copy s (an index <= 0 denotes the zero projection).
-    """
-
-    l: int
-    n: int
-    j: int
-    free_rank: int
-    complemented: bool
-    ranks: tuple
-
-    def tokens(self) -> str:
-        """Literal projection expression with the stated parameters."""
-        l, n, j = self.l, self.n, self.j
-        sub = lambda v: str(v) if v >= 0 else f"{{{v}}}"  # noqa: E731
-        if j == 0:
-            body = f"(⊕_{{s=1}}^{{{l}}} P_{sub(n)})"
-            return f"I_1 ⊕ {body}" if n >= 0 else f"1 - {body}"
-        left = f"(⊕_{{s=1}}^{{{l - j}}} P_{sub(n)})"
-        right = f"(⊕_{{s={l - j + 1}}}^{{{l}}} P_{sub(n + 1)})"
-        if n >= 0:
-            return f"I_1 ⊕ {left} ⊕ {right}"
-        return f"1 - {left} ⊕ {right}"
-
-    def reduced(self) -> str:
-        """Canonical rendering with zero projections (index <= 0) dropped."""
-        parts = [f"P_{r}" for r in self.ranks if r > 0]
-        if self.complemented:
-            return "1 - (" + " ⊕ ".join(parts) + ")" if parts else "1"
-        head = ["I_1"] if self.free_rank else []
-        return " ⊕ ".join(head + parts) if head + parts else "0"
-
-    def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "n": self.n,
-            "j": self.j,
-            "free_rank": self.free_rank,
-            "complemented": self.complemented,
-            "ranks": list(self.ranks),
-            "tokens": self.tokens(),
-            "reduced": self.reduced(),
-        }
-
-
-def ktheory_class(l: int, n: int, j: int) -> ProjectionClass:
-    """Projection class of the homogeneous component of order nl + j.
-
-    j = 0 gives the line-bundle classes; 1 <= j <= l-1 the mixed classes
-    with l-j copies of P_n and j copies of P_{n+1}.
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if l > KTHEORY_GUARD:
-        raise ValueError(f"l = {l} exceeds the cost guard {KTHEORY_GUARD}")
-    if not (0 <= j <= l - 1):
-        raise ValueError(f"need 0 <= j <= l-1, got j = {j}")
-    ranks = tuple([n] * (l - j) + [n + 1] * j)
-    if n >= 0:
-        return ProjectionClass(l, n, j, free_rank=1, complemented=False, ranks=ranks)
-    return ProjectionClass(l, n, j, free_rank=0, complemented=True, ranks=ranks)
+# K-theory projections as matrices; their classes are in qwps.exact
 
 
 def projection_matrix(rank: int, dim: int) -> np.ndarray:

@@ -9,9 +9,8 @@ import time
 
 import numpy as np
 
-from qwps import coaction, coord, dirac, teardrop
-from qwps.coaction import WeightPair
-from qwps.qcore import QContext, hi
+from qwps import coaction, coord, dirac, exact, teardrop
+from qwps.exact import QContext, WeightPair, hi
 
 DEFAULT_CTX = QContext(0.5, 1e-9)
 
@@ -78,9 +77,9 @@ def test_criterion_05_dimension_formulas():
         wp = WeightPair(k, l)
         for t in range(0, 51):  # half-integer steps up to 25
             x = hi(t / 2)
-            if coaction.dim_V_down(wp, x) != coaction.dim_V_down_oracle(wp, x):
+            if exact.dim_V_down(wp, x) != exact.dim_V_down_oracle(wp, x):
                 mismatches += 1
-            if coaction.dim_V(wp, x) != coaction.dim_V_oracle(wp, x):
+            if exact.dim_V(wp, x) != exact.dim_V_oracle(wp, x):
                 mismatches += 1
     report(
         5,
@@ -91,7 +90,7 @@ def test_criterion_05_dimension_formulas():
 
 
 def test_criterion_06_even_spectrum_unit_weights():
-    table = dirac.even_triple_spectrum(WeightPair(1, 1), hi(20))
+    table = exact.even_triple_spectrum(WeightPair(1, 1), hi(20))
     ok = True
     for tl in range(0, 41):
         expected = tl + 1 if tl % 2 == 0 else 0
@@ -104,16 +103,16 @@ def test_criterion_06_even_spectrum_unit_weights():
 def test_criterion_07_odd_pairing_and_reported_divergence():
     ok = True
     for wp in SUMMABILITY_WPS:
-        table = dirac.odd_triple_spectrum(wp, hi(20))
+        table = exact.odd_triple_spectrum(wp, hi(20))
         for ev, mult in table.rows:
             ok = ok and table.multiplicity(-ev) == mult
     # unit weights: multiplicity at ±2(j+1) is 2j+2 by enumeration
     wp11 = WeightPair(1, 1)
-    table = dirac.odd_triple_spectrum(wp11, hi(10))
+    table = exact.odd_triple_spectrum(wp11, hi(10))
     divergent = []
     for tj in range(0, 21, 2):
         mult = table.multiplicity(float(tj + 2))
-        oracle = coaction.dim_V_down_oracle(wp11, hi(tj / 2) + 1)
+        oracle = exact.dim_V_down_oracle(wp11, hi(tj / 2) + 1)
         ok = ok and mult == oracle == tj + 2
         divergent.append((tj // 2, mult))
     print(
@@ -137,10 +136,10 @@ def test_criterion_09_summability():
     details = []
     for wp in SUMMABILITY_WPS:
         for triple in ("odd", "even"):
-            s = {n: dirac.summability_partial_sum(wp, n, triple) for n in (512, 1024, 2048)}
+            s = {n: exact.summability_partial_sum(wp, n, triple) for n in (512, 1024, 2048)}
             d1, d2 = s[1024] - s[512], s[2048] - s[1024]
             ratio_ok = abs(d1 / d2 - 1.0) < 0.05
-            c = {n: dirac.summability_partial_sum(wp, n, triple, exponent=3)
+            c = {n: exact.summability_partial_sum(wp, n, triple, exponent=3)
                  for n in (512, 1024, 2048)}
             e1, e2 = c[1024] - c[512], c[2048] - c[1024]
             cube_ok = e2 < e1 and e2 < 0.01 * c[512]
@@ -213,7 +212,7 @@ def test_criterion_13_projection_class_tokens():
     }
     ok = True
     for (l, n, j), tokens in expected.items():
-        cls = teardrop.ktheory_class(l, n, j)
+        cls = exact.ktheory_class(l, n, j)
         ok = ok and cls.tokens() == tokens
     # matrix realizations of the finite-rank parts are exact projections
     for rank in (0, 1, 4):

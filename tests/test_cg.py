@@ -7,7 +7,8 @@ import pytest
 
 from qwps import cg
 from qwps.cg import cg_block, cg_coeff_updown, clear_cache, couple
-from qwps.qcore import QContext, coproduct_action, hi, irrep_matrix
+from qwps.exact import QContext, hi
+from qwps.qcore import coproduct_action, irrep_matrix
 
 Q_VALUES = (0.3, 0.5, 0.8)
 

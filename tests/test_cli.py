@@ -1,8 +1,10 @@
 """Command line interface: golden outputs, exit codes, config precedence."""
 
 import contextlib
+import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qwps
+from qwps import exact
 from qwps.cli import RunConfig, _run_suite, main
 
 README_COMMANDS = [
@@ -201,7 +204,6 @@ def test_verify_teardrop_suite(capsys):
     assert code == 0 and report["pass"] is True
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_teardrop_overflow_is_a_verification_failure(capsys):
     # the right-hand sides overflow at large l for this q; that is a failed
     # check with its report, not a usage error
@@ -245,9 +247,9 @@ def test_residuals_do_not_depend_on_tol(suite, q):
 
 
 def test_verify_dump_golden_elements(tmp_path, capsys):
-    from qwps.coaction import WeightPair, wp_gens
+    from qwps.coaction import wp_gens
     from qwps.coord import from_jsonl
-    from qwps.qcore import QContext
+    from qwps.exact import QContext, WeightPair
 
     target = tmp_path / "elements.jsonl"
     code, _, _ = run_cli(
@@ -396,7 +398,7 @@ def test_cli_commands_do_not_load_scipy(tmp_path):
                 code = qwps.cli.main(argv.split())
             assert code == 0, (argv, code)
             assert "scipy" not in sys.modules, argv
-        from qwps.qcore import QContext
+        from qwps.exact import QContext
         from qwps.teardrop import block_structure_evidence, wp_rep_via_ambient
         ctx = QContext(0.5, 1e-9)
         wp_rep_via_ambient(2, 1, 1, "b", 8, ctx)
@@ -406,6 +408,80 @@ def test_cli_commands_do_not_load_scipy(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_counting_commands_and_usage_errors_do_not_load_numpy(tmp_path):
+    # only verify needs arrays; the rest counts with qwps.exact
+    expected = [
+        ("spectrum --triple odd", 0),
+        ("spectrum --triple odd --format json", 0),
+        ("spectrum --triple even", 0),
+        ("spectrum --triple even --format json", 0),
+        ("dims", 0),
+        ("summability", 0),
+        ("ktheory", 0),
+        ("--help", 0),
+        ("spectrum --triple even --q 1.5", 2),
+        ("summability --nlist 2,2", 2),
+        ("spectrum --triple odd --jmax -1", 2),
+        ("ktheory --l 2000000000 --n 1 --j 1", 2),
+    ]
+    proc = run_fresh(
+        f"""
+        import contextlib, io, sys
+        import qwps.cli
+        assert "numpy" not in sys.modules, "import"
+        for argv, want in {expected!r}:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = qwps.cli.main(argv.split())
+                except SystemExit as exc:
+                    code = exc.code
+            assert code == want, (argv, code)
+            assert "numpy" not in sys.modules, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert qwps.cli.main(["verify", "--suite", "su2q-relations"]) == 0
+        assert "numpy" in sys.modules, "verify"
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_import_loads_neither_numpy_nor_scipy(tmp_path):
+    proc = run_fresh(
+        """
+        import sys
+        import qwps.exact
+        assert "numpy" not in sys.modules and "scipy" not in sys.modules
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# the names the benchmark reads from the numeric modules, defined in qwps.exact
+OLD_HOMES = {
+    "qcore": ["HalfInt", "QContext", "hi"],
+    "coaction": ["WeightPair", "dim_V_down", "dim_V", "dim_V_down_oracle", "dim_V_up_oracle",
+                 "dim_V_oracle"],
+    "dirac": ["summability_partial_sum"],
+    "teardrop": [],
+    "cli": [],
+}
+
+
+@pytest.mark.parametrize("module", sorted(OLD_HOMES))
+def test_exact_names_have_one_definition(module):
+    mod = importlib.import_module(f"qwps.{module}")
+    for name in OLD_HOMES[module]:
+        assert getattr(mod, name) is getattr(exact, name), name
+    # no other module keeps a second copy of anything the exact layer defines
+    moved = [*exact.__all__, "_p_window", "_shells", "_spectrum", "KTHEORY_GUARD"]
+    for name in moved:
+        if hasattr(mod, name):
+            assert getattr(mod, name) is getattr(exact, name), name
 
 
 def test_sparse_operator_norm_loads_scipy_on_demand(tmp_path):
@@ -460,6 +536,16 @@ def test_usage_errors_exit_2_in_fresh_interpreter(tmp_path, argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_teardrop_overflow_prints_nothing_on_stderr(tmp_path):
+    # the report says max_residual Infinity; numpy's overflow warning would only
+    # repeat it on stderr, with the library's path
+    proc = run_fresh(None, tmp_path, ["qwps.cli", "verify", "--suite", "teardrop", "--q", "0.9",
+                                      "--l", "300", "--N", "4"])
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["max_residual"] == math.inf
 
 
 def test_qdirac_small_q_passes(capsys):

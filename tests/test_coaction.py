@@ -5,17 +5,8 @@ import math
 import pytest
 
 from qwps.coaction import (
-    WeightPair,
     coinvariant_coord_basis,
     degree,
-    dim_table,
-    dim_V,
-    dim_V_doubled,
-    dim_V_down,
-    dim_V_down_doubled,
-    dim_V_down_oracle,
-    dim_V_oracle,
-    dim_V_up_oracle,
     project_degree,
     spinor_degree,
     uq_degree,
@@ -24,7 +15,21 @@ from qwps.coaction import (
 )
 from qwps.coord import AlgebraElement, BasisIndex, gens, multiply, right_act, star
 from qwps.dirac import SpinorBasisIndex, coinvariant_spinor_basis
-from qwps.qcore import HalfInt, QContext, hi, weight_range
+from qwps.exact import (
+    HalfInt,
+    QContext,
+    WeightPair,
+    dim_table,
+    dim_V,
+    dim_V_doubled,
+    dim_V_down,
+    dim_V_down_doubled,
+    dim_V_down_oracle,
+    dim_V_oracle,
+    dim_V_up_oracle,
+    hi,
+)
+from qwps.qcore import weight_range
 
 CTX = QContext(0.5, 1e-9)
 

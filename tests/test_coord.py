@@ -25,7 +25,8 @@ from qwps.coord import (
     to_jsonl,
     unit,
 )
-from qwps.qcore import HalfInt, QContext, q_int, weight_range
+from qwps.exact import HalfInt, QContext
+from qwps.qcore import q_int, weight_range
 
 CTX = QContext(0.5, 1e-9)
 Q_VALUES = (0.3, 0.5, 0.8)

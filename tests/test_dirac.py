@@ -6,20 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qwps.coaction import (
-    WeightPair,
-    coinvariant_coord_basis,
-    degree,
-    dim_V,
-    dim_V_down,
-    dim_V_down_oracle,
-    dim_V_oracle,
-    spinor_degree,
-    wp_gens,
-)
+from qwps.coaction import coinvariant_coord_basis, degree, spinor_degree, wp_gens
 from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, unit
 from qwps.dirac import (
-    SpectrumTable,
     SpinorBasisIndex,
     _gns_labels,
     ambient_dirac_spectrum,
@@ -27,17 +16,28 @@ from qwps.dirac import (
     coinvariant_spinor_basis,
     commutator_norm,
     even_triple_operators,
-    even_triple_spectrum,
     fredholm_degeneracy,
     gns_multiplication,
-    odd_triple_spectrum,
     q_dirac_check,
     spinor_basis,
     spinor_vector,
+)
+from qwps.exact import (
+    HalfInt,
+    QContext,
+    SpectrumTable,
+    WeightPair,
+    dim_V,
+    dim_V_down,
+    dim_V_down_oracle,
+    dim_V_oracle,
+    even_triple_spectrum,
+    hi,
+    odd_triple_spectrum,
     summability_partial_sum,
 )
 from qwps.operators import TruncatedOperator, operator_norm
-from qwps.qcore import HalfInt, QContext, hi, q_int
+from qwps.qcore import q_int
 
 CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qwps.exact import HalfInt, QContext, hi
 from qwps.qcore import (
     LETTERS,
-    HalfInt,
-    QContext,
     coproduct_action,
     dual_irrep_matrix,
-    hi,
     irrep_matrix,
     irrep_word,
     q_int,

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from qwps import teardrop
+from qwps.exact import KTHEORY_GUARD, QContext, ktheory_class
 from qwps.operators import operator_norm
-from qwps.qcore import QContext
 from qwps.teardrop import (
-    KTHEORY_GUARD,
     RELATION_WORK_GUARD,
     _ambient_word,
     block_structure_evidence,
-    ktheory_class,
     lens_commutation_residual,
     lens_rep,
     projection_matrix,

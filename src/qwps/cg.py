@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,34 +60,23 @@ def couple(lam1, lam2) -> list[HalfInt]:
 
 @dataclass(frozen=True)
 class CGBlock:
-    """Orthogonal Clebsch-Gordan matrix for M_lam1 ⊗ M_lam2.
+    """Orthogonal Clebsch-Gordan matrix for M_lam1 ⊗ M_lam2, and its entries by weight.
 
     ``matrix[row, col]`` with rows indexed by (mu, m) pairs (mu ascending,
     m ascending within a block) and columns by tensor pairs (m1, m2) in
     lexicographic order: row (mu, m) sits at mu + m plus the sum of 2mu'+1
     over |lam1-lam2| <= mu' < mu, column (m1, m2) at
-    (lam1 + m1)(2lam2 + 1) + lam2 + m2.  Row (mu, m) is
-    supported on columns with m1 + m2 = m, so ``table`` maps each column
-    (2 m1, 2 m2) to its nonzero entries {2 mu: C_q(lam1 lam2 mu; m1 m2 m1+m2)},
-    mu ascending.
+    (lam1 + m1)(2lam2 + 1) + lam2 + m2.  Row (mu, m) is supported on columns
+    with m1 + m2 = m, so ``coupling[lam1 + m1][lam2 + m2][k]`` holds
+    C_q(lam1 lam2 mu_k; m1 m2 m1+m2) for the k-th mu_k = |lam1-lam2| + k,
+    0.0 where |m1 + m2| > mu_k: the matrix's entries, gathered after the
+    build check, as nested lists of floats.
     """
 
     lam1: HalfInt
     lam2: HalfInt
     matrix: np.ndarray
-    table: dict = field(repr=False)
-
-    @cached_property
-    def coupling(self) -> np.ndarray:
-        """The table by position, [i1, k, i2] for the k-th mu, zero where
-        |m1 + m2| > mu; built when GNS multiplication first reads it."""
-        a2, b2 = self.lam1.twice, self.lam2.twice
-        mus = np.arange(abs(a2 - b2), a2 + b2 + 1, 2)[:, None]
-        m = np.arange(-a2, a2 + 1, 2)[:, None, None] + np.arange(-b2, b2 + 1, 2)
-        row = np.cumsum(mus + 1)[:, None] - mus - 1 + (m + mus) // 2
-        legal = np.abs(m) <= mus
-        col = np.arange(self.matrix.shape[1]).reshape(a2 + 1, 1, b2 + 1)
-        return np.where(legal, self.matrix[np.where(legal, row, 0), col], 0.0)
+    coupling: list = field(repr=False)
 
 
 def clear_cache():
@@ -115,20 +103,18 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
 
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
     a2, b2 = lam1.twice, lam2.twice
-    matrix = _racah_matrix(a2, b2, ctx.q)
+    matrix, entries, slots = _racah_block(a2, b2, ctx.q)
     _check_block(matrix, lam1, lam2, ctx)
-    # row-major nonzeros, so each column's entries arrive mu ascending
-    rows, cols = np.nonzero(matrix)
-    row_mu = [mu for mu in range(abs(a2 - b2), a2 + b2 + 1, 2) for _ in range(mu + 1)]
-    col_key = [(m1, m2) for m1 in range(-a2, a2 + 1, 2) for m2 in range(-b2, b2 + 1, 2)]
-    table = {key: {} for key in col_key}
-    for r, c, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
-        table[col_key[c]][row_mu[r]] = v
-    return CGBlock(lam1, lam2, matrix, table)
+    coupling = np.zeros((a2 + 1, b2 + 1, min(a2, b2) + 1))
+    coupling[slots] = matrix[entries]
+    return CGBlock(lam1, lam2, matrix, coupling.tolist())
 
 
-def _racah_matrix(a2: int, b2: int, q: float) -> np.ndarray:
+def _racah_block(a2: int, b2: int, q: float) -> tuple[np.ndarray, tuple, tuple]:
     """The single sum for every entry of the (a, b) = (a2/2, b2/2) block.
+
+    Returns the matrix and, for its entries allowed by weight, their
+    positions (rows, cols) in it and (i1, i2, k) in ``CGBlock.coupling``.
 
     With [n]! = q^{-n(n-1)/2} G_n, G_n = prod_{k<=n} (1 - q^{2k})/(1 - q^2),
     the powers of q of each term fold into one exponent, kept as the integer
@@ -184,7 +170,7 @@ def _racah_matrix(a2: int, b2: int, q: float) -> np.ndarray:
     dim = (a2 + 1) * (b2 + 1)
     matrix = np.zeros((dim, dim))
     matrix[rows, cols] = scale * np.bincount(entry, weights=terms, minlength=rows.size)
-    return matrix
+    return matrix, (rows, cols), (i, j, ci)
 
 
 def _pair(n):

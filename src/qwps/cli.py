@@ -198,7 +198,7 @@ def _run_suite(suite: str, cfg: RunConfig) -> dict:
     elif suite == "equivariance":
         residuals, threshold = coord.equivariance_residuals(ctx), cfg.tol
     elif suite == "qdirac":
-        cap = min(hi(cfg.jmax), dirac.Q_DIRAC_GUARD, hi(2))
+        cap = min(hi(cfg.jmax), hi(2))
         residuals, threshold = {"max": dirac.q_dirac_check(cap, ctx)}, cfg.tol
     elif suite == "chirality":
         cap = min(hi(cfg.lmax), hi(5))

@@ -189,22 +189,22 @@ def gens(ctx: QContext):
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElement:
     """Bilinear extension of the Clebsch-Gordan product rule.
 
-    Sums run on doubled weights (2 mu, 2 m, 2 n) through each block's coupling
-    table.  Nothing is pruned: only exact zeros are dropped, so the result does
-    not depend on ctx.tol.
+    Sums run on doubled weights (2 mu, 2 m, 2 n) through each block's
+    ``coupling`` lists.  Nothing is pruned: only exact zeros are dropped, so
+    the result does not depend on ctx.tol.
     """
-    right = [(HalfInt(l2), m2, n2, c2) for (l2, m2, n2), c2 in b.terms.items()]
+    right = [(HalfInt(l2), l2, m2, n2, c2) for (l2, m2, n2), c2 in b.terms.items()]
     out: dict[tuple, complex] = {}
     for (l1, m1, n1), c1 in a.terms.items():
         lam1 = HalfInt(l1)
-        for lam2, m2, n2, c2 in right:
-            table = cg_block(lam1, lam2, ctx).table
-            col_n = table[n1, n2]
+        for lam2, l2, m2, n2, c2 in right:
+            coupling = cg_block(lam1, lam2, ctx).coupling
             m, n = m1 + m2, n1 + n2
             c12 = c1 * c2
-            for mu, cm in table[m1, m2].items():
-                cn = col_n.get(mu)
-                if cn is not None:
+            for mu, cm, cn in zip(range(abs(l1 - l2), l1 + l2 + 1, 2),
+                                  coupling[(m1 + l1) // 2][(m2 + l2) // 2],
+                                  coupling[(n1 + l1) // 2][(n2 + l2) // 2]):
+                if cm and cn:
                     key = (mu, m, n)
                     out[key] = out.get(key, 0) + c12 * cm * cn
     return AlgebraElement({BasisIndex.doubled(*key): c for key, c in out.items()})
@@ -287,13 +287,14 @@ def inner(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> complex:
 def gram(left, right, ctx: QContext) -> np.ndarray:
     """Matrix of GNS inner products h(a* b), a from ``left``, b from ``right``.
 
-    Each entry sums only the unit coefficient of star(a) b: the mu = 0 entries
-    of the coupling tables, added in the order :func:`multiply` adds them, so
-    it equals haar(multiply(star(a, ctx), b, ctx)) bit for bit.  Every pair of
-    terms reads its own block, whatever its highest weights.
+    Each entry sums only the unit coefficient of star(a) b: the mu = 0
+    coupling entries, which exist only where lam1 = lam2, added in the order
+    :func:`multiply` adds them, so it equals haar(multiply(star(a, ctx), b,
+    ctx)) bit for bit.  Every pair of terms still reads its own block, whatever
+    its highest weights.
     """
     right_terms = [b.terms.items() for b in right]
-    tables: dict[tuple, dict] = {}
+    couplings: dict[tuple, list] = {}
     rows = []
     for a in left:
         a_star = star(a, ctx).terms.items()
@@ -302,13 +303,13 @@ def gram(left, right, ctx: QContext) -> np.ndarray:
             total = 0
             for (l1, m1, n1), c1 in a_star:
                 for (l2, m2, n2), c2 in b_terms:
-                    table = tables.get((l1, l2))
-                    if table is None:
-                        table = tables[l1, l2] = cg_block(HalfInt(l1), HalfInt(l2), ctx).table
-                    cm = table[m1, m2].get(0)
-                    if cm is not None:
-                        cn = table[n1, n2].get(0)
-                        if cn is not None:
+                    coupling = couplings.get((l1, l2))
+                    if coupling is None:
+                        coupling = couplings[l1, l2] = cg_block(HalfInt(l1), HalfInt(l2), ctx).coupling
+                    if l1 == l2:
+                        cm = coupling[(m1 + l1) // 2][(m2 + l2) // 2][0]
+                        cn = coupling[(n1 + l1) // 2][(n2 + l2) // 2][0]
+                        if cm and cn:
                             total = total + c1 * c2 * cm * cn
             row.append(total)
         rows.append(row)

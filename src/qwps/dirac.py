@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -276,21 +277,24 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
         coeffs = coeffs.real
     for idx, c in zip(element.terms, coeffs):
         l2, a, b = idx
-        # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (mu, w); shell s from start[s]
+        # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (w, mu); shell s from start[s]
         blocks = [cg_block(idx.lam, HalfInt(s), ctx).coupling for s in shells.tolist()]
+        leg_m, leg_n = (np.fromiter(chain.from_iterable(chain.from_iterable(
+            blk[(w + l2) // 2] for blk in blocks)), float) for w in (a, b))
+        width = np.minimum(l2, np.arange(top + 1)) + 1  # the number of mu of shell s
+        size = (shells + 1) * width[shells]
         start = np.zeros(top + 1, dtype=int)
-        start[shells] = np.cumsum([0] + [blk[0].size for blk in blocks[:-1]])
-        leg_m = np.concatenate([blk[(a + l2) // 2].ravel() for blk in blocks])
-        leg_n = np.concatenate([blk[(b + l2) // 2].ravel() for blk in blocks])
+        start[shells] = np.cumsum(size) - size
         # every (mu, label) pair that the coupling allows with legal weights
         mu = tl + np.arange(-l2, l2 + 1, 2)[:, None]
         lo = np.abs(l2 - tl)
         ok = (mu >= lo) & (mu <= top) & (np.abs(a + tm) <= mu) & (np.abs(b + tn) <= mu)
         shift, col = np.nonzero(ok)
         s, mu = tl[col], mu[shift, col]
-        at = start[s] + (mu - lo[col]) // 2 * (s + 1)
-        cm = leg_m[at + (tm[col] + s) // 2]
-        cn = leg_n[at + (tn[col] + s) // 2]
+        # mu = lam - lam' + shift is the (shift - max(lam' - lam, 0))-th mu of its shell
+        base = start[tl] - np.maximum(l2 - tl, 0)
+        cm = leg_m[(base + (tm + tl) // 2 * width[tl])[col] + shift]
+        cn = leg_n[(base + (tn + tl) // 2 * width[tl])[col] + shift]
         row = position[slot(mu, a + tm[col], b + tn[col])]
         keep = (row >= 0) & (cm != 0.0) & (cn != 0.0)
         vals = c * (ctx.q ** (-a / 2.0) * np.sqrt(qdim[s] / qdim[mu])) * (cm * cn)

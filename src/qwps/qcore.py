@@ -115,63 +115,30 @@ _irrep_lock = threading.Lock()
 def irrep_matrix(lam, letter: str, ctx: QContext) -> np.ndarray:
     """Matrix of the generator on the highest-weight-lam module (column convention).
 
-    Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
-    line, f the (i-1, i) line, k the diagonal q^m.  Shared with the one-letter
-    word of :func:`irrep_word`'s memo and read-only, so a caller that writes
-    must copy it.
+    The one-letter entry of :func:`irrep_word`'s memo, read-only, so a caller
+    that writes must copy it.
     """
-    lam = _check_highest_weight(lam)
     if letter not in LETTERS:
         raise ValueError(f"unknown generator letter {letter!r}")
-    key = (lam.twice, (letter,), ctx.q)
-    with _irrep_lock:
-        cached = _word_cache.get(key)
-    if cached is not None:
-        return cached
-
-    weights = weight_range(lam)
-    d = len(weights)
-    mat = np.zeros((d, d), dtype=complex)
-    for i, m in enumerate(weights):
-        if letter == "k":
-            mat[i, i] = ctx.q ** m.float
-        elif letter == "kinv":
-            mat[i, i] = ctx.q ** (-m.float)
-        elif letter == "e":
-            if i + 1 < d:
-                mat[i + 1, i] = q_sqrt_int(lam - m, ctx) * q_sqrt_int(lam + m + 1, ctx)
-        elif letter == "f":
-            if i - 1 >= 0:
-                mat[i - 1, i] = q_sqrt_int(lam - m + 1, ctx) * q_sqrt_int(lam + m, ctx)
-    mat.flags.writeable = False
-    with _irrep_lock:
-        return _word_cache.setdefault(key, mat)
+    return irrep_word(lam, letter, ctx)
 
 
 def _as_word(word) -> tuple[str, ...]:
-    if isinstance(word, str):
-        return (word,)
-    out = []
-    for item in word:
-        if isinstance(item, str):
-            out.append(item)
-        else:  # (letter, exponent) pairs are accepted as well
-            letter, exp = item
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1, got {exp}")
-            out.extend([letter] * exp)
-    for letter in out:
+    word = (word,) if isinstance(word, str) else tuple(word)
+    for letter in word:
         if letter not in LETTERS:
             raise ValueError(f"unknown generator letter {letter!r}")
-    return tuple(out)
+    return word
 
 
 def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
     """Product of generator matrices in word order; the empty word is the identity.
 
-    Memoized on (2 lam, word, q), in the memo that also holds the generator
-    matrices; the shared product is returned read-only, so a caller that
-    writes must copy it.
+    Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
+    line, f the (i-1, i) line, k the diagonal q^m.  Memoized on
+    (2 lam, word, q): a one-letter word is built here, a longer one from the
+    memo's one-letter entries.  The shared product is returned read-only, so a
+    caller that writes must copy it.
     """
     lam = _check_highest_weight(lam)
     word = _as_word(word)
@@ -180,9 +147,24 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
         cached = _word_cache.get(key)
     if cached is not None:
         return cached
-    out = irrep_matrix(lam, word[0], ctx) if word else np.eye(lam.twice + 1, dtype=complex)
-    for letter in word[1:]:
-        out = out @ irrep_matrix(lam, letter, ctx)
+    d = lam.twice + 1
+    if len(word) == 1:
+        letter = word[0]
+        out = np.zeros((d, d), dtype=complex)
+        for i, m in enumerate(weight_range(lam)):
+            if letter == "k":
+                out[i, i] = ctx.q ** m.float
+            elif letter == "kinv":
+                out[i, i] = ctx.q ** (-m.float)
+            elif letter == "e":
+                if i + 1 < d:
+                    out[i + 1, i] = q_sqrt_int(lam - m, ctx) * q_sqrt_int(lam + m + 1, ctx)
+            elif i - 1 >= 0:  # f
+                out[i - 1, i] = q_sqrt_int(lam - m + 1, ctx) * q_sqrt_int(lam + m, ctx)
+    else:
+        out = irrep_word(lam, word[0], ctx) if word else np.eye(d, dtype=complex)
+        for letter in word[1:]:
+            out = out @ irrep_word(lam, letter, ctx)
     out.flags.writeable = False
     with _irrep_lock:
         return _word_cache.setdefault(key, out)

@@ -88,37 +88,32 @@ def test_block_invariants(q):
             col_m1 = np.repeat(np.arange(-t1, t1 + 1, 2), t2 + 1)
             col_m = col_m1 + np.tile(np.arange(-t2, t2 + 1, 2), t1 + 1)
             assert not block.matrix[row_m[:, None] != col_m[None, :]].any()
-            # the coupling table holds each nonzero entry once, exactly, under
-            # its column's (2 m1, 2 m2) and its row's 2 mu
+            # the coupling lists hold each nonzero entry once, exactly, at its
+            # column's (m1, m2) and its row's mu, and zero everywhere else
             rows, cols = np.nonzero(block.matrix)
-            entries = zip(col_m1[cols].tolist(), (col_m - col_m1)[cols].tolist(),
-                          row_mu[rows].tolist(), block.matrix[rows, cols].tolist())
-            listed = [(k1, k2, tmu, v) for (k1, k2), col in block.table.items()
-                      for tmu, v in col.items()]
-            assert sorted(listed) == sorted(entries)
-            assert all(list(col) == sorted(col) for col in block.table.values())
-            # the coupling array holds the same entries at (m1, mu, m2), zero elsewhere
-            from_table = np.zeros((t1 + 1, len(mus), t2 + 1))
-            for (k1, k2), col in block.table.items():
-                for tmu, v in col.items():
-                    from_table[(k1 + t1) // 2, mus.index(tmu), (k2 + t2) // 2] = v
-            assert block.coupling.shape == from_table.shape
-            assert (block.coupling == from_table).all()
+            slots = ((col_m1[cols] + t1) // 2, (col_m - col_m1 + t2)[cols] // 2,
+                     (row_mu[rows] - mus[0]) // 2)
+            assert len(set(zip(*(s.tolist() for s in slots)))) == rows.size
+            expected = np.zeros((t1 + 1, t2 + 1, len(mus)))
+            expected[slots] = block.matrix[rows, cols]
+            coupling = np.array(block.coupling)
+            assert coupling.shape == expected.shape
+            assert (coupling == expected).all()
 
 
 @pytest.mark.parametrize("fault", ["scaled_row", "nan"])
 def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
-    formula = cg._racah_matrix
+    formula = cg._racah_block
 
     def faulty(a2, b2, q):
-        matrix = formula(a2, b2, q)
+        matrix, entries, slots = formula(a2, b2, q)
         if fault == "nan":
             matrix[0, 0] = np.nan
         else:
             matrix[-1] *= 1.0 + 1e-9
-        return matrix
+        return matrix, entries, slots
 
-    monkeypatch.setattr(cg, "_racah_matrix", faulty)
+    monkeypatch.setattr(cg, "_racah_block", faulty)
     ctx = ctx_for(0.45)
     clear_cache()
     with pytest.raises(ValueError, match="build check"):
@@ -238,8 +233,9 @@ def test_cache_returns_same_object_and_is_thread_safe():
 def test_row_lookup_weight_conservation():
     ctx = ctx_for(0.5)
     block = cg_block(hi(1), hi(0.5), ctx)
-    # the entry with mismatched total weight is zero, and the table column
-    # (m1, m2) = (1, -1/2) lists only the mu that carry m = 1/2
+    # the entry with mismatched total weight is zero; both mu = 1/2, 3/2 carry
+    # the column (m1, m2) = (1, -1/2) of m = 1/2, only mu = 3/2 that of m = 3/2
     row = row_of(block, hi(1.5), hi(1.5))
     assert block.matrix[row, col_of(block, hi(1), hi(-0.5))] == 0.0
-    assert list(block.table[2, -1]) == [1, 3]
+    assert [mu.twice for mu, v in zip(couple(hi(1), hi(0.5)), block.coupling[2][0]) if v] == [1, 3]
+    assert [mu.twice for mu, v in zip(couple(hi(1), hi(0.5)), block.coupling[2][1]) if v] == [3]

@@ -92,9 +92,9 @@ def test_wp_b_oracle_for_unit_weights():
     from qwps.cg import cg_block
 
     block = cg_block(hi(0.5), hi(0.5), CTX)
-    # C(1/2 1/2 1; 1/2 1/2 1) and C(1/2 1/2 1; -1/2 1/2 0), keyed by doubled weights
-    cm = block.table[1, 1][2]
-    cn = block.table[-1, 1][2]
+    # C(1/2 1/2 1; 1/2 1/2 1) and C(1/2 1/2 1; -1/2 1/2 0), at [lam + m1][lam + m2][mu]
+    cm = block.coupling[1][1][1]
+    cn = block.coupling[0][1][1]
     expected = AlgebraElement.basis(BasisIndex.of(1, 1, 0), cm * cn)
     assert (b - expected).norm_inf() < 1e-14
 

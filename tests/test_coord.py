@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwps import coord
+from qwps import cg, coord
 from qwps.cg import cg_block, clear_cache, couple
 from qwps.coord import (
     AlgebraElement,
@@ -409,17 +409,17 @@ def test_haar_check_reads_computed_cg_entries(fresh_cg_cache):
     # one mu = 0 coefficient of the cached (1, 1) block, off by one part in a million
     ctx = QContext(0.5, 1e-9)
     assert coord.haar_orthogonality_residual(ctx, 2) < ctx.tol
-    column = cg_block(1, 1, ctx).table[0, 0]
+    column = cg_block(1, 1, ctx).coupling[1][1]  # (m1, m2) = (0, 0), mu from 0 up
     column[0] *= 1 + 1e-6
     assert coord.haar_orthogonality_residual(ctx, 2) > ctx.tol
 
 
-def test_haar_check_reads_blocks_of_unequal_weights(fresh_cg_cache):
-    # a mu = 0 entry planted in the (1, 0) block, which has none, reaches an
-    # off-diagonal pair: no pair is taken to be zero from its weights alone
+def test_haar_check_builds_every_block_it_pairs(fresh_cg_cache):
+    # every pair of terms reads its own block, also where lam1 != lam2 leaves it
+    # no mu = 0 entry: no pair is taken to be zero from its weights alone
     ctx = QContext(0.5, 1e-9)
-    cg_block(1, 0, ctx).table[0, 0][0] = 1e-3  # read twice, for m and n: 1e-6
-    assert coord.haar_orthogonality_residual(ctx, 2) > ctx.tol
+    assert coord.haar_orthogonality_residual(ctx, 2) < ctx.tol
+    assert set(cg._cache) == {(t1, t2, ctx.q) for t1 in range(5) for t2 in range(5)}
 
 
 def gns_basis_vector(idx, ctx):

@@ -187,13 +187,6 @@ def test_irrep_word_examples():
     assert np.abs(irrep_word(hi(1), ("e", "e", "e"), ctx)).max() == 0
 
 
-def test_irrep_word_exponent_pairs():
-    ctx = ctx_for(0.5)
-    a = irrep_word(hi(1), [("e", 2)], ctx)
-    b = irrep_word(hi(1), ("e", "e"), ctx)
-    assert np.abs(a - b).max() == 0
-
-
 @pytest.mark.parametrize("q", Q_VALUES)
 def test_irrep_word_memo_is_fresh_product_and_read_only(q):
     ctx = ctx_for(q)

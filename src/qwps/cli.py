@@ -150,7 +150,12 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header, rows) -> str:
+def _emit_table(header, rows, cfg: RunConfig) -> None:
+    """Write dict rows as csv, header line first, or as a json list."""
+    if cfg.format == "json":
+        _emit(json.dumps(rows, indent=2) + "\n", cfg)
+        return
+
     def fmt(value):
         if isinstance(value, bool):
             return "true" if value else "false"
@@ -160,7 +165,7 @@ def _rows_to_csv(header, rows) -> str:
 
     lines = [",".join(header)]
     lines += [",".join(fmt(row[h]) for h in header) for row in rows]
-    return "\n".join(lines) + "\n"
+    _emit("\n".join(lines) + "\n", cfg)
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
@@ -169,18 +174,14 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
         table = exact.odd_triple_spectrum(wp, hi(cfg.jmax))
     else:
         table = exact.even_triple_spectrum(wp, hi(cfg.lmax))
-    _emit(table.to_csv_text() if cfg.format == "csv" else table.to_json_text() + "\n", cfg)
+    rows = [{"eigenvalue": ev, "multiplicity": mult} for ev, mult in table.rows]
+    _emit_table(("eigenvalue", "multiplicity"), rows, cfg)
     return 0
 
 
 def _cmd_dims(args, cfg: RunConfig) -> int:
-    wp = cfg.weight_pair()
-    rows = exact.dim_table(wp, hi(cfg.jmax))
-    header = ("family", "index", "closed_form", "oracle", "match")
-    if cfg.format == "csv":
-        _emit(_rows_to_csv(header, rows), cfg)
-    else:
-        _emit(json.dumps(rows, indent=2) + "\n", cfg)
+    rows = exact.dim_table(cfg.weight_pair(), hi(cfg.jmax))
+    _emit_table(("family", "index", "closed_form", "oracle", "match"), rows, cfg)
     return 0 if all(row["match"] for row in rows) else 1
 
 
@@ -275,11 +276,7 @@ def _cmd_summability(args, cfg: RunConfig) -> int:
             }
         )
         prev = (n_val, sigma)
-    header = ("N", "sigma_N", "sigma_over_logN", "increment_ratio", "sigma3_N")
-    if cfg.format == "csv":
-        _emit(_rows_to_csv(header, rows), cfg)
-    else:
-        _emit(json.dumps(rows, indent=2) + "\n", cfg)
+    _emit_table(("N", "sigma_N", "sigma_over_logN", "increment_ratio", "sigma3_N"), rows, cfg)
     return 0
 
 

@@ -11,17 +11,16 @@ Two constructions are assembled and verified on finite truncations:
 
 Their spectra and summability sums are counted in :mod:`qwps.exact`; the
 module also carries the ambient quantum SU(2) ingredients these are cut
-from: the orthonormal spinor basis built from the coupling coefficients
-C_{j mu}, S_{j mu}, the classical Dirac spectrum with its multiplicities,
-the block-operator identity expressing q^{-D} through the right regular
-action, which is verified rather than assumed, and one unpruned builder of
-left multiplication on the orthonormal GNS basis, which gives both the even
+from: the orthonormal spinor basis (the C_{j mu}, S_{j mu} legs of
+:func:`spinor_legs`), the classical Dirac spectrum with its multiplicities,
+the q^{-D} identity through the right regular action, verified rather than
+assumed on one block per shell, and one unpruned builder of left
+multiplication on the orthonormal GNS basis, which gives both the even
 triple's pi(a), pi(b) and the commutator evidence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,18 +29,17 @@ import numpy as np
 from . import coord
 from .cg import cg_block, cg_coeff_updown
 from .coaction import coinvariant_coord_basis, wp_gens
-from .coord import AlgebraElement, BasisIndex, right_act
+from .coord import AlgebraElement, BasisIndex
 from .exact import HalfInt, QContext, SpectrumTable, WeightPair, _p_window, hi
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import operator_norm
-from .qcore import q_int, weight_range
+from .qcore import irrep_word, q_int, weight_range
 
 __all__ = [
     "SpinorBasisIndex",
-    "Spinor",
     "spinor_basis",
     "coinvariant_spinor_basis",
-    "spinor_vector",
+    "spinor_legs",
     "ambient_dirac_spectrum",
     "q_dirac_check",
     "commutator_norm",
@@ -90,26 +88,6 @@ class SpinorBasisIndex:
         return HalfInt(self.j.twice + (1 if self.arrow == "up" else -1))
 
 
-@dataclass(frozen=True)
-class Spinor:
-    """Element of coord ⊗ M_{1/2}, split into the e_- and e_+ components."""
-
-    minus: AlgebraElement
-    plus: AlgebraElement
-
-    def __add__(self, other):
-        return Spinor(self.minus + other.minus, self.plus + other.plus)
-
-    def __sub__(self, other):
-        return Spinor(self.minus - other.minus, self.plus - other.plus)
-
-    def __rmul__(self, scalar):
-        return Spinor(scalar * self.minus, scalar * self.plus)
-
-    def norm_inf(self) -> float:
-        return max(self.minus.norm_inf(), self.plus.norm_inf())
-
-
 def spinor_basis(j_max) -> list[SpinorBasisIndex]:
     """All spinor labels with j <= j_max, ordered (j, arrow, m, mu)."""
     j_max = hi(j_max)
@@ -143,42 +121,24 @@ def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[SpinorBasisIndex]:
     ]
 
 
-def spinor_vector(idx: SpinorBasisIndex, ctx: QContext) -> Spinor:
-    """Orthonormal spinor basis vector as an element of coord ⊗ M_{1/2}.
+def spinor_legs(idx: SpinorBasisIndex, ctx: QContext) -> list[tuple[str, BasisIndex, float]]:
+    """The nonzero legs (sign, index, coefficient) of a spinor basis vector on
+    the orthonormal GNS vectors e(lam, m, n) = q^m sqrt([2lam+1]) t^lam_{mn}:
 
-    down: q^m sqrt[2j^-+1] ( C_{j mu} t^{j-}_{m,mu+1/2} ⊗ e_-
-                           + S_{j mu} t^{j-}_{m,mu-1/2} ⊗ e_+ )
-    up:   q^m sqrt[2j^++1] ( -S_{j+1,mu} t^{j+}_{m,mu+1/2} ⊗ e_-
-                           + C_{j+1,mu} t^{j+}_{m,mu-1/2} ⊗ e_+ )
+    down: C_{j mu} e(j-1/2, m, mu+1/2) ⊗ e_- + S_{j mu} e(j-1/2, m, mu-1/2) ⊗ e_+
+    up:  -S_{j+1,mu} e(j+1/2, m, mu+1/2) ⊗ e_- + C_{j+1,mu} e(j+1/2, m, mu-1/2) ⊗ e_+
 
-    Legs whose coupling coefficient vanishes at the boundary (mu = ±j for the
-    down family) are skipped before the basis index is formed.
+    A down leg with n outside its shell (mu = ±j) has coefficient 0 and is dropped.
     """
-    lam = idx.lam
-    scale = ctx.q ** idx.m.float * math.sqrt(q_int(2 * lam + 1, ctx))
-    half = hi(0.5)
-    if idx.arrow == "down":
-        c, s = cg_coeff_updown(idx.j, idx.mu, ctx)
-        minus_coeff, plus_coeff = c, s
-        # C vanishes iff mu = j, S vanishes iff mu = -j (exact boundary cases)
-        if idx.mu.twice == idx.j.twice:
-            minus_coeff = 0.0
-        if idx.mu.twice == -idx.j.twice:
-            plus_coeff = 0.0
-    else:
-        c, s = cg_coeff_updown(idx.j + 1, idx.mu, ctx)
-        minus_coeff, plus_coeff = -s, c
-    minus = AlgebraElement.zero()
-    plus = AlgebraElement.zero()
-    if minus_coeff != 0.0:
-        minus = AlgebraElement.basis(
-            BasisIndex(lam, idx.m, idx.mu + half), scale * minus_coeff
-        )
-    if plus_coeff != 0.0:
-        plus = AlgebraElement.basis(
-            BasisIndex(lam, idx.m, idx.mu - half), scale * plus_coeff
-        )
-    return Spinor(minus, plus)
+    down = idx.arrow == "down"
+    c, s = cg_coeff_updown(idx.j if down else idx.j + 1, idx.mu, ctx)
+    minus, plus = (c, s) if down else (-s, c)
+    tl, tm, tmu = idx.lam.twice, idx.m.twice, idx.mu.twice
+    return [
+        (sign, BasisIndex.doubled(tl, tm, tn), coeff)
+        for sign, tn, coeff in (("-", tmu + 1, minus), ("+", tmu - 1, plus))
+        if abs(tn) <= tl
+    ]
 
 
 def ambient_dirac_spectrum(j_max) -> SpectrumTable:
@@ -198,39 +158,41 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     max ||(q^{-D} - ev) v||_inf / (ev_max ||v||_inf), where ev_max =
     q^{-(2 j_max + 3/2)} is the largest expected eigenvalue on the truncation.
 
-    In the ordered spinor components (e_+, e_-) the blocks are
+    The right action moves only n, so on the legs (:func:`spinor_legs`) of
+    the shell lam it is one block in the components (e_+, e_-), the same for
+    every m:
 
-        q^{3/2} [ d(k^2) + q^{-1}(q-q^{-1})^2 d(fe)   q^{-1/2}(q-q^{-1}) d(fk^{-1}) ]
-                [ q^{-1/2}(q-q^{-1}) d(k^{-1}e)       d(k^{-2})                    ]
+        q^{3/2} [ rho(k^2) + q^{-1}(q-q^{-1})^2 rho(fe)   q^{-1/2}(q-q^{-1}) rho(fk^{-1}) ]
+                [ q^{-1/2}(q-q^{-1}) rho(k^{-1}e)         rho(k^{-2})                    ]
 
-    and the expected eigenvalues are q^{-(2j+3/2)} on up vectors and
-    q^{2j+1/2} on down vectors.
+    applied to the labels with m = lam, whose expected eigenvalues are
+    q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down vectors.
     """
     j_max = hi(j_max)
     if j_max.twice > Q_DIRAC_GUARD.twice:
         raise ValueError(f"j_max = {j_max} exceeds the cost guard {Q_DIRAC_GUARD}")
     q = ctx.q
+    try:
+        ev_max = q ** (-(2 * j_max.float + 1.5))
+    except OverflowError:
+        raise ValueError(f"q = {q:g}: q^-(2 j_max + 3/2) overflows a double") from None
     lam_q = q - 1.0 / q
-    pref = q**1.5
-    ev_max = q ** (-(2 * j_max.float + 1.5))
+    top = [idx for idx in spinor_basis(j_max) if idx.m == idx.lam]
     worst = 0.0
-    for idx in spinor_basis(j_max):
-        v = spinor_vector(idx, ctx)
-        out_plus = pref * (
-            right_act(("k", "k"), v.plus, ctx)
-            + (lam_q**2 / q) * right_act(("f", "e"), v.plus, ctx)
-            + (lam_q / q**0.5) * right_act(("f", "kinv"), v.minus, ctx)
-        )
-        out_minus = pref * (
-            (lam_q / q**0.5) * right_act(("kinv", "e"), v.plus, ctx)
-            + right_act(("kinv", "kinv"), v.minus, ctx)
-        )
-        if idx.arrow == "up":
-            expected = q ** (-(2 * idx.j.float + 1.5))
-        else:
-            expected = q ** (2 * idx.j.float + 0.5)
-        resid = (Spinor(out_minus, out_plus) - expected * v).norm_inf()
-        worst = max(worst, resid / (ev_max * v.norm_inf()))
+    for lam in sorted({idx.lam for idx in top}):
+        labels = [idx for idx in top if idx.lam == lam]
+        rho = lambda *word: irrep_word(lam, word, ctx)  # noqa: E731
+        block = q**1.5 * np.block([
+            [rho("k", "k") + (lam_q**2 / q) * rho("f", "e"), (lam_q / q**0.5) * rho("f", "kinv")],
+            [(lam_q / q**0.5) * rho("kinv", "e"), rho("kinv", "kinv")]])
+        d = lam.twice + 1
+        vecs, evs = np.zeros((2 * d, len(labels))), np.zeros(len(labels))
+        for col, idx in enumerate(labels):
+            for sign, (tl, _, tn), coeff in spinor_legs(idx, ctx):
+                vecs[(tn + tl) // 2 + (d if sign == "-" else 0), col] = coeff
+            evs[col] = q ** (-(idx.j.twice + 1.5) if idx.arrow == "up" else idx.j.twice + 0.5)
+        resid = np.abs(block @ vecs - vecs * evs).max(axis=0)
+        worst = max(worst, float((resid / (ev_max * np.abs(vecs).max(axis=0))).max()))
     return worst
 
 

@@ -11,7 +11,6 @@ import these names from here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -329,18 +328,6 @@ class SpectrumTable:
 
     def total(self) -> int:
         return sum(mult for _, mult in self.rows)
-
-    def to_csv_text(self) -> str:
-        lines = ["eigenvalue,multiplicity"]
-        for ev, mult in self.rows:
-            lines.append(f"{ev:.17g},{mult}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        return json.dumps(
-            [{"eigenvalue": ev, "multiplicity": mult} for ev, mult in self.rows],
-            indent=2,
-        )
 
 
 def _shells(wp: WeightPair, triple: str, cap):

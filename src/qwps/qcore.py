@@ -35,7 +35,6 @@ __all__ = [
     "weight_range",
     "irrep_matrix",
     "irrep_word",
-    "dual_irrep_matrix",
     "coproduct_action",
 ]
 
@@ -49,7 +48,10 @@ def q_int(n, ctx: QContext) -> float:
         raise ValueError(f"q_int expects an integer, got {n}")
     q = ctx.q
     m = n.as_int()
-    return (q**m - q**-m) / (q - 1.0 / q)
+    try:
+        return (q**m - q**-m) / (q - 1.0 / q)
+    except OverflowError:
+        raise ValueError(f"q = {q:g}: the q-integer [{m}] overflows a double") from None
 
 
 def q_sqrt_int(n, ctx: QContext) -> float:
@@ -168,12 +170,6 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
     out.flags.writeable = False
     with _irrep_lock:
         return _word_cache.setdefault(key, out)
-
-
-def dual_irrep_matrix(lam, letter: str, ctx: QContext) -> np.ndarray:
-    """Dual representation (rho_lam(S(letter)))^t on the dual weight basis."""
-    coeff, mapped = antipode_letter(letter, ctx)
-    return coeff * irrep_matrix(lam, mapped, ctx).T
 
 
 def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:

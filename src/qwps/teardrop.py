@@ -38,7 +38,6 @@ __all__ = [
     "lens_rep",
     "lens_commutation_residual",
     "block_structure_evidence",
-    "projection_matrix",
 ]
 
 # wp_relation_residuals keeps the bound it had as about 2l(l+3) dense N x N products,
@@ -326,17 +325,3 @@ def _shift_plus_compact(block: np.ndarray, power: int, q: float, N: int) -> dict
         "tail_threshold": float(threshold),
         "pass": bool(tail_max < threshold),
     }
-
-
-# ---------------------------------------------------------------------------
-# K-theory projections as matrices; their classes are in qwps.exact
-
-
-def projection_matrix(rank: int, dim: int) -> np.ndarray:
-    """Finite-rank projection onto the first max(rank, 0) basis vectors."""
-    rank = max(rank, 0)
-    if rank > dim:
-        raise ValueError(f"rank {rank} exceeds truncation dimension {dim}")
-    mat = np.zeros((dim, dim))
-    mat[:rank, :rank] = np.eye(rank)
-    return mat

@@ -113,6 +113,11 @@ def test_bad_q_is_usage_error(capsys):
         # the even triple builds b = beta^k alpha^l; k + l above its guard
         ["verify", "--suite", "chirality", "--l", "1000000000"],
         ["verify", "--suite", "fredholm", "--l", "1000000000"],
+        # q-integers [n] and the q^{-D} eigenvalue bound q^{-(2 j_max + 3/2)}
+        # overflowing a double at small q
+        *[["verify", "--suite", suite, "--q", "1e-300"] for suite in SUITES if suite != "teardrop"],
+        ["verify", "--suite", "chirality", "--q", "1e-30"],
+        ["verify", "--suite", "fredholm", "--q", "1e-30"],
     ],
     ids=" ".join,
 )
@@ -126,7 +131,7 @@ def test_bad_caps_and_nlist_are_usage_errors(capsys, argv):
 
 # edge values for every numeric flag
 EDGE_VALUES = ["nan", "inf", "-1", "0", "0.3", "2.5", "1e308", "0.5", "1", "2", "3", "8",
-               "1000000000"]
+               "1000000000", "1e-300", "1e-30"]
 
 
 @st.composite

@@ -1,13 +1,17 @@
 """Spectral triples: spinor basis, spectra, summability, commutators, grading."""
 
+import inspect
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from qwps import cli, dirac
+from qwps.cg import cg_coeff_updown
 from qwps.coaction import coinvariant_coord_basis, degree, spinor_degree, wp_gens
-from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, unit
+from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, right_act, unit
 from qwps.dirac import (
     SpinorBasisIndex,
     _gns_labels,
@@ -20,7 +24,7 @@ from qwps.dirac import (
     gns_multiplication,
     q_dirac_check,
     spinor_basis,
-    spinor_vector,
+    spinor_legs,
 )
 from qwps.exact import (
     HalfInt,
@@ -43,9 +47,102 @@ CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]
 
 
+# ---------------------------------------------------------------------------
+# reference: each spinor as a pair of algebra elements, acted on word by word
+
+
+@dataclass(frozen=True)
+class Spinor:
+    """Element of coord ⊗ M_{1/2}, split into the e_- and e_+ components."""
+
+    minus: AlgebraElement
+    plus: AlgebraElement
+
+    def __sub__(self, other):
+        return Spinor(self.minus - other.minus, self.plus - other.plus)
+
+    def __rmul__(self, scalar):
+        return Spinor(scalar * self.minus, scalar * self.plus)
+
+    def norm_inf(self) -> float:
+        return max(self.minus.norm_inf(), self.plus.norm_inf())
+
+
+def spinor_vector(idx, ctx):
+    """Orthonormal spinor basis vector as an element of coord ⊗ M_{1/2}.
+
+    down: q^m sqrt[2j^-+1] ( C_{j mu} t^{j-}_{m,mu+1/2} ⊗ e_-
+                           + S_{j mu} t^{j-}_{m,mu-1/2} ⊗ e_+ )
+    up:   q^m sqrt[2j^++1] ( -S_{j+1,mu} t^{j+}_{m,mu+1/2} ⊗ e_-
+                           + C_{j+1,mu} t^{j+}_{m,mu-1/2} ⊗ e_+ )
+    """
+    lam = idx.lam
+    scale = ctx.q ** idx.m.float * math.sqrt(q_int(2 * lam + 1, ctx))
+    half = hi(0.5)
+    if idx.arrow == "down":
+        c, s = cg_coeff_updown(idx.j, idx.mu, ctx)
+        minus_coeff, plus_coeff = c, s
+        # C vanishes iff mu = j, S vanishes iff mu = -j (exact boundary cases)
+        if idx.mu.twice == idx.j.twice:
+            minus_coeff = 0.0
+        if idx.mu.twice == -idx.j.twice:
+            plus_coeff = 0.0
+    else:
+        c, s = cg_coeff_updown(idx.j + 1, idx.mu, ctx)
+        minus_coeff, plus_coeff = -s, c
+    minus = AlgebraElement.zero()
+    plus = AlgebraElement.zero()
+    if minus_coeff != 0.0:
+        minus = AlgebraElement.basis(BasisIndex(lam, idx.m, idx.mu + half), scale * minus_coeff)
+    if plus_coeff != 0.0:
+        plus = AlgebraElement.basis(BasisIndex(lam, idx.m, idx.mu - half), scale * plus_coeff)
+    return Spinor(minus, plus)
+
+
+def q_dirac_reference(j_max, ctx):
+    """The q^{-D} backward error, every spinor of the basis acted on by five
+    two-letter right_act words."""
+    j_max = hi(j_max)
+    q = ctx.q
+    lam_q = q - 1.0 / q
+    pref = q**1.5
+    ev_max = q ** (-(2 * j_max.float + 1.5))
+    worst = 0.0
+    for idx in spinor_basis(j_max):
+        v = spinor_vector(idx, ctx)
+        out_plus = pref * (
+            right_act(("k", "k"), v.plus, ctx)
+            + (lam_q**2 / q) * right_act(("f", "e"), v.plus, ctx)
+            + (lam_q / q**0.5) * right_act(("f", "kinv"), v.minus, ctx)
+        )
+        out_minus = pref * (
+            (lam_q / q**0.5) * right_act(("kinv", "e"), v.plus, ctx)
+            + right_act(("kinv", "kinv"), v.minus, ctx)
+        )
+        if idx.arrow == "up":
+            expected = q ** (-(2 * idx.j.float + 1.5))
+        else:
+            expected = q ** (2 * idx.j.float + 0.5)
+        resid = (Spinor(out_minus, out_plus) - expected * v).norm_inf()
+        worst = max(worst, resid / (ev_max * v.norm_inf()))
+    return worst
+
+
 def spinor_inner(a, b):
     """Inner product on coord ⊗ M_{1/2}: the Haar pairing summed over both legs."""
     return inner(a.minus, b.minus, CTX) + inner(a.plus, b.plus, CTX)
+
+
+def leg_matrix(labels, ctx):
+    """The labels' legs as the columns of one array, rows keyed by (sign, index)."""
+    rows = {}
+    cols = [{rows.setdefault((sign, t), len(rows)): c for sign, t, c in spinor_legs(idx, ctx)}
+            for idx in labels]
+    mat = np.zeros((len(rows), len(labels)))
+    for col, legs in enumerate(cols):
+        for row, c in legs.items():
+            mat[row, col] = c
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +171,42 @@ def test_spinor_basis_counts_match_dirac_multiplicities():
 
 def test_boundary_spinor_has_single_leg():
     idx = SpinorBasisIndex(hi(0.5), hi(0), hi(0.5), "down")
-    v = spinor_vector(idx, CTX)
-    assert v.minus.norm_inf() == 0.0  # C vanishes at mu = j
-    assert v.plus.norm_inf() > 0
+    legs = spinor_legs(idx, CTX)
+    # C vanishes at mu = j: only the e_+ leg, at n = mu - 1/2
+    assert [(sign, t) for sign, t, _ in legs] == [("+", BasisIndex.of(0, 0, 0))]
+    assert legs[0][2] > 0
 
 
 @pytest.mark.parametrize("tj", range(0, 5))
 def test_spinor_vectors_normalized(tj):
-    for idx in spinor_basis(hi(tj / 2)):
-        if idx.j.twice != tj:
-            continue
-        v = spinor_vector(idx, CTX)
-        assert spinor_inner(v, v) == pytest.approx(1.0, abs=1e-10)
+    # shell lam = tj/2 holds the up labels with j = lam - 1/2 and the down
+    # labels with j = lam + 1/2; their legs are orthonormal there
+    for q in (0.3, 0.5, 0.8):
+        labels = [idx for idx in spinor_basis(hi(tj / 2 + 0.5)) if idx.lam.twice == tj]
+        vecs = leg_matrix(labels, QContext(q, 1e-9))
+        assert np.abs(vecs.T @ vecs - np.eye(len(labels))).max() <= 1e-15, q
 
 
 def test_spinor_vectors_orthogonal():
+    # the reference vectors, which are the legs times their GNS norms, are
+    # orthogonal in the Haar inner product
     basis = spinor_basis(hi(1.5))
     vecs = [spinor_vector(i, CTX) for i in basis]
     for i in range(len(basis)):
         for k in range(i + 1, len(basis)):
             assert abs(spinor_inner(vecs[i], vecs[k])) < 1e-10
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_spinor_legs_match_reference_vectors(q):
+    # each leg is the reference term divided by the GNS norm q^m sqrt([2lam+1])
+    ctx = QContext(q, 1e-9)
+    for idx in spinor_basis(hi(2)):
+        ref = spinor_vector(idx, ctx)
+        scale = q**idx.m.float * math.sqrt(q_int(2 * idx.lam + 1, ctx))
+        expected = [("-", t, c) for t, c in ref.minus.terms.items()]
+        expected += [("+", t, c) for t, c in ref.plus.terms.items()]
+        assert [(sign, t, scale * c) for sign, t, c in spinor_legs(idx, ctx)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +276,8 @@ def test_coinvariant_spinor_basis_is_degree_zero_scan(k, l):
     wp = WeightPair(k, l)
 
     def coinvariant(idx):
-        vec = spinor_vector(idx, CTX)
-        legs = [(t, "+") for t in vec.plus.terms] + [(t, "-") for t in vec.minus.terms]
-        return all(degree(wp, t) + spinor_degree(wp, -wp.k, sign) == 0 for t, sign in legs)
+        legs = spinor_legs(idx, CTX)
+        return all(degree(wp, t) + spinor_degree(wp, -wp.k, sign) == 0 for sign, t, _ in legs)
 
     brute = [idx for idx in spinor_basis(hi(4)) if coinvariant(idx)]
     for tj in range(9):
@@ -199,6 +311,44 @@ def test_q_dirac_eigenvalues():
 def test_q_dirac_guard():
     with pytest.raises(ValueError):
         q_dirac_check(hi(3.5), CTX)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("j_max", [0, 1, 2])
+def test_q_dirac_matches_per_vector_reference(q, j_max):
+    ctx = QContext(q, 1e-9)
+    assert q_dirac_reference(hi(j_max), ctx) <= 1e-15
+    assert q_dirac_check(hi(j_max), ctx) <= 1e-15
+
+
+def mutated_q_dirac_check(func, old, new):
+    """q_dirac_check from a copy of the module namespace in which ``func``'s
+    source has ``old`` replaced by ``new``; the module itself is untouched."""
+    namespace = dict(vars(dirac))
+    source = inspect.getsource(func)
+    assert source.count(old) == 1, old
+    exec(source.replace(old, new), namespace)
+    if func is not dirac.q_dirac_check:
+        exec(inspect.getsource(dirac.q_dirac_check), namespace)
+    return namespace["q_dirac_check"]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_q_dirac_check_fails_on_mutants(q):
+    ctx = QContext(q, 1e-9)
+    flipped_fe = mutated_q_dirac_check(
+        dirac.q_dirac_check, '+ (lam_q**2 / q) * rho("f", "e")', '- (lam_q**2 / q) * rho("f", "e")')
+    swapped_up = mutated_q_dirac_check(dirac.spinor_legs, "else (-s, c)", "else (-c, s)")
+    for mutant in (flipped_fe, swapped_up):
+        assert mutant(hi(2), ctx) >= 0.1
+    # the next down level's eigenvalue q^{2j+5/2}: the residual is scaled by the
+    # largest eigenvalue q^{-(2 j_max + 3/2)}, so a down error reads largest at
+    # large q and the smallest cap holding down labels
+    shifted_down = mutated_q_dirac_check(
+        dirac.q_dirac_check, "else idx.j.twice + 0.5", "else idx.j.twice + 2.5")
+    if q == 0.8:
+        assert shifted_down(hi(0.5), ctx) >= 0.1
+    assert shifted_down(hi(2), ctx) > 1e3 * ctx.tol
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +421,18 @@ def test_spectrum_table_validation():
         SpectrumTable(((2.0, 1), (1.0, 1)))
 
 
-def test_spectrum_serialization():
+def test_spectrum_serialization(capsys):
+    # the table goes out through the command line writer
     table = even_triple_spectrum(WeightPair(1, 1), hi(1))
-    csv = table.to_csv_text()
+    argv = ["spectrum", "--triple", "even", "--k", "1", "--l", "1", "--lmax", "1"]
+    assert cli.main(argv) == 0
+    csv = capsys.readouterr().out
     assert csv.splitlines()[0] == "eigenvalue,multiplicity"
     assert len(csv.splitlines()) == 1 + len(table.rows)
     import json
 
-    data = json.loads(table.to_json_text())
+    assert cli.main(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data[0]["multiplicity"] == table.rows[0][1]
 
 
@@ -504,11 +658,8 @@ def test_coinvariant_spinors_are_ambient_eigenvectors():
     # eigenvalue is exactly ±2(j+1)
     for wp in WPS:
         for idx in coinvariant_spinor_basis(wp, hi(3)):
-            vec = spinor_vector(idx, CTX)
-            for term in vec.plus.terms:
-                assert degree(wp, term) == wp.k
-            for term in vec.minus.terms:
-                assert degree(wp, term) == -wp.l
+            for sign, term, _ in spinor_legs(idx, CTX):
+                assert degree(wp, term) == (wp.k if sign == "+" else -wp.l)
             j = float(idx.j)
             if idx.arrow == "up":
                 ambient = 2 * j + 1.5

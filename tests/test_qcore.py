@@ -9,7 +9,6 @@ from qwps.exact import HalfInt, QContext, hi
 from qwps.qcore import (
     LETTERS,
     coproduct_action,
-    dual_irrep_matrix,
     irrep_matrix,
     irrep_word,
     q_int,
@@ -206,33 +205,6 @@ def test_irrep_word_memo_is_fresh_product_and_read_only(q):
                     assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
                     with pytest.raises(ValueError, match="read-only"):
                         got[0, 0] = 1.0
-
-
-# ---------------------------------------------------------------------------
-# dual representation
-
-
-def test_dual_examples():
-    ctx = ctx_for(0.5)
-    for g, eps_sg in (("e", 0.0), ("f", 0.0), ("k", 1.0), ("kinv", 1.0)):
-        mat = dual_irrep_matrix(hi(0), g, ctx)
-        assert mat[0, 0] == pytest.approx(eps_sg)
-    e_dual = dual_irrep_matrix(hi(0.5), "e", ctx)
-    expected = (-ctx.q * irrep_matrix(hi(0.5), "e", ctx)).T
-    assert np.abs(e_dual - expected).max() == 0
-
-
-@pytest.mark.parametrize("lam", [hi(t / 2) for t in range(0, 5)])
-def test_dual_respects_relations(lam):
-    ctx = ctx_for(0.5)
-    q = ctx.q
-    e = dual_irrep_matrix(lam, "e", ctx)
-    f = dual_irrep_matrix(lam, "f", ctx)
-    k = dual_irrep_matrix(lam, "k", ctx)
-    kinv = dual_irrep_matrix(lam, "kinv", ctx)
-    assert np.abs(k @ e - q * e @ k).max() < ctx.tol
-    assert np.abs(k @ f - f @ k / q).max() < ctx.tol
-    assert np.abs(e @ f - f @ e - (k @ k - kinv @ kinv) / (q - 1 / q)).max() < ctx.tol
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from qwps.teardrop import (
     block_structure_evidence,
     lens_commutation_residual,
     lens_rep,
-    projection_matrix,
     wp_relation_residuals,
     wp_rep,
     wp_rep_via_ambient,
@@ -373,16 +372,6 @@ def test_ktheory_range_checks():
     with pytest.raises(ValueError, match="exceeds the cost guard"):
         ktheory_class(KTHEORY_GUARD + 1, 1, 1)
     assert len(ktheory_class(1000, 1, 1).ranks) == 1000
-
-
-def test_projection_matrices_exact():
-    for rank in (0, 1, 3, -2):
-        p = projection_matrix(rank, 6)
-        assert np.array_equal(p @ p, p)
-        assert np.array_equal(p, p.T)
-        assert np.trace(p) == max(rank, 0)
-    with pytest.raises(ValueError):
-        projection_matrix(9, 6)
 
 
 def test_projection_class_serialization():

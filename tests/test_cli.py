@@ -79,48 +79,48 @@ def test_bad_q_is_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["summability", "--nlist", "2,2"],
-        ["summability", "--nlist", "1,2"],
-        ["spectrum", "--triple", "odd", "--jmax", "inf"],
-        ["spectrum", "--triple", "odd", "--jmax", "-1"],
-        ["dims", "--jmax", "-3"],
-        ["spectrum", "--triple", "even", "--lmax", "-1"],
-        ["verify", "--suite", "su2q-relations", "--tol", "inf"],
-        # finite caps whose double overflows to inf
-        ["spectrum", "--triple", "odd", "--jmax", "1e308"],
-        ["dims", "--jmax", "1e308"],
-        ["spectrum", "--triple", "even", "--lmax", "9e307"],
-        ["verify", "--suite", "qdirac", "--jmax", "1e308"],
-        # finite caps above the cost guard
-        ["spectrum", "--triple", "odd", "--jmax", "1e9"],
-        ["dims", "--jmax", "1e9"],
-        ["spectrum", "--triple", "even", "--lmax", "10000.5"],
-        # a threshold tol >= 1 would pass vacuously
-        ["verify", "--suite", "su2q-relations", "--tol", "1e300"],
-        ["verify", "--suite", "haar", "--tol", "5"],
-        # teardrop work l(l+3) max(N, 32)^3 above its guard, and q^(-2l) overflowing
-        ["verify", "--suite", "teardrop", "--l", "512"],
-        ["verify", "--suite", "teardrop", "--N", "1000000"],
-        ["verify", "--suite", "teardrop", "--q", "0.01", "--l", "100"],
-        ["verify", "--suite", "teardrop", "--q", "1e-200"],
-        # ktheory lists l ranks; summability lists 2N + 1 shells per --nlist entry
-        ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
-        ["summability", "--nlist", "1000000000"],
-        ["summability", "--nlist", "600000,700000"],
-        # the even triple builds b = beta^k alpha^l; k + l above its guard
-        ["verify", "--suite", "chirality", "--l", "1000000000"],
-        ["verify", "--suite", "fredholm", "--l", "1000000000"],
-        # q-integers [n] and the q^{-D} eigenvalue bound q^{-(2 j_max + 3/2)}
-        # overflowing a double at small q
-        *[["verify", "--suite", suite, "--q", "1e-300"] for suite in SUITES if suite != "teardrop"],
-        ["verify", "--suite", "chirality", "--q", "1e-30"],
-        ["verify", "--suite", "fredholm", "--q", "1e-30"],
-    ],
-    ids=" ".join,
-)
+# argv that must exit 2 with an error line; tests/test_golden.py pins their bytes
+USAGE_ERRORS = [
+    ["summability", "--nlist", "2,2"],
+    ["summability", "--nlist", "1,2"],
+    ["spectrum", "--triple", "odd", "--jmax", "inf"],
+    ["spectrum", "--triple", "odd", "--jmax", "-1"],
+    ["dims", "--jmax", "-3"],
+    ["spectrum", "--triple", "even", "--lmax", "-1"],
+    ["verify", "--suite", "su2q-relations", "--tol", "inf"],
+    # finite caps whose double overflows to inf
+    ["spectrum", "--triple", "odd", "--jmax", "1e308"],
+    ["dims", "--jmax", "1e308"],
+    ["spectrum", "--triple", "even", "--lmax", "9e307"],
+    ["verify", "--suite", "qdirac", "--jmax", "1e308"],
+    # finite caps above the cost guard
+    ["spectrum", "--triple", "odd", "--jmax", "1e9"],
+    ["dims", "--jmax", "1e9"],
+    ["spectrum", "--triple", "even", "--lmax", "10000.5"],
+    # a threshold tol >= 1 would pass vacuously
+    ["verify", "--suite", "su2q-relations", "--tol", "1e300"],
+    ["verify", "--suite", "haar", "--tol", "5"],
+    # teardrop work l(l+3) max(N, 32)^3 above its guard, and q^(-2l) overflowing
+    ["verify", "--suite", "teardrop", "--l", "512"],
+    ["verify", "--suite", "teardrop", "--N", "1000000"],
+    ["verify", "--suite", "teardrop", "--q", "0.01", "--l", "100"],
+    ["verify", "--suite", "teardrop", "--q", "1e-200"],
+    # ktheory lists l ranks; summability lists 2N + 1 shells per --nlist entry
+    ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
+    ["summability", "--nlist", "1000000000"],
+    ["summability", "--nlist", "600000,700000"],
+    # the even triple builds b = beta^k alpha^l; k + l above its guard
+    ["verify", "--suite", "chirality", "--l", "1000000000"],
+    ["verify", "--suite", "fredholm", "--l", "1000000000"],
+    # q-integers [n] and the q^{-D} eigenvalue bound q^{-(2 j_max + 3/2)}
+    # overflowing a double at small q
+    *[["verify", "--suite", suite, "--q", "1e-300"] for suite in SUITES if suite != "teardrop"],
+    ["verify", "--suite", "chirality", "--q", "1e-30"],
+    ["verify", "--suite", "fredholm", "--q", "1e-30"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
 def test_bad_caps_and_nlist_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2

@@ -3,7 +3,8 @@
 Each case runs ``qwps.cli.main`` in process and is compared byte for byte with
 the files under ``tests/golden``.  The cases are the benchmark's command line
 workload (the README commands, the other verify suites and three usage
-probes), ``--help`` and the q^{-D} suite at two more values of q.
+probes), ``--help``, every verify suite at q = 0.3 and 0.8, every usage error
+of ``tests/test_cli.py`` and the wp relations at q where a residual reads NaN.
 
 Regenerate the corpus, after a change that is meant to alter output, with
 
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from qwps.cli import main
+from test_cli import SUITES, USAGE_ERRORS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # argparse wraps --help at the terminal width
@@ -54,8 +56,12 @@ CASES = [
     ("probe-spectrum-jmax-minus-1", ["spectrum", "--triple", "odd", "--jmax", "-1",
                                      "--out", "{out}"]),
     ("help", ["--help"]),
-    ("verify-qdirac-q0.3", _verify("qdirac", "--q", "0.3")),
-    ("verify-qdirac-q0.8", _verify("qdirac", "--q", "0.8")),
+    *[(f"verify-{suite}-q{q}", _verify(suite, "--q", q)) for suite in SUITES for q in ("0.3", "0.8")],
+    *[("usage_" + "_".join(argv), argv) for argv in USAGE_ERRORS],
+    # at these q the right-hand sides of b b* overflow and its residual reads NaN
+    *[(f"verify-wp-relations-{k},{l}-q{q}", _verify("wp-relations", "--q", q, "--k", k, "--l", l))
+      for k, l, q in (("1", "6", "1e-12"), ("1", "7", "1e-12"), ("1", "5", "1e-20"),
+                      ("1", "6", "1e-20"), ("2", "5", "1e-20"))],
 ]
 
 

@@ -16,11 +16,16 @@ with the residual reports that drive the verification CLI.
 from __future__ import annotations
 
 import json
+import math
+from itertools import product
 
 import numpy as np
 
 from .cg import cg_block
+from .exact import residual_max
 from .qcore import (
+    COPRODUCT,
+    LETTERS,
     HalfInt,
     QContext,
     antipode_letter,
@@ -151,7 +156,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def norm_inf(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return residual_max(abs(c) for c in self.terms.values())
 
     def coeff(self, idx: BasisIndex) -> complex:
         return self.terms.get(idx, 0j)
@@ -375,7 +380,7 @@ def relation_residuals(ctx: QContext) -> dict:
         "unitarity_1": (mul(alpha, alpha_s) + mul(beta, beta_s) - one).norm_inf(),
         "unitarity_2": (mul(alpha_s, alpha) + q * q * mul(beta_s, beta) - one).norm_inf(),
     }
-    residuals["max"] = max(residuals.values())
+    residuals["max"] = residual_max(residuals.values())
     return residuals
 
 
@@ -425,16 +430,12 @@ def action_table_residuals(ctx: QContext) -> dict:
         ("k", "beta_star", q**-0.5 * g["beta_star"]),
         ("kinv", "beta_star", q**0.5 * g["beta_star"]),
     ]
-    residuals = {}
-    for letter, name, expected in right_table:
-        residuals[f"right:{letter}:{name}"] = (
-            right_act(letter, g[name], ctx) - expected
-        ).norm_inf()
-    for letter, name, expected in left_table:
-        residuals[f"left:{letter}:{name}"] = (
-            left_act(letter, g[name], ctx) - expected
-        ).norm_inf()
-    residuals["max"] = max(residuals.values())
+    residuals = {
+        f"{side}:{letter}:{name}": (act(letter, g[name], ctx) - expected).norm_inf()
+        for side, act, table in (("right", right_act, right_table), ("left", left_act, left_table))
+        for letter, name, expected in table
+    }
+    residuals["max"] = residual_max(residuals.values())
     return residuals
 
 
@@ -454,33 +455,22 @@ def haar_orthogonality_residual(ctx: QContext, lam_max=2) -> float:
     return float(np.abs(deviation).max(initial=0.0))
 
 
-_SWEEDLER = {
-    "e": (("e", "k"), ("kinv", "e")),
-    "f": (("f", "k"), ("kinv", "f")),
-    "k": (("k", "k"),),
-    "kinv": (("kinv", "kinv"),),
-}
-
-
 def equivariance_residuals(ctx: QContext) -> dict:
     """Regular representations against the coproduct: act(x)(ab) = sum act(x')a act(x'')b."""
     g = _generator_table(ctx)
-    worst_right = 0.0
-    worst_left = 0.0
+    gaps = {"right": [], "left": []}
     for letter in ("e", "f", "k"):
         for a in g.values():
             for b in g.values():
                 ab = multiply(a, b, ctx)
-                lhs_r = right_act(letter, ab, ctx)
-                lhs_l = left_act(letter, ab, ctx)
-                rhs_r = AlgebraElement.zero()
-                rhs_l = AlgebraElement.zero()
-                for x1, x2 in _SWEEDLER[letter]:
-                    rhs_r = rhs_r + multiply(right_act(x1, a, ctx), right_act(x2, b, ctx), ctx)
-                    rhs_l = rhs_l + multiply(left_act(x1, a, ctx), left_act(x2, b, ctx), ctx)
-                worst_right = max(worst_right, (lhs_r - rhs_r).norm_inf())
-                worst_left = max(worst_left, (lhs_l - rhs_l).norm_inf())
-    return {"right": worst_right, "left": worst_left, "max": max(worst_right, worst_left)}
+                for side, act in (("right", right_act), ("left", left_act)):
+                    rhs = AlgebraElement.zero()
+                    for x1, x2 in COPRODUCT[letter]:
+                        rhs = rhs + multiply(act(x1, a, ctx), act(x2, b, ctx), ctx)
+                    gaps[side].append((act(letter, ab, ctx) - rhs).norm_inf())
+    worst = {side: residual_max(values) for side, values in gaps.items()}
+    worst["max"] = residual_max(worst.values())
+    return worst
 
 
 def star_pairing_residual(ctx: QContext, lam_max=1.5, max_word_len=2) -> float:
@@ -490,26 +480,21 @@ def star_pairing_residual(ctx: QContext, lam_max=1.5, max_word_len=2) -> float:
     so a word (x1 ... xr) pairs through the letterwise image in word order.
     """
     lam_max = hi(lam_max)
-    letters = ("e", "f", "k", "kinv")
-    words = [()]
-    words += [(a,) for a in letters]
+    words = [()] + [(a,) for a in LETTERS]
     if max_word_len >= 2:
-        words += [(a, b) for a in letters for b in letters]
-    worst = 0.0
+        words += list(product(LETTERS, repeat=2))
+    mapped = []
+    for w in words:
+        images = [star_antipode_letter(letter, ctx) for letter in w]
+        mapped.append((w, math.prod(c for c, _ in images), tuple(x for _, x in images)))
+    gaps = []
     for tl in range(0, lam_max.twice + 1):
         lam = HalfInt(tl)
         for m in weight_range(lam):
             for n in weight_range(lam):
                 t = AlgebraElement.basis(BasisIndex(lam, m, n))
                 ts = star(t, ctx)
-                for w in words:
-                    coeff = 1.0
-                    mapped = []
-                    for letter in w:
-                        c, mapped_letter = star_antipode_letter(letter, ctx)
-                        coeff *= c
-                        mapped.append(mapped_letter)
-                    lhs = pairing(ts, w, ctx)
-                    rhs = np.conj(coeff * pairing(t, tuple(mapped), ctx))
-                    worst = max(worst, abs(lhs - rhs))
-    return worst
+                for w, coeff, image in mapped:
+                    rhs = np.conj(coeff * pairing(t, image, ctx))
+                    gaps.append(abs(pairing(ts, w, ctx) - rhs))
+    return residual_max(gaps)

@@ -21,6 +21,7 @@ triple's pi(a), pi(b) and the commutator evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,7 +31,7 @@ from . import coord
 from .cg import cg_block, cg_coeff_updown
 from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
-from .exact import HalfInt, QContext, SpectrumTable, WeightPair, _p_window, hi
+from .exact import HalfInt, QContext, SpectrumTable, WeightPair, _p_window, hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import operator_norm
 from .qcore import irrep_word, q_int, weight_range
@@ -49,9 +50,10 @@ __all__ = [
 ]
 
 Q_DIRAC_GUARD = hi(3)
-# even_triple_operators builds b = beta^k alpha^l in full: verify --suite chirality
-# at (k, l) = (1, 64) took 0.48 s and 84 MB, (1, 127) 1.7 s and 248 MB and
-# (1, 150) 2.3 s and 344 MB on 2 cores; memory grows about as (k + l)^2
+# b is one matrix element, but pi(b) reads the dense CG blocks ((k+l)/2, lam) of side
+# (k+l+1)(2 lam + 1), and building b the (lam, 1/2) blocks and irreps up to (k+l)/2: at
+# (1, 127), lam_max 5 these kept 38, 23 and 25 MB.  verify --suite chirality at (1, 64) took
+# 0.48 s and 84 MB, (1, 127) 1.7 s and 248 MB and (1, 150) 2.3 s and 344 MB on 2 cores
 EVEN_TRIPLE_GUARD = 128
 
 
@@ -166,7 +168,8 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
                 [ q^{-1/2}(q-q^{-1}) rho(k^{-1}e)         rho(k^{-2})                    ]
 
     applied to the labels with m = lam, whose expected eigenvalues are
-    q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down vectors.
+    q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down vectors.  Refuses q
+    for which ev_max or the block overflows a double.
     """
     j_max = hi(j_max)
     if j_max.twice > Q_DIRAC_GUARD.twice:
@@ -178,8 +181,8 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
         raise ValueError(f"q = {q:g}: q^-(2 j_max + 3/2) overflows a double") from None
     lam_q = q - 1.0 / q
     top = [idx for idx in spinor_basis(j_max) if idx.m == idx.lam]
-    worst = 0.0
-    for lam in sorted({idx.lam for idx in top}):
+
+    def shell(lam):
         labels = [idx for idx in top if idx.lam == lam]
         rho = lambda *word: irrep_word(lam, word, ctx)  # noqa: E731
         block = q**1.5 * np.block([
@@ -192,7 +195,16 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
                 vecs[(tn + tl) // 2 + (d if sign == "-" else 0), col] = coeff
             evs[col] = q ** (-(idx.j.twice + 1.5) if idx.arrow == "up" else idx.j.twice + 0.5)
         resid = np.abs(block @ vecs - vecs * evs).max(axis=0)
-        worst = max(worst, float((resid / (ev_max * np.abs(vecs).max(axis=0))).max()))
+        return float((resid / (ev_max * np.abs(vecs).max(axis=0))).max())
+
+    # at small q the block's coefficients overflow: (q - 1/q)^2 raises, or inf * 0 reads NaN
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = residual_max([shell(lam) for lam in sorted({idx.lam for idx in top})])
+    except OverflowError:
+        worst = math.nan
+    if not math.isfinite(worst):
+        raise ValueError(f"q = {q:g}: the q^-D block overflows a double")
     return worst
 
 
@@ -343,7 +355,7 @@ def chirality_checks(wp: WeightPair, lam_max, ctx: QContext) -> dict:
         "commutes_pi_a": float(np.abs(pi_a @ omega - omega @ pi_a).max()),
         "commutes_pi_b": float(np.abs(pi_b @ omega - omega @ pi_b).max()),
     }
-    report["max"] = max(report.values())
+    report["max"] = residual_max(report.values())
     return report
 
 
@@ -359,5 +371,5 @@ def fredholm_degeneracy(wp: WeightPair, lam_max, ctx: QContext) -> dict:
         "commutes_pi_a": float(np.abs(F @ pi_a - pi_a @ F).max()),
         "commutes_pi_b": float(np.abs(F @ pi_b - pi_b @ F).max()),
     }
-    report["max"] = max(report.values())
+    report["max"] = residual_max(report.values())
     return report

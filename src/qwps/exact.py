@@ -34,6 +34,7 @@ __all__ = [
     "summability_partial_sum",
     "ProjectionClass",
     "ktheory_class",
+    "residual_max",
 ]
 
 # ktheory_class lists l ranks: 1.5 s and 161 MB at l = 1e6, 13 s and 1.3 GB at 1e7
@@ -189,6 +190,16 @@ class WeightPair:
     @property
     def s(self) -> int:
         return self.k + self.l
+
+
+def residual_max(values) -> float:
+    """The largest residual: NaN if any is NaN, 0.0 if none is positive.
+
+    Python's max keeps its running value when a comparison is false, so it
+    drops a NaN that follows a finite value and a report could pass with one.
+    """
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max([0.0, *values])
 
 
 def _p_window(wp: WeightPair, lo: int, hi: int, t: int) -> list[int]:
@@ -388,22 +399,18 @@ class ProjectionClass:
     l: int
     n: int
     j: int
-    free_rank: int
-    complemented: bool
     ranks: tuple
+
+    free_rank = property(lambda self: int(self.n >= 0))
+    complemented = property(lambda self: self.n < 0)
 
     def tokens(self) -> str:
         """Literal projection expression with the stated parameters."""
         l, n, j = self.l, self.n, self.j
         sub = lambda v: str(v) if v >= 0 else f"{{{v}}}"  # noqa: E731
-        if j == 0:
-            body = f"(⊕_{{s=1}}^{{{l}}} P_{sub(n)})"
-            return f"I_1 ⊕ {body}" if n >= 0 else f"1 - {body}"
-        left = f"(⊕_{{s=1}}^{{{l - j}}} P_{sub(n)})"
-        right = f"(⊕_{{s={l - j + 1}}}^{{{l}}} P_{sub(n + 1)})"
-        if n >= 0:
-            return f"I_1 ⊕ {left} ⊕ {right}"
-        return f"1 - {left} ⊕ {right}"
+        runs = [(1, l - j, n), (l - j + 1, l, n + 1)] if j else [(1, l, n)]
+        body = " ⊕ ".join(f"(⊕_{{s={a}}}^{{{b}}} P_{sub(r)})" for a, b, r in runs)
+        return f"1 - {body}" if self.complemented else f"I_1 ⊕ {body}"
 
     def reduced(self) -> str:
         """Canonical rendering with zero projections (index <= 0) dropped."""
@@ -438,7 +445,4 @@ def ktheory_class(l: int, n: int, j: int) -> ProjectionClass:
         raise ValueError(f"l = {l} exceeds the cost guard {KTHEORY_GUARD}")
     if not (0 <= j <= l - 1):
         raise ValueError(f"need 0 <= j <= l-1, got j = {j}")
-    ranks = tuple([n] * (l - j) + [n + 1] * j)
-    if n >= 0:
-        return ProjectionClass(l, n, j, free_rank=1, complemented=False, ranks=ranks)
-    return ProjectionClass(l, n, j, free_rank=0, complemented=True, ranks=ranks)
+    return ProjectionClass(l, n, j, ranks=tuple([n] * (l - j) + [n + 1] * j))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .exact import HalfInt, QContext, hi
 
 __all__ = [
     "LETTERS",
+    "COPRODUCT",
     "q_int",
     "q_sqrt_int",
     "antipode_letter",
@@ -39,6 +41,13 @@ __all__ = [
 ]
 
 LETTERS = ("e", "f", "k", "kinv")
+# Delta(letter) in Sweedler form, the sum of x1 ⊗ x2 over its pairs
+COPRODUCT = {
+    "e": (("e", "k"), ("kinv", "e")),
+    "f": (("f", "k"), ("kinv", "f")),
+    "k": (("k", "k"),),
+    "kinv": (("kinv", "kinv"),),
+}
 
 
 def q_int(n, ctx: QContext) -> float:
@@ -87,14 +96,10 @@ def theta_letter(letter: str):
 
 
 def star_antipode_letter(letter: str, ctx: QContext):
-    """(S(letter))* as (scalar, letter), using e* = f, f* = e, k* = k."""
-    q = ctx.q
-    return {
-        "e": (-q, "f"),
-        "f": (-1.0 / q, "e"),
-        "k": (1.0, "kinv"),
-        "kinv": (1.0, "k"),
-    }[letter]
+    """(S(letter))* as (scalar, letter): the antipode, then e* = f, f* = e,
+    k* = k; the scalars are real, so the star leaves them unchanged."""
+    scalar, image = antipode_letter(letter, ctx)
+    return scalar, {"e": "f", "f": "e", "k": "k", "kinv": "kinv"}[image]
 
 
 def weight_range(lam) -> list[HalfInt]:
@@ -173,15 +178,12 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
 
 
 def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:
-    """(rho_lam1 ⊗ rho_lam2)(Delta(letter)) on the lexicographic tensor basis.
-
-    Delta(k^±1) = k^±1 ⊗ k^±1 and Delta(e) = e ⊗ k + k^-1 ⊗ e (same shape
-    for f).
+    """(rho_lam1 ⊗ rho_lam2)(Delta(letter)) on the lexicographic tensor basis,
+    summed over the pairs of :data:`COPRODUCT` in their order:
+    Delta(k^±1) = k^±1 ⊗ k^±1 and Delta(e) = e ⊗ k + k^-1 ⊗ e (same shape for f).
     """
-    r1 = lambda g: irrep_matrix(lam1, g, ctx)  # noqa: E731
-    r2 = lambda g: irrep_matrix(lam2, g, ctx)  # noqa: E731
-    if letter in ("k", "kinv"):
-        return np.kron(r1(letter), r2(letter))
-    if letter in ("e", "f"):
-        return np.kron(r1(letter), r2("k")) + np.kron(r1("kinv"), r2(letter))
-    raise ValueError(f"unknown generator letter {letter!r}")
+    if letter not in COPRODUCT:
+        raise ValueError(f"unknown generator letter {letter!r}")
+    terms = [np.kron(irrep_matrix(lam1, x1, ctx), irrep_matrix(lam2, x2, ctx))
+             for x1, x2 in COPRODUCT[letter]]
+    return reduce(np.add, terms)

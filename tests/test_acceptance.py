@@ -201,7 +201,25 @@ def test_criterion_12_teardrop_operators():
     )
 
 
-def test_criterion_13_projection_class_tokens():
+def test_criterion_13_projection_class_tokens(monkeypatch):
+    # the block pattern of alpha*^j times the degree-nl component, its shift
+    # powers read from ktheory_class, over l <= 6, |n| <= 3 and 1 <= j <= l-1
+    t0 = time.monotonic()
+    grid = [(l, n, j) for l in range(2, 7) for n in range(-3, 4) for j in range(1, l)]
+    failed = [(q, l, n, j) for q in (0.3, 0.5, 0.8) for l, n, j in grid
+              if not teardrop.block_structure_evidence(l, n, j, 16, QContext(q, 1e-9))["pass"]]
+    elapsed = time.monotonic() - t0
+    # the same grid fails wherever the classes swap the ranks n and n + 1
+    with monkeypatch.context() as patch:
+        patch.setattr(teardrop, "ktheory_class", lambda l, n, j: exact.ProjectionClass(
+            l, n, j, ranks=tuple([n + 1] * (l - j) + [n] * j)))
+        swapped = [(l, n, j) for l, n, j in grid
+                   if teardrop.block_structure_evidence(l, n, j, 16, DEFAULT_CTX)["pass"]]
+    report(13, "block patterns of the homogeneous components follow their projection classes",
+           not failed and not swapped,
+           f"{len(grid)} classes at q in {{0.3, 0.5, 0.8}}, {len(failed)} failed, "
+           f"{len(swapped)} passed with swapped ranks, {elapsed:.2f}s")
+
     expected = {
         (2, 0, 0): "I_1 ⊕ (⊕_{s=1}^{2} P_0)",
         (2, 1, 1): "I_1 ⊕ (⊕_{s=1}^{1} P_1) ⊕ (⊕_{s=2}^{2} P_2)",

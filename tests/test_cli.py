@@ -109,7 +109,7 @@ USAGE_ERRORS = [
     ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
     ["summability", "--nlist", "1000000000"],
     ["summability", "--nlist", "600000,700000"],
-    # the even triple builds b = beta^k alpha^l; k + l above its guard
+    # the even triple reads CG blocks of side (k + l + 1)(2 lam + 1); k + l above its guard
     ["verify", "--suite", "chirality", "--l", "1000000000"],
     ["verify", "--suite", "fredholm", "--l", "1000000000"],
     # q-integers [n] and the q^{-D} eigenvalue bound q^{-(2 j_max + 3/2)}
@@ -117,6 +117,15 @@ USAGE_ERRORS = [
     *[["verify", "--suite", suite, "--q", "1e-300"] for suite in SUITES if suite != "teardrop"],
     ["verify", "--suite", "chirality", "--q", "1e-30"],
     ["verify", "--suite", "fredholm", "--q", "1e-30"],
+    # q^(-2l) in the wp relations, and the q^{-D} block's coefficients: at 1e-150
+    # inf * 0 reads NaN, at 1e-160 (q - 1/q)^2 overflows
+    *[["verify", "--suite", "wp-relations", "--q", q, "--k", k, "--l", l]
+      for k, l, qs in [("1", "7", ("1e-28", "1e-30", "1e-33", "1e-36")),
+                       ("1", "6", ("1e-33", "1e-36", "1e-40")),
+                       *[(k, "5", ("1e-40", "1e-50")) for k in ("1", "2", "3")]]
+      for q in qs],
+    ["verify", "--suite", "qdirac", "--q", "1e-150", "--jmax", "0"],
+    ["verify", "--suite", "qdirac", "--q", "1e-160", "--jmax", "0"],
 ]
 
 
@@ -127,6 +136,21 @@ def test_bad_caps_and_nlist_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# (k, l, q) at which the right-hand sides of b b* overflow, and its residual reads NaN
+NAN_WP_CASES = [("1", "6", "1e-12"), ("1", "7", "1e-12"), ("1", "5", "1e-20"),
+                ("1", "6", "1e-20"), ("2", "5", "1e-20")]
+
+
+@pytest.mark.parametrize("k,l,q", NAN_WP_CASES)
+def test_nan_residual_fails_the_report(capsys, k, l, q):
+    argv = ["verify", "--suite", "wp-relations", "--q", q, "--k", k, "--l", l]
+    code, out, _ = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert math.isnan(report["residuals"]["b_bstar"])
+    assert math.isnan(report["max_residual"]) and report["pass"] is False
+    assert code == 1
 
 
 # edge values for every numeric flag

@@ -99,6 +99,18 @@ def test_wp_b_oracle_for_unit_weights():
     assert (b - expected).norm_inf() < 1e-14
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_wp_b_is_one_matrix_element(q):
+    # each factor of beta^k alpha^l keeps the row index at the top weight, so one
+    # mu survives every product: b = c t^{(k+l)/2}_{(k+l)/2, (l-k)/2}
+    ctx = QContext(q, 1e-9)
+    for s in range(2, 21):
+        for k in range(1, s):
+            if math.gcd(k, s - k) == 1:
+                _, b = wp_gens(WeightPair(k, s - k), ctx)
+                assert list(b.terms) == [BasisIndex.doubled(s, s, s - 2 * k)], (k, s - k)
+
+
 WP_RELATION_CASES = [
     (1, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.3), (4, 3, 0.3), (3, 5, 0.3), (5, 3, 0.3)
 ]

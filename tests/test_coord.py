@@ -1,5 +1,6 @@
 """Coordinate algebra: product, star, pairing, regular actions, Haar state."""
 
+import math
 import pickle
 
 import numpy as np
@@ -26,7 +27,7 @@ from qwps.coord import (
     unit,
 )
 from qwps.exact import HalfInt, QContext
-from qwps.qcore import q_int, weight_range
+from qwps.qcore import COPRODUCT, q_int, weight_range
 
 CTX = QContext(0.5, 1e-9)
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -100,6 +101,12 @@ def test_element_drops_zeros():
     idx = BasisIndex.of(0.5, 0.5, 0.5)
     a = AlgebraElement({idx: 0.0})
     assert len(a) == 0 and a.norm_inf() == 0.0
+
+
+def test_norm_inf_propagates_nan():
+    one, other = BasisIndex.of(0, 0, 0), BasisIndex.of(0.5, 0.5, 0.5)
+    for terms in ({one: 1.0, other: math.nan}, {other: math.nan, one: 1.0}):
+        assert math.isnan(AlgebraElement(terms).norm_inf())
 
 
 @given(elements)
@@ -240,6 +247,10 @@ _SWEEDLER = {
     "k": (("k", "k"),),
     "kinv": (("kinv", "kinv"),),
 }
+
+
+def test_coproduct_table_is_the_reference():
+    assert COPRODUCT == _SWEEDLER
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +314,16 @@ def test_q_dirac_guard():
         q_dirac_check(hi(3.5), CTX)
 
 
+def test_q_dirac_refuses_an_overflowing_block():
+    # (q - 1/q)^2 / q overflows at 1e-150 and (q - 1/q)^2 itself at 1e-160; the
+    # refusal comes last, so a q-integer overflowing in a later shell keeps its message
+    for j_max, q, message in [(0, 1e-150, "the q^-D block overflows a double"),
+                              (0, 1e-160, "the q^-D block overflows a double"),
+                              (0.5, 1e-103, "the q-integer [3] overflows a double")]:
+        with pytest.raises(ValueError, match=re.escape(f"q = {q:g}: {message}")):
+            q_dirac_check(hi(j_max), QContext(q, 1e-9))
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
 @pytest.mark.parametrize("j_max", [0, 1, 2])
 def test_q_dirac_matches_per_vector_reference(q, j_max):
@@ -621,6 +632,22 @@ def test_chirality_exact(wp):
 def test_fredholm_exact(wp):
     report = fredholm_degeneracy(wp, hi(3), CTX)
     assert report["max"] < 1e-12
+
+
+@pytest.mark.parametrize("check", [chirality_checks, fredholm_degeneracy])
+def test_even_triple_report_max_propagates_nan(monkeypatch, check):
+    # pi(b) enters only the last residual, where Python's max dropped a NaN
+    operators = dirac.even_triple_operators
+
+    def nan_in_pi_b(wp, lam_max, ctx):
+        ops = operators(wp, lam_max, ctx)
+        ops["pi_b"][0, 0] = math.nan
+        return ops
+
+    monkeypatch.setattr(dirac, "even_triple_operators", nan_in_pi_b)
+    report = check(WeightPair(1, 1), hi(1), CTX)
+    assert math.isnan(report["commutes_pi_b"]) and not math.isnan(report["commutes_pi_a"])
+    assert math.isnan(report["max"])
 
 
 def test_even_triple_operators_structure():

@@ -1,17 +1,21 @@
 """Exact weights, q-integers and the ladder-form irreducible matrices."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qwps.exact import HalfInt, QContext, hi
+from qwps.exact import HalfInt, QContext, hi, residual_max
 from qwps.qcore import (
     LETTERS,
+    antipode_letter,
     coproduct_action,
     irrep_matrix,
     irrep_word,
     q_int,
+    star_antipode_letter,
     weight_range,
 )
 
@@ -21,6 +25,26 @@ LAMBDAS = [hi(t / 2) for t in range(0, 7)]
 
 def ctx_for(q):
     return QContext(q, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the residual max every report takes
+
+
+def test_residual_max_propagates_nan():
+    assert residual_max([]) == 0.0
+    for values in ([1.0, math.nan], [math.nan, 1.0], [0.0, 2.0, math.nan, 3.0]):
+        assert math.isnan(residual_max(values))
+        assert math.isnan(residual_max(iter(values)))
+    assert residual_max([1.0, math.inf, 2.0]) == math.inf
+
+
+@given(st.lists(st.floats(0.0, 1e300) | st.sampled_from([np.float64(0.5), np.float64(0.0)])))
+def test_residual_max_is_max_without_nan(values):
+    # the first largest value itself, as max returns it, so reports keep their types
+    result = residual_max(values)
+    assert result == max(values, default=0.0)
+    assert type(result) is type(max([0.0, *values]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +269,18 @@ def test_coproduct_coassociative_desk_scale(g):
         lhs = np.kron(cop(g), r("k")) + np.kron(cop("kinv"), r(g))
         rhs = np.kron(r(g), cop("k")) + np.kron(r("kinv"), cop(g))
     assert np.abs(lhs - rhs).max() < ctx.tol
+
+
+def test_star_antipode_letter():
+    # (S(x))* of each letter: S(e) = -q e, S(f) = -f/q, S(k^±1) = k^∓1, then e* = f
+    for q in Q_VALUES:
+        ctx = ctx_for(q)
+        assert star_antipode_letter("e", ctx) == (-q, "f")
+        assert star_antipode_letter("f", ctx) == (-1.0 / q, "e")
+        assert star_antipode_letter("k", ctx) == (1.0, "kinv")
+        assert star_antipode_letter("kinv", ctx) == (1.0, "k")
+        for letter in LETTERS:
+            assert star_antipode_letter(letter, ctx)[0] == antipode_letter(letter, ctx)[0]
 
 
 def test_weight_range_order():

@@ -316,6 +316,22 @@ def test_block_report_is_json_serializable():
     assert "tokens" in text
 
 
+def test_block_report_off_pattern_propagates_nan(monkeypatch):
+    # a stray coefficient below the threshold, then a NaN one: Python's max kept the first
+    ambient_word = teardrop._ambient_word
+
+    def strays(word, z, n, ctx):
+        coeff, z_out, n_out = ambient_word(word, z, n, ctx)
+        if z in (3, 5):
+            return (1e-12 if z == 3 else math.nan), z_out + 1, n_out
+        return coeff, z_out, n_out
+
+    monkeypatch.setattr(teardrop, "_ambient_word", strays)
+    report = block_structure_evidence(2, 1, 1, 16, CTX)
+    assert all(math.isnan(sample["off_pattern"]) for sample in report["samples"])
+    assert report["pass"] is False
+
+
 def test_block_structure_full_power_reduces_to_lens_pattern():
     # j = l sends every copy to itself with one extra backward shift
     report = block_structure_evidence(2, 0, 2, 24, CTX)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import HalfInt, QContext, coproduct_action, hi, irrep_matrix, q_int
+from .qcore import HalfInt, QContext, coproduct_action, hi, irrep_word, q_int
 
 __all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
 
@@ -183,7 +183,7 @@ def _check_block(matrix: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QContext
     r = 0
     for mu in couple(lam1, lam2):
         d = mu.twice + 1
-        target[r : r + d, r : r + d] = irrep_matrix(mu, "e", ctx).real
+        target[r : r + d, r : r + d] = irrep_word(mu, "e", ctx).real
         r += d
     raising = matrix @ coproduct_action(lam1, lam2, "e", ctx).real @ matrix.T
     orth_err = np.abs(matrix @ matrix.T - np.eye(len(matrix))).max()

@@ -62,18 +62,9 @@ class RunConfig:
         return WeightPair(self.k, self.l)
 
 
-_CONFIG_CASTS = {
-    "q": float,
-    "tol": float,
-    "k": int,
-    "l": int,
-    "jmax": float,
-    "lmax": float,
-    "N": int,
-    "n": int,
-    "format": str,
-    "out": str,
-}
+# each key's cast is the type of its default; out's default is None
+_CONFIG_CASTS = {f.name: type(f.default) if f.default is not None else str
+                 for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict:

@@ -84,7 +84,8 @@ def verify_wp_relations(wp: WeightPair, ctx: QContext) -> dict:
     if wp.s > WP_RELATION_GUARD:
         raise ValueError(
             f"k + l = {wp.s} exceeds the guard {WP_RELATION_GUARD}; "
-            f"b = beta^k alpha^l would be too costly"
+            "rounding in the right-hand sides grows as q^(-l(l-1)), so the residuals would "
+            "measure rounding, not the relations"
         )
     q = ctx.q
     a, b = wp_gens(wp, ctx)

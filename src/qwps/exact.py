@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import total_ordering
 
 __all__ = [
     "HalfInt",
@@ -41,6 +41,7 @@ __all__ = [
 KTHEORY_GUARD = 1_000_000
 
 
+@total_ordering
 @dataclass(frozen=True)
 class HalfInt:
     """Exact half-integer, stored as twice its value.
@@ -54,20 +55,6 @@ class HalfInt:
     def __post_init__(self):
         if not isinstance(self.twice, int):
             raise TypeError(f"twice must be int, got {type(self.twice).__name__}")
-
-    @staticmethod
-    def of(value: Union["HalfInt", int, float]) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2 whose double is finite, or a HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        doubled = 2 * value
-        if not math.isfinite(doubled):
-            raise ValueError(f"{value!r} is out of range: twice it is not finite")
-        if doubled != int(doubled):
-            raise ValueError(f"{value!r} is not a half-integer")
-        return HalfInt(int(doubled))
 
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
@@ -119,18 +106,6 @@ class HalfInt:
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self.twice < o.twice
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice <= o.twice
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice > o.twice
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice >= o.twice
-
     def __eq__(self, other):
         if isinstance(other, (HalfInt, int)):
             return self.twice == self._coerce(other).twice
@@ -149,8 +124,17 @@ class HalfInt:
 
 
 def hi(value) -> HalfInt:
-    """Shorthand for :meth:`HalfInt.of`."""
-    return HalfInt.of(value)
+    """Coerce an int, an exact multiple of 1/2 whose double is finite, or a HalfInt."""
+    if isinstance(value, HalfInt):
+        return value
+    if isinstance(value, int):
+        return HalfInt(2 * value)
+    doubled = 2 * value
+    if not math.isfinite(doubled):
+        raise ValueError(f"{value!r} is out of range: twice it is not finite")
+    if doubled != int(doubled):
+        raise ValueError(f"{value!r} is not a half-integer")
+    return HalfInt(int(doubled))
 
 
 @dataclass(frozen=True)

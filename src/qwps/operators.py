@@ -1,9 +1,9 @@
 """Finite truncations of densely defined operators.
 
 A TruncatedOperator is a square matrix together with the explicit ordered
-basis of the truncated Hilbert space it acts on.  Only the commutator norms
-go through operator_norm; the teardrop relations are diagonals or single
-shifts, and are normed entrywise.
+basis of the truncated Hilbert space it acts on: row and column i belong to
+basis[i].  Only the commutator norms go through operator_norm; the teardrop
+relations are diagonals or single shifts, and are normed entrywise.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ class TruncatedOperator:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match basis size {n}"
             )
-
-    def position(self, label) -> int:
-        try:
-            return self.basis.index(label)
-        except ValueError:
-            raise KeyError(f"{label} not in truncated basis") from None
 
 
 def operator_norm(mat) -> float:

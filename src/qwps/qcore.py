@@ -14,6 +14,8 @@ u_{lam,-lam}, ..., u_{lam,lam} and the generators act in ladder form
 
 with the q-integer [n] = (q^n - q^-n)/(q - q^-1).  Matrices act on column
 vectors; a generator word evaluates to the matrix product in word order.
+:func:`irrep_word` is the one way to read them, for a single letter as for a
+word: it is memoized and returns its arrays read-only.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ __all__ = [
     "LETTERS",
     "COPRODUCT",
     "q_int",
-    "q_sqrt_int",
     "antipode_letter",
     "theta_letter",
     "star_antipode_letter",
     "weight_range",
-    "irrep_matrix",
     "irrep_word",
     "coproduct_action",
 ]
@@ -61,14 +61,6 @@ def q_int(n, ctx: QContext) -> float:
         return (q**m - q**-m) / (q - 1.0 / q)
     except OverflowError:
         raise ValueError(f"q = {q:g}: the q-integer [{m}] overflows a double") from None
-
-
-def q_sqrt_int(n, ctx: QContext) -> float:
-    """sqrt([n]); ladder coefficients are products of these."""
-    v = q_int(n, ctx)
-    if v < 0:
-        raise ValueError(f"[{n}] = {v} < 0, square root undefined")
-    return math.sqrt(v)
 
 
 def antipode_letter(letter: str, ctx: QContext):
@@ -119,17 +111,6 @@ _word_cache: dict = {}
 _irrep_lock = threading.Lock()
 
 
-def irrep_matrix(lam, letter: str, ctx: QContext) -> np.ndarray:
-    """Matrix of the generator on the highest-weight-lam module (column convention).
-
-    The one-letter entry of :func:`irrep_word`'s memo, read-only, so a caller
-    that writes must copy it.
-    """
-    if letter not in LETTERS:
-        raise ValueError(f"unknown generator letter {letter!r}")
-    return irrep_word(lam, letter, ctx)
-
-
 def _as_word(word) -> tuple[str, ...]:
     word = (word,) if isinstance(word, str) else tuple(word)
     for letter in word:
@@ -165,9 +146,9 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
                 out[i, i] = ctx.q ** (-m.float)
             elif letter == "e":
                 if i + 1 < d:
-                    out[i + 1, i] = q_sqrt_int(lam - m, ctx) * q_sqrt_int(lam + m + 1, ctx)
+                    out[i + 1, i] = math.sqrt(q_int(lam - m, ctx)) * math.sqrt(q_int(lam + m + 1, ctx))
             elif i - 1 >= 0:  # f
-                out[i - 1, i] = q_sqrt_int(lam - m + 1, ctx) * q_sqrt_int(lam + m, ctx)
+                out[i - 1, i] = math.sqrt(q_int(lam - m + 1, ctx)) * math.sqrt(q_int(lam + m, ctx))
     else:
         out = irrep_word(lam, word[0], ctx) if word else np.eye(d, dtype=complex)
         for letter in word[1:]:
@@ -184,6 +165,6 @@ def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:
     """
     if letter not in COPRODUCT:
         raise ValueError(f"unknown generator letter {letter!r}")
-    terms = [np.kron(irrep_matrix(lam1, x1, ctx), irrep_matrix(lam2, x2, ctx))
+    terms = [np.kron(irrep_word(lam1, x1, ctx), irrep_word(lam2, x2, ctx))
              for x1, x2 in COPRODUCT[letter]]
     return reduce(np.add, terms)

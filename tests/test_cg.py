@@ -8,7 +8,7 @@ import pytest
 from qwps import cg
 from qwps.cg import cg_block, cg_coeff_updown, clear_cache, couple
 from qwps.exact import QContext, hi
-from qwps.qcore import coproduct_action, irrep_matrix
+from qwps.qcore import coproduct_action, irrep_word
 
 Q_VALUES = (0.3, 0.5, 0.8)
 
@@ -61,7 +61,7 @@ def block_errors(lam1, lam2, ctx):
         r = 0
         for mu in couple(lam1, lam2):
             d = mu.twice + 1
-            target[r : r + d, r : r + d] = irrep_matrix(mu, g, ctx).real
+            target[r : r + d, r : r + d] = irrep_word(mu, g, ctx).real
             r += d
         action = coproduct_action(lam1, lam2, g, ctx).real
         err = np.abs(c @ action @ c.T - target).max() / max(1.0, np.abs(target).max())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qwps
 from qwps import exact
-from qwps.cli import RunConfig, _run_suite, main
+from qwps.cli import RunConfig, _build_parser, _merge_config, _run_suite, main
 
 README_COMMANDS = [
     "spectrum --triple even --k 1 --l 1 --lmax 3",
@@ -112,6 +112,8 @@ USAGE_ERRORS = [
     # the even triple reads CG blocks of side (k + l + 1)(2 lam + 1); k + l above its guard
     ["verify", "--suite", "chirality", "--l", "1000000000"],
     ["verify", "--suite", "fredholm", "--l", "1000000000"],
+    # wp relations with k + l above their guard, where rounding grows as q^(-l(l-1))
+    ["verify", "--suite", "wp-relations", "--k", "4", "--l", "5"],
     # q-integers [n] and the q^{-D} eigenvalue bound q^{-(2 j_max + 3/2)}
     # overflowing a double at small q
     *[["verify", "--suite", suite, "--q", "1e-300"] for suite in SUITES if suite != "teardrop"],
@@ -277,7 +279,7 @@ def test_residuals_do_not_depend_on_tol(suite, q):
 
 def test_verify_dump_golden_elements(tmp_path, capsys):
     from qwps.coaction import wp_gens
-    from qwps.coord import from_jsonl
+    from qwps.coord import to_jsonl
     from qwps.exact import QContext, WeightPair
 
     target = tmp_path / "elements.jsonl"
@@ -286,18 +288,8 @@ def test_verify_dump_golden_elements(tmp_path, capsys):
         ["verify", "--suite", "wp-relations", "--k", "1", "--l", "2", "--dump", str(target)],
     )
     assert code == 0
-    text = target.read_text()
-    sections = {}
-    name = None
-    for line in text.splitlines():
-        if line.startswith("# "):
-            name = line[2:]
-            sections[name] = []
-        elif line.strip():
-            sections[name].append(line)
     a, b = wp_gens(WeightPair(1, 2), QContext(0.5, 1e-9))
-    assert (from_jsonl("\n".join(sections["a"])) - a).norm_inf() == 0.0
-    assert (from_jsonl("\n".join(sections["b"])) - b).norm_inf() == 0.0
+    assert target.read_text() == f"# a\n{to_jsonl(a)}\n# b\n{to_jsonl(b)}\n"
 
 
 def test_summability_table(capsys):
@@ -345,8 +337,18 @@ def test_out_file(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("# comment\nk=1\nl=2\nlmax=2\nformat=json\n")
-    code, out, _ = run_cli(capsys, ["spectrum", "--triple", "even", "--config", str(config)])
+    config.write_text("# comment\nq=0.25\nk=1\nl=2\nlmax=2\nn=3\nformat=json\n")
+    argv = ["spectrum", "--triple", "even", "--config", str(config)]
+    # each value is cast to the type of its field's default
+    cfg = _merge_config(_build_parser().parse_args(argv))
+    values = {name: getattr(cfg, name) for name in ("q", "k", "l", "lmax", "n", "format")}
+    assert values == {"q": 0.25, "k": 1, "l": 2, "lmax": 2.0, "n": 3, "format": "json"}
+    assert [type(v) for v in values.values()] == [float, int, int, float, int, str]
+    out_config = tmp_path / "out.cfg"  # out's default is None, its cast str
+    out_config.write_text("out=report.json\n")
+    cfg = _merge_config(_build_parser().parse_args(["dims", "--config", str(out_config)]))
+    assert cfg.out == "report.json"
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     data = json.loads(out)  # json format came from the config file
     assert isinstance(data, list)

@@ -69,7 +69,7 @@ def test_project_degree():
     assert (project_degree(alpha, wp, -1) - alpha).norm_inf() == 0.0
     # occurring degrees reconstruct the element
     degrees = {degree(wp, idx) for idx in both.terms}
-    rebuilt = AlgebraElement.zero()
+    rebuilt = AlgebraElement()
     for d in degrees:
         rebuilt = rebuilt + project_degree(both, wp, d)
     assert (rebuilt - both).norm_inf() == 0.0

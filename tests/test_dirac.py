@@ -91,8 +91,8 @@ def spinor_vector(idx, ctx):
     else:
         c, s = cg_coeff_updown(idx.j + 1, idx.mu, ctx)
         minus_coeff, plus_coeff = -s, c
-    minus = AlgebraElement.zero()
-    plus = AlgebraElement.zero()
+    minus = AlgebraElement()
+    plus = AlgebraElement()
     if minus_coeff != 0.0:
         minus = AlgebraElement.basis(BasisIndex(lam, idx.m, idx.mu + half), scale * minus_coeff)
     if plus_coeff != 0.0:

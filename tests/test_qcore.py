@@ -1,10 +1,11 @@
 """Exact weights, q-integers and the ladder-form irreducible matrices."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwps.exact import HalfInt, QContext, hi, residual_max
@@ -12,7 +13,6 @@ from qwps.qcore import (
     LETTERS,
     antipode_letter,
     coproduct_action,
-    irrep_matrix,
     irrep_word,
     q_int,
     star_antipode_letter,
@@ -52,13 +52,25 @@ def test_residual_max_is_max_without_nan():
 # HalfInt
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50))
-def test_halfint_arithmetic_closed(a, b):
+ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-25, 25))
+@example(3, 3, 1)
+@example(4, 3, 2)
+def test_halfint_arithmetic_closed(a, b, c):
     x, y = HalfInt(a), HalfInt(b)
     assert (x + y).twice == a + b
     assert (x - y).twice == a - b
     assert (-x).twice == -a
-    assert (x < y) == (a / 2 < b / 2)
+    # all six comparisons, against a HalfInt and against an int on either side
+    for op in (*ORDERINGS, operator.eq, operator.ne):
+        assert op(x, y) == op(a, b)
+        assert op(x, c) == op(a, 2 * c)
+        assert op(c, x) == op(2 * c, a)
+    for op in ORDERINGS:
+        with pytest.raises(TypeError):
+            op(x, 0.5)
 
 
 @given(st.integers(-50, 50))
@@ -128,14 +140,14 @@ def test_q_int_classical_limit():
 def test_irrep_trivial_module_is_counit():
     ctx = ctx_for(0.5)
     for g, eps in (("e", 0.0), ("f", 0.0), ("k", 1.0), ("kinv", 1.0)):
-        mat = irrep_matrix(hi(0), g, ctx)
+        mat = irrep_word(hi(0), g, ctx)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(eps)
 
 
 def test_irrep_k_spin_half():
     ctx = ctx_for(0.5)
-    mat = irrep_matrix(hi(0.5), "k", ctx)
+    mat = irrep_word(hi(0.5), "k", ctx)
     # ascending basis u_{-1/2}, u_{1/2}: diag(q^{-1/2}, q^{1/2})
     assert mat[0, 0] == pytest.approx(np.sqrt(2.0))
     assert mat[1, 1] == pytest.approx(1 / np.sqrt(2.0))
@@ -144,7 +156,7 @@ def test_irrep_k_spin_half():
 
 def test_irrep_e_spin_half_single_entry():
     ctx = ctx_for(0.5)
-    mat = irrep_matrix(hi(0.5), "e", ctx)
+    mat = irrep_word(hi(0.5), "e", ctx)
     # maps u_{-1/2} to u_{+1/2} with coefficient sqrt([1][1]) = 1
     assert mat[1, 0] == pytest.approx(1.0)
     assert np.abs(mat).sum() == pytest.approx(1.0)
@@ -152,19 +164,19 @@ def test_irrep_e_spin_half_single_entry():
 
 def test_irrep_rejects_negative_weight():
     with pytest.raises(ValueError):
-        irrep_matrix(hi(-0.5), "e", ctx_for(0.5))
+        irrep_word(hi(-0.5), "e", ctx_for(0.5))
     with pytest.raises(ValueError):
-        irrep_matrix(hi(1), "x", ctx_for(0.5))
+        irrep_word(hi(1), "x", ctx_for(0.5))
 
 
 @pytest.mark.parametrize("q", Q_VALUES)
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_defining_relations(q, lam):
     ctx = ctx_for(q)
-    e = irrep_matrix(lam, "e", ctx)
-    f = irrep_matrix(lam, "f", ctx)
-    k = irrep_matrix(lam, "k", ctx)
-    kinv = irrep_matrix(lam, "kinv", ctx)
+    e = irrep_word(lam, "e", ctx)
+    f = irrep_word(lam, "f", ctx)
+    k = irrep_word(lam, "k", ctx)
+    kinv = irrep_word(lam, "kinv", ctx)
     tol = ctx.tol
     assert np.abs(k @ e - q * e @ k).max() < tol
     assert np.abs(k @ f - f @ k / q).max() < tol
@@ -179,8 +191,8 @@ def test_defining_relations(q, lam):
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_e_f_conjugate_transpose(lam):
     ctx = ctx_for(0.5)
-    e = irrep_matrix(lam, "e", ctx)
-    f = irrep_matrix(lam, "f", ctx)
+    e = irrep_word(lam, "e", ctx)
+    f = irrep_word(lam, "f", ctx)
     assert np.abs(e.conj().T - f).max() < 1e-12
 
 
@@ -189,8 +201,8 @@ def test_e_ladder_line_positions():
     # column-vector convention of the pairing values
     ctx = ctx_for(0.5)
     lam = hi(1.5)
-    e = irrep_matrix(lam, "e", ctx)
-    f = irrep_matrix(lam, "f", ctx)
+    e = irrep_word(lam, "e", ctx)
+    f = irrep_word(lam, "f", ctx)
     d = lam.twice + 1
     for i in range(d):
         for j in range(d):
@@ -220,10 +232,10 @@ def test_irrep_word_memo_is_fresh_product_and_read_only(q):
         for word in words:
             fresh = np.eye(lam.twice + 1, dtype=complex)
             for letter in word:
-                fresh = fresh @ irrep_matrix(lam, letter, ctx)
+                fresh = fresh @ irrep_word(lam, letter, ctx)
             calls = [lambda: irrep_word(lam, list(word), ctx)]
-            if len(word) == 1:  # a generator matrix is the one-letter entry of the memo
-                calls.append(lambda: irrep_matrix(lam, word[0], ctx))
+            if len(word) == 1:  # a bare letter reads the one-letter entry of the memo
+                calls.append(lambda: irrep_word(lam, word[0], ctx))
             for _ in range(2):  # the first call may build the entry, the second reads it
                 for call in calls:
                     got = call()
@@ -239,7 +251,7 @@ def test_irrep_word_memo_is_fresh_product_and_read_only(q):
 def test_coproduct_k_is_kron():
     ctx = ctx_for(0.5)
     lhs = coproduct_action(hi(1), hi(0.5), "k", ctx)
-    rhs = np.kron(irrep_matrix(hi(1), "k", ctx), irrep_matrix(hi(0.5), "k", ctx))
+    rhs = np.kron(irrep_word(hi(1), "k", ctx), irrep_word(hi(0.5), "k", ctx))
     assert np.abs(lhs - rhs).max() == 0
 
 
@@ -247,7 +259,7 @@ def test_coproduct_counit_leg():
     ctx = ctx_for(0.5)
     for g in ("e", "f", "k", "kinv"):
         lhs = coproduct_action(hi(1), hi(0), g, ctx)
-        assert np.abs(lhs - irrep_matrix(hi(1), g, ctx)).max() < 1e-15
+        assert np.abs(lhs - irrep_word(hi(1), g, ctx)).max() < 1e-15
 
 
 def test_coproduct_e_rank_two():
@@ -261,7 +273,7 @@ def test_coproduct_coassociative_desk_scale(g):
     # both triple actions on M_1/2 ⊗ M_1/2 ⊗ M_1/2 agree
     ctx = ctx_for(0.5)
     h = hi(0.5)
-    r = lambda letter: irrep_matrix(h, letter, ctx)  # noqa: E731
+    r = lambda letter: irrep_word(h, letter, ctx)  # noqa: E731
     cop = lambda letter: coproduct_action(h, h, letter, ctx)  # noqa: E731
     if g in ("k", "kinv"):
         lhs = np.kron(cop(g), r(g))

@@ -262,8 +262,8 @@ def test_lens_rep_beta_coefficients():
     op = lens_rep(1, 1, "beta", 4, 6, CTX)
     for z in range(-4, 4):
         for p in range(6):
-            row = op.position((z + 1, p))
-            col = op.position((z, p))
+            row = op.basis.index((z + 1, p))
+            col = op.basis.index((z, p))
             assert op.matrix[row, col] == pytest.approx(CTX.q**p)
 
 

@@ -33,7 +33,7 @@ from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
 from .exact import HalfInt, QContext, SpectrumTable, WeightPair, _p_window, hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
-from .operators import operator_norm
+from .operators import gram_norm
 from .qcore import irrep_word, q_int, weight_range
 
 __all__ = [
@@ -287,8 +287,6 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     lam ± 1/2, so columns are restricted to shells lam <= cap - 1/2, where the
     truncated commutator agrees exactly with the densely defined one.
     """
-    import scipy.sparse as sp
-
     lam_cap = hi(lam_cap)
     if lam_cap.twice < 2:
         raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")
@@ -303,7 +301,23 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     keep = cols < interior
     rows, cols = rows[keep], cols[keep]
     vals = (shells[rows] - shells[cols]) / 2.0 * vals[keep]
-    return operator_norm(sp.csr_matrix((vals, (rows, cols)), shape=(shells.size, interior)))
+    # C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
+    # a column reaches the rows at lam ± 1/2 only, so a row is shared by at
+    # most two columns, lam and lam + 1 of one weight, and gives one product
+    diag = np.bincount(cols, weights=(vals.conj() * vals).real, minlength=interior)
+    by_row = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[by_row], cols[by_row], vals[by_row]
+    pair = np.flatnonzero(rows[1:] == rows[:-1])
+    left, right = cols[pair], cols[pair + 1]
+    off = vals[pair].conj() * vals[pair + 1]
+    tl, tm, tn = (x[:interior] for x in labels)
+    top = lam_cap.twice
+    block = (tm + top) * (2 * top + 1) + tn + top
+    pos = (tl - np.maximum(np.abs(tm), np.abs(tn))) // 2
+    every = np.arange(interior)
+    return gram_norm(block, pos, np.concatenate([every, left, right]),
+                     np.concatenate([every, right, left]),
+                     np.concatenate([diag, off, off.conj()]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 A TruncatedOperator is a square matrix together with the explicit ordered
 basis of the truncated Hilbert space it acts on: row and column i belong to
-basis[i].  Only the commutator norms go through operator_norm; the teardrop
-relations are diagonals or single shifts, and are normed entrywise.
+basis[i].
+
+The commutator norms build their Gram matrix by weight block and norm it with
+gram_norm, which operator_norm's sparse branch shares; no module of the
+package calls operator_norm.  The teardrop relations are diagonals or single
+shifts, and are normed entrywise.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 import numpy as np
 
 
-__all__ = ["TruncatedOperator", "operator_norm"]
+__all__ = ["TruncatedOperator", "gram_norm", "operator_norm"]
 
 
 @dataclass
@@ -34,14 +38,41 @@ class TruncatedOperator:
             )
 
 
+def gram_norm(block, pos, rows, cols, vals) -> float:
+    """Square root of the largest eigenvalue of a Gram matrix A*A that is
+    block diagonal up to a permutation.
+
+    Index i sits at position ``pos[i]`` of block ``block[i]``; A*A holds
+    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each entry once.  Every entry is
+    written into one flat buffer with one scatter, the blocks ordered by size,
+    and the blocks of each size are viewed as one stack and diagonalised in one
+    batched LAPACK call.  Empty blocks are skipped.
+    """
+    sizes = np.bincount(block)
+    order = np.argsort(sizes, kind="stable")
+    area = sizes[order] ** 2
+    start = np.empty_like(sizes)
+    start[order] = np.cumsum(area) - area
+    flat = np.zeros(int(area.sum()), dtype=vals.dtype)
+    home = block[rows]
+    flat[start[home] + pos[rows] * sizes[home] + pos[cols]] = vals
+    top, lo = 0.0, 0
+    for size, n in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
+        hi = lo + n * size * size
+        if size:
+            stack = flat[lo:hi].reshape(n, size, size)
+            top = max(top, float(np.linalg.eigvalsh(stack).max()))
+        lo = hi
+    return math.sqrt(top)
+
+
 def operator_norm(mat) -> float:
     """Spectral norm.
 
     Dense inputs use LAPACK directly.  Sparse inputs are normed exactly: the
-    Gram matrix A*A splits into connected components (for the GNS operators
-    here, one per conserved weight pair (m, n)), and the norm is the square
-    root of the largest eigenvalue over the components.  Components of equal
-    size are stacked and diagonalised in one batched LAPACK call.
+    Gram matrix A*A splits into connected components, and :func:`gram_norm`
+    takes the largest eigenvalue over them.  scipy is loaded only by a
+    caller that passes a sparse matrix.
     """
     # a sparse input can only exist once scipy.sparse is loaded, so the dense
     # path never imports scipy
@@ -58,13 +89,4 @@ def operator_norm(mat) -> float:
     order = np.argsort(labels, kind="stable")
     pos = np.empty_like(labels)
     pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    top = 0.0
-    for size in np.unique(sizes):
-        members = sizes == size
-        slot = np.cumsum(members) - 1
-        keep = members[labels[gram.row]]
-        stack = np.zeros((int(members.sum()), size, size), dtype=gram.dtype)
-        r, c = gram.row[keep], gram.col[keep]
-        stack[slot[labels[r]], pos[r], pos[c]] = gram.data[keep]
-        top = max(top, float(np.linalg.eigvalsh(stack).max()))
-    return math.sqrt(top)
+    return gram_norm(labels, pos, gram.row, gram.col, gram.data)

@@ -533,6 +533,21 @@ def test_sparse_operator_norm_loads_scipy_on_demand(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commutator_norm_loads_no_scipy(tmp_path):
+    # the interior Gram matrix is built from the multiplication triplets
+    proc = run_fresh(
+        """
+        import sys
+        from qwps import dirac
+        from qwps.exact import QContext, hi
+        assert dirac.commutator_norm("alpha", hi(4), QContext(0.5, 1e-9)) > 0
+        assert "scipy" not in sys.modules
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     ["verify --suite wp-relations --k 1 --l 2 --tol 0.5", "verify --suite chirality --tol 0.3"],

@@ -41,7 +41,7 @@ from qwps.exact import (
     odd_triple_spectrum,
     summability_partial_sum,
 )
-from qwps.operators import TruncatedOperator, operator_norm
+from qwps.operators import TruncatedOperator, gram_norm, operator_norm
 from qwps.qcore import q_int
 
 CTX = QContext(0.5, 1e-9)
@@ -611,6 +611,78 @@ def test_sparse_operator_norm_matches_dense():
     for m in mats:
         dense = np.linalg.norm(m.toarray(), 2)
         assert operator_norm(m) == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+def _reference_operator_norm(mat):
+    """operator_norm's former sparse branch: Gram matrix, connected components,
+    and one zero-filled stack per component size, filled through a mask over
+    every Gram entry."""
+    from scipy.sparse.csgraph import connected_components
+
+    gram = (mat.conj().T @ mat).tocsr()
+    n_comp, labels = connected_components(gram != 0, directed=False)
+    gram = gram.tocoo()
+    sizes = np.bincount(labels, minlength=n_comp)
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty_like(labels)
+    pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    top = 0.0
+    for size in np.unique(sizes):
+        members = sizes == size
+        slot = np.cumsum(members) - 1
+        keep = members[labels[gram.row]]
+        stack = np.zeros((int(members.sum()), size, size), dtype=gram.dtype)
+        r, c = gram.row[keep], gram.col[keep]
+        stack[slot[labels[r]], pos[r], pos[c]] = gram.data[keep]
+        top = max(top, float(np.linalg.eigvalsh(stack).max()))
+    return math.sqrt(top)
+
+
+def _reference_commutator_norm(gen, cap, ctx):
+    """commutator_norm's former path: the interior operator C as a CSR matrix,
+    normed by _reference_operator_norm."""
+    cap = hi(cap)
+    labels = _gns_labels(cap)
+    element = dict(zip(("alpha", "beta"), gens(ctx)), one=unit())[gen]
+    rows, cols, vals = gns_multiplication(element, labels, ctx)
+    shells = labels[0]
+    interior = int(np.count_nonzero(shells <= cap.twice - 1))
+    keep = cols < interior
+    rows, cols = rows[keep], cols[keep]
+    vals = (shells[rows] - shells[cols]) / 2.0 * vals[keep]
+    return _reference_operator_norm(
+        sp.csr_matrix((vals, (rows, cols)), shape=(shells.size, interior)))
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("gen", ["alpha", "beta", "one"])
+def test_commutator_norm_equals_sparse_reference(gen, q):
+    ctx = QContext(q, 1e-9)
+    for cap in (1, 1.5, 2, 3, 4, 6, 8, 12, 16):
+        assert commutator_norm(gen, hi(cap), ctx) == _reference_commutator_norm(gen, cap, ctx), cap
+
+
+def test_sparse_operator_norm_equals_reference():
+    rng = np.random.default_rng(7)
+    mats = [sp.identity(801, format="csr"), sp.csr_matrix((6, 9))]
+    for _ in range(50):
+        sizes = rng.integers(1, 7, size=rng.integers(1, 12))
+        blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in sizes]
+        mat = sp.block_diag(blocks, format="csr")
+        mats.append(mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])])
+    for m in mats:
+        assert operator_norm(m) == _reference_operator_norm(m)
+    assert operator_norm(mats[0]) == 1.0 and operator_norm(mats[1]) == 0.0
+
+
+def test_gram_norm_skips_empty_blocks():
+    # blocks 0 and 2 are empty; block 1 holds [[2, 1], [1, 2]] (indices 2, 0),
+    # whose top eigenvalue 3 beats block 3's [2.5]
+    block, pos = np.array([1, 3, 1]), np.array([1, 0, 0])
+    rows, cols = np.array([0, 2, 0, 2, 1]), np.array([0, 2, 2, 0, 1])
+    vals = np.array([2.0, 2.0, 1.0, 1.0, 2.5])
+    assert gram_norm(block, pos, rows, cols, vals) == pytest.approx(math.sqrt(3.0))
+    assert gram_norm(np.zeros(0, int), np.zeros(0, int), rows[:0], cols[:0], vals[:0]) == 0.0
 
 
 def test_commutator_norm_beta_bounded():

@@ -178,31 +178,21 @@ def _cmd_dims(args, cfg: RunConfig) -> int:
 
 def _run_suite(suite: str, cfg: RunConfig) -> dict:
     from . import coaction, coord, dirac, teardrop
-    ctx = cfg.context()
-    wp = cfg.weight_pair()
-    if suite == "su2q-relations":
-        residuals, threshold = coord.relation_residuals(ctx), cfg.tol
-    elif suite == "wp-relations":
-        residuals, threshold = coaction.verify_wp_relations(wp, ctx), 10 * cfg.tol
-    elif suite == "haar":
-        residuals = {"max": coord.haar_orthogonality_residual(ctx, 2)}
-        threshold = cfg.tol
-    elif suite == "equivariance":
-        residuals, threshold = coord.equivariance_residuals(ctx), cfg.tol
-    elif suite == "qdirac":
-        cap = min(hi(cfg.jmax), hi(2))
-        residuals, threshold = {"max": dirac.q_dirac_check(cap, ctx)}, cfg.tol
-    elif suite == "chirality":
-        cap = min(hi(cfg.lmax), hi(5))
-        residuals, threshold = dirac.chirality_checks(wp, cap, ctx), 1e-3 * cfg.tol
-    elif suite == "fredholm":
-        cap = min(hi(cfg.lmax), hi(5))
-        residuals, threshold = dirac.fredholm_degeneracy(wp, cap, ctx), 1e-3 * cfg.tol
-    elif suite == "teardrop":
-        residuals = teardrop.wp_relation_residuals(cfg.l, cfg.N, ctx)
-        threshold = cfg.tol
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {suite!r}")
+    ctx, wp, tol = cfg.context(), cfg.weight_pair(), cfg.tol
+    # each thunk returns (residuals, threshold) and reads only the caps its suite uses
+    thunks = {
+        "su2q-relations": lambda: (coord.relation_residuals(ctx), tol),
+        "wp-relations": lambda: (coaction.verify_wp_relations(wp, ctx), 10 * tol),
+        "haar": lambda: ({"max": coord.haar_orthogonality_residual(ctx, 2)}, tol),
+        "equivariance": lambda: (coord.equivariance_residuals(ctx), tol),
+        "qdirac": lambda: ({"max": dirac.q_dirac_check(min(hi(cfg.jmax), hi(2)), ctx)}, tol),
+        "chirality": lambda: (dirac.chirality_checks(wp, min(hi(cfg.lmax), hi(5)), ctx),
+                              1e-3 * tol),
+        "fredholm": lambda: (dirac.fredholm_degeneracy(wp, min(hi(cfg.lmax), hi(5)), ctx),
+                             1e-3 * tol),
+        "teardrop": lambda: (teardrop.wp_relation_residuals(cfg.l, cfg.N, ctx), tol),
+    }
+    residuals, threshold = thunks[suite]()
     return {
         "suite": suite,
         "q": cfg.q,

@@ -6,8 +6,9 @@ The coaction by the circle algebra is equivalent to the integer grading
 
 so the generators satisfy deg(alpha) = -k and deg(beta) = l.  The degree-zero
 subalgebra is the quantum weighted projective algebra; it is generated by
-a = beta beta* and b = beta^k alpha^l, and this module verifies its defining
-relations inside the coordinate algebra and enumerates its orthogonal basis.
+a = beta beta* and b = beta^k alpha^l, and this module evaluates the defining
+relations stated by :func:`qwps.exact.wp_relations` inside the coordinate
+algebra and enumerates its orthogonal basis.
 The eigenspace dimension formulas and their counting oracles live in
 :mod:`qwps.exact`.  The coinvariant spinors are the ambient spinor labels that
 :func:`qwps.dirac.coinvariant_spinor_basis` lists with the same p-window.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .coord import AlgebraElement, BasisIndex, gens, multiply, star, unit
-from .exact import QContext, WeightPair, _p_window, hi, residual_max
+from .exact import QContext, WeightPair, _p_window, hi, residual_max, wp_relations, wp_words
 # bench/ reads the five dimension functions under this module's name
 from .exact import dim_V, dim_V_down, dim_V_oracle  # noqa: F401
 from .exact import dim_V_down_oracle, dim_V_up_oracle  # noqa: F401
@@ -55,12 +56,11 @@ def project_degree(a: AlgebraElement, wp: WeightPair, i: int) -> AlgebraElement:
 
 
 def wp_gens(wp: WeightPair, ctx: QContext):
-    """Generators a = beta beta*, b = beta^k alpha^l of the degree-0 subalgebra."""
-    alpha, beta, _, beta_star = gens(ctx)
-    a = multiply(beta, beta_star, ctx)
-    factors = [beta] * wp.k + [alpha] * wp.l
-    b = reduce(lambda x, y: multiply(x, y, ctx), factors)
-    return a, b
+    """Generators a = beta beta*, b = beta^k alpha^l of the degree-0 subalgebra,
+    the words of :func:`qwps.exact.wp_words` multiplied left to right."""
+    letters = dict(zip(("alpha", "beta", "alphastar", "betastar"), gens(ctx)))
+    return tuple(reduce(lambda x, y: multiply(x, y, ctx), map(letters.get, word))
+                 for word in wp_words(wp.k, wp.l)[:2])
 
 
 def _poly_in(a: AlgebraElement, factors, ctx: QContext) -> AlgebraElement:
@@ -72,42 +72,31 @@ def _poly_in(a: AlgebraElement, factors, ctx: QContext) -> AlgebraElement:
 
 
 def verify_wp_relations(wp: WeightPair, ctx: QContext) -> dict:
-    """Residuals of the weighted projective algebra relations, computed in coord.
+    """Residuals of the relations of :func:`qwps.exact.wp_relations`, computed in coord.
 
-    a* = a,
-    a b* = q^{-2l} b* a,
-    b* b = q^{2kl} a^k prod_{m=0}^{l-1} (1 - q^{2(m+1)} a),
-    b b* = a^k prod_{m=1}^{l} (1 - q^{-2(m-1)} a).
-
-    Refuses k + l beyond WP_RELATION_GUARD, and q for which q^{-2l}, the
-    largest coefficient, overflows a double."""
+    Refuses k + l beyond WP_RELATION_GUARD, and the q that wp_relations refuses."""
     if wp.s > WP_RELATION_GUARD:
         raise ValueError(
             f"k + l = {wp.s} exceeds the guard {WP_RELATION_GUARD}; "
             "rounding in the right-hand sides grows as q^(-l(l-1)), so the residuals would "
             "measure rounding, not the relations"
         )
-    q = ctx.q
     a, b = wp_gens(wp, ctx)
     bs = star(b, ctx)
+    r, s, f_bsb, f_bbs = wp_relations(wp.k, wp.l, ctx.q)
 
     def mul(*xs):
         return reduce(lambda u, v: multiply(u, v, ctx), xs)
 
-    try:
-        a_pow_k = mul(*[a] * wp.k)
-        rhs_bsb = mul(q ** (2 * wp.k * wp.l) * a_pow_k,
-                      _poly_in(a, [-(q ** (2 * (m + 1))) for m in range(wp.l)], ctx))
-        rhs_bbs = mul(a_pow_k,
-                      _poly_in(a, [-(q ** (-2 * (m - 1))) for m in range(1, wp.l + 1)], ctx))
-        residuals = {
-            "a_selfadjoint": (star(a, ctx) - a).norm_inf(),
-            "a_bstar": (mul(a, bs) - q ** (-2 * wp.l) * mul(bs, a)).norm_inf(),
-            "bstar_b": (mul(bs, b) - rhs_bsb).norm_inf(),
-            "b_bstar": (mul(b, bs) - rhs_bbs).norm_inf(),
-        }
-    except OverflowError:
-        raise ValueError(f"l = {wp.l}, q = {q:g}: q^(-2l) overflows a double") from None
+    a_pow_k = mul(*[a] * wp.k)
+    rhs_bsb = mul(s * a_pow_k, _poly_in(a, f_bsb, ctx))
+    rhs_bbs = mul(a_pow_k, _poly_in(a, f_bbs, ctx))
+    residuals = {
+        "a_selfadjoint": (star(a, ctx) - a).norm_inf(),
+        "a_bstar": (mul(a, bs) - r * mul(bs, a)).norm_inf(),
+        "bstar_b": (mul(bs, b) - rhs_bsb).norm_inf(),
+        "b_bstar": (mul(b, bs) - rhs_bbs).norm_inf(),
+    }
     residuals["max"] = residual_max(residuals.values())
     return residuals
 

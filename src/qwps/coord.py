@@ -431,7 +431,7 @@ def haar_orthogonality_residual(ctx: QContext, lam_max=2) -> float:
     deviation = gram(basis, basis, ctx)
     for k, idx in enumerate(indices):
         deviation[k, k] -= ctx.q ** (-2 * idx.m.float) / q_int(2 * idx.lam + 1, ctx)
-    return float(np.abs(deviation).max(initial=0.0))
+    return residual_max(np.abs(deviation).ravel().tolist())
 
 
 def equivariance_residuals(ctx: QContext) -> dict:

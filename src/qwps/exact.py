@@ -4,8 +4,10 @@ integer combinatorics of both spectral triples, in the standard library only.
 The eigenspace dimensions of the odd and even triples have closed forms in
 integer arithmetic on doubled indices, checked against counting oracles over
 the same p-window; the spectra ±2(j+1) and ±(lam+1), the summability sums and
-the K-theory projection classes are built from them.  Nothing here needs an
-array, so this module loads neither numpy nor scipy; the numeric modules
+the K-theory projection classes are built from them.  The defining relations
+of C[WP_{k,l,q}] are stated here once, as generator words and scalars, for
+the coordinate algebra and the teardrop models to evaluate.  Nothing here
+needs an array, so this module loads neither numpy nor scipy; the numeric modules
 import these names from here.
 """
 
@@ -35,6 +37,8 @@ __all__ = [
     "ProjectionClass",
     "ktheory_class",
     "residual_max",
+    "wp_words",
+    "wp_relations",
 ]
 
 # ktheory_class lists l ranks: 1.5 s and 161 MB at l = 1e6, 13 s and 1.3 GB at 1e7
@@ -184,6 +188,31 @@ def residual_max(values) -> float:
     """
     values = list(values)
     return math.nan if any(map(math.isnan, values)) else max([0.0, *values])
+
+
+def wp_words(k: int, l: int):
+    """Words of a = beta beta*, b = beta^k alpha^l and b* = alpha*^l beta*^k in
+    the letters alpha, beta, alphastar, betastar, leftmost letter first."""
+    return (("beta", "betastar"), ("beta",) * k + ("alpha",) * l,
+            ("alphastar",) * l + ("betastar",) * k)
+
+
+def wp_relations(k: int, l: int, q: float):
+    """Scalars (r, s, f_bsb, f_bbs) of the relations of C[WP_{k,l,q}],
+
+        a* = a,    a b* = r b* a,
+        b* b = s a^k prod_{f in f_bsb} (1 + f a),
+        b b* = a^k prod_{f in f_bbs} (1 + f a),
+
+    with r = q^{-2l}, s = q^{2kl}, f_bsb = -q^{2m} for m = 1..l and
+    f_bbs = -q^{-2(m-1)} for m = 1..l.  Refuses q for which r, the largest
+    scalar, overflows a double."""
+    try:
+        r = q ** (-2 * l)
+    except OverflowError:
+        raise ValueError(f"l = {l}, q = {q:g}: q^(-2l) overflows a double") from None
+    return (r, q ** (2 * k * l), [-(q ** (2 * m)) for m in range(1, l + 1)],
+            [-(q ** (-2 * (m - 1))) for m in range(1, l + 1)])
 
 
 def _p_window(wp: WeightPair, lo: int, hi: int, t: int) -> list[int]:

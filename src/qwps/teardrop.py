@@ -12,14 +12,15 @@ coordinate algebra lives on l2(Z) ⊗ l2(N0),
     beta  . e_z ⊗ e_n = q^n e_{z+1} ⊗ e_n.
 
 The models are evaluated on finite truncations, the relations of a and b
-entrywise on their coefficient arrays.  The ambient generators are
-weighted shifts, so an ambient word is applied exactly to one basis vector at
-a time.  Restricting the ambient representation to the invariant subspaces
-X_m (spanned by e_{m+p} ⊗ e_p^s) recovers the closed forms above
-independently of m, degree-nl elements move X_m to X_{m+n}, and products
-drawn from alpha*^j times the degree-nl component exhibit the shift-power
-block pattern read from the ranks of :func:`~qwps.exact.ktheory_class`, the
-finite-rank/cofinite projections of the component of order nl + j.
+stated by :func:`~qwps.exact.wp_relations` entrywise on their coefficient
+arrays.  The ambient generators are weighted shifts, so an ambient word is
+applied exactly to one basis vector at a time.  Restricting the ambient
+representation to the invariant subspaces X_m (spanned by e_{m+p} ⊗ e_p^s)
+recovers the closed forms above independently of m, degree-nl elements move
+X_m to X_{m+n}, and products drawn from alpha*^j times the degree-nl
+component exhibit the shift-power block pattern read from the ranks of
+:func:`~qwps.exact.ktheory_class`, the finite-rank/cofinite projections of the
+component of order nl + j.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .exact import QContext, ktheory_class, residual_max
+from .exact import QContext, ktheory_class, residual_max, wp_relations, wp_words
 from .operators import TruncatedOperator
 
 __all__ = [
@@ -124,23 +125,15 @@ def _ambient_word(word, z: int, n: int, ctx: QContext):
     return math.prod(reversed(coeffs)), z, n
 
 
-def _wp_word(l: int, gen: str):
-    if gen == "a":
-        return ("beta", "betastar")
-    if gen == "b":
-        return ("beta",) + ("alpha",) * l
-    if gen == "bstar":
-        return ("alphastar",) * l + ("betastar",)
-    raise ValueError(f"gen must be 'a', 'b' or 'bstar', got {gen!r}")
-
-
 def wp_rep_via_ambient(
     l: int, m: int, s: int, gen: str, N: int, ctx: QContext
 ) -> TruncatedOperator:
     """Same operator as :func:`wp_rep`, produced by restricting the ambient
     representation to the invariant subspace spanned by e_{m+p} ⊗ e^s_p."""
     _check_wp_args(l, s, N)
-    word = _wp_word(l, gen)
+    word = dict(zip(("a", "b", "bstar"), wp_words(1, l))).get(gen)
+    if word is None:
+        raise ValueError(f"gen must be 'a', 'b' or 'bstar', got {gen!r}")
     mat = np.zeros((N, N), dtype=complex)
     for p in range(N):
         coeff, z, n = _ambient_word(word, m + p, l * p + s - 1, ctx)
@@ -158,7 +151,8 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
     or one shift, so its norm is its largest absolute entry, taken on the
     coefficient arrays in the association order of the dense matrix products.
     The max is NaN if any residual is.  Refuses l and N beyond
-    RELATION_WORK_GUARD, and l, q for which q^{-2l} overflows a double."""
+    RELATION_WORK_GUARD, and the l, q that :func:`~qwps.exact.wp_relations`
+    refuses."""
     _check_wp_args(l, 1, N)
     work = l * (l + 3) * max(N, 32) ** 3
     if work > RELATION_WORK_GUARD:
@@ -166,12 +160,8 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
             f"l = {l}, N = {N}: l(l+3) max(N, 32)^3 = {work:.3g} exceeds the cost guard "
             f"{RELATION_WORK_GUARD:.3g}"
         )
-    q = ctx.q
-    try:
-        q_inv_2l = q ** (-2 * l)  # the coefficient of the a b* relation
-    except OverflowError:
-        raise ValueError(f"l = {l}, q = {q:g}: q^(-2l) overflows a double") from None
-    a, c = _wp_coefficients(l, np.arange(1, l + 1)[:, None], N, q)
+    r, scale, f_bsb, f_bbs = wp_relations(1, l, ctx.q)
+    a, c = _wp_coefficients(l, np.arange(1, l + 1)[:, None], N, ctx.q)
 
     def rhs(scale, factors):
         """(scale a) prod (1 + f a) over factors, the right-hand sides' diagonals;
@@ -183,17 +173,17 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
             return scale * a * prod
 
     bb = c * c  # b* b on e_0 .. e_{N-2}, and b b* on e_1 .. e_{N-1}
-    rhs_bsb = rhs(q ** (2 * l), [-(q ** (2 * m)) for m in range(1, l + 1)])
-    rhs_bbs = rhs(1.0, [-(q ** (-2 * (m - 1))) for m in range(1, l + 1)])
+    rhs_bsb = rhs(scale, f_bsb)
+    rhs_bbs = rhs(1.0, f_bbs)
     diffs = {
         "a_selfadjoint": a - a.conj(),
-        "a_bstar": a[:, :-1] * c - q_inv_2l * c * a[:, 1:],
+        "a_bstar": a[:, :-1] * c - r * c * a[:, 1:],
         "bstar_b_interior": bb - rhs_bsb[:, :-1],
         "b_bstar": np.pad(bb, ((0, 0), (1, 0))) - rhs_bbs,
     }
-    res = {key: np.abs(d).max(axis=1) for key, d in diffs.items()}
-    out = {f"s={s}": {key: float(r[s - 1]) for key, r in res.items()} for s in range(1, l + 1)}
-    out["max"] = float(np.max(list(res.values())))
+    res = {key: np.abs(d).max(axis=1).tolist() for key, d in diffs.items()}
+    out = {f"s={s}": {key: v[s - 1] for key, v in res.items()} for s in range(1, l + 1)}
+    out["max"] = residual_max(x for v in res.values() for x in v)
     return out
 
 
@@ -243,9 +233,9 @@ def _degree_samples(l: int, n: int):
     The first sample carries the genuine shift part (coefficients tend to 1);
     the others are compact directions.
     """
-    a_word = ("beta", "betastar")
+    a_word, b_word, _ = wp_words(1, l)
     if n == 0:
-        return [(), a_word, ("beta",) + ("alpha",) * l]
+        return [(), a_word, b_word]
     if n > 0:
         shift = ("alphastar",) * (l * n)
         return [shift, shift + a_word, ("beta",) * n]

@@ -128,6 +128,10 @@ USAGE_ERRORS = [
       for q in qs],
     ["verify", "--suite", "qdirac", "--q", "1e-150", "--jmax", "0"],
     ["verify", "--suite", "qdirac", "--q", "1e-160", "--jmax", "0"],
+    # q^(-2l) overflows before the q-integers of the products do
+    ["verify", "--suite", "wp-relations", "--q", "1e-29", "--k", "1", "--l", "6"],
+    # a suite reads only its own cap, and refuses one that is not a half-integer
+    ["verify", "--suite", "chirality", "--lmax", "2.3"],
 ]
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qwps import coaction, exact, teardrop
 from qwps.coaction import (
     coinvariant_coord_basis,
     degree,
@@ -131,6 +132,31 @@ def test_wp_relations(k, l, q):
     assert len(multiply(b, bs, ctx)) > 0 and len(multiply(bs, b, ctx)) > 0
     if (k, l, q) != (3, 5, 0.3):  # its expanded b b* still fails by rounding (2.5e-6)
         assert verify_wp_relations(wp, ctx)["max"] < ctx.tol
+
+
+def _r_off(k, l, q):
+    _, s, f_bsb, f_bbs = exact.wp_relations(k, l, q)
+    return q ** (-2 * l + 2), s, f_bsb, f_bbs
+
+
+def _f_bbs_off(k, l, q):
+    r, s, f_bsb, f_bbs = exact.wp_relations(k, l, q)
+    return r, s, f_bsb, f_bbs[:-1] + [f_bbs[-1] * q**-2]
+
+
+@pytest.mark.parametrize("mutant", [None, _r_off, _f_bbs_off])
+def test_both_relation_checks_read_the_one_statement(monkeypatch, mutant):
+    # the coordinate-algebra check and the teardrop check both fail when the
+    # statement they read from exact is wrong, and both pass when it is not
+    if mutant is not None:
+        monkeypatch.setattr(coaction, "wp_relations", mutant)
+        monkeypatch.setattr(teardrop, "wp_relations", mutant)
+    coord_max = verify_wp_relations(WeightPair(1, 2), CTX)["max"]
+    teardrop_max = teardrop.wp_relation_residuals(2, 16, CTX)["max"]
+    if mutant is None:
+        assert coord_max < 10 * CTX.tol and teardrop_max < CTX.tol
+    else:
+        assert coord_max > 10 * CTX.tol and teardrop_max > CTX.tol
 
 
 def test_wp_relations_guard():

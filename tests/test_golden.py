@@ -56,6 +56,8 @@ CASES = [
     ("probe-spectrum-jmax-minus-1", ["spectrum", "--triple", "odd", "--jmax", "-1",
                                      "--out", "{out}"]),
     ("help", ["--help"]),
+    # haar reads neither cap, so caps that are not half-integers do not stop it
+    ("verify-haar-lmax-2.3-jmax-1.3", _verify("haar", "--lmax", "2.3", "--jmax", "1.3")),
     *[(f"verify-{suite}-q{q}", _verify(suite, "--q", q))
       for suite in SUITES for q in ("0.3", "0.8")],
     *[("usage_" + "_".join(argv), argv) for argv in USAGE_ERRORS],

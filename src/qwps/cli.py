@@ -178,17 +178,20 @@ def _cmd_dims(args, cfg: RunConfig) -> int:
 
 def _run_suite(suite: str, cfg: RunConfig) -> dict:
     from . import coaction, coord, dirac, teardrop
-    ctx, wp, tol = cfg.context(), cfg.weight_pair(), cfg.tol
+    # the pair is built by the suites that read it, so a non-coprime one stops no other suite
+    ctx, wp, tol = cfg.context(), cfg.weight_pair, cfg.tol
+    if suite == "teardrop" and cfg.k != 1:
+        raise ValueError(f"the teardrop suite checks the weight-(1, l) model, got k = {cfg.k}")
     # each thunk returns (residuals, threshold) and reads only the caps its suite uses
     thunks = {
         "su2q-relations": lambda: (coord.relation_residuals(ctx), tol),
-        "wp-relations": lambda: (coaction.verify_wp_relations(wp, ctx), 10 * tol),
+        "wp-relations": lambda: (coaction.verify_wp_relations(wp(), ctx), 10 * tol),
         "haar": lambda: ({"max": coord.haar_orthogonality_residual(ctx, 2)}, tol),
         "equivariance": lambda: (coord.equivariance_residuals(ctx), tol),
         "qdirac": lambda: ({"max": dirac.q_dirac_check(min(hi(cfg.jmax), hi(2)), ctx)}, tol),
-        "chirality": lambda: (dirac.chirality_checks(wp, min(hi(cfg.lmax), hi(5)), ctx),
+        "chirality": lambda: (dirac.chirality_checks(wp(), min(hi(cfg.lmax), hi(5)), ctx),
                               1e-3 * tol),
-        "fredholm": lambda: (dirac.fredholm_degeneracy(wp, min(hi(cfg.lmax), hi(5)), ctx),
+        "fredholm": lambda: (dirac.fredholm_degeneracy(wp(), min(hi(cfg.lmax), hi(5)), ctx),
                              1e-3 * tol),
         "teardrop": lambda: (teardrop.wp_relation_residuals(cfg.l, cfg.N, ctx), tol),
     }

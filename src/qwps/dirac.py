@@ -14,9 +14,12 @@ module also carries the ambient quantum SU(2) ingredients these are cut
 from: the orthonormal spinor basis (the C_{j mu}, S_{j mu} legs of
 :func:`spinor_legs`), the classical Dirac spectrum with its multiplicities,
 the q^{-D} identity through the right regular action, verified rather than
-assumed on one block per shell, and one unpruned builder of left
-multiplication on the orthonormal GNS basis, which gives both the even
-triple's pi(a), pi(b) and the commutator evidence.
+assumed on one block per shell, and one unpruned construction of left
+multiplication on the orthonormal GNS basis.  Its private core gives the
+image of each column at each mu-shift as column-aligned arrays;
+:func:`gns_multiplication` compacts them into the triplets of the even
+triple's pi(a), pi(b), and :func:`commutator_norm` reads the two shifts of
+alpha or beta as the bands of its Gram matrix.
 """
 
 from __future__ import annotations
@@ -220,35 +223,26 @@ def _gns_labels(lam_cap: HalfInt) -> tuple:
     return tl, 2 * (i // (tl + 1)) - tl, 2 * (i % (tl + 1)) - tl
 
 
-def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
-    """Left multiplication by ``element`` on the orthonormal GNS vectors
-    e(lam, m, n) = q^m sqrt([2lam+1]) t^lam_{mn} named by ``labels``, three int
-    arrays (2 lam, 2 m, 2 n).  A term c t^lam'_{m'n'} sends e(lam, m, n) to
+def _slot(l2, m2, n2):
+    # position in the _gns_labels order: shell 2lam starts at sum_{t < 2lam} (t+1)^2
+    return l2 * (l2 + 1) * (2 * l2 + 1) // 6 + (m2 + l2) // 2 * (l2 + 1) + (n2 + l2) // 2
 
-        sum_mu c C(lam' lam mu; m' m) C(lam' lam mu; n' n) q^{-m'}
-               sqrt([2lam+1]/[2mu+1]) e(mu, m'+m, n'+n),
 
-    reading the coefficients from ``cg_block(lam', lam)``.  Returns the triplets
-    (rows, cols, vals) as positions in ``labels``.  Nothing is pruned; images
-    outside ``labels`` are dropped.
-    """
-    tl, tm, tn = (np.asarray(x, dtype=int) for x in labels)
-    out = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
-    if not tl.size:
-        return out[0]
+def _gns_images(element: AlgebraElement, labels, ctx: QContext):
+    """The images of the columns ``labels`` under left multiplication by
+    ``element``: one (2 mu, 2 m', 2 n', vals) per term, where mu and vals hold
+    a row per mu-shift and a column per label, and vals is 0 where the
+    coupling or the weight window forbids the image.  The formula is
+    :func:`gns_multiplication`'s."""
+    tl, tm, tn = labels
+    reach = max((idx[0] for idx in element.terms), default=0)
     top = int(tl.max())
-
-    def slot(l2, m2, n2):
-        # shells ascending, (m, n) row-major; shell 2lam starts at sum_{t < 2lam} (t+1)^2
-        return l2 * (l2 + 1) * (2 * l2 + 1) // 6 + (m2 + l2) // 2 * (l2 + 1) + (n2 + l2) // 2
-
-    position = np.full(slot(top + 1, -top - 1, -top - 1), -1)
-    position[slot(tl, tm, tn)] = np.arange(tl.size)
-    qdim = np.array([q_int(t + 1, ctx) for t in range(top + 1)])
+    qdim = np.array([q_int(t + 1, ctx) for t in range(top + reach + 1)])
     shells = np.flatnonzero(np.bincount(tl, minlength=top + 1))
     coeffs = np.array(list(element.terms.values()), dtype=complex)
     if not coeffs.imag.any():  # real elements give real matrices
         coeffs = coeffs.real
+    images = []
     for idx, c in zip(element.terms, coeffs):
         l2, a, b = idx
         # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (w, mu); shell s from start[s]
@@ -259,20 +253,45 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
         size = (shells + 1) * width[shells]
         start = np.zeros(top + 1, dtype=int)
         start[shells] = np.cumsum(size) - size
-        # every (mu, label) pair that the coupling allows with legal weights
+        m2, n2 = a + tm, b + tn
         mu = tl + np.arange(-l2, l2 + 1, 2)[:, None]
-        lo = np.abs(l2 - tl)
-        ok = (mu >= lo) & (mu <= top) & (np.abs(a + tm) <= mu) & (np.abs(b + tn) <= mu)
-        shift, col = np.nonzero(ok)
-        s, mu = tl[col], mu[shift, col]
+        # every (mu, label) pair that the coupling allows with legal weights
+        shift, col = np.nonzero((mu >= np.abs(l2 - tl)) & (np.abs(m2) <= mu) & (np.abs(n2) <= mu))
+        s, t = tl[col], mu[shift, col]
         # mu = lam - lam' + shift is the (shift - max(lam' - lam, 0))-th mu of its shell
-        base = start[tl] - np.maximum(l2 - tl, 0)
-        cm = leg_m[(base + (tm + tl) // 2 * width[tl])[col] + shift]
-        cn = leg_n[(base + (tn + tl) // 2 * width[tl])[col] + shift]
-        row = position[slot(mu, a + tm[col], b + tn[col])]
-        keep = (row >= 0) & (cm != 0.0) & (cn != 0.0)
-        vals = c * (ctx.q ** (-a / 2.0) * np.sqrt(qdim[s] / qdim[mu])) * (cm * cn)
-        out.append((row[keep], col[keep], vals[keep]))
+        base = start[s] - np.maximum(l2 - s, 0) + shift
+        cm = leg_m[base + (tm[col] + s) // 2 * width[s]]
+        cn = leg_n[base + (tn[col] + s) // 2 * width[s]]
+        vals = np.zeros(mu.shape, dtype=coeffs.dtype)
+        vals[shift, col] = c * (ctx.q ** (-a / 2.0) * np.sqrt(qdim[s] / qdim[t])) * (cm * cn)
+        images.append((mu, m2, n2, vals))
+    return images
+
+
+def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
+    """Left multiplication by ``element`` on the orthonormal GNS vectors
+    e(lam, m, n) = q^m sqrt([2lam+1]) t^lam_{mn} named by ``labels``, three int
+    arrays (2 lam, 2 m, 2 n).  A term c t^lam'_{m'n'} sends e(lam, m, n) to
+
+        sum_mu c C(lam' lam mu; m' m) C(lam' lam mu; n' n) q^{-m'}
+               sqrt([2lam+1]/[2mu+1]) e(mu, m'+m, n'+n),
+
+    reading the coefficients from ``cg_block(lam', lam)``.  Returns the triplets
+    (rows, cols, vals) as positions in ``labels``, by term and mu-shift.
+    Nothing is pruned; images outside ``labels`` are dropped.
+    """
+    tl, tm, tn = labels = tuple(np.asarray(x, dtype=int) for x in labels)
+    out = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    if not tl.size:
+        return out[0]
+    top = int(tl.max())
+    position = np.full(_slot(top + 1, -top - 1, -top - 1), -1)
+    position[_slot(tl, tm, tn)] = np.arange(tl.size)
+    for mu, m2, n2, vals in _gns_images(element, labels, ctx):
+        shift, col = np.nonzero((mu <= top) & (vals != 0))
+        row = position[_slot(mu[shift, col], m2[col], n2[col])]
+        keep = row >= 0
+        out.append((row[keep], col[keep], vals[shift[keep], col[keep]]))
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
@@ -293,31 +312,28 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     elements = dict(zip(("alpha", "beta"), coord.gens(ctx)), one=coord.unit())
     if gen not in elements:
         raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
-    labels = _gns_labels(lam_cap)
-    rows, cols, vals = gns_multiplication(elements[gen], labels, ctx)
-    shells = labels[0]
-    # the interior shells are a prefix of the (lam, m, n) order
-    interior = int(np.count_nonzero(shells <= lam_cap.twice - 1))
-    keep = cols < interior
-    rows, cols = rows[keep], cols[keep]
-    vals = (shells[rows] - shells[cols]) / 2.0 * vals[keep]
-    # C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
-    # a column reaches the rows at lam ± 1/2 only, so a row is shared by at
-    # most two columns, lam and lam + 1 of one weight, and gives one product
-    diag = np.bincount(cols, weights=(vals.conj() * vals).real, minlength=interior)
-    by_row = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[by_row], cols[by_row], vals[by_row]
-    pair = np.flatnonzero(rows[1:] == rows[:-1])
-    left, right = cols[pair], cols[pair + 1]
-    off = vals[pair].conj() * vals[pair + 1]
-    tl, tm, tn = (x[:interior] for x in labels)
+    if gen == "one":  # pi(1) commutes with Q
+        return 0.0
     top = lam_cap.twice
+    tl, tm, tn = labels = _gns_labels(HalfInt(top - 1))  # the interior shells
+    # the lowering and raising images of each column, scaled by lam_row - lam_col = ∓1/2;
+    # the generators' coefficients are real
+    [(mu, _, _, vals)] = _gns_images(elements[gen], labels, ctx)
+    lo, up = (mu - tl) / 2.0 * vals
+    # C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
+    # the row (lam + 1/2, m', n') is shared by the columns (lam, m, n) and
+    # (lam + 1, m, n) only, and links them where both images exist
+    lower = np.arange(_slot(top - 2, 2 - top, 2 - top))
+    upper = _slot(tl[lower] + 2, tm[lower], tn[lower])
+    off = lo[upper] * up[lower]
+    link = np.flatnonzero(off)
+    lower, upper, off = lower[link], upper[link], off[link]
     block = (tm + top) * (2 * top + 1) + tn + top
     pos = (tl - np.maximum(np.abs(tm), np.abs(tn))) // 2
-    every = np.arange(interior)
-    return gram_norm(block, pos, np.concatenate([every, left, right]),
-                     np.concatenate([every, right, left]),
-                     np.concatenate([diag, off, off.conj()]))
+    every = np.arange(tl.size)
+    return gram_norm(block, pos, np.concatenate([every, upper, lower]),
+                     np.concatenate([every, lower, upper]),
+                     np.concatenate([0.0 + lo * lo + up * up, off, off]))
 
 
 # ---------------------------------------------------------------------------

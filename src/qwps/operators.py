@@ -5,9 +5,10 @@ basis of the truncated Hilbert space it acts on: row and column i belong to
 basis[i].
 
 The commutator norms build their Gram matrix by weight block and norm it with
-gram_norm, which operator_norm's sparse branch shares; no module of the
-package calls operator_norm.  The teardrop relations are diagonals or single
-shifts, and are normed entrywise.
+gram_norm, which eigensolves only the blocks whose Gershgorin bound reaches the
+largest diagonal entry; operator_norm's sparse branch shares it, and no module
+of the package calls operator_norm.  The teardrop relations are diagonals or
+single shifts, and are normed entrywise.
 """
 
 from __future__ import annotations
@@ -38,17 +39,34 @@ class TruncatedOperator:
             )
 
 
+# the Gershgorin screen's relative slack; see gram_norm
+GERSHGORIN_SLACK = 1e-12
+
+
 def gram_norm(block, pos, rows, cols, vals) -> float:
     """Square root of the largest eigenvalue of a Gram matrix A*A that is
     block diagonal up to a permutation.
 
     Index i sits at position ``pos[i]`` of block ``block[i]``; A*A holds
-    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each entry once.  Every entry is
-    written into one flat buffer with one scatter, the blocks ordered by size,
-    and the blocks of each size are viewed as one stack and diagonalised in one
-    batched LAPACK call.  Empty blocks are skipped.
+    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each entry once.  The largest
+    diagonal entry, ``floor``, is a lower bound on the result, and a block's
+    eigenvalues are at most its largest absolute row sum (Gershgorin).  A block
+    whose row sums all fall below floor (1 - GERSHGORIN_SLACK) cannot hold the
+    maximum and is skipped; the block holding ``floor`` is always kept.  eigvalsh
+    is backward stable, each computed eigenvalue within about n eps ||B|| of an
+    exact one, under 1e-14 relative for blocks of side n <= 80 (cap 80); the
+    slack is 100 times that, so the max over the kept blocks is the unscreened
+    max bit for bit.  The kept entries are written into one flat buffer with one
+    scatter, the blocks ordered by size, and the blocks of each size are viewed
+    as one stack and diagonalised in one batched LAPACK call.
     """
+    floor = float(vals[rows == cols].real.max(initial=0.0))
     sizes = np.bincount(block)
+    bound = np.zeros(sizes.size)
+    np.maximum.at(bound, block, np.bincount(rows, np.abs(vals), minlength=block.size))
+    sizes[bound < floor * (1.0 - GERSHGORIN_SLACK)] = 0
+    kept = np.flatnonzero(sizes[block[rows]])
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
     order = np.argsort(sizes, kind="stable")
     area = sizes[order] ** 2
     start = np.empty_like(sizes)

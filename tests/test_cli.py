@@ -132,6 +132,8 @@ USAGE_ERRORS = [
     ["verify", "--suite", "wp-relations", "--q", "1e-29", "--k", "1", "--l", "6"],
     # a suite reads only its own cap, and refuses one that is not a half-integer
     ["verify", "--suite", "chirality", "--lmax", "2.3"],
+    # the teardrop suite checks the weight-(1, l) model, so it refuses another k
+    ["verify", "--suite", "teardrop", "--k", "2", "--l", "3", "--N", "8"],
 ]
 
 
@@ -239,6 +241,13 @@ def test_verify_teardrop_suite(capsys):
     assert code == 0 and report["pass"] is True
 
 
+@pytest.mark.parametrize("suite", ["haar", "equivariance", "su2q-relations", "qdirac"])
+def test_suites_that_read_no_weights_accept_any_pair(capsys, suite):
+    # the weight pair is built only by the suites that read it
+    code, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--k", "2", "--l", "4"])
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_verify_teardrop_overflow_is_a_verification_failure(capsys):
     # the right-hand sides overflow at large l for this q; that is a failed
     # check with its report, not a usage error
@@ -273,6 +282,8 @@ PAIRED_SUITES = {"wp-relations", "chirality", "fredholm", "teardrop"}
 def test_residuals_do_not_depend_on_tol(suite, q):
     # tol sets the pass/fail threshold only; no product is pruned by it
     pairs = [(1, 3), (3, 4), (5, 3)] if suite in PAIRED_SUITES else [(1, 3)]
+    if suite == "teardrop":  # the weight-(1, l) model reads l only and refuses k != 1
+        pairs = [(1, l) for _, l in pairs]
     for k, l in pairs:
         residuals = [
             _run_suite(suite, RunConfig(q=q, tol=tol, k=k, l=l))["residuals"]

@@ -685,6 +685,64 @@ def test_gram_norm_skips_empty_blocks():
     assert gram_norm(np.zeros(0, int), np.zeros(0, int), rows[:0], cols[:0], vals[:0]) == 0.0
 
 
+def _screen_cases():
+    """Sparse A whose Gram blocks sit at the edges of gram_norm's Gershgorin screen."""
+    rng = np.random.default_rng(11)
+    unitary = lambda s: np.linalg.qr(  # noqa: E731
+        rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))[0]
+    return {
+        # [[1, 1], [1, 1]] has row sum 2, exactly the diagonal of [[2]]
+        "bound-equals-floor": sp.block_diag([[[1.0, 1.0]], [[1.0], [1.0]]], format="csr"),
+        # [[1 + 2^-52]] beside [[1]]: the tops differ by 1 ulp, either way round
+        "one-ulp-apart": sp.block_diag([[[1.0], [2.0**-26]], [[1.0]]], format="csr"),
+        "one-ulp-apart-swapped": sp.block_diag([[[1.0]], [[1.0], [2.0**-26]]], format="csr"),
+        # complex blocks with Gram 0.25 I up to rounding, so every bound is near floor
+        "complex-ties": sp.block_diag([0.5 * unitary(s) for s in (1, 2, 3, 4, 3, 2)],
+                                      format="csr"),
+        "complex": sp.block_diag([rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+                                  for s in (3, 1, 4, 2)], format="csr"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_screen_cases()))
+def test_gram_norm_screen_is_exact(case):
+    mat = _screen_cases()[case]
+    assert operator_norm(mat) == _reference_operator_norm(mat)
+
+
+def test_gram_norm_screen_edge_inputs():
+    # an all-zero Gram matrix, and the empty input
+    block, pos = np.array([0, 0, 1]), np.array([0, 1, 0])
+    every = np.arange(3)
+    assert gram_norm(block, pos, every, every, np.zeros(3)) == 0.0
+    assert gram_norm(block[:0], pos[:0], every[:0], every[:0], np.zeros(0)) == 0.0
+
+
+def test_gram_norm_keeps_a_zero_diagonal_block():
+    # [[0, 1], [1, 0]] beside [[0.9]]: the norm comes from the block whose diagonal
+    # is 0, so a screen that bounded a block by its diagonal would drop it
+    block, pos = np.array([0, 0, 1]), np.array([0, 1, 0])
+    rows, cols, vals = np.array([0, 1, 2]), np.array([1, 0, 2]), np.array([1.0, 1.0, 0.9])
+    top = float(np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 0.0]])).max())
+    assert gram_norm(block, pos, rows, cols, vals) == math.sqrt(top) == 1.0
+
+
+@pytest.mark.parametrize("gen, solved", [("alpha", 379), ("beta", 950)])
+def test_commutator_norm_eigensolves_only_screened_blocks(monkeypatch, gen, solved):
+    # at cap 16 C*C has 1,985 nonempty weight blocks; the Gershgorin screen
+    # leaves these many to eigvalsh at q = 0.5
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(stack):
+        seen.append(stack.shape[0])
+        return eigvalsh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    commutator_norm(gen, hi(16), CTX)
+    assert sum(seen) == solved
+
+
 def test_commutator_norm_beta_bounded():
     n = commutator_norm("beta", hi(10), CTX)
     assert 0.1 < n < 1.0

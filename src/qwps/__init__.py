@@ -8,8 +8,10 @@ qcore     q-integers, ladder-form irreducibles
 cg        orthogonal q-Clebsch-Gordan block matrices with a cache
 coord     the coordinate algebra: product, star, pairing, actions, Haar state
 coaction  circle grading and the degree-zero subalgebra
+operators the screened Gram-matrix norm of the commutators, truncated operators
 dirac     spinor bases, odd and even spectral triples, commutators
-teardrop  weight-(1, l) operator models and K-theory projection matrices
+teardrop  weight-(1, l) operator models and the block-pattern evidence that
+          reads the K-theory classes of exact.ktheory_class
 cli       command line front end (spectrum, dims, verify, summability, ktheory)
 
 The package itself holds only ``__version__``; import names from the modules.

@@ -26,10 +26,8 @@ from .exact import dim_V_down_oracle, dim_V_up_oracle  # noqa: F401
 
 __all__ = [
     "degree",
-    "project_degree",
     "wp_gens",
     "verify_wp_relations",
-    "uq_degree",
     "spinor_degree",
     "coinvariant_coord_basis",
 ]
@@ -46,13 +44,6 @@ def degree(wp: WeightPair, idx: BasisIndex) -> int:
     t = -(tm + tn) * wp.k + (tm - tn) * wp.l
     assert t % 2 == 0
     return t // 2
-
-
-def project_degree(a: AlgebraElement, wp: WeightPair, i: int) -> AlgebraElement:
-    """Component of homogeneity order i; summing over occurring orders gives a back."""
-    return AlgebraElement(
-        {idx: c for idx, c in a.terms.items() if degree(wp, idx) == i}
-    )
 
 
 def wp_gens(wp: WeightPair, ctx: QContext):
@@ -99,15 +90,6 @@ def verify_wp_relations(wp: WeightPair, ctx: QContext) -> dict:
     }
     residuals["max"] = residual_max(residuals.values())
     return residuals
-
-
-def uq_degree(wp: WeightPair, word) -> int:
-    """Homogeneity order of a generator word of the enveloping algebra:
-    e has order -(k+l), f has k+l, k^{±1} have 0; words add."""
-    if isinstance(word, str):
-        word = (word,)
-    table = {"e": -wp.s, "f": wp.s, "k": 0, "kinv": 0}
-    return sum(table[letter] for letter in word)
 
 
 def spinor_degree(wp: WeightPair, i: int, sign: str) -> int:

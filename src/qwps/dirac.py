@@ -12,14 +12,13 @@ Two constructions are assembled and verified on finite truncations:
 Their spectra and summability sums are counted in :mod:`qwps.exact`; the
 module also carries the ambient quantum SU(2) ingredients these are cut
 from: the orthonormal spinor basis (the C_{j mu}, S_{j mu} legs of
-:func:`spinor_legs`), the classical Dirac spectrum with its multiplicities,
-the q^{-D} identity through the right regular action, verified rather than
-assumed on one block per shell, and one unpruned construction of left
-multiplication on the orthonormal GNS basis.  Its private core gives the
-image of each column at each mu-shift as column-aligned arrays;
-:func:`gns_multiplication` compacts them into the triplets of the even
-triple's pi(a), pi(b), and :func:`commutator_norm` reads the two shifts of
-alpha or beta as the bands of its Gram matrix.
+:func:`spinor_legs`), the q^{-D} identity through the right regular action,
+verified rather than assumed on one block per shell, and one unpruned
+construction of left multiplication on the orthonormal GNS basis.  Its
+private core gives the image of each column at each mu-shift as
+column-aligned arrays; :func:`gns_multiplication` compacts them into the
+triplets of the even triple's pi(a), pi(b), and :func:`commutator_norm`
+reads the two shifts of alpha or beta as the bands of its Gram matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from . import coord
 from .cg import cg_block, cg_coeff_updown
 from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
-from .exact import HalfInt, QContext, SpectrumTable, WeightPair, _p_window, hi, residual_max
+from .exact import HalfInt, QContext, WeightPair, _p_window, hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import gram_norm
 from .qcore import irrep_word, q_int, weight_range
@@ -44,7 +43,6 @@ __all__ = [
     "spinor_basis",
     "coinvariant_spinor_basis",
     "spinor_legs",
-    "ambient_dirac_spectrum",
     "q_dirac_check",
     "commutator_norm",
     "even_triple_operators",
@@ -144,17 +142,6 @@ def spinor_legs(idx: SpinorBasisIndex, ctx: QContext) -> list[tuple[str, BasisIn
         for sign, tn, coeff in (("-", tmu + 1, minus), ("+", tmu - 1, plus))
         if abs(tn) <= tl
     ]
-
-
-def ambient_dirac_spectrum(j_max) -> SpectrumTable:
-    """Classical Dirac spectrum on quantum SU(2): 2j+3/2 with multiplicity
-    (2j+1)(2j+2) and -(2j+1/2) with multiplicity 2j(2j+1), for j <= j_max."""
-    j_max = hi(j_max)
-    pairs = []
-    for tj in range(0, j_max.twice + 1):
-        pairs.append((tj + 1.5, (tj + 1) * (tj + 2)))
-        pairs.append((-(tj + 0.5), tj * (tj + 1)))
-    return SpectrumTable.from_pairs(pairs)
 
 
 def q_dirac_check(j_max, ctx: QContext) -> float:

@@ -116,7 +116,8 @@ class HalfInt:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.twice)
+        # HalfInt(2n) == n, so it hashes as n; an odd twice equals no int
+        return hash(self.twice // 2 if self.twice % 2 == 0 else self.twice)
 
     def __str__(self):
         if self.twice % 2 == 0:

@@ -9,6 +9,10 @@ gram_norm, which eigensolves only the blocks whose Gershgorin bound reaches the
 largest diagonal entry; operator_norm's sparse branch shares it, and no module
 of the package calls operator_norm.  The teardrop relations are diagonals or
 single shifts, and are normed entrywise.
+
+operator_norm and TruncatedOperator stay because the benchmark in bench/ reads
+them: its warm-up norms a sparse identity, and its teardrop workload reads the
+``.matrix`` of the wp_rep operators.  They go when the benchmark next changes.
 """
 
 from __future__ import annotations

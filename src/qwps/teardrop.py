@@ -36,8 +36,6 @@ __all__ = [
     "wp_rep",
     "wp_rep_via_ambient",
     "wp_relation_residuals",
-    "lens_rep",
-    "lens_commutation_residual",
     "block_structure_evidence",
 ]
 
@@ -57,24 +55,18 @@ def _check_wp_args(l, s, N):
         raise ValueError(f"N must be >= 2, got {N}")
 
 
-def _copy_coefficients(l, s, N, q, steps):
-    """Weights of the copy-s shifts on e_0 .. e_{N-1}, one row per s if s is an
-    int column: with n = lp + s - 1, q^{2n}, q^n and, for p < N - 1, the product
-    of sqrt(1 - q^{2(n+i)}) over i in steps, in that order.  The powers are
-    Python's q**e, as in the scalar formulas; numpy's SIMD power rounds some of
-    them differently."""
+def _wp_coefficients(l, s, N, q):
+    """The diagonal of a on copy s, and c with b* e_{p+1} = c[p] e_p, b e_p = c[p] e_{p+1},
+    one row per s if s is an int column: with n = lp + s - 1, a = q^{2n} and c the
+    product of q^{n+l} and sqrt(1 - q^{2(n+i)}) over i = l, ..., 1, in that order.
+    The powers are Python's q**e, as in the scalar formulas; numpy's SIMD power
+    rounds some of them differently."""
     n = l * np.arange(N) + s - 1
     pw = np.array([q**e for e in range(2 * int(np.max(n)) + 1)])
     prod = np.ones(n[..., 1:].shape)
-    for i in steps:
+    for i in range(l, 0, -1):
         prod *= np.sqrt(1.0 - pw[2 * (n[..., :-1] + i)])
-    return pw[2 * n], pw[n], prod
-
-
-def _wp_coefficients(l, s, N, q):
-    """The diagonal of a on copy s, and c with b* e_{p+1} = c[p] e_p, b e_p = c[p] e_{p+1}."""
-    a, root, prod = _copy_coefficients(l, s, N, q, range(l, 0, -1))
-    return a, root[..., 1:] * prod
+    return pw[2 * n], pw[n[..., 1:]] * prod
 
 
 def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> TruncatedOperator:
@@ -185,42 +177,6 @@ def wp_relation_residuals(l: int, N: int, ctx: QContext) -> dict:
     out = {f"s={s}": {key: v[s - 1] for key, v in res.items()} for s in range(1, l + 1)}
     out["max"] = residual_max(x for v in res.values() for x in v)
     return out
-
-
-# ---------------------------------------------------------------------------
-# quantum lens space representation
-
-
-def _check_lens_args(l, s, n_z, N):
-    if n_z < 3:
-        raise ValueError(f"need n_z >= 3, got {n_z}")
-    _check_wp_args(l, s, N)
-
-
-def lens_rep(l: int, s: int, gen: str, n_z: int, N: int, ctx: QContext) -> TruncatedOperator:
-    """Generators of the lens-space subalgebra on the window
-    z in [-n_z, n_z], p in [0, N): alpha^l raises p keeping z, beta shifts z
-    with the diagonal weight q^{lp+s-1}."""
-    _check_lens_args(l, s, n_z, N)
-    _, beta_w, alpha_w = _copy_coefficients(l, s, N, ctx.q, range(1, l + 1))
-    zs = 2 * n_z + 1
-    if gen == "alpha_l":
-        mat = np.kron(np.eye(zs), np.diag(alpha_w, -1))
-    elif gen == "beta":
-        mat = np.kron(np.eye(zs, k=-1), np.diag(beta_w))
-    else:
-        raise ValueError(f"gen must be 'alpha_l' or 'beta', got {gen!r}")
-    basis = tuple((z, p) for z in range(-n_z, n_z + 1) for p in range(N))
-    return TruncatedOperator(basis, mat.astype(complex))
-
-
-def lens_commutation_residual(l: int, s: int, n_z: int, N: int, ctx: QContext) -> float:
-    """beta alpha^l = q^l alpha^l beta on the interior of the window, where
-    both sides send e_z ⊗ e_p to a multiple of e_{z+1} ⊗ e_{p+1} that does
-    not depend on z."""
-    _check_lens_args(l, s, n_z, N)
-    _, beta_w, alpha_w = _copy_coefficients(l, s, N, ctx.q, range(1, l + 1))
-    return float(np.abs(beta_w[1:] * alpha_w - ctx.q**l * alpha_w * beta_w[:-1]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ from qwps import coaction, exact, teardrop
 from qwps.coaction import (
     coinvariant_coord_basis,
     degree,
-    project_degree,
     spinor_degree,
-    uq_degree,
     verify_wp_relations,
     wp_gens,
 )
@@ -57,23 +55,6 @@ def test_generator_degrees():
         (idx,) = el.terms
         assert degree(wp, idx) == expected
     assert degree(wp, BasisIndex.of(0, 0, 0)) == 0
-
-
-def test_project_degree():
-    wp = WeightPair(1, 1)
-    alpha, beta, _, _ = gens(CTX)
-    both = alpha + beta
-    assert (project_degree(both, wp, -1) - alpha).norm_inf() == 0.0
-    assert (project_degree(both, wp, 1) - beta).norm_inf() == 0.0
-    assert project_degree(both, wp, 0).norm_inf() == 0.0
-    # homogeneous element projects to itself
-    assert (project_degree(alpha, wp, -1) - alpha).norm_inf() == 0.0
-    # occurring degrees reconstruct the element
-    degrees = {degree(wp, idx) for idx in both.terms}
-    rebuilt = AlgebraElement()
-    for d in degrees:
-        rebuilt = rebuilt + project_degree(both, wp, d)
-    assert (rebuilt - both).norm_inf() == 0.0
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -164,11 +145,8 @@ def test_wp_relations_guard():
         verify_wp_relations(WeightPair(4, 5), CTX)
 
 
-def test_uq_and_spinor_degrees():
+def test_spinor_degrees():
     wp = WeightPair(1, 2)
-    assert uq_degree(wp, "e") == -3
-    assert uq_degree(wp, "k") == 0
-    assert uq_degree(wp, ("e", "f")) == 0
     assert spinor_degree(wp, -wp.k, "+") == -1
     assert spinor_degree(wp, -wp.k, "-") == 2
     assert spinor_degree(wp, 0, "-") == 3
@@ -176,6 +154,8 @@ def test_uq_and_spinor_degrees():
 
 def test_right_action_shifts_degree():
     wp = WeightPair(1, 2)
+    # e lowers the order by k + l, f raises it by k + l, and k keeps it; words add
+    order = {"e": -wp.s, "f": wp.s, "k": 0, "kinv": 0}
     alpha, beta, alpha_s, beta_s = gens(CTX)
     samples = [alpha, beta, multiply(beta, beta_s, CTX), multiply(alpha, beta, CTX)]
     for a in samples:
@@ -184,8 +164,9 @@ def test_right_action_shifts_degree():
         (d,) = degs
         for word in ("e", "f", "k", ("e", "f"), ("f", "k")):
             moved = right_act(word, a, CTX)
+            shift = sum(order[letter] for letter in ((word,) if isinstance(word, str) else word))
             for idx in moved.terms:
-                assert degree(wp, idx) == d + uq_degree(wp, word)
+                assert degree(wp, idx) == d + shift
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (1, 4)])

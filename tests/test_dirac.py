@@ -16,7 +16,6 @@ from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, right_
 from qwps.dirac import (
     SpinorBasisIndex,
     _gns_labels,
-    ambient_dirac_spectrum,
     chirality_checks,
     coinvariant_spinor_basis,
     commutator_norm,
@@ -290,19 +289,15 @@ def test_coinvariant_spinor_basis_is_degree_zero_scan(k, l):
 # ambient spectrum and the q-Dirac block identity
 
 
-def test_ambient_spectrum_examples():
-    table = ambient_dirac_spectrum(hi(0))
-    assert table.rows == ((1.5, 2),)
-    table = ambient_dirac_spectrum(hi(0.5))
-    assert table.multiplicity(2.5) == 6
-    assert table.multiplicity(-1.5) == 2
-    assert table.multiplicity(0.0) == 0
-
-
 @pytest.mark.parametrize("tj", range(0, 7))
 def test_ambient_spectrum_counts(tj):
-    j_max = hi(tj / 2)
-    assert ambient_dirac_spectrum(j_max).total() == len(spinor_basis(j_max))
+    # level 2j = t holds (t+1)(t+2) up and t(t+1) down labels, the multiplicities
+    # of the classical Dirac eigenvalues t+3/2 and -(t+1/2)
+    basis = spinor_basis(hi(tj / 2))
+    for t in range(tj + 1):
+        arrows = [idx.arrow for idx in basis if idx.j.twice == t]
+        assert (arrows.count("up"), arrows.count("down")) == ((t + 1) * (t + 2), t * (t + 1))
+    assert len(basis) == sum(2 * (t + 1) ** 2 for t in range(tj + 1))
 
 
 def test_q_dirac_eigenvalues():

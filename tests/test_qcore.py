@@ -80,6 +80,15 @@ def test_halfint_integrality(a):
     assert float(x) == a / 2
 
 
+def test_halfint_hash_agrees_with_equality():
+    # 2**60 + 1 is not a double, so a hash through twice / 2 would miss it
+    for n in [*range(-50, 50), 2**60 + 1, -(10**30)]:
+        assert hi(n) == n and hash(hi(n)) == hash(n)
+    assert len({hi(1), 1}) == 1
+    assert {1: "x"}.get(hi(1)) == "x"
+    assert {hi(0.5): "y"}.get(hi(0.5)) == "y"
+
+
 def test_halfint_of_rejects_non_half_integer():
     # 2 * 1e308 overflows to inf, which int() cannot convert
     for value in (0.3, 1e308, -1e308, float("inf"), float("nan")):

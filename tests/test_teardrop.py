@@ -1,4 +1,4 @@
-"""Teardrop operator models, lens space, block patterns, projection classes."""
+"""Teardrop operator models, block patterns, projection classes."""
 
 import math
 import re
@@ -13,8 +13,6 @@ from qwps.teardrop import (
     RELATION_WORK_GUARD,
     _ambient_word,
     block_structure_evidence,
-    lens_commutation_residual,
-    lens_rep,
     wp_relation_residuals,
     wp_rep,
     wp_rep_via_ambient,
@@ -75,36 +73,6 @@ def reference_wp_relation_residuals(l, N, q):
     return out
 
 
-def reference_lens_rep(l, s, gen, n_z, N, q):
-    def idx(z, p):
-        return (z + n_z) * N + p
-
-    mat = np.zeros(((2 * n_z + 1) * N,) * 2, dtype=complex)
-    for z in range(-n_z, n_z + 1):
-        for p in range(N):
-            if gen == "alpha_l" and p + 1 < N:
-                coeff = 1.0
-                for r in range(l):
-                    coeff *= math.sqrt(1.0 - q ** (2 * (p * l + s + r)))
-                mat[idx(z, p + 1), idx(z, p)] = coeff
-            elif gen == "beta" and z + 1 <= n_z:
-                mat[idx(z + 1, p), idx(z, p)] = q ** (l * p + s - 1)
-    return mat
-
-
-def reference_lens_commutation_residual(l, s, n_z, N, q):
-    al = reference_lens_rep(l, s, "alpha_l", n_z, N, q)
-    be = reference_lens_rep(l, s, "beta", n_z, N, q)
-    diff = be @ al - q**l * al @ be
-    keep = [
-        (z + n_z) * N + p
-        for z in range(-n_z, n_z + 1)
-        for p in range(N)
-        if z + 1 <= n_z and p + 1 < N
-    ]
-    return float(np.abs(diff[:, keep]).max())
-
-
 @pytest.mark.parametrize("q", ORACLE_Q)
 def test_wp_relations_match_dense_reference_bitwise(q):
     ctx = QContext(q, 1e-9)
@@ -129,20 +97,6 @@ def test_wp_rep_matches_scalar_reference_bitwise(q):
                     want = reference_wp_rep(l, s, gen, N, q)
                     assert got.matrix.dtype == want.dtype
                     assert np.array_equal(got.matrix, want), (l, N, s, gen)
-
-
-@pytest.mark.parametrize("q", ORACLE_Q)
-def test_lens_matches_dense_reference_bitwise(q):
-    ctx = QContext(q, 1e-9)
-    for l in (1, 2, 3, 4):
-        for s in range(1, l + 1):
-            for N, n_z in ((2, 3), (5, 3), (10, 5)):
-                got = lens_commutation_residual(l, s, n_z, N, ctx)
-                assert got == reference_lens_commutation_residual(l, s, n_z, N, q), (l, s, N)
-                for gen in ("alpha_l", "beta"):
-                    mat = lens_rep(l, s, gen, n_z, N, ctx).matrix
-                    assert mat.dtype == complex
-                    assert np.array_equal(mat, reference_lens_rep(l, s, gen, n_z, N, q))
 
 
 def test_wp_rep_diagonal():
@@ -256,42 +210,6 @@ def test_ambient_words_satisfy_su2q_relations(q):
                 assert left.keys() == right.keys(), (lhs, z, n)
                 for k in left:
                     assert left[k] == pytest.approx(right[k], rel=1e-15, abs=1e-15), (lhs, z, n)
-
-
-def test_lens_rep_beta_coefficients():
-    op = lens_rep(1, 1, "beta", 4, 6, CTX)
-    for z in range(-4, 4):
-        for p in range(6):
-            row = op.basis.index((z + 1, p))
-            col = op.basis.index((z, p))
-            assert op.matrix[row, col] == pytest.approx(CTX.q**p)
-
-
-def test_lens_rep_alpha_keeps_z():
-    op = lens_rep(2, 1, "alpha_l", 3, 5, CTX).matrix
-    n_z, N = 3, 5
-    for z_out in range(-n_z, n_z + 1):
-        for z_in in range(-n_z, n_z + 1):
-            block = op[
-                (z_out + n_z) * N : (z_out + n_z + 1) * N,
-                (z_in + n_z) * N : (z_in + n_z + 1) * N,
-            ]
-            if z_out != z_in:
-                assert np.abs(block).max() == 0.0
-
-
-def test_lens_rep_window_guard():
-    with pytest.raises(ValueError):
-        lens_rep(1, 1, "beta", 2, 6, CTX)
-    with pytest.raises(ValueError):
-        lens_commutation_residual(1, 1, 2, 6, CTX)
-    with pytest.raises(ValueError):
-        lens_rep(1, 1, "gamma", 3, 6, CTX)
-
-
-@pytest.mark.parametrize("l,s", [(1, 1), (2, 1), (2, 2), (3, 3)])
-def test_lens_commutation(l, s):
-    assert lens_commutation_residual(l, s, 5, 10, CTX) < 1e-13
 
 
 @pytest.mark.parametrize("l,j,n", [(2, 1, 0), (2, 1, 1), (3, 1, -1), (3, 2, 0)])

@@ -31,17 +31,16 @@ raises instead of being cached.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import HalfInt, QContext, coproduct_action, hi, irrep_word, q_int
+from .exact import HalfInt, QContext, hi, nonneg_hi
+from .qcore import _memo, _memo_lock, coproduct_action, irrep_word, q_int
 
 __all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 # build-time bound on a block's orthogonality and intertwining errors; fixed,
 # because the cache key (2 lam1, 2 lam2, q) carries no tolerance
@@ -50,9 +49,7 @@ _BLOCK_GATE = 1e-12
 
 def couple(lam1, lam2) -> list[HalfInt]:
     """Highest weights |lam1-lam2|, ..., lam1+lam2 of the tensor product."""
-    lam1, lam2 = hi(lam1), hi(lam2)
-    if lam1.twice < 0 or lam2.twice < 0:
-        raise ValueError("highest weights must be >= 0")
+    lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")
     lo = abs(lam1.twice - lam2.twice)
     hi_ = lam1.twice + lam2.twice
     return [HalfInt(t) for t in range(lo, hi_ + 1, 2)]
@@ -60,75 +57,66 @@ def couple(lam1, lam2) -> list[HalfInt]:
 
 @dataclass(frozen=True)
 class CGBlock:
-    """Orthogonal Clebsch-Gordan matrix for M_lam1 ⊗ M_lam2, and its entries by weight.
+    """Clebsch-Gordan coefficients of M_lam1 ⊗ M_lam2, by weight.
 
-    ``matrix[row, col]`` with rows indexed by (mu, m) pairs (mu ascending,
-    m ascending within a block) and columns by tensor pairs (m1, m2) in
-    lexicographic order: row (mu, m) sits at mu + m plus the sum of 2mu'+1
-    over |lam1-lam2| <= mu' < mu, column (m1, m2) at
-    (lam1 + m1)(2lam2 + 1) + lam2 + m2.  Row (mu, m) is supported on columns
-    with m1 + m2 = m, so ``coupling[lam1 + m1][lam2 + m2][k]`` holds
-    C_q(lam1 lam2 mu_k; m1 m2 m1+m2) for the k-th mu_k = |lam1-lam2| + k,
-    0.0 where |m1 + m2| > mu_k: the matrix's entries, gathered after the
-    build check, as nested lists of floats.
+    ``coupling[lam1 + m1][lam2 + m2][k]`` holds C_q(lam1 lam2 mu_k; m1 m2 m1+m2)
+    for the k-th mu_k = |lam1-lam2| + k, 0.0 where |m1 + m2| > mu_k, as
+    nested lists of floats.  ``matrix`` lays them out afresh on each read as
+    C, rows indexed by (mu, m) pairs (mu ascending, m ascending within a
+    block) and columns by tensor pairs (m1, m2) in lexicographic order: row
+    (mu, m) sits at mu + m plus the sum of 2mu'+1 over |lam1-lam2| <= mu' < mu
+    and is supported on the columns with m1 + m2 = m, column (m1, m2) at
+    (lam1 + m1)(2lam2 + 1) + lam2 + m2.
     """
 
     lam1: HalfInt
     lam2: HalfInt
-    matrix: np.ndarray
     coupling: list = field(repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        coupling = np.array(self.coupling)
+        a1, b1, _ = coupling.shape
+        i, j, k = np.nonzero(coupling)  # the entries that weight forbids are 0.0
+        matrix = np.zeros((a1 * b1, a1 * b1))
+        # row (mu_k, m) follows the k(2|lam1-lam2| + k) rows of the smaller mu, at
+        # mu_k + m = k + i + j - min(2lam1, 2lam2)
+        matrix[k * (abs(a1 - b1) + k + 1) + i + j + 1 - min(a1, b1), i * b1 + j] = coupling[i, j, k]
+        return matrix
 
 
 def clear_cache():
-    with _cache_lock:
+    with _memo_lock:
         _cache.clear()
 
 
 def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
-    """Clebsch-Gordan block matrix for (lam1, lam2); memoized on (2lam1, 2lam2, q)."""
+    """Clebsch-Gordan block for (lam1, lam2); memoized on (2lam1, 2lam2, q)."""
     lam1, lam2 = hi(lam1), hi(lam2)
-    if lam1.twice < 0 or lam2.twice < 0:
-        raise ValueError("highest weights must be >= 0")
-    key = (lam1.twice, lam2.twice, ctx.q)
-    with _cache_lock:
-        block = _cache.get(key)
-    if block is not None:
-        return block
-    block = _build_block(lam1, lam2, ctx)
-    with _cache_lock:
-        _cache.setdefault(key, block)
-        block = _cache[key]
-    return block
+    return _memo(_cache, (lam1.twice, lam2.twice, ctx.q), _build_block, lam1, lam2, ctx)
 
 
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
-    a2, b2 = lam1.twice, lam2.twice
-    matrix, entries, slots = _racah_block(a2, b2, ctx.q)
-    _check_block(matrix, lam1, lam2, ctx)
-    coupling = np.zeros((a2 + 1, b2 + 1, min(a2, b2) + 1))
-    coupling[slots] = matrix[entries]
-    return CGBlock(lam1, lam2, matrix, coupling.tolist())
+    lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")  # a miss for any negative key
+    block = CGBlock(lam1, lam2, _racah_block(lam1.twice, lam2.twice, ctx.q).tolist())
+    _check_block(block.matrix, lam1, lam2, ctx)  # the stored lists, as every reader sees them
+    return block
 
 
-def _racah_block(a2: int, b2: int, q: float) -> tuple[np.ndarray, tuple, tuple]:
-    """The single sum for every entry of the (a, b) = (a2/2, b2/2) block.
-
-    Returns the matrix and, for its entries allowed by weight, their
-    positions (rows, cols) in it and (i1, i2, k) in ``CGBlock.coupling``.
+def _racah_block(a2: int, b2: int, q: float) -> np.ndarray:
+    """The single sum for every entry of the (a, b) = (a2/2, b2/2) block, in
+    the layout of ``CGBlock.coupling``.
 
     With [n]! = q^{-n(n-1)/2} G_n, G_n = prod_{k<=n} (1 - q^{2k})/(1 - q^2),
     the powers of q of each term fold into one exponent, kept as the integer
     e4 = 4 * exponent, and only G_n (which stays moderate) is multiplied out.
     """
     cs = np.arange(abs(a2 - b2), a2 + b2 + 1, 2)
-    offsets = np.concatenate([[0], np.cumsum(cs + 1)[:-1]])
     al2 = np.arange(-a2, a2 + 1, 2)
     be2 = np.arange(-b2, b2 + 1, 2)
-    # nonzero entries: row (c, gamma = alpha + beta) with |gamma| <= c
-    ci, i, j = np.nonzero(np.abs(al2[None, :, None] + be2[None, None, :]) <= cs[:, None, None])
-    c2, al2, be2 = cs[ci], al2[i], be2[j]
-    rows = offsets[ci] + (c2 + al2 + be2) // 2
-    cols = i * (b2 + 1) + j
+    # the entries that weight allows: (i1, i2, k) with |m1 + m2| <= mu_k
+    slots = np.nonzero(np.abs(al2[:, None, None] + be2[None, :, None]) <= cs)
+    c2, al2, be2 = cs[slots[2]], al2[slots[0]], be2[slots[1]]
 
     # integer arguments of the q-factorials
     s = (a2 + b2 + c2) // 2 + 1  # a + b + c + 1
@@ -157,7 +145,7 @@ def _racah_block(a2: int, b2: int, q: float) -> tuple[np.ndarray, tuple, tuple]:
 
     # one (entry, z) pair per term of the alternating sum; the range is never empty
     count = z_hi - z_lo + 1
-    entry = np.repeat(np.arange(rows.size), count)
+    entry = np.repeat(np.arange(c2.size), count)
     z = z_lo[entry] + np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
     bottom = (
         z, tri[0][entry] - z, top[1][entry] - z, top[2][entry] - z,
@@ -167,10 +155,9 @@ def _racah_block(a2: int, b2: int, q: float) -> tuple[np.ndarray, tuple, tuple]:
     sign = np.where(z % 2, -1.0, 1.0)
     terms = sign * q ** (term_e4 / 4.0) / np.prod([g[n] for n in bottom], axis=0)
 
-    dim = (a2 + 1) * (b2 + 1)
-    matrix = np.zeros((dim, dim))
-    matrix[rows, cols] = scale * np.bincount(entry, weights=terms, minlength=rows.size)
-    return matrix, (rows, cols), (i, j, ci)
+    coupling = np.zeros((a2 + 1, b2 + 1, min(a2, b2) + 1))
+    coupling[slots] = scale * np.bincount(entry, weights=terms, minlength=c2.size)
+    return coupling
 
 
 def _pair(n):
@@ -183,9 +170,9 @@ def _check_block(matrix: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QContext
     r = 0
     for mu in couple(lam1, lam2):
         d = mu.twice + 1
-        target[r : r + d, r : r + d] = irrep_word(mu, "e", ctx).real
+        target[r : r + d, r : r + d] = irrep_word(mu, "e", ctx)
         r += d
-    raising = matrix @ coproduct_action(lam1, lam2, "e", ctx).real @ matrix.T
+    raising = matrix @ coproduct_action(lam1, lam2, "e", ctx) @ matrix.T
     orth_err = np.abs(matrix @ matrix.T - np.eye(len(matrix))).max()
     inter_err = np.abs(raising - target).max() / max(1.0, np.abs(target).max())
     if not (orth_err <= _BLOCK_GATE and inter_err <= _BLOCK_GATE):

@@ -212,12 +212,10 @@ def _dump_elements(suite: str, cfg: RunConfig, path: str) -> None:
     """Golden-file hook: serialize the elements a suite is built from."""
     from . import coaction, coord
     ctx = cfg.context()
-    if suite == "wp-relations":
-        a, b = coaction.wp_gens(cfg.weight_pair(), ctx)
-        named = (("a", a), ("b", b))
+    if suite in ("wp-relations", "chirality", "fredholm"):  # the suites that build a and b
+        named = zip(("a", "b"), coaction.wp_gens(cfg.weight_pair(), ctx))
     else:
-        alpha, beta, alpha_s, beta_s = coord.gens(ctx)
-        named = (("alpha", alpha), ("beta", beta), ("alpha_star", alpha_s), ("beta_star", beta_s))
+        named = zip(("alpha", "beta", "alpha_star", "beta_star"), coord.gens(ctx))
     chunks = [f"# {name}\n{coord.to_jsonl(el)}" for name, el in named]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(chunks) + "\n")

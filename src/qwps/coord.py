@@ -22,12 +22,13 @@ from itertools import product
 import numpy as np
 
 from .cg import cg_block
-from .exact import residual_max
+from .exact import nonneg_hi, residual_max
 from .qcore import (
     COPRODUCT,
     LETTERS,
     HalfInt,
     QContext,
+    _as_word,
     antipode_letter,
     hi,
     irrep_word,
@@ -246,11 +247,8 @@ def right_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
 def _left_matrix(lam, word, ctx: QContext) -> np.ndarray:
     """rho_lam(S(theta(word))); S∘theta is an anti-homomorphism, so the
     per-letter matrices multiply in reversed word order."""
-    if isinstance(word, str):
-        word = (word,)
-    d = hi(lam).twice + 1
-    out = np.eye(d, dtype=complex)
-    for letter in reversed(tuple(word)):
+    out = np.eye(hi(lam).twice + 1)
+    for letter in reversed(_as_word(word)):
         sign, mapped = theta_letter(letter)
         a_coeff, a_letter = antipode_letter(mapped, ctx)
         out = out @ ((sign * a_coeff) * irrep_word(lam, a_letter, ctx))
@@ -420,7 +418,7 @@ def action_table_residuals(ctx: QContext) -> dict:
 
 def haar_orthogonality_residual(ctx: QContext, lam_max=2) -> float:
     """Max deviation of <t^lam_{mn}, t^lam'_{m'n'}> from delta*q^{-2m}/[2lam+1]."""
-    lam_max = hi(lam_max)
+    lam_max = nonneg_hi(lam_max, "lam_max")
     indices = []
     for tl in range(0, lam_max.twice + 1):
         lam = HalfInt(tl)

@@ -33,7 +33,7 @@ from . import coord
 from .cg import cg_block, cg_coeff_updown
 from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
-from .exact import HalfInt, QContext, WeightPair, _p_window, hi, residual_max
+from .exact import HalfInt, QContext, WeightPair, _p_window, hi, nonneg_hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import gram_norm
 from .qcore import irrep_word, q_int, weight_range
@@ -51,10 +51,11 @@ __all__ = [
 ]
 
 Q_DIRAC_GUARD = hi(3)
-# b is one matrix element, but pi(b) reads the dense CG blocks ((k+l)/2, lam) of side
-# (k+l+1)(2 lam + 1), and building b the (lam, 1/2) blocks and irreps up to (k+l)/2: at
-# (1, 127), lam_max 5 these kept 38, 23 and 25 MB.  verify --suite chirality at (1, 64) took
-# 0.48 s and 84 MB, (1, 127) 1.7 s and 248 MB and (1, 150) 2.3 s and 344 MB on 2 cores
+# b is one matrix element, but pi(b) reads the coupling lists of the CG blocks ((k+l)/2, lam),
+# and building b the other blocks and irreps up to (k+l)/2: at (1, 127), lam_max 5 these kept
+# 1.5, 2.7 and 12 MB.  verify --suite chirality at (1, 64) took 0.56 s and 62 MB, (1, 127)
+# 1.4 s and 140 MB, (1, 150) 2.1 s and 181 MB and (1, 200) 4.1 s and 298 MB on 2 cores: the
+# time, which grows about as (k+l)^2, sets the guard now, not the memory
 EVEN_TRIPLE_GUARD = 128
 
 
@@ -75,8 +76,7 @@ class SpinorBasisIndex:
         j, m, mu = self.j, self.m, self.mu
         if self.arrow not in ("up", "down"):
             raise ValueError(f"arrow must be 'up' or 'down', got {self.arrow!r}")
-        if j.twice < 0:
-            raise ValueError(f"j must be >= 0, got {j}")
+        nonneg_hi(j, "j")
         if abs(mu.twice) > j.twice or (j.twice - mu.twice) % 2:
             raise ValueError(f"mu = {mu} out of range for j = {j}")
         lam = self.lam
@@ -161,7 +161,7 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down vectors.  Refuses q
     for which ev_max or the block overflows a double.
     """
-    j_max = hi(j_max)
+    j_max = nonneg_hi(j_max, "j_max")
     if j_max.twice > Q_DIRAC_GUARD.twice:
         raise ValueError(f"j_max = {j_max} exceeds the cost guard {Q_DIRAC_GUARD}")
     q = ctx.q
@@ -340,7 +340,7 @@ def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext) -> dict:
     """
     if wp.s > EVEN_TRIPLE_GUARD:
         raise ValueError(f"k + l = {wp.s} exceeds the cost guard {EVEN_TRIPLE_GUARD}")
-    base = coinvariant_coord_basis(wp, lam_max)
+    base = coinvariant_coord_basis(wp, nonneg_hi(lam_max, "lam_max"))
     B = len(base)
     labels = np.array(base, dtype=int).T
     Pa, Pb = np.zeros((2, B, B), dtype=complex)

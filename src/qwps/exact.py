@@ -14,6 +14,7 @@ import these names from here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -21,6 +22,7 @@ __all__ = [
     "HalfInt",
     "QContext",
     "hi",
+    "nonneg_hi",
     "WeightPair",
     "dim_V_down",
     "dim_V_down_doubled",
@@ -142,6 +144,14 @@ def hi(value) -> HalfInt:
     return HalfInt(int(doubled))
 
 
+def nonneg_hi(value, name: str) -> HalfInt:
+    """:func:`hi` of a highest weight or cap, refused by name when negative."""
+    value = hi(value)
+    if value.twice < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class QContext:
     """Deformation parameter q in (0, 1) plus the numeric tolerance tol in (0, 1).
@@ -171,6 +181,8 @@ class WeightPair:
     l: int
 
     def __post_init__(self):
+        if not (isinstance(self.k, numbers.Integral) and isinstance(self.l, numbers.Integral)):
+            raise ValueError(f"k, l must be integers, got ({self.k}, {self.l})")
         if self.k < 1 or self.l < 1:
             raise ValueError(f"k, l must be positive, got ({self.k}, {self.l})")
         if math.gcd(self.k, self.l) != 1:

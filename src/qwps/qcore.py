@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exact import HalfInt, QContext, hi
+from .exact import HalfInt, QContext, hi, nonneg_hi
 
 __all__ = [
     "LETTERS",
@@ -100,15 +100,20 @@ def weight_range(lam) -> list[HalfInt]:
     return [HalfInt(t) for t in range(-lam.twice, lam.twice + 1, 2)]
 
 
-def _check_highest_weight(lam) -> HalfInt:
-    lam = hi(lam)
-    if lam.twice < 0:
-        raise ValueError(f"highest weight must be >= 0, got {lam}")
-    return lam
-
-
 _word_cache: dict = {}
-_irrep_lock = threading.Lock()
+_memo_lock = threading.Lock()
+
+
+def _memo(store: dict, key, build, *args):
+    """``store[key]``, set to ``build(*args)`` on a miss.  The lock guards the
+    dict only, so builds may nest; of two racing builds, the first stored wins."""
+    with _memo_lock:
+        value = store.get(key)
+    if value is None:
+        value = build(*args)
+        with _memo_lock:
+            value = store.setdefault(key, value)
+    return value
 
 
 def _as_word(word) -> tuple[str, ...]:
@@ -123,22 +128,21 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
     """Product of generator matrices in word order; the empty word is the identity.
 
     Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
-    line, f the (i-1, i) line, k the diagonal q^m.  Memoized on
-    (2 lam, word, q): a one-letter word is built here, a longer one from the
-    memo's one-letter entries.  The shared product is returned read-only, so a
-    caller that writes must copy it.
+    line, f the (i-1, i) line, k the diagonal q^m.  The matrices are real.
+    Memoized on (2 lam, word, q): a one-letter word is built here, a longer
+    one from the memo's one-letter entries.  The shared product is returned
+    read-only, so a caller that writes must copy it.
     """
-    lam = _check_highest_weight(lam)
+    lam = hi(lam)
     word = _as_word(word)
-    key = (lam.twice, word, ctx.q)
-    with _irrep_lock:
-        cached = _word_cache.get(key)
-    if cached is not None:
-        return cached
-    d = lam.twice + 1
+    return _memo(_word_cache, (lam.twice, word, ctx.q), _build_word, lam, word, ctx)
+
+
+def _build_word(lam: HalfInt, word: tuple, ctx: QContext) -> np.ndarray:
+    d = nonneg_hi(lam, "highest weight").twice + 1  # a miss for any negative key
     if len(word) == 1:
         letter = word[0]
-        out = np.zeros((d, d), dtype=complex)
+        out = np.zeros((d, d))
         for i, m in enumerate(weight_range(lam)):
             if letter == "k":
                 out[i, i] = ctx.q ** m.float
@@ -150,12 +154,11 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
             elif i - 1 >= 0:  # f
                 out[i - 1, i] = math.sqrt(q_int(lam - m + 1, ctx)) * math.sqrt(q_int(lam + m, ctx))
     else:
-        out = irrep_word(lam, word[0], ctx) if word else np.eye(d, dtype=complex)
+        out = irrep_word(lam, word[0], ctx) if word else np.eye(d)
         for letter in word[1:]:
             out = out @ irrep_word(lam, letter, ctx)
     out.flags.writeable = False
-    with _irrep_lock:
-        return _word_cache.setdefault(key, out)
+    return out
 
 
 def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:

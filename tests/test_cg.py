@@ -1,5 +1,6 @@
 """Clebsch-Gordan block matrices: orthogonality, ladder form, closed forms."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -106,12 +107,12 @@ def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
     formula = cg._racah_block
 
     def faulty(a2, b2, q):
-        matrix, entries, slots = formula(a2, b2, q)
-        if fault == "nan":
-            matrix[0, 0] = np.nan
-        else:
-            matrix[-1] *= 1.0 + 1e-9
-        return matrix, entries, slots
+        coupling = formula(a2, b2, q)
+        if fault == "nan":  # (m1, m2, mu) = (lam1, lam2, lam1 + lam2), which weight allows
+            coupling[-1, -1, -1] = np.nan
+        else:  # every row of the top mu
+            coupling[..., -1] *= 1.0 + 1e-9
+        return coupling
 
     monkeypatch.setattr(cg, "_racah_block", faulty)
     ctx = ctx_for(0.45)
@@ -119,6 +120,16 @@ def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
     with pytest.raises(ValueError, match="build check"):
         cg_block(hi(1), hi(1.5), ctx)
     assert (2, 3, ctx.q) not in cg._cache
+
+
+def test_cached_block_stores_only_its_coupling_lists():
+    assert [f.name for f in dataclasses.fields(cg.CGBlock)] == ["lam1", "lam2", "coupling"]
+    block = cg_block(hi(1), hi(1.5), ctx_for(0.5))
+    assert not any(isinstance(v, np.ndarray) for v in vars(block).values())
+    # each read lays the matrix out afresh, so a caller's write reaches no other reader
+    first = block.matrix
+    first[:] = 0.0
+    assert np.abs(block.matrix @ block.matrix.T - np.eye(12)).max() < 1e-14
 
 
 def test_singlet_row_against_null_space_oracle():

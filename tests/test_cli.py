@@ -307,6 +307,22 @@ def test_verify_dump_golden_elements(tmp_path, capsys):
     assert target.read_text() == f"# a\n{to_jsonl(a)}\n# b\n{to_jsonl(b)}\n"
 
 
+@pytest.mark.parametrize("suite", ["chirality", "fredholm"])
+def test_verify_dump_writes_the_even_triple_generators(tmp_path, capsys, suite):
+    # both suites represent a and b of coaction.wp_gens, not the coordinate generators
+    from qwps.coaction import wp_gens
+    from qwps.coord import to_jsonl
+    from qwps.exact import QContext, WeightPair
+
+    target = tmp_path / "elements.jsonl"
+    code, _, _ = run_cli(
+        capsys, ["verify", "--suite", suite, "--k", "1", "--l", "2", "--dump", str(target)]
+    )
+    assert code == 0
+    a, b = wp_gens(WeightPair(1, 2), QContext(0.5, 1e-9))
+    assert target.read_text() == f"# a\n{to_jsonl(a)}\n# b\n{to_jsonl(b)}\n"
+
+
 def test_summability_table(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qwps import coaction, exact, teardrop
@@ -46,6 +47,14 @@ def test_weight_pair_validation():
     with pytest.raises(ValueError):
         WeightPair(0, 1)
     assert WeightPair(3, 4).s == 7
+
+
+def test_weight_pair_refuses_non_integers():
+    with pytest.raises(ValueError, match=r"k, l must be integers, got \(1.5, 2\)"):
+        WeightPair(1.5, 2)
+    with pytest.raises(ValueError, match=r"k, l must be integers, got \(1, 2.0\)"):
+        WeightPair(1, 2.0)
+    assert WeightPair(np.int64(2), np.int32(3)).s == 5
 
 
 def test_generator_degrees():

@@ -27,7 +27,7 @@ from qwps.coord import (
     unit,
 )
 from qwps.exact import HalfInt, QContext
-from qwps.qcore import COPRODUCT, q_int, weight_range
+from qwps.qcore import COPRODUCT, coproduct_action, q_int, weight_range
 
 CTX = QContext(0.5, 1e-9)
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -423,6 +423,20 @@ def test_haar_check_reads_computed_cg_entries(fresh_cg_cache):
     column = cg_block(1, 1, ctx).coupling[1][1]  # (m1, m2) = (0, 0), mu from 0 up
     column[0] *= 1 + 1e-6
     assert coord.haar_orthogonality_residual(ctx, 2) > ctx.tol
+
+
+def test_haar_check_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="lam_max must be >= 0, got -1"):
+        coord.haar_orthogonality_residual(QContext(0.5, 1e-9), -1)
+
+
+def test_generator_matrices_are_real():
+    ctx = QContext(0.5, 1e-9)
+    for lam in (0, 0.5, 1, 2.5):
+        for word in ("e", "kinv", ("f", "k", "e")):
+            assert coord._left_matrix(lam, word, ctx).dtype == np.float64
+        for letter in COPRODUCT:
+            assert coproduct_action(lam, 1.5, letter, ctx).dtype == np.float64
 
 
 def test_haar_check_builds_every_block_it_pairs(fresh_cg_cache):

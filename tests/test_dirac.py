@@ -1,15 +1,17 @@
 """Spectral triples: spinor basis, spectra, summability, commutators, grading."""
 
+import gc
 import inspect
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qwps import cli, dirac
+from qwps import cg, cli, dirac, qcore
 from qwps.cg import cg_coeff_updown
 from qwps.coaction import coinvariant_coord_basis, degree, spinor_degree, wp_gens
 from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, right_act, unit
@@ -307,6 +309,11 @@ def test_q_dirac_eigenvalues():
 def test_q_dirac_guard():
     with pytest.raises(ValueError):
         q_dirac_check(hi(3.5), CTX)
+
+
+def test_q_dirac_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
+        q_dirac_check(hi(-1), CTX)
 
 
 def test_q_dirac_refuses_an_overflowing_block():
@@ -773,6 +780,29 @@ def test_even_triple_report_max_propagates_nan(monkeypatch, check):
     report = check(WeightPair(1, 1), hi(1), CTX)
     assert math.isnan(report["commutes_pi_b"]) and not math.isnan(report["commutes_pi_a"])
     assert math.isnan(report["max"])
+
+
+@pytest.mark.parametrize("cap", [-1, -0.5])
+@pytest.mark.parametrize("entry", [even_triple_operators, chirality_checks, fredholm_degeneracy])
+def test_even_triple_refuses_a_negative_cap(entry, cap):
+    with pytest.raises(ValueError, match=f"lam_max must be >= 0, got {hi(cap)}"):
+        entry(WeightPair(1, 1), cap, CTX)
+
+
+def test_chirality_checks_retain_little_memory():
+    # from empty caches: the blocks' coupling lists and the real irrep words take
+    # 0.9 MiB; a dense matrix beside each block's lists and complex words took 4.1 MiB
+    cg.clear_cache()
+    qcore._word_cache.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chirality_checks(WeightPair(1, 32), hi(5), QContext(0.5, 1e-9))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20
 
 
 def test_even_triple_operators_structure():

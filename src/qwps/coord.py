@@ -28,7 +28,6 @@ from .qcore import (
     LETTERS,
     HalfInt,
     QContext,
-    _as_word,
     antipode_letter,
     hi,
     irrep_word,
@@ -247,8 +246,11 @@ def right_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
 def _left_matrix(lam, word, ctx: QContext) -> np.ndarray:
     """rho_lam(S(theta(word))); S∘theta is an anti-homomorphism, so the
     per-letter matrices multiply in reversed word order."""
-    out = np.eye(hi(lam).twice + 1)
-    for letter in reversed(_as_word(word)):
+    if isinstance(word, str):
+        word = (word,)
+    d = hi(lam).twice + 1
+    out = np.eye(d)
+    for letter in reversed(tuple(word)):
         sign, mapped = theta_letter(letter)
         a_coeff, a_letter = antipode_letter(mapped, ctx)
         out = out @ ((sign * a_coeff) * irrep_word(lam, a_letter, ctx))

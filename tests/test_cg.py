@@ -81,6 +81,7 @@ def test_block_invariants(q):
             lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
             assert block_errors(lam1, lam2, ctx) < 1e-13, (t1, t2)
             block = cg_block(lam1, lam2, ctx)
+            matrix = block.matrix  # laid out on each read
             # doubled labels of every row (mu, m) and column (m1, m2), in the
             # layout the CGBlock docstring states
             mus = [mu.twice for mu in couple(lam1, lam2)]
@@ -88,15 +89,15 @@ def test_block_invariants(q):
             row_m = np.concatenate([np.arange(-t, t + 1, 2) for t in mus])
             col_m1 = np.repeat(np.arange(-t1, t1 + 1, 2), t2 + 1)
             col_m = col_m1 + np.tile(np.arange(-t2, t2 + 1, 2), t1 + 1)
-            assert not block.matrix[row_m[:, None] != col_m[None, :]].any()
+            assert not matrix[row_m[:, None] != col_m[None, :]].any()
             # the coupling lists hold each nonzero entry once, exactly, at its
             # column's (m1, m2) and its row's mu, and zero everywhere else
-            rows, cols = np.nonzero(block.matrix)
+            rows, cols = np.nonzero(matrix)
             slots = ((col_m1[cols] + t1) // 2, (col_m - col_m1 + t2)[cols] // 2,
                      (row_mu[rows] - mus[0]) // 2)
             assert len(set(zip(*(s.tolist() for s in slots)))) == rows.size
             expected = np.zeros((t1 + 1, t2 + 1, len(mus)))
-            expected[slots] = block.matrix[rows, cols]
+            expected[slots] = matrix[rows, cols]
             coupling = np.array(block.coupling)
             assert coupling.shape == expected.shape
             assert (coupling == expected).all()
@@ -202,6 +203,7 @@ def test_closed_form_matches_block_rows(tj):
     for q in Q_VALUES:
         ctx = ctx_for(q)
         block = cg_block(jm, hi(0.5), ctx)
+        matrix = block.matrix  # laid out on each read
         for tmu in range(-tj, tj + 1, 2):
             mu = hi(tmu / 2)
             c, s = cg_coeff_updown(j, mu, ctx)
@@ -210,7 +212,7 @@ def test_closed_form_matches_block_rows(tj):
             for dm, spin in ((hi(0.5), hi(-0.5)), (hi(-0.5), hi(0.5))):
                 m1 = mu + dm
                 if abs(m1.twice) <= jm.twice:
-                    got.append(block.matrix[row, col_of(block, m1, spin)])
+                    got.append(matrix[row, col_of(block, m1, spin)])
                 else:
                     got.append(0.0)
             assert got[0] == pytest.approx(c, abs=1e-12)

@@ -146,7 +146,7 @@ def reference_multiply(a, b, ctx):
     out = {}
     for i1, c1 in a.terms.items():
         for i2, c2 in b.terms.items():
-            block = cg_block(i1.lam, i2.lam, ctx)
+            matrix = cg_block(i1.lam, i2.lam, ctx).matrix  # laid out on each read
             m, n = i1.m + i2.m, i1.n + i2.n
 
             def coeff(mu, w, w1, w2):
@@ -156,7 +156,7 @@ def reference_multiply(a, b, ctx):
                 row = sum(t + 1 for t in range(abs(t1 - t2), mu.twice, 2))
                 row += (mu.twice + w.twice) // 2
                 col = (t1 + w1.twice) // 2 * (t2 + 1) + (t2 + w2.twice) // 2
-                return float(block.matrix[row, col])
+                return float(matrix[row, col])
 
             for mu in couple(i1.lam, i2.lam):
                 if abs(m.twice) > mu.twice or abs(n.twice) > mu.twice:

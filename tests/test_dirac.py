@@ -789,19 +789,23 @@ def test_even_triple_refuses_a_negative_cap(entry, cap):
         entry(WeightPair(1, 1), cap, CTX)
 
 
-def test_chirality_checks_retain_little_memory():
-    # from empty caches: the blocks' coupling lists and the real irrep words take
-    # 0.9 MiB; a dense matrix beside each block's lists and complex words took 4.1 MiB
-    cg.clear_cache()
-    qcore._word_cache.clear()
+def test_chirality_checks_retain_little_memory(monkeypatch):
+    # counts what is still allocated, after the call, by code running in cg or
+    # qcore: the two caches, filled from empty (the warm ones come back after
+    # the test).  The blocks' coupling lists and the real irrep words hold
+    # 0.9 MiB; a dense matrix beside each block's lists and complex words held 4.1 MiB
+    monkeypatch.setattr(cg, "_cache", {})
+    monkeypatch.setattr(qcore, "_word_cache", {})
     gc.collect()
-    tracemalloc.start()
+    tracemalloc.start(4)  # deep enough to reach the cg or qcore frame of each allocation
     try:
         chirality_checks(WeightPair(1, 32), hi(5), QContext(0.5, 1e-9))
         gc.collect()
-        retained, _ = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    ours = [tracemalloc.Filter(True, mod.__file__, all_frames=True) for mod in (cg, qcore)]
+    retained = sum(t.size for t in snapshot.filter_traces(ours).traces)
     assert retained < 2 * 2**20
 
 

@@ -1,6 +1,6 @@
 """Time two qwps trees against each other in one interpreter.
 
-    python3 tools/ab_inprocess.py PARENT_ROOT CHANGE_ROOT [--rounds N]
+    python3 tools/ab_inprocess.py PARENT_ROOT CHANGE_ROOT
 
 Each root is a checkout holding ``src/qwps``.  Both packages are copied into a
 temporary directory as ``qwps_parent`` and ``qwps_change``; qwps imports itself
@@ -35,6 +35,7 @@ GRID = range(9)  # doubled highest weights
 QS = (0.3, 0.5, 0.8)
 WORDS = [("e",), ("f",), ("k",), ("kinv",), ("f", "e"), ("kinv", "e"), ("k", "k")]
 HIT_REPEATS = 20
+ROUNDS = 60  # interleaved rounds per task
 
 
 def load(root: Path, name: str, into: Path):
@@ -76,10 +77,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--rounds", type=int, default=40, help="interleaved rounds (default 40)")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -91,11 +89,11 @@ def main(argv=None) -> int:
         print(f"{'task':<10} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
         for label, fn in (("build", build), ("block-hit", block_hits), ("word-hit", word_hits)):
             ratios = []
-            for r in range(args.rounds):
+            for r in range(ROUNDS):
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
                 times = {name: timed(fn, sides[name]) for name in order}
                 ratios.append(times["change"] / times["parent"])
-            q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+            q1, median, q3 = statistics.quantiles(ratios, n=4)
             wins = sum(ratio < 1.0 for ratio in ratios)
             print(f"{label:<10} {median:7.3f} {q1:7.3f} {q3:7.3f}  {wins}/{len(ratios)}")
     return 0

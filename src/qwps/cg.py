@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import HalfInt, QContext, hi, nonneg_hi
-from .qcore import _memo, _memo_lock, coproduct_action, irrep_word, q_int
+from .exact import HalfInt, QContext, hi, nonneg_hi, residual_max
+from .qcore import _memo, _memo_lock, irrep_word, q_int
 
 __all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
 
@@ -98,9 +98,9 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
 
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
     lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")  # a miss for any negative key
-    block = CGBlock(lam1, lam2, _racah_block(lam1.twice, lam2.twice, ctx.q).tolist())
-    _check_block(block.matrix, lam1, lam2, ctx)  # the stored lists, as every reader sees them
-    return block
+    coupling = _racah_block(lam1.twice, lam2.twice, ctx.q)
+    _check_block(coupling, lam1, lam2, ctx)  # tolist() is exact: these are the stored numbers
+    return CGBlock(lam1, lam2, coupling.tolist())
 
 
 def _racah_block(a2: int, b2: int, q: float) -> np.ndarray:
@@ -164,23 +164,53 @@ def _pair(n):
     return n * (n - 1)
 
 
-def _check_block(matrix: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> None:
-    """Raise unless C is orthogonal and C Delta(e) C^t = blockdiag(rho_mu(e)) to _BLOCK_GATE."""
-    target = np.zeros_like(matrix)
-    r = 0
-    for mu in couple(lam1, lam2):
-        d = mu.twice + 1
-        target[r : r + d, r : r + d] = irrep_word(mu, "e", ctx)
-        r += d
-    raising = matrix @ coproduct_action(lam1, lam2, "e", ctx) @ matrix.T
-    orth_err = np.abs(matrix @ matrix.T - np.eye(len(matrix))).max()
-    inter_err = np.abs(raising - target).max() / max(1.0, np.abs(target).max())
+def _check_block(coupling: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QContext):
+    """Raise unless the block, in its coupling layout c[i, j, k] = C(mu_k; m1 m2)
+    with i = lam1 + m1, j = lam2 + m2, is orthogonal and intertwines Delta(e) to
+    _BLOCK_GATE; return (orthogonality error, intertwining error).
+
+    C is block diagonal by weight, so both run one weight m = m1 + m2 at a time,
+    with no dense C and no Kronecker product.  Orthogonality is C C^t = 1 on the
+    rows (mu, m) of each weight, and every entry that weight forbids (|m| > mu)
+    must be 0.  Intertwining is C Delta(e) = blockdiag(rho_mu(e)) C with
+    Delta(e) = e ⊗ k + k^-1 ⊗ e, entrywise
+
+        e1(m1) q^m2 c[i+1, j, k] + q^-m1 e2(m2) c[i, j+1, k] = e_mu_k(m1 + m2) c[i, j, k]
+
+    for e u_m = e(m) u_{m+1}; its error is scaled by max(1, |rho_mu(e)|).
+    """
+    a1, b1, n_mu = coupling.shape
+    n_w = a1 + b1 - 1  # the weights m1 + m2, by index s = i + j
+    weight = np.add.outer(np.arange(a1), np.arange(b1))
+    # by weight index and mu: e_mu(m), 0 from m = mu up, and whether |m| <= mu
+    e_mu = np.zeros((n_w, n_mu))
+    allowed = np.zeros((n_w, n_mu), dtype=bool)
+    for k, mu in enumerate(couple(lam1, lam2)):
+        lo = (n_w - 1 - mu.twice) // 2  # the index of weight -mu
+        e_mu[lo : lo + mu.twice, k] = irrep_word(mu, "e", ctx).diagonal(-1)
+        allowed[lo : lo + mu.twice + 1, k] = True
+
+    # by_weight[s, j] = c[s - j, j], 0 where s - j is out of range
+    by_weight = np.zeros((n_w, b1, n_mu))
+    by_weight[weight, np.arange(b1)] = coupling
+    gram = by_weight.transpose(0, 2, 1) @ by_weight
+    gram[:, np.arange(n_mu), np.arange(n_mu)] -= allowed
+    forbidden = coupling[~allowed[weight]]
+    orth_err = residual_max([np.abs(gram).max(), np.abs(forbidden).max(initial=0.0)])
+
+    e1, e2 = (irrep_word(lam, "e", ctx).diagonal(-1) for lam in (lam1, lam2))
+    kinv1, k2 = irrep_word(lam1, "kinv", ctx).diagonal(), irrep_word(lam2, "k", ctx).diagonal()
+    residual = -e_mu[weight] * coupling
+    residual[:-1] += np.multiply.outer(e1, k2)[..., None] * coupling[1:]
+    residual[:, :-1] += np.multiply.outer(kinv1, e2)[..., None] * coupling[:, 1:]
+    inter_err = np.abs(residual).max() / max(1.0, e_mu.max())
     if not (orth_err <= _BLOCK_GATE and inter_err <= _BLOCK_GATE):
         raise ValueError(
             f"Clebsch-Gordan block ({lam1}, {lam2}) at q = {ctx.q} fails its build check: "
             f"orthogonality error {orth_err:.3g}, intertwining error {inter_err:.3g} "
             f"(bound {_BLOCK_GATE:g})"
         )
+    return orth_err, inter_err
 
 
 def cg_coeff_updown(j, mu, ctx: QContext) -> tuple[float, float]:

@@ -37,8 +37,8 @@ _FORMATS = ("csv", "json")
 # jmax/lmax above this exit 2: at cap 1e4 dims took 17-19 s (its oracle grows with
 # the square of the cap) and spectrum 0.4 s; at 1e5 dims would take about 30 min
 CAP_GUARD = 10_000
-# summability lists 2N + 1 shells for each --nlist entry N: entries summing to
-# 1e6 took 2.8 s and 152 MB, to 2e6 5.1 s and 274 MB
+# summability sums 2N + 1 shells twice for each --nlist entry N, holding no list
+# of them: entries summing to 1e6 took 2.4 s and 17 MB
 NLIST_GUARD = 1_000_000
 
 
@@ -208,20 +208,27 @@ def _run_suite(suite: str, cfg: RunConfig) -> dict:
     }
 
 
+# the names of the elements each suite is built from, which --dump serializes:
+# a and b of coaction.wp_gens, or the coordinate generators of coord.gens; a
+# suite not listed builds no algebra element and refuses --dump
+_WP_GENS, _SU2Q_GENS = ("a", "b"), ("alpha", "beta", "alpha_star", "beta_star")
+_DUMPED = {"wp-relations": _WP_GENS, "chirality": _WP_GENS, "fredholm": _WP_GENS,
+           "su2q-relations": _SU2Q_GENS, "haar": _SU2Q_GENS, "equivariance": _SU2Q_GENS}
+
+
 def _dump_elements(suite: str, cfg: RunConfig, path: str) -> None:
     """Golden-file hook: serialize the elements a suite is built from."""
     from . import coaction, coord
-    ctx = cfg.context()
-    if suite in ("wp-relations", "chirality", "fredholm"):  # the suites that build a and b
-        named = zip(("a", "b"), coaction.wp_gens(cfg.weight_pair(), ctx))
-    else:
-        named = zip(("alpha", "beta", "alpha_star", "beta_star"), coord.gens(ctx))
-    chunks = [f"# {name}\n{coord.to_jsonl(el)}" for name, el in named]
+    ctx, names = cfg.context(), _DUMPED[suite]
+    gens = coaction.wp_gens(cfg.weight_pair(), ctx) if names is _WP_GENS else coord.gens(ctx)
+    chunks = [f"# {name}\n{coord.to_jsonl(el)}" for name, el in zip(names, gens)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(chunks) + "\n")
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    if args.dump and args.suite not in _DUMPED:
+        raise ValueError(f"--dump: the {args.suite} suite builds no algebra element")
     report = _run_suite(args.suite, cfg)
     if args.dump:
         _dump_elements(args.suite, cfg, args.dump)

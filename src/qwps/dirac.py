@@ -53,9 +53,8 @@ __all__ = [
 Q_DIRAC_GUARD = hi(3)
 # b is one matrix element, but pi(b) reads the coupling lists of the CG blocks ((k+l)/2, lam),
 # and building b the other blocks and irreps up to (k+l)/2: at (1, 127), lam_max 5 these kept
-# 1.5, 2.7 and 12 MB.  verify --suite chirality at (1, 64) took 0.56 s and 62 MB, (1, 127)
-# 1.4 s and 140 MB, (1, 150) 2.1 s and 181 MB and (1, 200) 4.1 s and 298 MB on 2 cores: the
-# time, which grows about as (k+l)^2, sets the guard now, not the memory
+# 1.5, 2.7 and 12 MB.  verify --suite chirality at (1, 64) took 0.35 s and 37 MB, (1, 127)
+# 0.51 s and 56 MB and, with the guard lifted, (1, 200) 0.78 s and 98 MB on 2 cores
 EVEN_TRIPLE_GUARD = 128
 
 

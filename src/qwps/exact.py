@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import reduce, total_ordering
+from itertools import accumulate, chain, repeat
+from operator import add, mul, truediv
 
 __all__ = [
     "HalfInt",
@@ -399,14 +401,35 @@ def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -
 
     With exponent 2 the sum diverges logarithmically in N for both triples
     (the dimension is exactly 2); with exponent 3 it converges.
+
+    The shell at doubled index t has eigenvalue (t + 2)/1 (odd) or (t + 2)/2
+    (even), exactly the values :func:`_shells` gives.  Its multiplicity is
+    linear on each residue class of t mod 2(k+l), so the int cores are read
+    for two periods only, and each later period of 2 mult is the one before
+    plus the class steps (exact: these are integers in a double).  No more
+    than t_max + 1 multiplicities are read, so the cost is O(min(k+l, N) + N).
+    The terms ev^-exponent (2 mult) are added in ascending t with no Python
+    call per shell, as a loop over :func:`_shells` adds (2 mult) ev^-exponent
+    (a product of two doubles is the same either way round); a shell of
+    multiplicity 0 adds +0.0, which leaves the sum bitwise the same.
     """
-    if hi(N).twice < 2:
+    t_max = hi(N).twice
+    if t_max < 2:
         raise ValueError(f"N must be >= 1, got {N}")
-    total = 0.0
-    for ev, mult in _shells(wp, triple, N):
-        if mult:
-            total += 2.0 * mult * ev ** (-exponent)
-    return total
+    period, ts = 2 * wp.s, range(min(4 * wp.s, t_max + 1))
+    if triple == "odd":
+        scale, mults = 1.0, [dim_V_down_doubled(wp, t + 2) for t in ts]
+    elif triple == "even":
+        scale, mults = 2.0, [dim_V_doubled(wp, t) for t in ts]
+    else:
+        raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
+    steps = [2.0 * (b - a) for a, b in zip(mults, mults[period:])]
+    periods = accumulate(repeat(steps), lambda row, step: list(map(add, row, step)),
+                         initial=[2.0 * m for m in mults[:period]])
+    # the powers come first, so the sweep stops after shell t_max even where a
+    # short table leaves the later period rows empty
+    powers = map(pow, map(truediv, range(2, t_max + 3), repeat(scale)), repeat(-exponent))
+    return reduce(add, map(mul, powers, chain.from_iterable(periods)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Clebsch-Gordan block matrices: orthogonality, ladder form, closed forms."""
 
 import dataclasses
+import re
 import threading
 
 import numpy as np
@@ -103,24 +104,78 @@ def test_block_invariants(q):
             assert (coupling == expected).all()
 
 
-@pytest.mark.parametrize("fault", ["scaled_row", "nan"])
+def dense_check_errors(matrix, lam1, lam2, ctx):
+    """The former build check, as a reference: C Delta(e) C^t against
+    blockdiag(rho_mu(e)) with Delta(e) as a dense Kronecker sum."""
+    target = np.zeros_like(matrix)
+    r = 0
+    for mu in couple(lam1, lam2):
+        d = mu.twice + 1
+        target[r : r + d, r : r + d] = irrep_word(mu, "e", ctx)
+        r += d
+    raising = matrix @ coproduct_action(lam1, lam2, "e", ctx) @ matrix.T
+    orth_err = np.abs(matrix @ matrix.T - np.eye(len(matrix))).max()
+    return orth_err, np.abs(raising - target).max() / max(1.0, np.abs(target).max())
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_build_check_agrees_with_the_dense_reference(q):
+    ctx = ctx_for(q)
+    for t1 in range(17):
+        for t2 in range(17):
+            lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
+            coupling = cg._racah_block(t1, t2, q)
+            errors = cg._check_block(coupling, lam1, lam2, ctx)
+            dense = dense_check_errors(cg.CGBlock(lam1, lam2, coupling.tolist()).matrix,
+                                       lam1, lam2, ctx)
+            assert max(errors + dense) < 1e-14, (t1, t2)
+            assert np.allclose(errors, dense, rtol=0, atol=5e-15), (t1, t2)
+
+
+def row_mask(coupling, two_m):
+    """The (m1, m2) slots of the coupling array with m1 + m2 = two_m / 2."""
+    a1, b1, _ = coupling.shape
+    return 2 * np.add.outer(np.arange(a1), np.arange(b1)) - (a1 + b1 - 2) == two_m
+
+
+def plant(fault, coupling):
+    """Put one fault into the coupling array of the block (1, 3/2), mu = 1/2, 3/2, 5/2."""
+    if fault == "nan":  # (m1, m2, mu) = (lam1, lam2, lam1 + lam2), which weight allows
+        coupling[-1, -1, -1] = np.nan
+    elif fault == "scaled_row":  # the row (mu, m) = (3/2, 1/2)
+        coupling[row_mask(coupling, 1), 1] *= 1.0 + 1e-9
+    elif fault == "sign_flipped_row":  # still orthogonal: only intertwining sees it
+        coupling[row_mask(coupling, 1), 1] *= -1.0
+    elif fault == "swapped_mu_pair":
+        coupling[..., [0, 1]] = coupling[..., [1, 0]]
+    else:  # a nonzero at (m1, m2, mu) = (lam1, lam2, 1/2), which weight forbids
+        coupling[-1, -1, 0] = 1e-9
+    return coupling
+
+
+FAULTS = ["scaled_row", "nan", "sign_flipped_row", "swapped_mu_pair", "forbidden_slot"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
     formula = cg._racah_block
-
-    def faulty(a2, b2, q):
-        coupling = formula(a2, b2, q)
-        if fault == "nan":  # (m1, m2, mu) = (lam1, lam2, lam1 + lam2), which weight allows
-            coupling[-1, -1, -1] = np.nan
-        else:  # every row of the top mu
-            coupling[..., -1] *= 1.0 + 1e-9
-        return coupling
-
-    monkeypatch.setattr(cg, "_racah_block", faulty)
+    monkeypatch.setattr(cg, "_racah_block", lambda a2, b2, q: plant(fault, formula(a2, b2, q)))
     ctx = ctx_for(0.45)
     clear_cache()
-    with pytest.raises(ValueError, match="build check"):
+    with pytest.raises(ValueError, match="build check") as failure:
         cg_block(hi(1), hi(1.5), ctx)
     assert (2, 3, ctx.q) not in cg._cache
+    if fault == "sign_flipped_row":
+        orth_err = re.search(r"orthogonality error (\S+),", str(failure.value)).group(1)
+        assert float(orth_err) <= cg._BLOCK_GATE
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_dense_reference_rejects_every_planted_fault(fault):
+    ctx = ctx_for(0.45)
+    mutant = plant(fault, cg._racah_block(2, 3, ctx.q))
+    matrix = cg.CGBlock(hi(1), hi(1.5), mutant.tolist()).matrix
+    assert not all(err <= cg._BLOCK_GATE for err in dense_check_errors(matrix, hi(1), hi(1.5), ctx))
 
 
 def test_cached_block_stores_only_its_coupling_lists():

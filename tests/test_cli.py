@@ -105,7 +105,7 @@ USAGE_ERRORS = [
     ["verify", "--suite", "teardrop", "--N", "1000000"],
     ["verify", "--suite", "teardrop", "--q", "0.01", "--l", "100"],
     ["verify", "--suite", "teardrop", "--q", "1e-200"],
-    # ktheory lists l ranks; summability lists 2N + 1 shells per --nlist entry
+    # ktheory lists l ranks; summability sums 2N + 1 shells per --nlist entry
     ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
     ["summability", "--nlist", "1000000000"],
     ["summability", "--nlist", "600000,700000"],
@@ -188,6 +188,7 @@ def cli_argv(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@example(["summability", "--triple", "odd", "--k", "1", "--l", "1000000000", "--nlist", "2"])
 @example(["spectrum", "--triple", "odd", "--jmax", "1e308"])
 @example(["spectrum", "--triple", "even", "--lmax", "1e308"])
 @example(["dims", "--jmax", "1e308"])
@@ -321,6 +322,30 @@ def test_verify_dump_writes_the_even_triple_generators(tmp_path, capsys, suite):
     assert code == 0
     a, b = wp_gens(WeightPair(1, 2), QContext(0.5, 1e-9))
     assert target.read_text() == f"# a\n{to_jsonl(a)}\n# b\n{to_jsonl(b)}\n"
+
+
+@pytest.mark.parametrize("suite", ["qdirac", "teardrop"])
+def test_verify_dump_is_refused_where_no_element_is_built(tmp_path, capsys, suite):
+    target = tmp_path / "elements.jsonl"
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--dump", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: --dump: the {suite} suite builds no algebra element\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("triple,rows", [
+    ("odd", ["2,0.68055555555555558,0.98183412504943346,nan,0.29050925925925924",
+             "3,0.71180555555555558,0.64791333839757514,0.077071983199263491,0.29441550925925924"]),
+    ("even", ["2,2.7222222222222223,3.9273365001977338,nan,2.324074074074074",
+              "3,2.8472222222222223,2.5916533535903006,0.30828793279705397,2.355324074074074"]),
+])
+def test_summability_cost_does_not_grow_with_k_plus_l(capsys, triple, rows):
+    # the sum reads no more multiplicities than it has shells, so a weight pair
+    # whose period 2(k + l) is 2e9 shells long sums N = 2, 3 at once
+    argv = ["summability", "--k", "1", "--l", "1000000000", "--triple", triple, "--nlist", "2,3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines() == ["N,sigma_N,sigma_over_logN,increment_ratio,sigma3_N", *rows]
 
 
 def test_summability_table(capsys):

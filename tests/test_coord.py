@@ -296,6 +296,30 @@ def test_equivariance():
     assert res["max"] < CTX.tol
 
 
+def _reference_equivariance(ctx):
+    """The per-letter triple loop, each product and action built where it is used."""
+    g = gens(ctx)
+    gaps = {"right": [], "left": []}
+    for letter in ("e", "f", "k"):
+        for a in g:
+            for b in g:
+                ab = multiply(a, b, ctx)
+                for side, act in (("right", right_act), ("left", left_act)):
+                    rhs = AlgebraElement()
+                    for x1, x2 in COPRODUCT[letter]:
+                        rhs = rhs + multiply(act(x1, a, ctx), act(x2, b, ctx), ctx)
+                    gaps[side].append((act(letter, ab, ctx) - rhs).norm_inf())
+    worst = {side: coord.residual_max(values) for side, values in gaps.items()}
+    worst["max"] = coord.residual_max(worst.values())
+    return worst
+
+
+@pytest.mark.parametrize("q", [*Q_VALUES, 1e-3])
+def test_equivariance_matches_the_reference_loop(q):
+    ctx = QContext(q, 1e-9)
+    assert coord.equivariance_residuals(ctx) == _reference_equivariance(ctx)
+
+
 # ---------------------------------------------------------------------------
 # associativity
 

@@ -33,8 +33,8 @@ from qwps.exact import (
     QContext,
     SpectrumTable,
     WeightPair,
-    dim_V,
-    dim_V_down,
+    dim_V_doubled,
+    dim_V_down_doubled,
     dim_V_down_oracle,
     dim_V_oracle,
     even_triple_spectrum,
@@ -460,21 +460,41 @@ def test_summability_monotone(triple):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+COPRIME_PAIRS = [WeightPair(k, s - k) for s in range(2, 13) for k in range(1, s)
+                 if math.gcd(k, s - k) == 1]
+
+
 @pytest.mark.parametrize("triple", ["odd", "even"])
-@pytest.mark.parametrize("wp", WPS, ids=str)
+@pytest.mark.parametrize("wp", COPRIME_PAIRS, ids=str)
 def test_summability_matches_halfint_dimension_sum(wp, triple):
-    # the sum over the doubled-int cores, bitwise against one over the HalfInt wrappers
-    for N, exponent in ((1, 2), (7.5, 2), (512, 2), (2048, 3)):
-        expected = 0.0
-        for t in range(int(2 * N) + 1):
-            if triple == "odd":
-                ev, mult = t + 2.0, dim_V_down(wp, HalfInt(t + 2))
-            else:
-                ev, mult = t / 2.0 + 1, dim_V(wp, HalfInt(t))
-            if mult:
-                expected += 2.0 * mult * ev ** (-exponent)
-        got = summability_partial_sum(wp, N, triple, exponent)
-        assert got.hex() == expected.hex(), (N, exponent)
+    # the one-sweep sum, bitwise against a loop that calls an int core per shell;
+    # the loop's running sums at the cuts are its partial sums
+    cuts = {2: 1, 15: 7.5, 1026: 513, 4095: 2047.5, 8192: 4096}  # 2N: N
+    expected = {}
+    square = cube = 0.0
+    for t in range(max(cuts) + 1):
+        if triple == "odd":
+            ev, mult = t + 2.0, dim_V_down_doubled(wp, t + 2)
+        else:
+            ev, mult = t / 2.0 + 1, dim_V_doubled(wp, t)
+        if mult:
+            square += 2.0 * mult * ev ** (-2)
+            cube += 2.0 * mult * ev ** (-3)
+        if t in cuts:
+            expected[cuts[t]] = square, cube
+    for N, (square, cube) in expected.items():
+        assert summability_partial_sum(wp, N, triple).hex() == square.hex(), N
+        assert summability_partial_sum(wp, N, triple, exponent=3).hex() == cube.hex(), N
+
+
+@pytest.mark.parametrize("core", [dim_V_down_doubled, dim_V_doubled])
+def test_int_cores_are_linear_on_each_residue_class(core):
+    # the summability sums read two periods of each core and step each class
+    for wp in COPRIME_PAIRS:
+        period = 2 * wp.s
+        for t in range(period):
+            first, second, third = (core(wp, t + n * period) for n in range(3))
+            assert third - second == second - first, (wp, t)
 
 
 @pytest.mark.parametrize("triple", ["odd", "even"])

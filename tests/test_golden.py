@@ -51,6 +51,8 @@ CASES = [
     ("ktheory", ["ktheory", "--l", "2", "--n", "1", "--j", "1", "--out", "{out}"]),
     *[(f"verify-{suite}", _verify(suite, "--out", "{out}"))
       for suite in ("haar", "equivariance", "qdirac", "chirality", "fredholm", "teardrop")],
+    *[(f"verify-{suite}-dump", _verify(suite, "--dump", "{dump}", "--out", "{out}"))
+      for suite in ("qdirac", "teardrop")],
     ("probe-q-1.5", ["spectrum", "--triple", "even", "--q", "1.5", "--out", "{out}"]),
     ("probe-summability-nlist-2-2", ["summability", "--nlist", "2,2", "--out", "{out}"]),
     ("probe-spectrum-jmax-minus-1", ["spectrum", "--triple", "odd", "--jmax", "-1",

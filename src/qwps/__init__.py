@@ -6,7 +6,7 @@ Modules
 exact     half-integer weights, dimensions, spectra, K-theory classes (no numpy)
 qcore     q-integers, ladder-form irreducibles
 cg        orthogonal q-Clebsch-Gordan block matrices with a cache
-coord     the coordinate algebra: product, star, pairing, actions, Haar state
+coord     the coordinate algebra: product, star, actions, Haar state
 coaction  circle grading and the degree-zero subalgebra
 operators the screened Gram-matrix norm of the commutators, truncated operators
 dirac     spinor bases, odd and even spectral triples, commutators

@@ -31,16 +31,18 @@ raises instead of being cached.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import HalfInt, QContext, hi, nonneg_hi, residual_max
-from .qcore import _memo, _memo_lock, irrep_word, q_int
+from .qcore import q_int, raising_bands
 
 __all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
 
 _cache: dict = {}
+_cache_lock = threading.Lock()
 
 # build-time bound on a block's orthogonality and intertwining errors; fixed,
 # because the cache key (2 lam1, 2 lam2, q) carries no tolerance
@@ -86,14 +88,25 @@ class CGBlock:
 
 
 def clear_cache():
-    with _memo_lock:
+    with _cache_lock:
         _cache.clear()
 
 
 def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
-    """Clebsch-Gordan block for (lam1, lam2); memoized on (2lam1, 2lam2, q)."""
+    """Clebsch-Gordan block for (lam1, lam2); memoized on (2lam1, 2lam2, q).
+
+    The lock guards the dict only, so builds may nest; of two racing builds,
+    the first stored wins.
+    """
     lam1, lam2 = hi(lam1), hi(lam2)
-    return _memo(_cache, (lam1.twice, lam2.twice, ctx.q), _build_block, lam1, lam2, ctx)
+    key = (lam1.twice, lam2.twice, ctx.q)
+    with _cache_lock:
+        block = _cache.get(key)
+    if block is None:
+        block = _build_block(lam1, lam2, ctx)
+        with _cache_lock:
+            block = _cache.setdefault(key, block)
+    return block
 
 
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
@@ -177,17 +190,21 @@ def _check_block(coupling: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QConte
 
         e1(m1) q^m2 c[i+1, j, k] + q^-m1 e2(m2) c[i, j+1, k] = e_mu_k(m1 + m2) c[i, j, k]
 
-    for e u_m = e(m) u_{m+1}; its error is scaled by max(1, |rho_mu(e)|).
+    for e u_m = e(m) u_{m+1}, the bands e(m) of lam1, lam2 and every mu read
+    from one :func:`~qwps.qcore.raising_bands` call; its error is scaled by
+    max(1, |rho_mu(e)|).
     """
     a1, b1, n_mu = coupling.shape
     n_w = a1 + b1 - 1  # the weights m1 + m2, by index s = i + j
     weight = np.add.outer(np.arange(a1), np.arange(b1))
+    mus = couple(lam1, lam2)
+    e1, e2, *bands = raising_bands([lam1, lam2, *mus], ctx)
     # by weight index and mu: e_mu(m), 0 from m = mu up, and whether |m| <= mu
     e_mu = np.zeros((n_w, n_mu))
     allowed = np.zeros((n_w, n_mu), dtype=bool)
-    for k, mu in enumerate(couple(lam1, lam2)):
+    for k, (mu, band) in enumerate(zip(mus, bands)):
         lo = (n_w - 1 - mu.twice) // 2  # the index of weight -mu
-        e_mu[lo : lo + mu.twice, k] = irrep_word(mu, "e", ctx).diagonal(-1)
+        e_mu[lo : lo + mu.twice, k] = band
         allowed[lo : lo + mu.twice + 1, k] = True
 
     # by_weight[s, j] = c[s - j, j], 0 where s - j is out of range
@@ -198,8 +215,8 @@ def _check_block(coupling: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QConte
     forbidden = coupling[~allowed[weight]]
     orth_err = residual_max([np.abs(gram).max(), np.abs(forbidden).max(initial=0.0)])
 
-    e1, e2 = (irrep_word(lam, "e", ctx).diagonal(-1) for lam in (lam1, lam2))
-    kinv1, k2 = irrep_word(lam1, "kinv", ctx).diagonal(), irrep_word(lam2, "k", ctx).diagonal()
+    kinv1 = [ctx.q ** (-t / 2) for t in range(-lam1.twice, lam1.twice + 1, 2)]
+    k2 = [ctx.q ** (t / 2) for t in range(-lam2.twice, lam2.twice + 1, 2)]
     residual = -e_mu[weight] * coupling
     residual[:-1] += np.multiply.outer(e1, k2)[..., None] * coupling[1:]
     residual[:, :-1] += np.multiply.outer(kinv1, e2)[..., None] * coupling[:, 1:]

@@ -8,9 +8,9 @@ product is the Clebsch-Gordan rule
         sum_mu C_q(lam lam' mu; m m') C_q(lam lam' mu; n n') t^mu_{m+m', n+n'}
 
 with coefficients read from :func:`qwps.cg.cg_block` rows, so t^0_{00} is the
-unit.  Star, the dual pairing with generator words, the left/right regular
-actions, the Haar state and its GNS inner product all live here, together
-with the residual reports that drive the verification CLI.
+unit.  Star, the left/right regular actions, the Haar state and its GNS inner
+product all live here, together with the residual reports that drive the
+verification CLI.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "gens",
     "multiply",
     "star",
-    "pairing",
     "right_act",
     "left_act",
     "haar",
@@ -223,20 +222,15 @@ def star(a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     return AlgebraElement(out)
 
 
-def pairing(a: AlgebraElement, word, ctx: QContext) -> complex:
-    """Dual pairing: linear extension of t^lam_{mn}(x) = (rho_lam(x))_{mn}."""
-    total = 0j
-    for (tl, tm, tn), c in a.terms.items():
-        total += c * irrep_word(HalfInt(tl), word, ctx)[(tm + tl) // 2, (tn + tl) // 2]
-    return total
-
-
 def right_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     """Right regular representation: the word acts on the column index n."""
     out: dict[BasisIndex, complex] = {}
+    cols: dict[int, list] = {}
     for (tl, tm, tn), c in a.terms.items():
-        col = irrep_word(HalfInt(tl), word, ctx)[:, (tn + tl) // 2]
-        for tn_new, v in zip(range(-tl, tl + 1, 2), col.tolist()):
+        col = cols.get(tl)
+        if col is None:
+            col = cols[tl] = irrep_word(HalfInt(tl), word, ctx).T.tolist()
+        for tn_new, v in zip(range(-tl, tl + 1, 2), col[(tn + tl) // 2]):
             if v != 0:
                 tgt = BasisIndex.doubled(tl, tm, tn_new)
                 out[tgt] = out.get(tgt, 0) + c * v
@@ -464,20 +458,27 @@ def star_pairing_residual(ctx: QContext) -> float:
 
     S(x)* maps each letter to a real multiple of a letter and reverses twice,
     so a word (x1 ... xr) pairs through the letterwise image in word order.
+    Each word's matrix is built once per lam; t^lam_{mn}(x) = rho_lam(x)[m, n].
     """
     words = [()] + [(a,) for a in LETTERS] + list(product(LETTERS, repeat=2))
     mapped = []
     for w in words:
         images = [star_antipode_letter(letter, ctx) for letter in w]
         mapped.append((w, math.prod(c for c, _ in images), tuple(x for _, x in images)))
+    tls = range(4)  # 2 lam
+    rho = {(tl, w): irrep_word(HalfInt(tl), w, ctx) for tl in tls for w in words}
+
+    def pair(a, word):  # the dual pairing, by linearity
+        total = 0j
+        for (tl, tm, tn), c in a.terms.items():
+            total += c * rho[tl, word][(tm + tl) // 2, (tn + tl) // 2]
+        return total
+
     gaps = []
-    for tl in range(4):  # 2 lam
-        lam = HalfInt(tl)
-        for m in weight_range(lam):
-            for n in weight_range(lam):
-                t = AlgebraElement.basis(BasisIndex(lam, m, n))
-                ts = star(t, ctx)
-                for w, coeff, image in mapped:
-                    rhs = np.conj(coeff * pairing(t, image, ctx))
-                    gaps.append(abs(pairing(ts, w, ctx) - rhs))
+    for tl in tls:
+        for tm, tn in product(range(-tl, tl + 1, 2), repeat=2):
+            t = AlgebraElement.basis(BasisIndex.doubled(tl, tm, tn))
+            ts = star(t, ctx)
+            for w, coeff, image in mapped:
+                gaps.append(abs(pair(ts, w) - np.conj(coeff * pair(t, image))))
     return residual_max(gaps)

@@ -14,14 +14,13 @@ u_{lam,-lam}, ..., u_{lam,lam} and the generators act in ladder form
 
 with the q-integer [n] = (q^n - q^-n)/(q - q^-1).  Matrices act on column
 vectors; a generator word evaluates to the matrix product in word order.
-:func:`irrep_word` is the one way to read them, for a single letter as for a
-word: it is memoized and returns its arrays read-only.
+:func:`irrep_word` builds them afresh on each call, for a single letter as for
+a word, from :func:`raising_bands`, the one statement of the e band.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from functools import reduce
 
 import numpy as np
@@ -36,6 +35,7 @@ __all__ = [
     "theta_letter",
     "star_antipode_letter",
     "weight_range",
+    "raising_bands",
     "irrep_word",
     "coproduct_action",
 ]
@@ -52,15 +52,16 @@ COPRODUCT = {
 
 def q_int(n, ctx: QContext) -> float:
     """q-integer [n] = (q^n - q^-n)/(q - q^-1); odd in n, positive for n > 0."""
-    n = hi(n)
-    if not n.is_integer():
-        raise ValueError(f"q_int expects an integer, got {n}")
+    if not isinstance(n, int):  # a HalfInt, or a float that is one
+        n = hi(n)
+        if not n.is_integer():
+            raise ValueError(f"q_int expects an integer, got {n}")
+        n = n.as_int()
     q = ctx.q
-    m = n.as_int()
     try:
-        return (q**m - q**-m) / (q - 1.0 / q)
+        return (q**n - q**-n) / (q - 1.0 / q)
     except OverflowError:
-        raise ValueError(f"q = {q:g}: the q-integer [{m}] overflows a double") from None
+        raise ValueError(f"q = {q:g}: the q-integer [{n}] overflows a double") from None
 
 
 def antipode_letter(letter: str, ctx: QContext):
@@ -100,28 +101,18 @@ def weight_range(lam) -> list[HalfInt]:
     return [HalfInt(t) for t in range(-lam.twice, lam.twice + 1, 2)]
 
 
-_word_cache: dict = {}
-_memo_lock = threading.Lock()
+def raising_bands(lams, ctx: QContext) -> list[list[float]]:
+    """The band of rho_lam(e) for each highest weight lam in ``lams``: entry i
+    is sqrt([lam-m]) sqrt([lam+m+1]) at m = -lam + i, i < 2 lam, so
+    rho_lam(e) = diag(band, -1) and rho_lam(f) = diag(band, 1).
 
-
-def _memo(store: dict, key, build, *args):
-    """``store[key]``, set to ``build(*args)`` on a miss.  The lock guards the
-    dict only, so builds may nest; of two racing builds, the first stored wins."""
-    with _memo_lock:
-        value = store.get(key)
-    if value is None:
-        value = build(*args)
-        with _memo_lock:
-            value = store.setdefault(key, value)
-    return value
-
-
-def _as_word(word) -> tuple[str, ...]:
-    word = (word,) if isinstance(word, str) else tuple(word)
-    for letter in word:
-        if letter not in LETTERS:
-            raise ValueError(f"unknown generator letter {letter!r}")
-    return word
+    One list of sqrt([n]) serves every lam of the call.  It is built from the
+    largest n = 2 lam down, so an overflow names that [n].
+    """
+    twice = [nonneg_hi(lam, "highest weight").twice for lam in lams]
+    top = max(twice, default=0)
+    roots = [math.sqrt(q_int(n, ctx)) for n in range(top, 0, -1)]  # roots[top - n] = sqrt([n])
+    return [[roots[top - tl + i] * roots[top - 1 - i] for i in range(tl)] for tl in twice]
 
 
 def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
@@ -129,36 +120,23 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
 
     Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
     line, f the (i-1, i) line, k the diagonal q^m.  The matrices are real.
-    Memoized on (2 lam, word, q): a one-letter word is built here, a longer
-    one from the memo's one-letter entries.  The shared product is returned
-    read-only, so a caller that writes must copy it.
+    Each letter is built in word order and multiplied in from the right.
     """
     lam = hi(lam)
-    word = _as_word(word)
-    return _memo(_word_cache, (lam.twice, word, ctx.q), _build_word, lam, word, ctx)
-
-
-def _build_word(lam: HalfInt, word: tuple, ctx: QContext) -> np.ndarray:
-    d = nonneg_hi(lam, "highest weight").twice + 1  # a miss for any negative key
-    if len(word) == 1:
-        letter = word[0]
-        out = np.zeros((d, d))
-        for i, m in enumerate(weight_range(lam)):
-            if letter == "k":
-                out[i, i] = ctx.q ** m.float
-            elif letter == "kinv":
-                out[i, i] = ctx.q ** (-m.float)
-            elif letter == "e":
-                if i + 1 < d:
-                    out[i + 1, i] = math.sqrt(q_int(lam - m, ctx)) * math.sqrt(q_int(lam + m + 1, ctx))
-            elif i - 1 >= 0:  # f
-                out[i - 1, i] = math.sqrt(q_int(lam - m + 1, ctx)) * math.sqrt(q_int(lam + m, ctx))
-    else:
-        out = irrep_word(lam, word[0], ctx) if word else np.eye(d)
-        for letter in word[1:]:
-            out = out @ irrep_word(lam, letter, ctx)
-    out.flags.writeable = False
-    return out
+    word = (word,) if isinstance(word, str) else tuple(word)
+    for letter in word:
+        if letter not in LETTERS:
+            raise ValueError(f"unknown generator letter {letter!r}")
+    tl = nonneg_hi(lam, "highest weight").twice
+    out = None
+    for letter in word:
+        if letter in ("e", "f"):
+            mat = np.diag(raising_bands([lam], ctx)[0], -1 if letter == "e" else 1)
+        else:
+            sign = 1 if letter == "k" else -1
+            mat = np.diag([ctx.q ** (sign * t / 2) for t in range(-tl, tl + 1, 2)])
+        out = mat if out is None else out @ mat
+    return np.eye(tl + 1) if out is None else out
 
 
 def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:

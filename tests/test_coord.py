@@ -20,14 +20,21 @@ from qwps.coord import (
     inner,
     left_act,
     multiply,
-    pairing,
     right_act,
     star,
     to_jsonl,
     unit,
 )
 from qwps.exact import HalfInt, QContext
-from qwps.qcore import COPRODUCT, coproduct_action, q_int, weight_range
+from qwps.qcore import (
+    COPRODUCT,
+    LETTERS,
+    coproduct_action,
+    irrep_word,
+    q_int,
+    star_antipode_letter,
+    weight_range,
+)
 
 CTX = QContext(0.5, 1e-9)
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -219,6 +226,31 @@ def test_star_agrees_with_pairing_definition():
 
 # ---------------------------------------------------------------------------
 # pairing
+
+
+def pairing(a: AlgebraElement, word, ctx: QContext) -> complex:
+    """Dual pairing: linear extension of t^lam_{mn}(x) = (rho_lam(x))_{mn}."""
+    total = 0j
+    for (tl, tm, tn), c in a.terms.items():
+        total += c * irrep_word(HalfInt(tl), word, ctx)[(tm + tl) // 2, (tn + tl) // 2]
+    return total
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1e-3])
+def test_star_pairing_residual_matches_the_pairing_loop(q):
+    # the former loop, one pairing (and so one word) per t and word
+    ctx = QContext(q, 1e-9)
+    words = [()] + [(a,) for a in LETTERS] + [(a, b) for a in LETTERS for b in LETTERS]
+    gaps = []
+    for idx in (BasisIndex(HalfInt(tl), m, n) for tl in range(4)
+                for m in weight_range(HalfInt(tl)) for n in weight_range(HalfInt(tl))):
+        t = AlgebraElement.basis(idx)
+        for w in words:
+            images = [star_antipode_letter(letter, ctx) for letter in w]
+            coeff, image = math.prod(c for c, _ in images), tuple(x for _, x in images)
+            rhs = np.conj(coeff * pairing(t, image, ctx))
+            gaps.append(abs(pairing(star(t, ctx), w, ctx) - rhs))
+    assert coord.star_pairing_residual(ctx) == max(gaps)
 
 
 def test_pairing_generator_values():

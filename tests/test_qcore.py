@@ -1,5 +1,6 @@
 """Exact weights, q-integers and the ladder-form irreducible matrices."""
 
+import itertools
 import math
 import operator
 
@@ -15,6 +16,7 @@ from qwps.qcore import (
     coproduct_action,
     irrep_word,
     q_int,
+    raising_bands,
     star_antipode_letter,
     weight_range,
 )
@@ -232,8 +234,42 @@ def test_irrep_word_examples():
     assert np.abs(irrep_word(hi(1), ("e", "e", "e"), ctx)).max() == 0
 
 
+def reference_letter(lam: HalfInt, letter: str, ctx: QContext) -> np.ndarray:
+    """One generator's matrix filled entry by entry from the ladder formulas."""
+    d = lam.twice + 1
+    out = np.zeros((d, d))
+    for i, m in enumerate(weight_range(lam)):
+        if letter == "k":
+            out[i, i] = ctx.q ** m.float
+        elif letter == "kinv":
+            out[i, i] = ctx.q ** (-m.float)
+        elif letter == "e":
+            if i + 1 < d:
+                out[i + 1, i] = math.sqrt(q_int(lam - m, ctx)) * math.sqrt(q_int(lam + m + 1, ctx))
+        elif i - 1 >= 0:  # f
+            out[i - 1, i] = math.sqrt(q_int(lam - m + 1, ctx)) * math.sqrt(q_int(lam + m, ctx))
+    return out
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1e-3])
+def test_irrep_word_is_bitwise_the_entrywise_reference(q):
+    # every word of up to 3 letters, 2 lam <= 40: the reference letters
+    # multiplied left to right, the empty word the identity
+    ctx = ctx_for(q)
+    words = [w for r in range(4) for w in itertools.product(LETTERS, repeat=r)]
+    for tl in range(41):
+        lam = HalfInt(tl)
+        letters = {letter: reference_letter(lam, letter, ctx) for letter in LETTERS}
+        for word in words:
+            want = np.eye(tl + 1) if not word else letters[word[0]]
+            for letter in word[1:]:
+                want = want @ letters[letter]
+            got = irrep_word(lam, word, ctx)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (tl, word)
+
+
 @pytest.mark.parametrize("q", Q_VALUES)
-def test_irrep_word_memo_is_fresh_product_and_read_only(q):
+def test_irrep_word_is_the_product_of_its_letters(q):
     ctx = ctx_for(q)
     words = [(), ("e",), ("f", "kinv"), ("e", "f", "k"), ("kinv", "kinv", "f", "e")]
     words += [(letter,) for letter in LETTERS]
@@ -242,15 +278,27 @@ def test_irrep_word_memo_is_fresh_product_and_read_only(q):
             fresh = np.eye(lam.twice + 1)
             for letter in word:
                 fresh = fresh @ irrep_word(lam, letter, ctx)
-            calls = [lambda: irrep_word(lam, list(word), ctx)]
-            if len(word) == 1:  # a bare letter reads the one-letter entry of the memo
-                calls.append(lambda: irrep_word(lam, word[0], ctx))
-            for _ in range(2):  # the first call may build the entry, the second reads it
-                for call in calls:
-                    got = call()
-                    assert got.dtype == np.float64 and got.tobytes() == fresh.tobytes()
-                    with pytest.raises(ValueError, match="read-only"):
-                        got[0, 0] = 1.0
+            calls = [irrep_word(lam, list(word), ctx)]
+            if len(word) == 1:  # a bare letter is the one-letter word
+                calls.append(irrep_word(lam, word[0], ctx))
+            for got in calls:
+                assert got.dtype == np.float64 and got.tobytes() == fresh.tobytes()
+
+
+def test_raising_bands_are_the_e_lines():
+    ctx = ctx_for(0.5)
+    lams = [hi(2), hi(0), hi(0.5), hi(3.5)]
+    for lam, band in zip(lams, raising_bands(lams, ctx)):
+        assert band == irrep_word(lam, "e", ctx).diagonal(-1).tolist()
+        assert band == irrep_word(lam, "f", ctx).diagonal(1).tolist()
+    assert raising_bands([], ctx) == []
+
+
+def test_irrep_word_overflow_names_the_top_q_integer():
+    # sqrt([n]) is read from n = 2 lam down, so the overflow names the largest
+    # q-integer of the word, [2 lam]
+    with pytest.raises(ValueError, match=r"the q-integer \[4\] overflows a double"):
+        irrep_word(2, "e", QContext(1e-120, 1e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ one process see the same drift on both sides.
 Three things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
-  q = 0.3, 0.5 and 0.8, from an emptied block cache (the irrep words stay warm,
-  as in the ``algebra`` workload's passes);
+  q = 0.3, 0.5 and 0.8, from an emptied block cache;
 - ``block-hit``: the same blocks read again from the warm cache;
-- ``word-hit``: irrep words read from the warm memo.
+- ``readers``: the checks that read irrep words, at the same three q:
+  ``coord.star_pairing_residual``, ``action_table_residuals``,
+  ``equivariance_residuals`` and ``dirac.q_dirac_check(2)``.
 
 For each it prints the median change/parent time ratio, its quartiles and the
 number of rounds the change was faster.
@@ -33,14 +34,13 @@ from pathlib import Path
 
 GRID = range(9)  # doubled highest weights
 QS = (0.3, 0.5, 0.8)
-WORDS = [("e",), ("f",), ("k",), ("kinv",), ("f", "e"), ("kinv", "e"), ("k", "k")]
 HIT_REPEATS = 20
 ROUNDS = 60  # interleaved rounds per task
 
 
 def load(root: Path, name: str, into: Path):
     shutil.copytree(root / "src" / "qwps", into / name)
-    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cg", "exact", "qcore")}
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cg", "coord", "dirac", "exact")}
 
 
 def build(pkg):
@@ -59,12 +59,13 @@ def block_hits(pkg):
                     pkg["cg"].cg_block(a2 / 2, b2 / 2, ctx)
 
 
-def word_hits(pkg):
-    for _ in range(HIT_REPEATS):
-        for ctx in pkg["ctxs"]:
-            for t in GRID:
-                for word in WORDS:
-                    pkg["qcore"].irrep_word(t / 2, word, ctx)
+def readers(pkg):
+    coord = pkg["coord"]
+    for ctx in pkg["ctxs"]:
+        coord.star_pairing_residual(ctx)
+        coord.action_table_residuals(ctx)
+        coord.equivariance_residuals(ctx)
+        pkg["dirac"].q_dirac_check(2, ctx)
 
 
 def timed(fn, pkg) -> float:
@@ -85,9 +86,9 @@ def main(argv=None) -> int:
                  for name, root in (("parent", args.parent), ("change", args.change))}
         for pkg in sides.values():
             pkg["ctxs"] = [pkg["exact"].QContext(q, 1e-9) for q in QS]
-            build(pkg)  # warm the word memo and the allocator
+            build(pkg)  # warm the block cache and the allocator
         print(f"{'task':<10} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
-        for label, fn in (("build", build), ("block-hit", block_hits), ("word-hit", word_hits)):
+        for label, fn in (("build", build), ("block-hit", block_hits), ("readers", readers)):
             ratios = []
             for r in range(ROUNDS):
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")

@@ -26,20 +26,31 @@ maximal-m1 column is positive; it reproduces the closed forms used for the
 spinor decomposition (see :func:`cg_coeff_updown`).  Each block is checked
 for orthogonality and intertwining when it is built, and a block that fails
 raises instead of being cached.
+
+Blocks are built in batches.  :func:`cg_blocks` reads every block a product
+needs, (lam1, lam2) over its two sets of highest weights, and builds the ones
+the cache lacks together: the entries of a batch's blocks stand side by side
+in one vectorised pass of the single sum and one pass of the check, and a
+block of one is a batch of one.  A batch holds the largest block left and
+then the smallest ones whose terms total at most its own, so its memory is
+bounded by what its largest block needs.  Each entry's terms are summed in
+the same order whatever the batch, so a block is the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .exact import HalfInt, QContext, hi, nonneg_hi, residual_max
-from .qcore import q_int, raising_bands
+from .exact import HalfInt, QContext, hi, nonneg_hi
+from .qcore import q_int, q_roots
 
-__all__ = ["CGBlock", "couple", "cg_block", "cg_coeff_updown", "clear_cache"]
+__all__ = ["CGBlock", "cg_block", "cg_blocks", "cg_coeff_updown", "clear_cache"]
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -47,14 +58,7 @@ _cache_lock = threading.Lock()
 # build-time bound on a block's orthogonality and intertwining errors; fixed,
 # because the cache key (2 lam1, 2 lam2, q) carries no tolerance
 _BLOCK_GATE = 1e-12
-
-
-def couple(lam1, lam2) -> list[HalfInt]:
-    """Highest weights |lam1-lam2|, ..., lam1+lam2 of the tensor product."""
-    lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")
-    lo = abs(lam1.twice - lam2.twice)
-    hi_ = lam1.twice + lam2.twice
-    return [HalfInt(t) for t in range(lo, hi_ + 1, 2)]
+_PAST_LAST = np.zeros(1)  # the 0 the build check reads past a batch's last cell
 
 
 @dataclass(frozen=True)
@@ -109,125 +113,218 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
     return block
 
 
+def cg_blocks(twice1, twice2, ctx: QContext) -> dict:
+    """The ``coupling`` lists of every block (lam1, lam2) with 2lam1 in
+    ``twice1`` and 2lam2 in ``twice2``, keyed by (2lam1, 2lam2).
+
+    Each block is read from the cache of :func:`cg_block`; the missing ones
+    are built in the batches of :func:`_batches`, and each is checked before
+    it is cached.
+    """
+    q, twice2 = ctx.q, tuple(twice2)
+    couplings, missing = {}, []
+    with _cache_lock:
+        for t1 in twice1:
+            for t2 in twice2:
+                block = _cache.get((t1, t2, q))
+                if block is None:
+                    missing.append((t1, t2))
+                else:
+                    couplings[t1, t2] = block.coupling
+    if missing:
+        for batch in _batches(dict.fromkeys(missing)):
+            built = _build_batch(batch, ctx)
+            with _cache_lock:
+                for pair, block in zip(batch, built):
+                    couplings[pair] = _cache.setdefault((*pair, q), block).coupling
+    return couplings
+
+
 def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
-    lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")  # a miss for any negative key
-    coupling = _racah_block(lam1.twice, lam2.twice, ctx.q)
-    _check_block(coupling, lam1, lam2, ctx)  # tolist() is exact: these are the stored numbers
-    return CGBlock(lam1, lam2, coupling.tolist())
+    return _build_batch([(hi(lam1).twice, hi(lam2).twice)], ctx)[0]
 
 
-def _racah_block(a2: int, b2: int, q: float) -> np.ndarray:
-    """The single sum for every entry of the (a, b) = (a2/2, b2/2) block, in
-    the layout of ``CGBlock.coupling``.
+def _build_batch(pairs: list, ctx: QContext) -> list[CGBlock]:
+    """The blocks (a2/2, b2/2) of ``pairs`` from one pass of the single sum,
+    each checked; raises, and returns none of them, if any fails its check."""
+    # a miss for any negative key
+    lams = [(nonneg_hi(HalfInt(a2), "lam1"), nonneg_hi(HalfInt(b2), "lam2")) for a2, b2 in pairs]
+    cells = _cells(pairs)
+    couplings = _racah_blocks(cells, ctx.q)
+    _check_blocks(couplings, cells, ctx)  # tolist() is exact: these are the stored numbers
+    return [CGBlock(lam1, lam2, coupling.tolist()) for (lam1, lam2), coupling in zip(lams, couplings)]
+
+
+def _term_count(a2: int, b2: int) -> int:
+    """The number of terms of the single sum over every entry of the block
+    (a2/2, b2/2): with n = min(a2, b2) + 1 and M = max(a2, b2) it is
+    n(n+1)(n+2)(2M - n + 3)/12."""
+    n, top = min(a2, b2) + 1, max(a2, b2)
+    return n * (n + 1) * (n + 2) * (2 * top - n + 3) // 12
+
+
+def _batches(pairs):
+    """Split ``pairs`` into batches: the largest block left, then the smallest
+    ones left while their terms total at most its own.
+
+    A batch so holds at most twice the terms of its largest block, a bound
+    taken from the blocks themselves, and a build's memory is bounded by what
+    its largest block needs.
+    """
+    by_count = sorted((_term_count(*pair), pair) for pair in pairs)
+    lo, hi_ = 0, len(by_count)
+    while lo < hi_:
+        hi_ -= 1
+        room, largest = by_count[hi_]
+        batch = [largest]
+        while lo < hi_ and by_count[lo][0] <= room:
+            room -= by_count[lo][0]
+            batch.append(by_count[lo][1])
+            lo += 1
+        yield batch
+
+
+_Cells = namedtuple("_Cells", "pairs sizes first a2 b2 n_mu i j t w c2 allowed")
+
+
+def _cells(pairs: list) -> _Cells:
+    """Every cell (i, j, k) of the coupling arrays of ``pairs``, block after
+    block, each in C order.  Beside the pairs, each block's number of cells
+    and first cell, it holds per cell the doubled a2, b2 of its block
+    (a = a2/2, b = b2/2), its number n_mu of c, i = a + alpha, j = b + beta,
+    and, for the k-th c = |a - b| + k, t = a + b - c, w = c + alpha + beta and
+    c2 = 2c; weight allows the cell where 0 <= w <= c2."""
+    sizes = [(a2 + 1) * (b2 + 1) * (min(a2, b2) + 1) for a2, b2 in pairs]
+    first = [0, *accumulate(sizes)]
+    a2, b2, n_mu, base = np.repeat(
+        np.array([(a, b, min(a, b) + 1, f) for (a, b), f in zip(pairs, first)]).T, sizes, axis=1)
+    ij, k = np.divmod(np.arange(first[-1]) - base, n_mu)
+    i, j = np.divmod(ij, b2 + 1)
+    t = n_mu - 1 - k
+    w = i + j - t
+    c2 = a2 + b2 - 2 * t
+    return _Cells(pairs, sizes, np.array(first[:-1]), a2, b2, n_mu, i, j, t, w, c2,
+                  (w >= 0) & (w <= c2))
+
+
+def _racah_blocks(cells: _Cells, q: float) -> list[np.ndarray]:
+    """The single sum for every entry of each block of ``cells``, as one
+    vectorised pass, in the layout of ``CGBlock.coupling``.
 
     With [n]! = q^{-n(n-1)/2} G_n, G_n = prod_{k<=n} (1 - q^{2k})/(1 - q^2),
-    the powers of q of each term fold into one exponent, kept as the integer
-    e4 = 4 * exponent, and only G_n (which stays moderate) is multiplied out.
+    the powers of q of each term fold into one integer exponent, and only G_n
+    (which stays moderate) is multiplied out.  The entries of all blocks stand
+    side by side and read one G table; each entry's terms are summed in
+    ascending z, so a block's numbers do not depend on its batch.
     """
-    cs = np.arange(abs(a2 - b2), a2 + b2 + 1, 2)
-    al2 = np.arange(-a2, a2 + 1, 2)
-    be2 = np.arange(-b2, b2 + 1, 2)
-    # the entries that weight allows: (i1, i2, k) with |m1 + m2| <= mu_k
-    slots = np.nonzero(np.abs(al2[:, None, None] + be2[None, :, None]) <= cs)
-    c2, al2, be2 = cs[slots[2]], al2[slots[0]], be2[slots[1]]
+    slots = np.flatnonzero(cells.allowed)
+    a2, b2, i, j, t, w, c2 = (x[slots] for x in (cells.a2, cells.b2, cells.i, cells.j, cells.t,
+                                                  cells.w, cells.c2))
+    # the q-factorial arguments a+b-c = t, a-b+c = a2 - t, -a+b+c = b2 - t,
+    # a+b+c+1 = s, a+alpha = i, a-alpha = u, b+beta = j, b-beta = v,
+    # c+gamma = w, c-gamma = c2 - w, and the shifts p, r of the terms' p + z, r + z
+    u, v = a2 - i, b2 - j
+    s = a2 + b2 + 1 - t
+    p, r = i - t, v - t
+    z_lo = np.maximum(0, t - np.minimum(i, v))
+    z_hi = np.minimum(t, np.minimum(u, j))
 
-    # integer arguments of the q-factorials
-    s = (a2 + b2 + c2) // 2 + 1  # a + b + c + 1
-    tri = ((a2 + b2 - c2) // 2, (a2 - b2 + c2) // 2, (b2 - a2 + c2) // 2)  # Delta(abc)
-    top = (
-        (a2 + al2) // 2, (a2 - al2) // 2, (b2 + be2) // 2, (b2 - be2) // 2,
-        (c2 + al2 + be2) // 2, (c2 - al2 - be2) // 2,
-    )
-    z_shift = (c2 - b2 + al2) // 2, (c2 - a2 - be2) // 2
-    z_lo = np.maximum(0, -np.minimum(*z_shift))
-    z_hi = np.minimum(tri[0], np.minimum(top[1], top[2]))
-
-    k = np.arange(1, a2 + b2 + 3)
-    g = np.concatenate([[1.0], np.cumprod((1.0 - q ** (2 * k)) / (1.0 - q * q))])
-    # four times the q-exponent: of the leading power, Delta(abc), sqrt([2c+1])
-    # and the square-rooted factorials; sqrt([n]!) contributes -pair(n)
-    e4 = (
-        2 * tri[0] * s + (a2 * be2 - b2 * al2)
-        - sum(_pair(n) for n in tri) + _pair(s) - 2 * c2 - sum(_pair(n) for n in top)
-    )
+    # 1 - q^{2n} at index n - 1, and G_n at index n
+    one_minus = 1.0 - q ** np.arange(2, 2 * max(map(sum, cells.pairs)) + 6, 2)
+    g = np.empty(one_minus.size + 1)
+    g[0] = 1.0
+    np.cumprod(one_minus / (1.0 - q * q), out=g[1:])
     scale = np.sqrt(
-        g[tri[0]] * g[tri[1]] * g[tri[2]] / g[s]
-        * (1.0 - q ** (2 * (c2 + 1))) / (1.0 - q * q)
-        * np.prod([g[n] for n in top], axis=0)
+        g[t] * g[a2 - t] * g[b2 - t] / g[s] * one_minus[c2] / (1.0 - q * q)
+        * (g[i] * g[u] * g[j] * g[v] * g[w] * g[c2 - w])
     )
 
     # one (entry, z) pair per term of the alternating sum; the range is never empty
     count = z_hi - z_lo + 1
-    entry = np.repeat(np.arange(c2.size), count)
-    z = z_lo[entry] + np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
-    bottom = (
-        z, tri[0][entry] - z, top[1][entry] - z, top[2][entry] - z,
-        z_shift[0][entry] + z, z_shift[1][entry] + z,
-    )
-    term_e4 = e4[entry] - 4 * z * s[entry] + 2 * sum(_pair(n) for n in bottom)
-    sign = np.where(z % 2, -1.0, 1.0)
-    terms = sign * q ** (term_e4 / 4.0) / np.prod([g[n] for n in bottom], axis=0)
+    entry = np.repeat(np.arange(slots.size), count)
+    z = np.arange(entry.size) - np.repeat(np.cumsum(count) - count - z_lo, count)
+    # the exponent of q of a term: u j + t (u + j + 1) + 3z^2 - (2(u + j + t) + 1) z
+    h = u + j
+    power = (u * j + t * (h + 1))[entry] + z * (3 * z - (2 * (h + t) + 1)[entry])
+    terms = np.where(z & 1, -1.0, 1.0) * q ** power / (
+        g[z] * g[t[entry] - z] * g[u[entry] - z] * g[j[entry] - z] * g[p[entry] + z]
+        * g[r[entry] + z])
 
-    coupling = np.zeros((a2 + 1, b2 + 1, min(a2, b2) + 1))
-    coupling[slots] = scale * np.bincount(entry, weights=terms, minlength=c2.size)
-    return coupling
-
-
-def _pair(n):
-    return n * (n - 1)
+    flat = np.zeros(cells.a2.size)
+    flat[slots] = scale * np.bincount(entry, weights=terms, minlength=slots.size)
+    return [flat[start : start + size].reshape(a + 1, b + 1, -1)
+            for (a, b), start, size in zip(cells.pairs, cells.first.tolist(), cells.sizes)]
 
 
-def _check_block(coupling: np.ndarray, lam1: HalfInt, lam2: HalfInt, ctx: QContext):
-    """Raise unless the block, in its coupling layout c[i, j, k] = C(mu_k; m1 m2)
-    with i = lam1 + m1, j = lam2 + m2, is orthogonal and intertwines Delta(e) to
-    _BLOCK_GATE; return (orthogonality error, intertwining error).
+def _check_blocks(couplings: list, cells: _Cells, ctx: QContext) -> list[tuple[float, float]]:
+    """Raise unless every block of ``cells``, in its coupling layout
+    c[i, j, k] = C(mu_k; m1 m2) with i = lam1 + m1, j = lam2 + m2, is
+    orthogonal and intertwines Delta(e) to _BLOCK_GATE; return each block's
+    (orthogonality error, intertwining error).
 
-    C is block diagonal by weight, so both run one weight m = m1 + m2 at a time,
-    with no dense C and no Kronecker product.  Orthogonality is C C^t = 1 on the
-    rows (mu, m) of each weight, and every entry that weight forbids (|m| > mu)
+    All blocks are checked in one pass over their cells.  C is block diagonal
+    by weight, so both checks run one weight m = m1 + m2 at a time, with no
+    dense C and no Kronecker product.  Orthogonality is C C^t = 1 on the rows
+    (mu, m) of each weight, and every entry that weight forbids (|m| > mu)
     must be 0.  Intertwining is C Delta(e) = blockdiag(rho_mu(e)) C with
     Delta(e) = e ⊗ k + k^-1 ⊗ e, entrywise
 
         e1(m1) q^m2 c[i+1, j, k] + q^-m1 e2(m2) c[i, j+1, k] = e_mu_k(m1 + m2) c[i, j, k]
 
-    for e u_m = e(m) u_{m+1}, the bands e(m) of lam1, lam2 and every mu read
-    from one :func:`~qwps.qcore.raising_bands` call; its error is scaled by
-    max(1, |rho_mu(e)|).
+    for e u_m = e(m) u_{m+1} = sqrt([lam-m]) sqrt([lam+m+1]) u_{m+1}, the band of
+    :func:`~qwps.qcore.raising_bands` read from one :func:`~qwps.qcore.q_roots`
+    list; its error is scaled by max(1, |rho_mu(e)|).
     """
-    a1, b1, n_mu = coupling.shape
-    n_w = a1 + b1 - 1  # the weights m1 + m2, by index s = i + j
-    weight = np.add.outer(np.arange(a1), np.arange(b1))
-    mus = couple(lam1, lam2)
-    e1, e2, *bands = raising_bands([lam1, lam2, *mus], ctx)
-    # by weight index and mu: e_mu(m), 0 from m = mu up, and whether |m| <= mu
-    e_mu = np.zeros((n_w, n_mu))
-    allowed = np.zeros((n_w, n_mu), dtype=bool)
-    for k, (mu, band) in enumerate(zip(mus, bands)):
-        lo = (n_w - 1 - mu.twice) // 2  # the index of weight -mu
-        e_mu[lo : lo + mu.twice, k] = band
-        allowed[lo : lo + mu.twice + 1, k] = True
+    pairs, sizes, first, a2, b2, n_mu, i, j, t, w, c2, allowed = cells
+    k = n_mu - 1 - t
+    c = np.concatenate([*couplings, _PAST_LAST], axis=None)
+    try:
+        # with a 0 at top + 1, read only beside sqrt([0]) at the top of a band
+        roots = np.array([*q_roots(max(map(sum, pairs)), ctx), 0.0])
+    except ValueError:  # name the smallest top q-integer of a block that overflows
+        for top in sorted({a + b for a, b in pairs}):
+            q_roots(top, ctx)
+        raise
+    # e(m) = sqrt([lam - m]) sqrt([lam + m + 1]); lam - m is c2 - w for mu, a2 - i
+    # for lam1 and b2 - j for lam2
+    e_mu = np.where(allowed, roots[c2 - w] * roots[w + 1], 0.0)
+    e1, e2 = roots[a2 - i] * roots[i + 1], roots[b2 - j] * roots[j + 1]
 
-    # by_weight[s, j] = c[s - j, j], 0 where s - j is out of range
-    by_weight = np.zeros((n_w, b1, n_mu))
-    by_weight[weight, np.arange(b1)] = coupling
+    # the cells (i+1, j, k) and (i, j+1, k), or the 0 past the last cell where
+    # e1 or e2 is 0
+    cell = np.arange(a2.size)
+    next_i = np.where(i < a2, cell + (b2 + 1) * n_mu, a2.size)
+    next_j = np.where(j < b2, cell + n_mu, a2.size)
+    q = ctx.q
+    residual = e1 * q ** (j - b2 / 2) * c[next_i] + q ** (a2 / 2 - i) * e2 * c[next_j] - e_mu * c[:-1]
+    inter_err = np.maximum.reduceat(np.abs(residual), first) / np.maximum(
+        1.0, np.maximum.reduceat(e_mu, first))
+
+    # by weight: the matrix of each block's weight-m rows, padded to n x n with
+    # n the batch's largest number of mu, over the shorter of the i and j axes
+    rows = [a + b + 1 for a, b in pairs]
+    row_first = [0, *accumulate(rows)]
+    row = np.repeat(row_first[:-1], sizes) + i + j
+    n = max(map(min, pairs)) + 1
+    by_weight = np.zeros((row_first[-1], n, n))
+    by_weight[row, np.where(b2 <= a2, j, i), k] = c[:-1]
     gram = by_weight.transpose(0, 2, 1) @ by_weight
-    gram[:, np.arange(n_mu), np.arange(n_mu)] -= allowed
-    forbidden = coupling[~allowed[weight]]
-    orth_err = residual_max([np.abs(gram).max(), np.abs(forbidden).max(initial=0.0)])
-
-    kinv1 = [ctx.q ** (-t / 2) for t in range(-lam1.twice, lam1.twice + 1, 2)]
-    k2 = [ctx.q ** (t / 2) for t in range(-lam2.twice, lam2.twice + 1, 2)]
-    residual = -e_mu[weight] * coupling
-    residual[:-1] += np.multiply.outer(e1, k2)[..., None] * coupling[1:]
-    residual[:, :-1] += np.multiply.outer(kinv1, e2)[..., None] * coupling[:, 1:]
-    inter_err = np.abs(residual).max() / max(1.0, e_mu.max())
-    if not (orth_err <= _BLOCK_GATE and inter_err <= _BLOCK_GATE):
-        raise ValueError(
-            f"Clebsch-Gordan block ({lam1}, {lam2}) at q = {ctx.q} fails its build check: "
-            f"orthogonality error {orth_err:.3g}, intertwining error {inter_err:.3g} "
-            f"(bound {_BLOCK_GATE:g})"
-        )
-    return orth_err, inter_err
+    target = np.zeros((row_first[-1], n))
+    target[row, k] = allowed
+    gram.reshape(row_first[-1], n * n)[:, :: n + 1] -= target
+    orth_err = np.maximum(
+        np.maximum.reduceat(np.abs(gram).max(axis=(1, 2)), row_first[:-1]),
+        np.maximum.reduceat(np.where(allowed, 0.0, np.abs(c[:-1])), first),
+    )
+    errors = list(zip(orth_err.tolist(), inter_err.tolist()))
+    for (t1, t2), (orth, inter) in zip(pairs, errors):
+        if not (orth <= _BLOCK_GATE and inter <= _BLOCK_GATE):
+            raise ValueError(
+                f"Clebsch-Gordan block ({HalfInt(t1)}, {HalfInt(t2)}) at q = {ctx.q} fails its "
+                f"build check: orthogonality error {orth:.3g}, intertwining error {inter:.3g} "
+                f"(bound {_BLOCK_GATE:g})"
+            )
+    return errors
 
 
 def cg_coeff_updown(j, mu, ctx: QContext) -> tuple[float, float]:

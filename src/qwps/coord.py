@@ -7,7 +7,7 @@ product is the Clebsch-Gordan rule
     t^lam_{mn} t^lam'_{m'n'} =
         sum_mu C_q(lam lam' mu; m m') C_q(lam lam' mu; n n') t^mu_{m+m', n+n'}
 
-with coefficients read from :func:`qwps.cg.cg_block` rows, so t^0_{00} is the
+with coefficients read from :func:`qwps.cg.cg_blocks` rows, so t^0_{00} is the
 unit.  Star, the left/right regular actions, the Haar state and its GNS inner
 product all live here, together with the residual reports that drive the
 verification CLI.
@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .cg import cg_block
+from .cg import cg_blocks
 from .exact import nonneg_hi, residual_max
 from .qcore import (
     COPRODUCT,
@@ -191,12 +191,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
     ``coupling`` lists.  Nothing is pruned: only exact zeros are dropped, so
     the result does not depend on ctx.tol.
     """
-    right = [(HalfInt(l2), l2, m2, n2, c2) for (l2, m2, n2), c2 in b.terms.items()]
+    couplings = cg_blocks({idx[0] for idx in a.terms}, {idx[0] for idx in b.terms}, ctx)
     out: dict[tuple, complex] = {}
     for (l1, m1, n1), c1 in a.terms.items():
-        lam1 = HalfInt(l1)
-        for lam2, l2, m2, n2, c2 in right:
-            coupling = cg_block(lam1, lam2, ctx).coupling
+        for (l2, m2, n2), c2 in b.terms.items():
+            coupling = couplings[l1, l2]
             m, n = m1 + m2, n1 + n2
             c12 = c1 * c2
             for mu, cm, cn in zip(range(abs(l1 - l2), l1 + l2 + 1, 2),
@@ -287,7 +286,8 @@ def gram(left, right, ctx: QContext) -> np.ndarray:
     its highest weights.
     """
     right_terms = [b.terms.items() for b in right]
-    couplings: dict[tuple, list] = {}
+    couplings = cg_blocks({idx[0] for a in left for idx in a.terms},
+                          {idx[0] for b in right for idx in b.terms}, ctx)
     rows = []
     for a in left:
         a_star = star(a, ctx).terms.items()
@@ -296,9 +296,7 @@ def gram(left, right, ctx: QContext) -> np.ndarray:
             total = 0
             for (l1, m1, n1), c1 in a_star:
                 for (l2, m2, n2), c2 in b_terms:
-                    coupling = couplings.get((l1, l2))
-                    if coupling is None:
-                        coupling = couplings[l1, l2] = cg_block(HalfInt(l1), HalfInt(l2), ctx).coupling
+                    coupling = couplings[l1, l2]
                     if l1 == l2:
                         cm = coupling[(m1 + l1) // 2][(m2 + l2) // 2][0]
                         cn = coupling[(n1 + l1) // 2][(n2 + l2) // 2][0]

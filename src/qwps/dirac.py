@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from . import coord
-from .cg import cg_block, cg_coeff_updown
+from .cg import cg_blocks, cg_coeff_updown
 from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
 from .exact import HalfInt, QContext, WeightPair, _p_window, hi, nonneg_hi, residual_max
@@ -228,11 +228,12 @@ def _gns_images(element: AlgebraElement, labels, ctx: QContext):
     coeffs = np.array(list(element.terms.values()), dtype=complex)
     if not coeffs.imag.any():  # real elements give real matrices
         coeffs = coeffs.real
+    shell_list = shells.tolist()
+    couplings = cg_blocks({idx[0] for idx in element.terms}, shell_list, ctx)
     images = []
-    for idx, c in zip(element.terms, coeffs):
-        l2, a, b = idx
+    for (l2, a, b), c in zip(element.terms, coeffs):
         # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (w, mu); shell s from start[s]
-        blocks = [cg_block(idx.lam, HalfInt(s), ctx).coupling for s in shells.tolist()]
+        blocks = [couplings[l2, s] for s in shell_list]
         leg_m, leg_n = (np.fromiter(chain.from_iterable(chain.from_iterable(
             blk[(w + l2) // 2] for blk in blocks)), float) for w in (a, b))
         width = np.minimum(l2, np.arange(top + 1)) + 1  # the number of mu of shell s
@@ -262,8 +263,9 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
         sum_mu c C(lam' lam mu; m' m) C(lam' lam mu; n' n) q^{-m'}
                sqrt([2lam+1]/[2mu+1]) e(mu, m'+m, n'+n),
 
-    reading the coefficients from ``cg_block(lam', lam)``.  Returns the triplets
-    (rows, cols, vals) as positions in ``labels``, by term and mu-shift.
+    reading the coefficients from the block (lam', lam) of
+    :func:`~qwps.cg.cg_blocks`.  Returns the triplets (rows, cols, vals) as
+    positions in ``labels``, by term and mu-shift.
     Nothing is pruned; images outside ``labels`` are dropped.
     """
     tl, tm, tn = labels = tuple(np.asarray(x, dtype=int) for x in labels)

@@ -15,7 +15,8 @@ u_{lam,-lam}, ..., u_{lam,lam} and the generators act in ladder form
 with the q-integer [n] = (q^n - q^-n)/(q - q^-1).  Matrices act on column
 vectors; a generator word evaluates to the matrix product in word order.
 :func:`irrep_word` builds them afresh on each call, for a single letter as for
-a word, from :func:`raising_bands`, the one statement of the e band.
+a word, from :func:`raising_bands`, the e band as lists; every band reads its
+sqrt([n]) from one :func:`q_roots` list.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "theta_letter",
     "star_antipode_letter",
     "weight_range",
+    "q_roots",
     "raising_bands",
     "irrep_word",
     "coproduct_action",
@@ -101,18 +103,27 @@ def weight_range(lam) -> list[HalfInt]:
     return [HalfInt(t) for t in range(-lam.twice, lam.twice + 1, 2)]
 
 
+def q_roots(top: int, ctx: QContext) -> list[float]:
+    """sqrt([n]) at index n for n = 0, ..., top, with sqrt([0]) = 0.
+
+    The list is built from n = top down, so an overflow names [top].
+    """
+    roots = [math.sqrt(q_int(n, ctx)) for n in range(top, 0, -1)]
+    roots.append(0.0)
+    roots.reverse()
+    return roots
+
+
 def raising_bands(lams, ctx: QContext) -> list[list[float]]:
     """The band of rho_lam(e) for each highest weight lam in ``lams``: entry i
     is sqrt([lam-m]) sqrt([lam+m+1]) at m = -lam + i, i < 2 lam, so
     rho_lam(e) = diag(band, -1) and rho_lam(f) = diag(band, 1).
 
-    One list of sqrt([n]) serves every lam of the call.  It is built from the
-    largest n = 2 lam down, so an overflow names that [n].
+    One :func:`q_roots` list, to the largest 2 lam, serves every lam of the call.
     """
     twice = [nonneg_hi(lam, "highest weight").twice for lam in lams]
-    top = max(twice, default=0)
-    roots = [math.sqrt(q_int(n, ctx)) for n in range(top, 0, -1)]  # roots[top - n] = sqrt([n])
-    return [[roots[top - tl + i] * roots[top - 1 - i] for i in range(tl)] for tl in twice]
+    roots = q_roots(max(twice, default=0), ctx)
+    return [[roots[tl - i] * roots[i + 1] for i in range(tl)] for tl in twice]
 
 
 def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
@@ -120,7 +131,8 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
 
     Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
     line, f the (i-1, i) line, k the diagonal q^m.  The matrices are real.
-    Each letter is built in word order and multiplied in from the right.
+    The band is read once per word, at its first e or f; each letter is built
+    in word order and multiplied in from the right.
     """
     lam = hi(lam)
     word = (word,) if isinstance(word, str) else tuple(word)
@@ -128,10 +140,12 @@ def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
         if letter not in LETTERS:
             raise ValueError(f"unknown generator letter {letter!r}")
     tl = nonneg_hi(lam, "highest weight").twice
-    out = None
+    out = band = None
     for letter in word:
         if letter in ("e", "f"):
-            mat = np.diag(raising_bands([lam], ctx)[0], -1 if letter == "e" else 1)
+            if band is None:
+                band = raising_bands([lam], ctx)[0]
+            mat = np.diag(band, -1 if letter == "e" else 1)
         else:
             sign = 1 if letter == "k" else -1
             mat = np.diag([ctx.q ** (sign * t / 2) for t in range(-tl, tl + 1, 2)])

@@ -1,15 +1,18 @@
 """Clebsch-Gordan block matrices: orthogonality, ladder form, closed forms."""
 
 import dataclasses
+import random
 import re
 import threading
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qwps import cg
-from qwps.cg import cg_block, cg_coeff_updown, clear_cache, couple
-from qwps.exact import QContext, hi
+from qwps import cg, coord, dirac
+from qwps.cg import cg_block, cg_coeff_updown, clear_cache
+from qwps.coord import AlgebraElement, BasisIndex
+from qwps.exact import HalfInt, QContext, hi, nonneg_hi
 from qwps.qcore import coproduct_action, irrep_word
 
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -17,6 +20,12 @@ Q_VALUES = (0.3, 0.5, 0.8)
 
 def ctx_for(q=0.5):
     return QContext(q, 1e-9)
+
+
+def couple(lam1, lam2):
+    """Highest weights |lam1-lam2|, ..., lam1+lam2 of the tensor product."""
+    lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")
+    return [HalfInt(t) for t in range(abs(lam1.twice - lam2.twice), lam1.twice + lam2.twice + 1, 2)]
 
 
 def row_of(block, mu, m):
@@ -118,14 +127,24 @@ def dense_check_errors(matrix, lam1, lam2, ctx):
     return orth_err, np.abs(raising - target).max() / max(1.0, np.abs(target).max())
 
 
+def racah_blocks(pairs, q):
+    """The batched single sum's coupling arrays for ``pairs``, (2 lam1, 2 lam2)."""
+    return cg._racah_blocks(cg._cells(pairs), q)
+
+
+def check_blocks(couplings, pairs, ctx):
+    return cg._check_blocks(couplings, cg._cells(pairs), ctx)
+
+
 @pytest.mark.parametrize("q", Q_VALUES)
 def test_build_check_agrees_with_the_dense_reference(q):
+    # each batch is one row of the grid, so every block is checked beside others
     ctx = ctx_for(q)
     for t1 in range(17):
-        for t2 in range(17):
+        pairs = [(t1, t2) for t2 in range(17)]
+        couplings = racah_blocks(pairs, q)
+        for (_, t2), coupling, errors in zip(pairs, couplings, check_blocks(couplings, pairs, ctx)):
             lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
-            coupling = cg._racah_block(t1, t2, q)
-            errors = cg._check_block(coupling, lam1, lam2, ctx)
             dense = dense_check_errors(cg.CGBlock(lam1, lam2, coupling.tolist()).matrix,
                                        lam1, lam2, ctx)
             assert max(errors + dense) < 1e-14, (t1, t2)
@@ -156,10 +175,20 @@ def plant(fault, coupling):
 FAULTS = ["scaled_row", "nan", "sign_flipped_row", "swapped_mu_pair", "forbidden_slot"]
 
 
+def plant_in_block_1_3half(monkeypatch, fault):
+    """Make the batched single sum plant ``fault`` in the block (1, 3/2) of any batch."""
+    formula = cg._racah_blocks
+
+    def planted(cells, q):
+        couplings = formula(cells, q)
+        return [plant(fault, c) if pair == (2, 3) else c for pair, c in zip(cells.pairs, couplings)]
+
+    monkeypatch.setattr(cg, "_racah_blocks", planted)
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
-    formula = cg._racah_block
-    monkeypatch.setattr(cg, "_racah_block", lambda a2, b2, q: plant(fault, formula(a2, b2, q)))
+    plant_in_block_1_3half(monkeypatch, fault)
     ctx = ctx_for(0.45)
     clear_cache()
     with pytest.raises(ValueError, match="build check") as failure:
@@ -171,9 +200,26 @@ def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
 
 
 @pytest.mark.parametrize("fault", FAULTS)
+def test_failed_build_check_in_a_batch_raises_and_caches_nothing(monkeypatch, fault):
+    # (1, 3/2) is built in one batch with the healthy (0, 1/2), (0, 3/2),
+    # (1, 1/2), (2, 1/2) and (2, 3/2); the batch fails as a whole
+    plant_in_block_1_3half(monkeypatch, fault)
+    ctx = ctx_for(0.45)
+    clear_cache()
+    assert [len(batch) for batch in cg._batches([(0, 1), (0, 3), (2, 1), (2, 3), (4, 1), (4, 3)])] == [6]
+    with pytest.raises(ValueError, match=re.escape("block (1, 3/2) at q = 0.45 fails")) as failure:
+        cg.cg_blocks([0, 2, 4], [1, 3], ctx)
+    assert (2, 3, ctx.q) not in cg._cache
+    assert not cg._cache
+    if fault == "sign_flipped_row":
+        orth_err = re.search(r"orthogonality error (\S+),", str(failure.value)).group(1)
+        assert float(orth_err) <= cg._BLOCK_GATE
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 def test_dense_reference_rejects_every_planted_fault(fault):
     ctx = ctx_for(0.45)
-    mutant = plant(fault, cg._racah_block(2, 3, ctx.q))
+    mutant = plant(fault, racah_blocks([(2, 3)], ctx.q)[0])
     matrix = cg.CGBlock(hi(1), hi(1.5), mutant.tolist()).matrix
     assert not all(err <= cg._BLOCK_GATE for err in dense_check_errors(matrix, hi(1), hi(1.5), ctx))
 
@@ -307,3 +353,111 @@ def test_row_lookup_weight_conservation():
     assert block.matrix[row, col_of(block, hi(1), hi(-0.5))] == 0.0
     assert [mu.twice for mu, v in zip(couple(hi(1), hi(0.5)), block.coupling[2][0]) if v] == [1, 3]
     assert [mu.twice for mu, v in zip(couple(hi(1), hi(0.5)), block.coupling[2][1]) if v] == [3]
+
+
+def brute_term_count(a2, b2):
+    """The terms of the single sum of every entry of the block (a2/2, b2/2),
+    counted one entry at a time from the bounds of z."""
+    total = 0
+    for c2 in range(abs(a2 - b2), a2 + b2 + 1, 2):
+        for al2 in range(-a2, a2 + 1, 2):
+            for be2 in range(-b2, b2 + 1, 2):
+                if abs(al2 + be2) <= c2:
+                    z_lo = max(0, (b2 - c2 - al2) // 2, (a2 + be2 - c2) // 2)
+                    z_hi = min((a2 + b2 - c2) // 2, (a2 - al2) // 2, (b2 + be2) // 2)
+                    total += z_hi - z_lo + 1
+    return total
+
+
+def test_term_count_counts_every_term():
+    for a2 in range(17):
+        for b2 in range(17):
+            assert cg._term_count(a2, b2) == brute_term_count(a2, b2), (a2, b2)
+
+
+def test_batches_hold_each_block_once_and_at_most_twice_their_largest():
+    rng = random.Random(7)
+    for _ in range(50):
+        pairs = list({(rng.randrange(40), rng.randrange(12)) for _ in range(rng.randrange(1, 30))})
+        batches = list(cg._batches(pairs))
+        assert sorted(pair for batch in batches for pair in batch) == sorted(pairs)
+        for batch in batches:
+            counts = [cg._term_count(*pair) for pair in batch]
+            assert counts[0] == max(counts) and sum(counts) <= 2 * counts[0]
+
+
+def reference_racah_block(a2, b2, q):
+    """The single sum of one block, as blocks were built one at a time: each
+    term's powers of q kept as four times their exponent, the G_n of its six
+    factorials stacked and multiplied along the stack."""
+    pair = lambda n: n * (n - 1)  # noqa: E731
+    cs = np.arange(abs(a2 - b2), a2 + b2 + 1, 2)
+    al2 = np.arange(-a2, a2 + 1, 2)
+    be2 = np.arange(-b2, b2 + 1, 2)
+    slots = np.nonzero(np.abs(al2[:, None, None] + be2[None, :, None]) <= cs)
+    c2, al2, be2 = cs[slots[2]], al2[slots[0]], be2[slots[1]]
+    s = (a2 + b2 + c2) // 2 + 1
+    tri = ((a2 + b2 - c2) // 2, (a2 - b2 + c2) // 2, (b2 - a2 + c2) // 2)
+    top = ((a2 + al2) // 2, (a2 - al2) // 2, (b2 + be2) // 2, (b2 - be2) // 2,
+           (c2 + al2 + be2) // 2, (c2 - al2 - be2) // 2)
+    z_shift = (c2 - b2 + al2) // 2, (c2 - a2 - be2) // 2
+    z_lo = np.maximum(0, -np.minimum(*z_shift))
+    z_hi = np.minimum(tri[0], np.minimum(top[1], top[2]))
+    k = np.arange(1, a2 + b2 + 3)
+    g = np.concatenate([[1.0], np.cumprod((1.0 - q ** (2 * k)) / (1.0 - q * q))])
+    e4 = (2 * tri[0] * s + (a2 * be2 - b2 * al2) - sum(pair(n) for n in tri) + pair(s) - 2 * c2
+          - sum(pair(n) for n in top))
+    scale = np.sqrt(g[tri[0]] * g[tri[1]] * g[tri[2]] / g[s] * (1.0 - q ** (2 * (c2 + 1)))
+                    / (1.0 - q * q) * np.prod([g[n] for n in top], axis=0))
+    count = z_hi - z_lo + 1
+    entry = np.repeat(np.arange(c2.size), count)
+    z = z_lo[entry] + np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    bottom = (z, tri[0][entry] - z, top[1][entry] - z, top[2][entry] - z,
+              z_shift[0][entry] + z, z_shift[1][entry] + z)
+    term_e4 = e4[entry] - 4 * z * s[entry] + 2 * sum(pair(n) for n in bottom)
+    terms = np.where(z % 2, -1.0, 1.0) * q ** (term_e4 / 4.0) / np.prod([g[n] for n in bottom], axis=0)
+    coupling = np.zeros((a2 + 1, b2 + 1, min(a2, b2) + 1))
+    coupling[slots] = scale * np.bincount(entry, weights=terms, minlength=c2.size)
+    return coupling
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_a_batch_builds_each_block_bit_for_bit_as_alone(monkeypatch, q):
+    ctx = ctx_for(q)
+    grid = range(17)
+    alone = {(a2, b2): reference_racah_block(a2, b2, q) for a2, b2 in product(grid, grid)}
+    pairs = list(alone)
+    rng = random.Random(int(100 * q))
+    rng.shuffle(pairs)
+    # the single sum itself, on mixed batches with duplicate members
+    for start in range(0, len(pairs), 9):
+        batch = pairs[start : start + 9] + pairs[start : start + 2]
+        for pair, coupling in zip(batch, racah_blocks(batch, q)):
+            assert coupling.shape == alone[pair].shape
+            assert coupling.tobytes() == alone[pair].tobytes(), pair
+    # cg_blocks, on requests with duplicate and already cached members
+    monkeypatch.setattr(cg, "_cache", {})
+    for t1, t2 in pairs[::7]:
+        cg_block(hi(t1 / 2), hi(t2 / 2), ctx)
+    for _ in range(40):
+        twice1, twice2 = rng.sample(grid, 4), rng.sample(grid, 3)
+        couplings = cg.cg_blocks(twice1 + twice1[:2], twice2, ctx)
+        assert set(couplings) == set(product(twice1, twice2))
+        for pair, coupling in couplings.items():
+            assert np.array(coupling).tobytes() == alone[pair].tobytes(), pair
+            assert cg._cache[(*pair, q)].coupling is coupling
+
+
+def element(*doubled):
+    """The sum of the basis elements t^lam_{mn} named by doubled (lam, m, n)."""
+    return AlgebraElement({BasisIndex.doubled(*idx): 1.0 for idx in doubled})
+
+
+def test_products_build_only_the_blocks_of_their_pairs_of_terms(monkeypatch):
+    ctx = ctx_for(0.5)
+    monkeypatch.setattr(cg, "_cache", {})
+    coord.multiply(element((1, 1, 1), (2, 0, 0), (3, 1, -1)), element((0, 0, 0), (1, -1, 1)), ctx)
+    assert set(cg._cache) == {(t1, t2, 0.5) for t1 in (1, 2, 3) for t2 in (0, 1)}
+    monkeypatch.setattr(cg, "_cache", {})
+    dirac.gns_multiplication(element((1, 1, 1), (2, 0, 0)), dirac._gns_labels(hi(1)), ctx)
+    assert set(cg._cache) == {(t1, t2, 0.5) for t1 in (1, 2) for t2 in (0, 1, 2)}

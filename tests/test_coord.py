@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwps import cg, coord
-from qwps.cg import cg_block, clear_cache, couple
+from qwps.cg import cg_block, clear_cache
 from qwps.coord import (
     AlgebraElement,
     BasisIndex,
@@ -148,24 +148,25 @@ def test_unit_is_neutral(a):
 
 def reference_multiply(a, b, ctx):
     """The product rule one coefficient at a time, read from the block matrix:
-    every mu of couple(), skipping zero coefficients; a sum that is exactly
-    zero (an underflow, say) is dropped, as AlgebraElement drops it."""
+    every mu from |lam1 - lam2| to lam1 + lam2, skipping zero coefficients; a
+    sum that is exactly zero (an underflow, say) is dropped, as AlgebraElement
+    drops it."""
     out = {}
     for i1, c1 in a.terms.items():
         for i2, c2 in b.terms.items():
             matrix = cg_block(i1.lam, i2.lam, ctx).matrix  # laid out on each read
             m, n = i1.m + i2.m, i1.n + i2.n
+            t1, t2 = i1.lam.twice, i2.lam.twice
 
             def coeff(mu, w, w1, w2):
                 # rows (mu, m) with mu, then m, ascending; columns (m1, m2)
                 # lexicographic (the CGBlock layout)
-                t1, t2 = i1.lam.twice, i2.lam.twice
                 row = sum(t + 1 for t in range(abs(t1 - t2), mu.twice, 2))
                 row += (mu.twice + w.twice) // 2
                 col = (t1 + w1.twice) // 2 * (t2 + 1) + (t2 + w2.twice) // 2
                 return float(matrix[row, col])
 
-            for mu in couple(i1.lam, i2.lam):
+            for mu in map(HalfInt, range(abs(t1 - t2), t1 + t2 + 1, 2)):
                 if abs(m.twice) > mu.twice or abs(n.twice) > mu.twice:
                     continue
                 cm = coeff(mu, m, i1.m, i2.m)

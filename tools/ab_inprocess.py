@@ -8,14 +8,18 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Three things are timed per round, the side that goes first alternating:
+Four things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
 - ``block-hit``: the same blocks read again from the warm cache;
 - ``readers``: the checks that read irrep words, at the same three q:
   ``coord.star_pairing_residual``, ``action_table_residuals``,
-  ``equivariance_residuals`` and ``dirac.q_dirac_check(2)``.
+  ``equivariance_residuals`` and ``dirac.q_dirac_check(2)``;
+- ``cold-pass``: the checks that build most blocks, from an emptied block
+  cache at the same three q: ``coaction.verify_wp_relations`` for every
+  coprime (k, l) with k + l <= 8, ``coord.haar_orthogonality_residual(2)``,
+  and ``dirac.chirality_checks(5)`` for (k, l) = (1, 1), (1, 2) and (2, 3).
 
 For each it prints the median change/parent time ratio, its quartiles and the
 number of rounds the change was faster.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import shutil
 import statistics
 import sys
@@ -34,13 +39,16 @@ from pathlib import Path
 
 GRID = range(9)  # doubled highest weights
 QS = (0.3, 0.5, 0.8)
+WP_PAIRS = [(k, s - k) for s in range(2, 9) for k in range(1, s) if math.gcd(k, s - k) == 1]
+CHIRALITY_PAIRS = ((1, 1), (1, 2), (2, 3))
 HIT_REPEATS = 20
 ROUNDS = 60  # interleaved rounds per task
 
 
 def load(root: Path, name: str, into: Path):
     shutil.copytree(root / "src" / "qwps", into / name)
-    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cg", "coord", "dirac", "exact")}
+    return {mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("cg", "coaction", "coord", "dirac", "exact")}
 
 
 def build(pkg):
@@ -68,6 +76,17 @@ def readers(pkg):
         pkg["dirac"].q_dirac_check(2, ctx)
 
 
+def cold_pass(pkg):
+    pkg["cg"].clear_cache()
+    coaction, dirac, pair = pkg["coaction"], pkg["dirac"], pkg["exact"].WeightPair
+    for ctx in pkg["ctxs"]:
+        for k, l in WP_PAIRS:
+            coaction.verify_wp_relations(pair(k, l), ctx)
+        pkg["coord"].haar_orthogonality_residual(ctx, 2)
+        for k, l in CHIRALITY_PAIRS:
+            dirac.chirality_checks(pair(k, l), 5, ctx)
+
+
 def timed(fn, pkg) -> float:
     start = time.perf_counter()
     fn(pkg)
@@ -88,7 +107,8 @@ def main(argv=None) -> int:
             pkg["ctxs"] = [pkg["exact"].QContext(q, 1e-9) for q in QS]
             build(pkg)  # warm the block cache and the allocator
         print(f"{'task':<10} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
-        for label, fn in (("build", build), ("block-hit", block_hits), ("readers", readers)):
+        for label, fn in (("build", build), ("block-hit", block_hits), ("readers", readers),
+                          ("cold-pass", cold_pass)):
             ratios = []
             for r in range(ROUNDS):
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")

@@ -15,10 +15,13 @@ from: the orthonormal spinor basis (the C_{j mu}, S_{j mu} legs of
 :func:`spinor_legs`), the q^{-D} identity through the right regular action,
 verified rather than assumed on one block per shell, and one unpruned
 construction of left multiplication on the orthonormal GNS basis.  Its
-private core gives the image of each column at each mu-shift as
-column-aligned arrays; :func:`gns_multiplication` compacts them into the
-triplets of the even triple's pi(a), pi(b), and :func:`commutator_norm`
-reads the two shifts of alpha or beta as the bands of its Gram matrix.
+private core states each term's factors once: a scale by (mu-shift, shell)
+and two Clebsch-Gordan leg tables by (shell, weight, mu-shift).
+:func:`gns_multiplication` reads them at its labels for the triplets of the
+even triple's pi(a), pi(b).  :func:`commutator_norm` takes their outer
+products shell by shell, reads the bands of its Gram matrix along each
+weight chain, and eigensolves the chains its Gershgorin screen keeps, a size
+at a time and, for alpha, one of each mirrored pair.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
 from .exact import HalfInt, QContext, WeightPair, _p_window, hi, nonneg_hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
-from .operators import gram_norm
+from .operators import GERSHGORIN_SLACK, eigvalsh_max
 from .qcore import irrep_word, q_int, weight_range
 
 __all__ = [
@@ -56,6 +59,10 @@ Q_DIRAC_GUARD = hi(3)
 # 1.5, 2.7 and 12 MB.  verify --suite chirality at (1, 64) took 0.35 s and 37 MB, (1, 127)
 # 0.51 s and 56 MB and, with the guard lifted, (1, 200) 0.78 s and 98 MB on 2 cores
 EVEN_TRIPLE_GUARD = 128
+# commutator_norm reads the (2 cap)^3 / 3 or so GNS labels of its interior shells, 2.7e9 at cap 1000.
+# At cap 80 and q = 0.5, alpha took 0.60-0.65 s with a tracemalloc peak of 76 MiB, and beta
+# 0.68-0.77 s and 80 MiB, on 2 cores
+COMMUTATOR_GUARD = hi(80)
 
 
 @dataclass(frozen=True)
@@ -201,58 +208,48 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
 # left multiplication on the GNS space; the auxiliary swap's commutators
 
 
-def _gns_labels(lam_cap: HalfInt) -> tuple:
-    """Doubled (lam, m, n) of every GNS vector with lam <= lam_cap, in that order."""
-    size = np.arange(1, lam_cap.twice + 2) ** 2
-    tl = np.repeat(np.arange(lam_cap.twice + 1), size)
-    i = np.arange(tl.size) - np.repeat(np.cumsum(size) - size, size)
-    return tl, 2 * (i // (tl + 1)) - tl, 2 * (i % (tl + 1)) - tl
-
-
 def _slot(l2, m2, n2):
-    # position in the _gns_labels order: shell 2lam starts at sum_{t < 2lam} (t+1)^2
+    # position of (2lam, 2m, 2n) in the order (lam, m, n): shell 2lam starts at sum_{t < 2lam} (t+1)^2
     return l2 * (l2 + 1) * (2 * l2 + 1) // 6 + (m2 + l2) // 2 * (l2 + 1) + (n2 + l2) // 2
 
 
-def _gns_images(element: AlgebraElement, labels, ctx: QContext):
-    """The images of the columns ``labels`` under left multiplication by
-    ``element``: one (2 mu, 2 m', 2 n', vals) per term, where mu and vals hold
-    a row per mu-shift and a column per label, and vals is 0 where the
-    coupling or the weight window forbids the image.  The formula is
-    :func:`gns_multiplication`'s."""
-    tl, tm, tn = labels
+def _gns_factors(element: AlgebraElement, shells, ctx: QContext):
+    """The factors of left multiplication by ``element`` on the GNS shells
+    ``shells`` (doubled lam, ascending), one (2lam', 2m', 2n', scale, leg_m,
+    leg_n) per term c t^lam'_{m'n'}.  For lam = shells[i]/2, the shift-th
+    mu = lam - lam' + shift and the weight m = w - lam of lam,
+
+        scale[shift, i] = c q^{-m'} sqrt([2lam+1]/[2mu+1]),
+        leg_m[i, w, shift] = C(lam' lam mu; m' m),  leg_n alike with n',
+
+    read from the block (lam', lam) of :func:`~qwps.cg.cg_blocks`.  The legs
+    are 0 where the coupling forbids mu, where |m' + m| > mu and for w > 2lam;
+    a forbidden mu's scale is finite but meaningless.  Where m' = n', leg_n is
+    leg_m."""
+    shells = np.asarray(shells)
+    shell_list = shells.tolist()
     reach = max((idx[0] for idx in element.terms), default=0)
-    top = int(tl.max())
+    top = shell_list[-1]
     qdim = np.array([q_int(t + 1, ctx) for t in range(top + reach + 1)])
-    shells = np.flatnonzero(np.bincount(tl, minlength=top + 1))
     coeffs = np.array(list(element.terms.values()), dtype=complex)
     if not coeffs.imag.any():  # real elements give real matrices
         coeffs = coeffs.real
-    shell_list = shells.tolist()
     couplings = cg_blocks({idx[0] for idx in element.terms}, shell_list, ctx)
-    images = []
     for (l2, a, b), c in zip(element.terms, coeffs):
-        # C(lam' lam mu; m' w), C(lam' lam mu; n' w) over (w, mu); shell s from start[s]
+        shift = np.arange(l2 + 1)
+        scale = c * (ctx.q ** (-a / 2.0) * np.sqrt(
+            qdim[shells] / qdim[np.maximum(shells - l2 + 2 * shift[:, None], 0)]))
+        # the coupling rows of m' over the shells, end to end, hold C(lam' lam mu; m' m)
+        # in the order (lam, m, mu) of the places where m <= lam and mu is allowed
+        inside = (np.arange(top + 1) <= shells[:, None])[:, :, None] & (
+            shift >= np.maximum(l2 - shells, 0)[:, None])[:, None, :]
         blocks = [couplings[l2, s] for s in shell_list]
-        leg_m, leg_n = (np.fromiter(chain.from_iterable(chain.from_iterable(
-            blk[(w + l2) // 2] for blk in blocks)), float) for w in (a, b))
-        width = np.minimum(l2, np.arange(top + 1)) + 1  # the number of mu of shell s
-        size = (shells + 1) * width[shells]
-        start = np.zeros(top + 1, dtype=int)
-        start[shells] = np.cumsum(size) - size
-        m2, n2 = a + tm, b + tn
-        mu = tl + np.arange(-l2, l2 + 1, 2)[:, None]
-        # every (mu, label) pair that the coupling allows with legal weights
-        shift, col = np.nonzero((mu >= np.abs(l2 - tl)) & (np.abs(m2) <= mu) & (np.abs(n2) <= mu))
-        s, t = tl[col], mu[shift, col]
-        # mu = lam - lam' + shift is the (shift - max(lam' - lam, 0))-th mu of its shell
-        base = start[s] - np.maximum(l2 - s, 0) + shift
-        cm = leg_m[base + (tm[col] + s) // 2 * width[s]]
-        cn = leg_n[base + (tn[col] + s) // 2 * width[s]]
-        vals = np.zeros(mu.shape, dtype=coeffs.dtype)
-        vals[shift, col] = c * (ctx.q ** (-a / 2.0) * np.sqrt(qdim[s] / qdim[t])) * (cm * cn)
-        images.append((mu, m2, n2, vals))
-    return images
+        legs = {}
+        for x in {a, b}:
+            legs[x] = np.zeros(inside.shape)
+            legs[x][inside] = np.fromiter(chain.from_iterable(chain.from_iterable(
+                blk[(x + l2) // 2] for blk in blocks)), float)
+        yield l2, a, b, scale, legs[a], legs[b]
 
 
 def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
@@ -263,10 +260,10 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
         sum_mu c C(lam' lam mu; m' m) C(lam' lam mu; n' n) q^{-m'}
                sqrt([2lam+1]/[2mu+1]) e(mu, m'+m, n'+n),
 
-    reading the coefficients from the block (lam', lam) of
-    :func:`~qwps.cg.cg_blocks`.  Returns the triplets (rows, cols, vals) as
-    positions in ``labels``, by term and mu-shift.
-    Nothing is pruned; images outside ``labels`` are dropped.
+    the factors of :func:`_gns_factors` read at each label; a coupling that
+    forbids mu or a weight |m'+m| > mu reads 0.  Returns the triplets (rows,
+    cols, vals) as positions in ``labels``, by term and mu-shift.  Nothing is
+    pruned; images outside ``labels`` are dropped.
     """
     tl, tm, tn = labels = tuple(np.asarray(x, dtype=int) for x in labels)
     out = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
@@ -275,12 +272,60 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
     top = int(tl.max())
     position = np.full(_slot(top + 1, -top - 1, -top - 1), -1)
     position[_slot(tl, tm, tn)] = np.arange(tl.size)
-    for mu, m2, n2, vals in _gns_images(element, labels, ctx):
-        shift, col = np.nonzero((mu <= top) & (vals != 0))
-        row = position[_slot(mu[shift, col], m2[col], n2[col])]
+    shells = np.flatnonzero(np.bincount(tl))
+    for l2, a, b, scale, leg_m, leg_n in _gns_factors(element, shells, ctx):
+        i = np.searchsorted(shells, tl)
+        vals = scale[:, i] * (leg_m[i, (tl + tm) // 2] * leg_n[i, (tl + tn) // 2]).T
+        del i  # not held through the row lookup, where the peak is
+        shift, col = np.nonzero((vals != 0) & (tl + np.arange(-l2, l2 + 1, 2)[:, None] <= top))
+        row = position[_slot(tl[col] - l2 + 2 * shift, a + tm[col], b + tn[col])]
         keep = row >= 0
         out.append((row[keep], col[keep], vals[shift[keep], col[keep]]))
     return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _chains(scale, leg_m, leg_n, parity, mirrored):
+    """The Gram blocks of C*C (see :func:`commutator_norm`) on the GNS shells
+    of one parity that its Gershgorin screen can keep, from the factors of
+    :func:`_gns_factors` on the shells 2lam = 0, 1, ..., top.
+
+    The block of the weight pair (m, n) is the chain of its shells lam >=
+    max(|m|, |n|), tridiagonal.  The pairs are the cells (j, i) of the box of
+    the last shell lam, (m, n) = (j - lam, i - lam); a shell's images of its
+    columns at each shift are the outer product of the two legs, 0 outside
+    the shell.  A block whose largest absolute row sum falls below this
+    parity's largest diagonal entry, floor, times (1 - GERSHGORIN_SLACK) is
+    dropped, and so is (m, n) with m > n if ``mirrored``.  Returns floor and,
+    by kept cell, the diagonal and the links to the next shell (shell, cell),
+    the row sum bound and the chain's first shell.
+    """
+    top = scale.shape[1] - 1
+    last = top - (top - parity) % 2
+    shells = np.arange(parity, last + 1, 2)
+    # the cell (j, i) of the last shell has weights (2j - last, 2i - last): at
+    # w = j - (last - lam)/2 of the shell lam, and outside it where that is < 0
+    w = np.arange(last + 1) - (last - shells[:, None]) // 2
+    box = [np.where(w[:, :, None] >= 0, leg[shells[:, None], w], 0.0) for leg in (leg_m, leg_n)]
+    # the lowering and raising images, scaled by lam_row - lam_col = ∓1/2
+    lo, up = (sign * (scale[shift, shells][:, None, None]
+                      * (box[0][:, :, None, shift] * box[1][:, None, :, shift]))
+              for shift, sign in ((0, -0.5), (1, 0.5)))
+    count, cells = lo.shape[0], (last + 1) ** 2
+    diag = (lo * lo + up * up).reshape(count, cells)
+    off = (0.0 + lo[1:] * up[:-1]).reshape(count - 1, cells)  # +0.0 where no link
+    del lo, up
+    bound = diag.copy()
+    bound[1:] += np.abs(off)
+    bound[:-1] += np.abs(off)
+    bound = bound.max(axis=0)
+    floor = float(diag.max())
+    kept = bound >= floor * (1.0 - GERSHGORIN_SLACK)
+    if mirrored:
+        kept &= np.triu(np.ones((last + 1, last + 1), dtype=bool)).ravel()
+    cells = np.flatnonzero(kept)
+    weight = np.abs(np.arange(-last, last + 1, 2))
+    first = (np.maximum.outer(weight, weight).ravel()[cells] - parity) // 2
+    return floor, diag[:, cells], off[:, cells], bound[cells], first
 
 
 def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
@@ -292,36 +337,47 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     C = DP - PD, D = diag(lam+1), so both have the norm of C, whose entries
     are (lam_row - lam_col) P = ±P/2.  Multiplication moves shell lam to
     lam ± 1/2, so columns are restricted to shells lam <= cap - 1/2, where the
-    truncated commutator agrees exactly with the densely defined one.
+    truncated commutator agrees exactly with the densely defined one.  Caps
+    above COMMUTATOR_GUARD are refused.
+
+    C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
+    the row (lam + 1/2, m', n') is shared by the columns (lam, m, n) and
+    (lam + 1, m, n) only.  Each block is the chain of :func:`_chains`; the
+    blocks the Gershgorin screen of :func:`~qwps.operators.gram_norm` keeps
+    are eigensolved a size at a time.  Where m' = n' (alpha), the blocks (m, n)
+    and (n, m) are the same matrix, so only those with m <= n are solved.
     """
     lam_cap = hi(lam_cap)
     if lam_cap.twice < 2:
         raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")
+    if lam_cap.twice > COMMUTATOR_GUARD.twice:
+        raise ValueError(f"lambda cap {lam_cap} exceeds the cost guard {COMMUTATOR_GUARD}")
     elements = dict(zip(("alpha", "beta"), coord.gens(ctx)), one=coord.unit())
     if gen not in elements:
         raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
     if gen == "one":  # pi(1) commutes with Q
         return 0.0
-    top = lam_cap.twice
-    tl, tm, tn = labels = _gns_labels(HalfInt(top - 1))  # the interior shells
-    # the lowering and raising images of each column, scaled by lam_row - lam_col = ∓1/2;
-    # the generators' coefficients are real
-    [(mu, _, _, vals)] = _gns_images(elements[gen], labels, ctx)
-    lo, up = (mu - tl) / 2.0 * vals
-    # C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
-    # the row (lam + 1/2, m', n') is shared by the columns (lam, m, n) and
-    # (lam + 1, m, n) only, and links them where both images exist
-    lower = np.arange(_slot(top - 2, 2 - top, 2 - top))
-    upper = _slot(tl[lower] + 2, tm[lower], tn[lower])
-    off = lo[upper] * up[lower]
-    link = np.flatnonzero(off)
-    lower, upper, off = lower[link], upper[link], off[link]
-    block = (tm + top) * (2 * top + 1) + tn + top
-    pos = (tl - np.maximum(np.abs(tm), np.abs(tn))) // 2
-    every = np.arange(tl.size)
-    return gram_norm(block, pos, np.concatenate([every, upper, lower]),
-                     np.concatenate([every, lower, upper]),
-                     np.concatenate([0.0 + lo * lo + up * up, off, off]))
+    # alpha and beta are one real term each; the interior shells lie below the cap
+    [(_, a, b, scale, leg_m, leg_n)] = _gns_factors(elements[gen], np.arange(lam_cap.twice), ctx)
+    chains = [_chains(scale, leg_m, leg_n, parity, a == b) for parity in (0, 1)]
+    floor = max(floor for floor, *_ in chains)
+    by_size = {}
+    for _, diag, off, bound, first in chains:
+        kept = np.flatnonzero(bound >= floor * (1.0 - GERSHGORIN_SLACK))
+        kept = kept[np.argsort(first[kept], kind="stable")]  # by first shell: the longest first
+        ends = np.cumsum(np.bincount(first[kept], minlength=len(diag))).tolist()
+        for start, (begin, end) in enumerate(zip([0, *ends], ends)):
+            if end > begin:
+                at = kept[begin:end]
+                by_size.setdefault(len(diag) - start, []).append((diag[start:, at].T,
+                                                                  off[start:, at].T))
+    top = 0.0
+    for size, parts in by_size.items():
+        diag, off = (np.concatenate(x) for x in zip(*parts))
+        # a matrix's diagonal, upper and lower band, in its row-major entries
+        bands = [(slice(None), slice(first, None, size + 1)) for first in (0, 1, size)]
+        top = max(top, eigvalsh_max(len(diag), size, zip(bands, (diag, off, off))))
+    return math.sqrt(top)
 
 
 # ---------------------------------------------------------------------------

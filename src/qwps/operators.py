@@ -4,11 +4,14 @@ A TruncatedOperator is a square matrix together with the explicit ordered
 basis of the truncated Hilbert space it acts on: row and column i belong to
 basis[i].
 
-The commutator norms build their Gram matrix by weight block and norm it with
-gram_norm, which eigensolves only the blocks whose Gershgorin bound reaches the
-largest diagonal entry; operator_norm's sparse branch shares it, and no module
-of the package calls operator_norm.  The teardrop relations are diagonals or
-single shifts, and are normed entrywise.
+A Gram matrix that is block diagonal needs only the blocks whose Gershgorin
+bound reaches its largest diagonal entry, within GERSHGORIN_SLACK, and
+eigvalsh_max solves the blocks of one size as one stack.  The commutator norms
+of qwps.dirac screen their tridiagonal blocks so and call eigvalsh_max;
+gram_norm does the same for any Gram matrix given as entries, for
+operator_norm's sparse branch, and no module of the package calls
+operator_norm.  The teardrop relations are diagonals or single shifts, and
+are normed entrywise.
 
 operator_norm and TruncatedOperator stay because the benchmark in bench/ reads
 them: its warm-up norms a sparse identity, and its teardrop workload reads the
@@ -25,7 +28,7 @@ import sys
 import numpy as np
 
 
-__all__ = ["TruncatedOperator", "gram_norm", "operator_norm"]
+__all__ = ["TruncatedOperator", "eigvalsh_max", "gram_norm", "operator_norm"]
 
 
 @dataclass
@@ -47,6 +50,21 @@ class TruncatedOperator:
 GERSHGORIN_SLACK = 1e-12
 
 
+def eigvalsh_max(count, size, entries, dtype=float) -> float:
+    """The largest eigenvalue over a stack of ``count`` Hermitian matrices of
+    side ``size``, 0 but for ``entries``: pairs (index, vals), written in turn
+    into the stack viewed as ``count`` rows of size * size.
+
+    The stack is one batched LAPACK call, and eigvalsh diagonalises each of its
+    matrices on its own, so the result is the same to the bit however the
+    matrices of one size are split into stacks.
+    """
+    stack = np.zeros((count, size * size), dtype=dtype)
+    for index, vals in entries:
+        stack[index] = vals
+    return float(np.linalg.eigvalsh(stack.reshape(count, size, size)).max())
+
+
 def gram_norm(block, pos, rows, cols, vals) -> float:
     """Square root of the largest eigenvalue of a Gram matrix A*A that is
     block diagonal up to a permutation.
@@ -60,31 +78,23 @@ def gram_norm(block, pos, rows, cols, vals) -> float:
     is backward stable, each computed eigenvalue within about n eps ||B|| of an
     exact one, under 1e-14 relative for blocks of side n <= 80 (cap 80); the
     slack is 100 times that, so the max over the kept blocks is the unscreened
-    max bit for bit.  The kept entries are written into one flat buffer with one
-    scatter, the blocks ordered by size, and the blocks of each size are viewed
-    as one stack and diagonalised in one batched LAPACK call.
+    max bit for bit.  The kept blocks of each size are one stack for
+    :func:`eigvalsh_max`.
     """
     floor = float(vals[rows == cols].real.max(initial=0.0))
     sizes = np.bincount(block)
     bound = np.zeros(sizes.size)
     np.maximum.at(bound, block, np.bincount(rows, np.abs(vals), minlength=block.size))
     sizes[bound < floor * (1.0 - GERSHGORIN_SLACK)] = 0
-    kept = np.flatnonzero(sizes[block[rows]])
-    rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    order = np.argsort(sizes, kind="stable")
-    area = sizes[order] ** 2
-    start = np.empty_like(sizes)
-    start[order] = np.cumsum(area) - area
-    flat = np.zeros(int(area.sum()), dtype=vals.dtype)
-    home = block[rows]
-    flat[start[home] + pos[rows] * sizes[home] + pos[cols]] = vals
-    top, lo = 0.0, 0
-    for size, n in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
-        hi = lo + n * size * size
-        if size:
-            stack = flat[lo:hi].reshape(n, size, size)
-            top = max(top, float(np.linalg.eigvalsh(stack).max()))
-        lo = hi
+    home = sizes[block[rows]]
+    top = 0.0
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        members = sizes == size
+        at = np.flatnonzero(home == size)
+        r, c = rows[at], cols[at]
+        slot = (np.cumsum(members) - 1)[block[r]]
+        top = max(top, eigvalsh_max(int(members.sum()), size,
+                                    [((slot, pos[r] * size + pos[c]), vals[at])], vals.dtype))
     return math.sqrt(top)
 
 

@@ -459,5 +459,7 @@ def test_products_build_only_the_blocks_of_their_pairs_of_terms(monkeypatch):
     coord.multiply(element((1, 1, 1), (2, 0, 0), (3, 1, -1)), element((0, 0, 0), (1, -1, 1)), ctx)
     assert set(cg._cache) == {(t1, t2, 0.5) for t1 in (1, 2, 3) for t2 in (0, 1)}
     monkeypatch.setattr(cg, "_cache", {})
-    dirac.gns_multiplication(element((1, 1, 1), (2, 0, 0)), dirac._gns_labels(hi(1)), ctx)
+    labels = [(tl, tm, tn) for tl in range(3) for tm in range(-tl, tl + 1, 2)
+              for tn in range(-tl, tl + 1, 2)]
+    dirac.gns_multiplication(element((1, 1, 1), (2, 0, 0)), np.array(labels).T, ctx)
     assert set(cg._cache) == {(t1, t2, 0.5) for t1 in (1, 2) for t2 in (0, 1, 2)}

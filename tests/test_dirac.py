@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qwps.coaction import coinvariant_coord_basis, degree, spinor_degree, wp_gen
 from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, right_act, unit
 from qwps.dirac import (
     SpinorBasisIndex,
-    _gns_labels,
+    _slot,
     chirality_checks,
     coinvariant_spinor_basis,
     commutator_norm,
@@ -522,6 +523,88 @@ def test_summability_cube_converges(wp, triple):
 # commutator boundedness evidence
 
 
+def _gns_labels(lam_cap: HalfInt) -> tuple:
+    """Doubled (lam, m, n) of every GNS vector with lam <= lam_cap, in that order."""
+    size = np.arange(1, lam_cap.twice + 2) ** 2
+    tl = np.repeat(np.arange(lam_cap.twice + 1), size)
+    i = np.arange(tl.size) - np.repeat(np.cumsum(size) - size, size)
+    return tl, 2 * (i // (tl + 1)) - tl, 2 * (i % (tl + 1)) - tl
+
+
+def _reference_gns_images(element, labels, ctx):
+    """gns_multiplication's former core: the images of the columns ``labels``,
+    one (2 mu, 2 m', 2 n', vals) per term, each factor read per label from the
+    coupling lists laid end to end; vals has a row per mu-shift and a column
+    per label, and is 0 where the coupling or the weight window forbids the
+    image."""
+    tl, tm, tn = labels
+    reach = max((idx[0] for idx in element.terms), default=0)
+    top = int(tl.max())
+    qdim = np.array([q_int(t + 1, ctx) for t in range(top + reach + 1)])
+    shells = np.flatnonzero(np.bincount(tl, minlength=top + 1))
+    coeffs = np.array(list(element.terms.values()), dtype=complex)
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    shell_list = shells.tolist()
+    couplings = cg.cg_blocks({idx[0] for idx in element.terms}, shell_list, ctx)
+    images = []
+    for (l2, a, b), c in zip(element.terms, coeffs):
+        blocks = [couplings[l2, s] for s in shell_list]
+        leg_m, leg_n = (np.fromiter(chain.from_iterable(chain.from_iterable(
+            blk[(w + l2) // 2] for blk in blocks)), float) for w in (a, b))
+        width = np.minimum(l2, np.arange(top + 1)) + 1
+        size = (shells + 1) * width[shells]
+        start = np.zeros(top + 1, dtype=int)
+        start[shells] = np.cumsum(size) - size
+        m2, n2 = a + tm, b + tn
+        mu = tl + np.arange(-l2, l2 + 1, 2)[:, None]
+        shift, col = np.nonzero((mu >= np.abs(l2 - tl)) & (np.abs(m2) <= mu) & (np.abs(n2) <= mu))
+        s, t = tl[col], mu[shift, col]
+        base = start[s] - np.maximum(l2 - s, 0) + shift
+        cm = leg_m[base + (tm[col] + s) // 2 * width[s]]
+        cn = leg_n[base + (tn[col] + s) // 2 * width[s]]
+        vals = np.zeros(mu.shape, dtype=coeffs.dtype)
+        vals[shift, col] = c * (ctx.q ** (-a / 2.0) * np.sqrt(qdim[s] / qdim[t])) * (cm * cn)
+        images.append((mu, m2, n2, vals))
+    return images
+
+
+def _reference_gns_multiplication(element, labels, ctx):
+    """gns_multiplication's former path: the triplets of the per-label images."""
+    tl, tm, tn = labels = tuple(np.asarray(x, dtype=int) for x in labels)
+    out = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    top = int(tl.max())
+    position = np.full(_slot(top + 1, -top - 1, -top - 1), -1)
+    position[_slot(tl, tm, tn)] = np.arange(tl.size)
+    for mu, m2, n2, vals in _reference_gns_images(element, labels, ctx):
+        shift, col = np.nonzero((mu <= top) & (vals != 0))
+        row = position[_slot(mu[shift, col], m2[col], n2[col])]
+        keep = row >= 0
+        out.append((row[keep], col[keep], vals[shift[keep], col[keep]]))
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _assert_same_triplets(element, labels, ctx):
+    got = gns_multiplication(element, labels, ctx)
+    expected = _reference_gns_multiplication(element, labels, ctx)
+    for part, ref in zip(got, expected):
+        assert part.dtype == ref.dtype and part.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_gns_multiplication_equals_per_label_reference(q):
+    # bit for bit: the even triple's pi(a), pi(b) on its labels, and every
+    # generator, its adjoint and the unit on all shells up to 12
+    ctx = QContext(q, 1e-9)
+    for wp in (WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3), WeightPair(1, 16)):
+        labels = np.array(coinvariant_coord_basis(wp, hi(6)), dtype=int).T
+        for element in wp_gens(wp, ctx):
+            _assert_same_triplets(element, labels, ctx)
+    labels = _gns_labels(hi(12))
+    for element in (*gens(ctx), unit()):
+        _assert_same_triplets(element, labels, ctx)
+
+
 def _multiply_reference(element, base, ctx):
     """Left multiplication on the orthonormal GNS vectors of ``base``: multiply
     the element into each vector and divide every coefficient by the norm of
@@ -680,7 +763,7 @@ def _reference_commutator_norm(gen, cap, ctx):
 @pytest.mark.parametrize("gen", ["alpha", "beta", "one"])
 def test_commutator_norm_equals_sparse_reference(gen, q):
     ctx = QContext(q, 1e-9)
-    for cap in (1, 1.5, 2, 3, 4, 6, 8, 12, 16):
+    for cap in (1, 1.5, 2, 2.5, 3, 4, 5.5, 6, 8, 12, 16, 20):
         assert commutator_norm(gen, hi(cap), ctx) == _reference_commutator_norm(gen, cap, ctx), cap
 
 
@@ -749,10 +832,12 @@ def test_gram_norm_keeps_a_zero_diagonal_block():
     assert gram_norm(block, pos, rows, cols, vals) == math.sqrt(top) == 1.0
 
 
-@pytest.mark.parametrize("gen, solved", [("alpha", 379), ("beta", 950)])
+@pytest.mark.parametrize("gen, solved", [("alpha", 219), ("beta", 950)])
 def test_commutator_norm_eigensolves_only_screened_blocks(monkeypatch, gen, solved):
     # at cap 16 C*C has 1,985 nonempty weight blocks; the Gershgorin screen
-    # leaves these many to eigvalsh at q = 0.5
+    # keeps 379 (alpha) and 950 (beta) at q = 0.5.  alpha's blocks (m, n) and
+    # (n, m) are the same matrix, so of its 379 only the 59 with m = n and
+    # one of each other pair, 160, go to eigvalsh
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -763,6 +848,31 @@ def test_commutator_norm_eigensolves_only_screened_blocks(monkeypatch, gen, solv
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     commutator_norm(gen, hi(16), CTX)
     assert sum(seen) == solved
+
+
+def test_commutator_norm_guard(monkeypatch):
+    # refused by name before any factor is read: cap 1000 once asked for 2.7e9 labels
+    def unreachable(*args):
+        raise AssertionError("the guard let the cap through")
+
+    monkeypatch.setattr(dirac, "_gns_factors", unreachable)
+    with pytest.raises(ValueError, match="cost guard"):
+        commutator_norm("alpha", dirac.COMMUTATOR_GUARD + hi(0.5), CTX)
+
+
+def test_commutator_norm_peak_memory():
+    # the tracemalloc peak of alpha at cap 40 with its blocks built: 9.17 MiB,
+    # bounded here at 10 % more.  With per-label images and one buffer for
+    # every kept Gram block it was 68.3 MiB
+    commutator_norm("alpha", hi(40), CTX)
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        commutator_norm("alpha", hi(40), CTX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 9.17 * 2**20
 
 
 def test_commutator_norm_beta_bounded():

@@ -8,7 +8,7 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Four things are timed per round, the side that goes first alternating:
+Five things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
@@ -19,9 +19,13 @@ Four things are timed per round, the side that goes first alternating:
 - ``cold-pass``: the checks that build most blocks, from an emptied block
   cache at the same three q: ``coaction.verify_wp_relations`` for every
   coprime (k, l) with k + l <= 8, ``coord.haar_orthogonality_residual(2)``,
-  and ``dirac.chirality_checks(5)`` for (k, l) = (1, 1), (1, 2) and (2, 3).
+  and ``dirac.chirality_checks(5)`` for (k, l) = (1, 1), (1, 2) and (2, 3);
+- ``norms``: ``dirac.commutator_norm`` for alpha and beta at caps 4, 6, 8, 10,
+  12 and 16 and q = 0.5, the benchmark's ``spectral`` norms, with their
+  blocks already built.
 
-For each it prints the median change/parent time ratio, its quartiles and the
+Each task runs once on each side before its timed rounds.  For each it
+prints the median change/parent time ratio, its quartiles and the
 number of rounds the change was faster.
 """
 
@@ -42,6 +46,7 @@ QS = (0.3, 0.5, 0.8)
 WP_PAIRS = [(k, s - k) for s in range(2, 9) for k in range(1, s) if math.gcd(k, s - k) == 1]
 CHIRALITY_PAIRS = ((1, 1), (1, 2), (2, 3))
 HIT_REPEATS = 20
+NORM_CAPS = (4, 6, 8, 10, 12, 16)
 ROUNDS = 60  # interleaved rounds per task
 
 
@@ -87,6 +92,13 @@ def cold_pass(pkg):
             dirac.chirality_checks(pair(k, l), 5, ctx)
 
 
+def norms(pkg):
+    ctx = pkg["norm_ctx"]
+    for gen in ("alpha", "beta"):
+        for cap in NORM_CAPS:
+            pkg["dirac"].commutator_norm(gen, cap, ctx)
+
+
 def timed(fn, pkg) -> float:
     start = time.perf_counter()
     fn(pkg)
@@ -105,10 +117,12 @@ def main(argv=None) -> int:
                  for name, root in (("parent", args.parent), ("change", args.change))}
         for pkg in sides.values():
             pkg["ctxs"] = [pkg["exact"].QContext(q, 1e-9) for q in QS]
-            build(pkg)  # warm the block cache and the allocator
+            pkg["norm_ctx"] = pkg["exact"].QContext(0.5, 1e-9)
         print(f"{'task':<10} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
         for label, fn in (("build", build), ("block-hit", block_hits), ("readers", readers),
-                          ("cold-pass", cold_pass)):
+                          ("cold-pass", cold_pass), ("norms", norms)):
+            for pkg in sides.values():
+                fn(pkg)  # one untimed run warms the allocator and the blocks the task reads
             ratios = []
             for r in range(ROUNDS):
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")

@@ -271,9 +271,9 @@ def _check_blocks(couplings: list, cells: _Cells, ctx: QContext) -> list[tuple[f
 
         e1(m1) q^m2 c[i+1, j, k] + q^-m1 e2(m2) c[i, j+1, k] = e_mu_k(m1 + m2) c[i, j, k]
 
-    for e u_m = e(m) u_{m+1} = sqrt([lam-m]) sqrt([lam+m+1]) u_{m+1}, the band of
-    :func:`~qwps.qcore.raising_bands` read from one :func:`~qwps.qcore.q_roots`
-    list; its error is scaled by max(1, |rho_mu(e)|).
+    for e u_m = e(m) u_{m+1} = sqrt([lam-m]) sqrt([lam+m+1]) u_{m+1}, the e band of
+    :func:`~qwps.qcore.word_shift`, here read for every block of the batch from
+    one :func:`~qwps.qcore.q_roots` list; its error is scaled by max(1, |rho_mu(e)|).
     """
     pairs, sizes, first, a2, b2, n_mu, i, j, t, w, c2, allowed = cells
     k = n_mu - 1 - t

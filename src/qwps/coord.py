@@ -30,11 +30,11 @@ from .qcore import (
     QContext,
     antipode_letter,
     hi,
-    irrep_word,
     q_int,
     star_antipode_letter,
     theta_letter,
     weight_range,
+    word_shift,
 )
 
 __all__ = [
@@ -222,47 +222,38 @@ def star(a: AlgebraElement, ctx: QContext) -> AlgebraElement:
 
 
 def right_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
-    """Right regular representation: the word acts on the column index n."""
+    """Right regular representation: the word's weighted shift moves the column index n."""
     out: dict[BasisIndex, complex] = {}
-    cols: dict[int, list] = {}
+    shifts = {tl: word_shift(HalfInt(tl), word, ctx) for tl in {idx[0] for idx in a.terms}}
     for (tl, tm, tn), c in a.terms.items():
-        col = cols.get(tl)
-        if col is None:
-            col = cols[tl] = irrep_word(HalfInt(tl), word, ctx).T.tolist()
-        for tn_new, v in zip(range(-tl, tl + 1, 2), col[(tn + tl) // 2]):
-            if v != 0:
-                tgt = BasisIndex.doubled(tl, tm, tn_new)
-                out[tgt] = out.get(tgt, 0) + c * v
+        shift, coeffs = shifts[tl]
+        v = coeffs[(tn + tl) // 2]
+        if v != 0:
+            tgt = BasisIndex.doubled(tl, tm, tn + 2 * shift)
+            out[tgt] = out.get(tgt, 0) + c * v
     return AlgebraElement(out)
-
-
-def _left_matrix(lam, word, ctx: QContext) -> np.ndarray:
-    """rho_lam(S(theta(word))); S∘theta is an anti-homomorphism, so the
-    per-letter matrices multiply in reversed word order."""
-    if isinstance(word, str):
-        word = (word,)
-    d = hi(lam).twice + 1
-    out = np.eye(d)
-    for letter in reversed(tuple(word)):
-        sign, mapped = theta_letter(letter)
-        a_coeff, a_letter = antipode_letter(mapped, ctx)
-        out = out @ ((sign * a_coeff) * irrep_word(lam, a_letter, ctx))
-    return out
 
 
 def left_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     """Left regular representation: acts on the row index m through the dual
-    representation twisted by the automorphism theta."""
+    representation twisted by the automorphism theta.  S∘theta reverses words and
+    takes each letter to a real multiple of a letter, so rho_lam(S(theta(word)))
+    is a weighted shift; its row m holds one entry, in column m - shift."""
+    letters, scalars = [], []
+    for letter in reversed((word,) if isinstance(word, str) else tuple(word)):
+        sign, mapped = theta_letter(letter)
+        scalar, image = antipode_letter(mapped, ctx)
+        letters.append(image)
+        scalars.append(sign * scalar)
     out: dict[BasisIndex, complex] = {}
-    mats: dict[int, list] = {}
+    shifts = {tl: word_shift(HalfInt(tl), letters, ctx, scalars)
+              for tl in {idx[0] for idx in a.terms}}
     for (tl, tm, tn), c in a.terms.items():
-        mat = mats.get(tl)
-        if mat is None:
-            mat = mats[tl] = _left_matrix(HalfInt(tl), word, ctx).tolist()
-        for tm_new, v in zip(range(-tl, tl + 1, 2), mat[(tm + tl) // 2]):
-            if v != 0:
-                tgt = BasisIndex.doubled(tl, tm_new, tn)
-                out[tgt] = out.get(tgt, 0) + c * v
+        shift, coeffs = shifts[tl]
+        col = (tm + tl) // 2 - shift
+        if 0 <= col <= tl and coeffs[col] != 0:
+            tgt = BasisIndex.doubled(tl, tm - 2 * shift, tn)
+            out[tgt] = out.get(tgt, 0) + c * coeffs[col]
     return AlgebraElement(out)
 
 
@@ -456,7 +447,8 @@ def star_pairing_residual(ctx: QContext) -> float:
 
     S(x)* maps each letter to a real multiple of a letter and reverses twice,
     so a word (x1 ... xr) pairs through the letterwise image in word order.
-    Each word's matrix is built once per lam; t^lam_{mn}(x) = rho_lam(x)[m, n].
+    Each word's weighted shift is built once per lam, and t^lam_{mn}(x) is its
+    coefficient at n where m = n + shift, 0 elsewhere.
     """
     words = [()] + [(a,) for a in LETTERS] + list(product(LETTERS, repeat=2))
     mapped = []
@@ -464,12 +456,13 @@ def star_pairing_residual(ctx: QContext) -> float:
         images = [star_antipode_letter(letter, ctx) for letter in w]
         mapped.append((w, math.prod(c for c, _ in images), tuple(x for _, x in images)))
     tls = range(4)  # 2 lam
-    rho = {(tl, w): irrep_word(HalfInt(tl), w, ctx) for tl in tls for w in words}
+    rho = {(tl, w): word_shift(HalfInt(tl), w, ctx) for tl in tls for w in words}
 
     def pair(a, word):  # the dual pairing, by linearity
         total = 0j
         for (tl, tm, tn), c in a.terms.items():
-            total += c * rho[tl, word][(tm + tl) // 2, (tn + tl) // 2]
+            shift, coeffs = rho[tl, word]
+            total += c * (coeffs[(tn + tl) // 2] if tm == tn + 2 * shift else 0.0)
         return total
 
     gaps = []

@@ -14,9 +14,9 @@ u_{lam,-lam}, ..., u_{lam,lam} and the generators act in ladder form
 
 with the q-integer [n] = (q^n - q^-n)/(q - q^-1).  Matrices act on column
 vectors; a generator word evaluates to the matrix product in word order.
-:func:`irrep_word` builds them afresh on each call, for a single letter as for
-a word, from :func:`raising_bands`, the e band as lists; every band reads its
-sqrt([n]) from one :func:`q_roots` list.
+Every word is a weighted shift u_m -> c_m u_{m + #e - #f}; :func:`word_shift`
+states it once, reading the e band from one :func:`q_roots` list of sqrt([n]),
+and :func:`irrep_word` is that shift laid out as a dense matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "star_antipode_letter",
     "weight_range",
     "q_roots",
-    "raising_bands",
+    "word_shift",
     "irrep_word",
     "coproduct_action",
 ]
@@ -114,43 +114,49 @@ def q_roots(top: int, ctx: QContext) -> list[float]:
     return roots
 
 
-def raising_bands(lams, ctx: QContext) -> list[list[float]]:
-    """The band of rho_lam(e) for each highest weight lam in ``lams``: entry i
-    is sqrt([lam-m]) sqrt([lam+m+1]) at m = -lam + i, i < 2 lam, so
-    rho_lam(e) = diag(band, -1) and rho_lam(f) = diag(band, 1).
-
-    One :func:`q_roots` list, to the largest 2 lam, serves every lam of the call.
+def word_shift(lam, word, ctx: QContext, scalars=None) -> tuple[int, list[float]]:
+    """rho_lam(word) as the weighted shift u_i -> coeffs[i] u_{i+shift}, i = lam + m,
+    shift = #e - #f, coeffs[i] = 0 where i + shift leaves the basis.  The letters
+    fold in word order, as the dense product associates, so each coefficient is
+    its matrix entry to the bit: a letter's factor m (the e band for e and f,
+    q^{±m} for k^{±1}), times its entry of ``scalars`` first if given, takes c to
+    c * m.  Every factor is read first, so an overflow is named in any letter order.
     """
-    twice = [nonneg_hi(lam, "highest weight").twice for lam in lams]
-    roots = q_roots(max(twice, default=0), ctx)
-    return [[roots[tl - i] * roots[i + 1] for i in range(tl)] for tl in twice]
-
-
-def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
-    """Product of generator matrices in word order; the empty word is the identity.
-
-    Basis ordered u_{lam,-lam}, ..., u_{lam,lam}; e populates the (i+1, i)
-    line, f the (i-1, i) line, k the diagonal q^m.  The matrices are real.
-    The band is read once per word, at its first e or f; each letter is built
-    in word order and multiplied in from the right.
-    """
-    lam = hi(lam)
     word = (word,) if isinstance(word, str) else tuple(word)
     for letter in word:
         if letter not in LETTERS:
             raise ValueError(f"unknown generator letter {letter!r}")
     tl = nonneg_hi(lam, "highest weight").twice
-    out = band = None
-    for letter in word:
-        if letter in ("e", "f"):
-            if band is None:
-                band = raising_bands([lam], ctx)[0]
-            mat = np.diag(band, -1 if letter == "e" else 1)
+    q, shift, coeffs = ctx.q, 0, [1.0] * (tl + 1)
+    if "e" in word or "f" in word:  # sqrt([lam-m]) sqrt([lam+m+1]) at i = lam + m < 2 lam
+        roots = q_roots(tl, ctx)
+        band = [roots[tl - j] * roots[j + 1] for j in range(tl)]
+    if "k" in word or "kinv" in word:
+        try:
+            powers = [q ** (t / 2) for t in range(-tl, tl + 1, 2)]  # q^m; q^-m reversed
+        except OverflowError:  # q < 1, so q^-lam is the largest power
+            raise ValueError(f"q = {q:g}: q^(-{HalfInt(tl)}) overflows a double") from None
+    for i, letter in enumerate(word):
+        factors = band if letter in ("e", "f") else powers if letter == "k" else powers[::-1]
+        if scalars is not None:
+            factors = [scalars[i] * m for m in factors]
+        if letter == "e":
+            shift, coeffs = shift + 1, [c * m for c, m in zip(coeffs[1:], factors)] + [0.0]
+        elif letter == "f":
+            shift, coeffs = shift - 1, [0.0] + [c * m for c, m in zip(coeffs, factors)]
         else:
-            sign = 1 if letter == "k" else -1
-            mat = np.diag([ctx.q ** (sign * t / 2) for t in range(-tl, tl + 1, 2)])
-        out = mat if out is None else out @ mat
-    return np.eye(tl + 1) if out is None else out
+            coeffs = [c * m for c, m in zip(coeffs, factors)]
+    return shift, coeffs
+
+
+def irrep_word(lam, word, ctx: QContext) -> np.ndarray:
+    """rho_lam(word) as a dense real matrix on u_{lam,-lam}, ..., u_{lam,lam}:
+    the :func:`word_shift` coefficients on the -shift diagonal, entry (i + shift, i)."""
+    shift, coeffs = word_shift(lam, word, ctx)
+    d = len(coeffs)
+    if abs(shift) >= d:
+        return np.zeros((d, d))
+    return np.diag(coeffs[max(-shift, 0):d - max(shift, 0)], -shift)
 
 
 def coproduct_action(lam1, lam2, letter: str, ctx: QContext) -> np.ndarray:

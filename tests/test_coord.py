@@ -1,5 +1,6 @@
 """Coordinate algebra: product, star, pairing, regular actions, Haar state."""
 
+import itertools
 import json
 import math
 import pickle
@@ -25,15 +26,18 @@ from qwps.coord import (
     to_jsonl,
     unit,
 )
-from qwps.exact import HalfInt, QContext
+from qwps.exact import HalfInt, QContext, hi
 from qwps.qcore import (
     COPRODUCT,
     LETTERS,
+    antipode_letter,
     coproduct_action,
     irrep_word,
     q_int,
     star_antipode_letter,
+    theta_letter,
     weight_range,
+    word_shift,
 )
 
 CTX = QContext(0.5, 1e-9)
@@ -324,6 +328,58 @@ def test_actions_are_homomorphisms_on_words():
         assert (lhs - rhs).norm_inf() < 1e-14
 
 
+def reference_right_matrix(lam, word, ctx):
+    """rho_lam(word) as the product of the dense one-letter matrices, left to right."""
+    out = np.eye(hi(lam).twice + 1)
+    for letter in word:
+        out = out @ irrep_word(lam, letter, ctx)
+    return out
+
+
+def reference_left_matrix(lam, word, ctx):
+    """rho_lam(S(theta(word))); S∘theta is an anti-homomorphism, so the
+    per-letter matrices multiply in reversed word order."""
+    out = np.eye(hi(lam).twice + 1)
+    for letter in reversed(word):
+        sign, mapped = theta_letter(letter)
+        a_coeff, a_letter = antipode_letter(mapped, ctx)
+        out = out @ ((sign * a_coeff) * irrep_word(lam, a_letter, ctx))
+    return out
+
+
+def reference_act(word, a, ctx, side):
+    """The regular actions as dense matrices whose whole row is scanned for
+    entries: the right action reads row n of the transpose, the left row m."""
+    out, rows = {}, {}
+    for (tl, tm, tn), c in a.terms.items():
+        if tl not in rows:
+            if side == "right":
+                rows[tl] = reference_right_matrix(HalfInt(tl), word, ctx).T.tolist()
+            else:
+                rows[tl] = reference_left_matrix(HalfInt(tl), word, ctx).tolist()
+        row = rows[tl][((tn if side == "right" else tm) + tl) // 2]
+        for t_new, v in zip(range(-tl, tl + 1, 2), row):
+            if v != 0:
+                m, n = (tm, t_new) if side == "right" else (t_new, tn)
+                tgt = BasisIndex.doubled(tl, m, n)
+                out[tgt] = out.get(tgt, 0) + c * v
+    return AlgebraElement(out)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1e-3])
+def test_actions_equal_the_dense_row_scan(q):
+    # every t^lam_{mn} with 2 lam <= 8 in one element: a word moves an index by
+    # one injective shift, so no two terms meet and each target holds one term's
+    # product; every word of up to 3 letters, terms and their order compared
+    ctx = QContext(q, 1e-9)
+    a = AlgebraElement({BasisIndex.doubled(tl, tm, tn): 1.0 for tl in range(9)
+                        for tm in range(-tl, tl + 1, 2) for tn in range(-tl, tl + 1, 2)})
+    for word in (w for r in range(4) for w in itertools.product(LETTERS, repeat=r)):
+        for side, act in (("right", right_act), ("left", left_act)):
+            got, want = act(word, a, ctx).terms, reference_act(word, a, ctx, side).terms
+            assert list(got.items()) == list(want.items()), (side, word)
+
+
 def test_equivariance():
     res = coord.equivariance_residuals(CTX)
     assert res["max"] < CTX.tol
@@ -488,10 +544,18 @@ def test_haar_check_refuses_a_negative_cap():
 
 
 def test_generator_matrices_are_real():
+    # the left action's words carry the real scalars of S∘theta
     ctx = QContext(0.5, 1e-9)
     for lam in (0, 0.5, 1, 2.5):
-        for word in ("e", "kinv", ("f", "k", "e")):
-            assert coord._left_matrix(lam, word, ctx).dtype == np.float64
+        for word in (("e",), ("kinv",), ("f", "k", "e")):
+            letters, scalars = [], []
+            for letter in reversed(word):
+                sign, mapped = theta_letter(letter)
+                scalar, image = antipode_letter(mapped, ctx)
+                letters.append(image)
+                scalars.append(sign * scalar)
+            _, coeffs = word_shift(lam, letters, ctx, scalars)
+            assert all(type(c) is float for c in coeffs)
         for letter in COPRODUCT:
             assert coproduct_action(lam, 1.5, letter, ctx).dtype == np.float64
 

@@ -16,9 +16,9 @@ from qwps.qcore import (
     coproduct_action,
     irrep_word,
     q_int,
-    raising_bands,
     star_antipode_letter,
     weight_range,
+    word_shift,
 )
 
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -286,12 +286,15 @@ def test_irrep_word_is_the_product_of_its_letters(q):
 
 
 def test_raising_bands_are_the_e_lines():
+    # the band sqrt([lam-m]) sqrt([lam+m+1]) is e's shift and f's, and their lines
     ctx = ctx_for(0.5)
-    lams = [hi(2), hi(0), hi(0.5), hi(3.5)]
-    for lam, band in zip(lams, raising_bands(lams, ctx)):
+    for lam in [hi(2), hi(0), hi(0.5), hi(3.5)]:
+        band = [math.sqrt(q_int(lam - m, ctx)) * math.sqrt(q_int(lam + m + 1, ctx))
+                for m in weight_range(lam)[:-1]]
+        assert word_shift(lam, "e", ctx) == (1, band + [0.0])
+        assert word_shift(lam, "f", ctx) == (-1, [0.0] + band)
         assert band == irrep_word(lam, "e", ctx).diagonal(-1).tolist()
         assert band == irrep_word(lam, "f", ctx).diagonal(1).tolist()
-    assert raising_bands([], ctx) == []
 
 
 def test_irrep_word_overflow_names_the_top_q_integer():
@@ -299,6 +302,18 @@ def test_irrep_word_overflow_names_the_top_q_integer():
     # q-integer of the word, [2 lam]
     with pytest.raises(ValueError, match=r"the q-integer \[4\] overflows a double"):
         irrep_word(2, "e", QContext(1e-120, 1e-9))
+
+
+@pytest.mark.parametrize("word, message", [
+    ("kinv", r"q = 1e-120: q\^\(-4\) overflows a double"),
+    (("k", "e"), r"q = 1e-120: the q-integer \[8\] overflows a double"),
+    (("e", "k"), r"q = 1e-120: the q-integer \[8\] overflows a double"),
+])
+def test_word_overflow_is_named_whatever_the_letter_order(word, message):
+    # both q^-4 and [8] overflow; the band is read before the powers of q, in any letter order
+    for build in (word_shift, irrep_word):
+        with pytest.raises(ValueError, match=message):
+            build(4, word, QContext(1e-120, 1e-9))
 
 
 # ---------------------------------------------------------------------------

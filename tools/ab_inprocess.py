@@ -8,14 +8,16 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Five things are timed per round, the side that goes first alternating:
+Seven things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
 - ``block-hit``: the same blocks read again from the warm cache;
-- ``readers``: the checks that read irrep words, at the same three q:
-  ``coord.star_pairing_residual``, ``action_table_residuals``,
-  ``equivariance_residuals`` and ``dirac.q_dirac_check(2)``;
+- the three checks that read generator words, each alone, at the same three
+  q: ``actions``, ``coord.action_table_residuals`` and
+  ``equivariance_residuals``, which read the regular actions;
+  ``star-pairing``, ``coord.star_pairing_residual``; and ``qdirac``,
+  ``dirac.q_dirac_check(2)``, which reads dense words;
 - ``cold-pass``: the checks that build most blocks, from an emptied block
   cache at the same three q: ``coaction.verify_wp_relations`` for every
   coprime (k, l) with k + l <= 8, ``coord.haar_orthogonality_residual(2)``,
@@ -53,7 +55,7 @@ ROUNDS = 60  # interleaved rounds per task
 def load(root: Path, name: str, into: Path):
     shutil.copytree(root / "src" / "qwps", into / name)
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("cg", "coaction", "coord", "dirac", "exact")}
+            for mod in ("cg", "coaction", "coord", "dirac", "exact", "qcore", "teardrop")}
 
 
 def build(pkg):
@@ -72,12 +74,19 @@ def block_hits(pkg):
                     pkg["cg"].cg_block(a2 / 2, b2 / 2, ctx)
 
 
-def readers(pkg):
-    coord = pkg["coord"]
+def actions(pkg):
     for ctx in pkg["ctxs"]:
-        coord.star_pairing_residual(ctx)
-        coord.action_table_residuals(ctx)
-        coord.equivariance_residuals(ctx)
+        pkg["coord"].action_table_residuals(ctx)
+        pkg["coord"].equivariance_residuals(ctx)
+
+
+def star_pairing(pkg):
+    for ctx in pkg["ctxs"]:
+        pkg["coord"].star_pairing_residual(ctx)
+
+
+def qdirac(pkg):
+    for ctx in pkg["ctxs"]:
         pkg["dirac"].q_dirac_check(2, ctx)
 
 
@@ -118,8 +127,9 @@ def main(argv=None) -> int:
         for pkg in sides.values():
             pkg["ctxs"] = [pkg["exact"].QContext(q, 1e-9) for q in QS]
             pkg["norm_ctx"] = pkg["exact"].QContext(0.5, 1e-9)
-        print(f"{'task':<10} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
-        for label, fn in (("build", build), ("block-hit", block_hits), ("readers", readers),
+        print(f"{'task':<12} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
+        for label, fn in (("build", build), ("block-hit", block_hits), ("actions", actions),
+                          ("star-pairing", star_pairing), ("qdirac", qdirac),
                           ("cold-pass", cold_pass), ("norms", norms)):
             for pkg in sides.values():
                 fn(pkg)  # one untimed run warms the allocator and the blocks the task reads
@@ -130,7 +140,7 @@ def main(argv=None) -> int:
                 ratios.append(times["change"] / times["parent"])
             q1, median, q3 = statistics.quantiles(ratios, n=4)
             wins = sum(ratio < 1.0 for ratio in ratios)
-            print(f"{label:<10} {median:7.3f} {q1:7.3f} {q3:7.3f}  {wins}/{len(ratios)}")
+            print(f"{label:<12} {median:7.3f} {q1:7.3f} {q3:7.3f}  {wins}/{len(ratios)}")
     return 0
 
 

@@ -50,7 +50,7 @@ import numpy as np
 from .exact import HalfInt, QContext, hi, nonneg_hi
 from .qcore import q_int, q_roots
 
-__all__ = ["CGBlock", "cg_block", "cg_blocks", "cg_coeff_updown", "clear_cache"]
+__all__ = ["CGBlock", "cg_block", "cg_blocks", "cg_coeff_updown_doubled", "clear_cache"]
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -328,18 +328,22 @@ def _check_blocks(couplings: list, cells: _Cells, ctx: QContext) -> list[tuple[f
 
 
 def cg_coeff_updown(j, mu, ctx: QContext) -> tuple[float, float]:
-    """Closed-form spinor coupling coefficients (C_{j mu}, S_{j mu}).
+    """:func:`cg_coeff_updown_doubled` at (2j, 2mu)."""
+    return cg_coeff_updown_doubled(hi(j).twice, hi(mu).twice, ctx)
+
+
+def cg_coeff_updown_doubled(tj: int, tmu: int, ctx: QContext) -> tuple[float, float]:
+    """Closed-form spinor coupling coefficients (C_{j mu}, S_{j mu}) at
+    j = tj/2, mu = tmu/2, from the doubled integers:
 
     C = q^{-(j+mu)/2} sqrt([j-mu]/[2j]),  S = q^{(j-mu)/2} sqrt([j+mu]/[2j]);
     they satisfy C^2 + S^2 = 1.
     """
-    j, mu = hi(j), hi(mu)
-    if j.twice < 1:
-        raise ValueError(f"need j >= 1/2, got {j}")
-    if abs(mu.twice) > j.twice or (j.twice - mu.twice) % 2:
-        raise ValueError(f"mu = {mu} out of range for j = {j}")
-    q = ctx.q
-    denom = q_int(2 * j, ctx)
-    c = q ** (-(j + mu).float / 2.0) * math.sqrt(q_int(j - mu, ctx) / denom)
-    s = q ** ((j - mu).float / 2.0) * math.sqrt(q_int(j + mu, ctx) / denom)
+    if tj < 1:
+        raise ValueError(f"need j >= 1/2, got {HalfInt(tj)}")
+    if abs(tmu) > tj or (tj - tmu) % 2:
+        raise ValueError(f"mu = {HalfInt(tmu)} out of range for j = {HalfInt(tj)}")
+    denom = q_int(tj, ctx)
+    c = ctx.q ** (-(tj + tmu) / 4.0) * math.sqrt(q_int((tj - tmu) // 2, ctx) / denom)
+    s = ctx.q ** ((tj - tmu) / 4.0) * math.sqrt(q_int((tj + tmu) // 2, ctx) / denom)
     return c, s

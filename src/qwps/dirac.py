@@ -12,9 +12,11 @@ Two constructions are assembled and verified on finite truncations:
 Their spectra and summability sums are counted in :mod:`qwps.exact`; the
 module also carries the ambient quantum SU(2) ingredients these are cut
 from: the orthonormal spinor basis (the C_{j mu}, S_{j mu} legs of
-:func:`spinor_legs`), the q^{-D} identity through the right regular action,
-verified rather than assumed on one block per shell, and one unpruned
-construction of left multiplication on the orthonormal GNS basis.  Its
+:func:`spinor_legs`), labelled as coordinates are, by a tuple of doubled
+integers (:class:`SpinorBasisIndex`), the q^{-D} identity through the right
+regular action, verified rather than assumed on one block per shell whose
+m = lam labels it lists itself, and one unpruned construction of left
+multiplication on the orthonormal GNS basis.  Its
 private core states each term's factors once: a scale by (mu-shift, shell)
 and two Clebsch-Gordan leg tables by (shell, weight, mu-shift).
 :func:`gns_multiplication` reads them at its labels for the triplets of the
@@ -27,23 +29,20 @@ at a time and, for alpha, one of each mirrored pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from . import coord
-from .cg import cg_blocks, cg_coeff_updown
+from .cg import cg_blocks, cg_coeff_updown_doubled
 from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
 from .exact import HalfInt, QContext, WeightPair, _p_window, hi, nonneg_hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import GERSHGORIN_SLACK, eigvalsh_max
-from .qcore import irrep_word, q_int, weight_range
+from .qcore import irrep_word, q_int
 
 __all__ = [
     "SpinorBasisIndex",
-    "spinor_basis",
     "coinvariant_spinor_basis",
     "spinor_legs",
     "q_dirac_check",
@@ -65,66 +64,58 @@ EVEN_TRIPLE_GUARD = 128
 COMMUTATOR_GUARD = hi(80)
 
 
-@dataclass(frozen=True)
-class SpinorBasisIndex:
+class SpinorBasisIndex(tuple):
     """Label |j m mu arrow> of the orthonormal spinor basis.
 
     Up vectors live at lam = j + 1/2 (|m| <= j+1/2), down vectors at
-    lam = j - 1/2 (j >= 1/2, |m| <= j-1/2); |mu| <= j for both.
+    lam = j - 1/2 (j >= 1/2, |m| <= j-1/2), lam the highest weight of the
+    coordinate leg; |mu| <= j for both.  An immutable tuple (2j, 2m, 2mu,
+    arrow) of the doubled integers, as :class:`~qwps.coord.BasisIndex`, so
+    hashing and equality run on ints; ``j``, ``m``, ``mu`` and ``lam`` read
+    them back as :class:`HalfInt`.
     """
 
-    j: HalfInt
-    m: HalfInt
-    mu: HalfInt
-    arrow: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        j, m, mu = self.j, self.m, self.mu
-        if self.arrow not in ("up", "down"):
-            raise ValueError(f"arrow must be 'up' or 'down', got {self.arrow!r}")
-        nonneg_hi(j, "j")
-        if abs(mu.twice) > j.twice or (j.twice - mu.twice) % 2:
-            raise ValueError(f"mu = {mu} out of range for j = {j}")
-        lam = self.lam
-        if lam.twice < 0:
-            raise ValueError(f"down vectors need j >= 1/2, got j = {j}")
-        if abs(m.twice) > lam.twice or (lam.twice - m.twice) % 2:
-            raise ValueError(f"m = {m} out of range for arrow {self.arrow}, j = {j}")
+    def __new__(cls, j: HalfInt, m: HalfInt, mu: HalfInt, arrow: str):
+        return cls.doubled(j.twice, m.twice, mu.twice, arrow)
 
-    @property
-    def lam(self) -> HalfInt:
-        """Highest weight of the coordinate leg: j + 1/2 for up, j - 1/2 for down."""
-        return HalfInt(self.j.twice + (1 if self.arrow == "up" else -1))
+    @classmethod
+    def doubled(cls, tj: int, tm: int, tmu: int, arrow: str) -> "SpinorBasisIndex":
+        """The label (tj/2, tm/2, tmu/2, arrow), from its doubled integers."""
+        if arrow not in ("up", "down"):
+            raise ValueError(f"arrow must be 'up' or 'down', got {arrow!r}")
+        tl = tj + 1 if arrow == "up" else tj - 1
+        if abs(tmu) > tj or (tj - tmu) % 2 or abs(tm) > tl or (tl - tm) % 2:
+            j = nonneg_hi(HalfInt(tj), "j")
+            if abs(tmu) > tj or (tj - tmu) % 2:
+                raise ValueError(f"mu = {HalfInt(tmu)} out of range for j = {j}")
+            if tl < 0:
+                raise ValueError(f"down vectors need j >= 1/2, got j = {j}")
+            raise ValueError(f"m = {HalfInt(tm)} out of range for arrow {arrow}, j = {j}")
+        return tuple.__new__(cls, (tj, tm, tmu, arrow))
 
+    j = property(lambda self: HalfInt(self[0]))
+    m = property(lambda self: HalfInt(self[1]))
+    mu = property(lambda self: HalfInt(self[2]))
+    arrow = property(lambda self: self[3])
+    lam = property(lambda self: HalfInt(self[0] + (1 if self[3] == "up" else -1)))
 
-def spinor_basis(j_max) -> list[SpinorBasisIndex]:
-    """All spinor labels with j <= j_max, ordered (j, arrow, m, mu)."""
-    j_max = hi(j_max)
-    out = []
-    for tj in range(0, j_max.twice + 1):
-        j = HalfInt(tj)
-        for arrow in ("down", "up"):
-            if arrow == "down" and tj == 0:
-                continue
-            lam = HalfInt(tj + (1 if arrow == "up" else -1))
-            for m in weight_range(lam):
-                for mu in weight_range(j):
-                    out.append(SpinorBasisIndex(j, m, mu, arrow))
-    return out
+    def __getnewargs__(self):
+        return self.j, self.m, self.mu, self.arrow
 
 
 def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[SpinorBasisIndex]:
     """Coinvariant spinor labels |j, p(l+k) - 1/2, p(l-k), arrow> over
     half-integer p with j <= j_max, ordered (j, arrow, p).
 
-    They are the labels of :func:`spinor_basis` whose legs have degrees
-    cancelling the spin-1/2 orders (-k on e_+, l on e_-); the ambient rule
-    |m| <= lam is the window 1 - 2lam <= 2p(l+k) <= 1 + 2lam.
+    They are the ambient spinor labels whose legs have degrees cancelling the
+    spin-1/2 orders (-k on e_+, l on e_-); the ambient rule |m| <= lam is the
+    window 1 - 2lam <= 2p(l+k) <= 1 + 2lam.
     """
-    j_max = hi(j_max)
     return [
-        SpinorBasisIndex(HalfInt(tj), HalfInt(tp * wp.s - 1), HalfInt(tp * (wp.l - wp.k)), arrow)
-        for tj in range(0, j_max.twice + 1)
+        SpinorBasisIndex.doubled(tj, tp * wp.s - 1, tp * (wp.l - wp.k), arrow)
+        for tj in range(0, hi(j_max).twice + 1)
         for arrow, tl in (("down", tj - 1), ("up", tj + 1))
         for tp in _p_window(wp, 1 - tl, 1 + tl, tj)
     ]
@@ -139,10 +130,10 @@ def spinor_legs(idx: SpinorBasisIndex, ctx: QContext) -> list[tuple[str, BasisIn
 
     A down leg with n outside its shell (mu = ±j) has coefficient 0 and is dropped.
     """
-    down = idx.arrow == "down"
-    c, s = cg_coeff_updown(idx.j if down else idx.j + 1, idx.mu, ctx)
-    minus, plus = (c, s) if down else (-s, c)
-    tl, tm, tmu = idx.lam.twice, idx.m.twice, idx.mu.twice
+    tj, tm, tmu, arrow = idx
+    tl = tj - 1 if arrow == "down" else tj + 1
+    c, s = cg_coeff_updown_doubled(tl + 1, tmu, ctx)  # j for down, j + 1 for up
+    minus, plus = (c, s) if arrow == "down" else (-s, c)
     return [
         (sign, BasisIndex.doubled(tl, tm, tn), coeff)
         for sign, tn, coeff in (("-", tmu + 1, minus), ("+", tmu - 1, plus))
@@ -163,9 +154,10 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
         q^{3/2} [ rho(k^2) + q^{-1}(q-q^{-1})^2 rho(fe)   q^{-1/2}(q-q^{-1}) rho(fk^{-1}) ]
                 [ q^{-1/2}(q-q^{-1}) rho(k^{-1}e)         rho(k^{-2})                    ]
 
-    applied to the labels with m = lam, whose expected eigenvalues are
-    q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down vectors.  Refuses q
-    for which ev_max or the block overflows a double.
+    applied to the labels with m = lam (the up labels at j = lam - 1/2, then
+    the down labels at j = lam + 1/2, mu ascending), whose expected
+    eigenvalues are q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down
+    vectors.  Refuses q for which ev_max or the block overflows a double.
     """
     j_max = nonneg_hi(j_max, "j_max")
     if j_max.twice > Q_DIRAC_GUARD.twice:
@@ -176,19 +168,22 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     except OverflowError:
         raise ValueError(f"q = {q:g}: q^-(2 j_max + 3/2) overflows a double") from None
     lam_q = q - 1.0 / q
-    top = [idx for idx in spinor_basis(j_max) if idx.m == idx.lam]
 
-    def shell(lam):
-        labels = [idx for idx in top if idx.lam == lam]
+    def shell(tl):
+        labels = [SpinorBasisIndex.doubled(tj, tl, tmu, arrow)
+                  for arrow, tj in (("up", tl - 1), ("down", tl + 1)) if 0 <= tj <= j_max.twice
+                  for tmu in range(-tj, tj + 1, 2)]
+        if not labels:  # lam = 0 at j_max = 0
+            return 0.0
+        lam = HalfInt(tl)
         rho = lambda *word: irrep_word(lam, word, ctx)  # noqa: E731
         block = q**1.5 * np.block([
             [rho("k", "k") + (lam_q**2 / q) * rho("f", "e"), (lam_q / q**0.5) * rho("f", "kinv")],
             [(lam_q / q**0.5) * rho("kinv", "e"), rho("kinv", "kinv")]])
-        d = lam.twice + 1
-        vecs, evs = np.zeros((2 * d, len(labels))), np.zeros(len(labels))
+        vecs, evs = np.zeros((2 * tl + 2, len(labels))), np.zeros(len(labels))
         for col, idx in enumerate(labels):
-            for sign, (tl, _, tn), coeff in spinor_legs(idx, ctx):
-                vecs[(tn + tl) // 2 + (d if sign == "-" else 0), col] = coeff
+            for sign, (_, _, tn), coeff in spinor_legs(idx, ctx):
+                vecs[(tn + tl) // 2 + (tl + 1 if sign == "-" else 0), col] = coeff
             evs[col] = q ** (-(idx.j.twice + 1.5) if idx.arrow == "up" else idx.j.twice + 0.5)
         resid = np.abs(block @ vecs - vecs * evs).max(axis=0)
         return float((resid / (ev_max * np.abs(vecs).max(axis=0))).max())
@@ -196,7 +191,7 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     # at small q the block's coefficients overflow: (q - 1/q)^2 raises, or inf * 0 reads NaN
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = residual_max([shell(lam) for lam in sorted({idx.lam for idx in top})])
+            worst = residual_max([shell(tl) for tl in range(j_max.twice + 2)])
     except OverflowError:
         worst = math.nan
     if not math.isfinite(worst):
@@ -352,13 +347,13 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
         raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")
     if lam_cap.twice > COMMUTATOR_GUARD.twice:
         raise ValueError(f"lambda cap {lam_cap} exceeds the cost guard {COMMUTATOR_GUARD}")
-    elements = dict(zip(("alpha", "beta"), coord.gens(ctx)), one=coord.unit())
-    if gen not in elements:
-        raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
     if gen == "one":  # pi(1) commutes with Q
         return 0.0
-    # alpha and beta are one real term each; the interior shells lie below the cap
-    [(_, a, b, scale, leg_m, leg_n)] = _gns_factors(elements[gen], np.arange(lam_cap.twice), ctx)
+    if gen not in ("alpha", "beta"):
+        raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
+    # alpha = t^{1/2}_{1/2,1/2}, beta = t^{1/2}_{1/2,-1/2}; the interior shells lie below the cap
+    element = AlgebraElement.basis(BasisIndex.doubled(1, 1, 1 if gen == "alpha" else -1))
+    [(_, a, b, scale, leg_m, leg_n)] = _gns_factors(element, np.arange(lam_cap.twice), ctx)
     chains = [_chains(scale, leg_m, leg_n, parity, a == b) for parity in (0, 1)]
     floor = max(floor for floor, *_ in chains)
     by_size = {}

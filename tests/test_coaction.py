@@ -249,6 +249,11 @@ def test_spinor_index_validation():
         SpinorBasisIndex(hi(-1), hi(-0.5), hi(0), "up")
     with pytest.raises(ValueError):
         spinor_degree(WeightPair(1, 1), -1, "sideways")
+    # the doubled constructor refuses them with the same messages
+    with pytest.raises(ValueError, match="^arrow must be 'up' or 'down', got 'sideways'$"):
+        SpinorBasisIndex.doubled(2, -1, 0, "sideways")
+    with pytest.raises(ValueError, match="^j must be >= 0, got -1$"):
+        SpinorBasisIndex.doubled(-2, -1, 0, "up")
     idx = SpinorBasisIndex(hi(1), hi(-0.5), hi(0), "up")
     assert idx in coinvariant_spinor_basis(WeightPair(1, 1), hi(1))
 

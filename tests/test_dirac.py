@@ -3,6 +3,7 @@
 import gc
 import inspect
 import math
+import pickle
 import re
 import tracemalloc
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from qwps.dirac import (
     fredholm_degeneracy,
     gns_multiplication,
     q_dirac_check,
-    spinor_basis,
     spinor_legs,
 )
 from qwps.exact import (
@@ -44,14 +44,50 @@ from qwps.exact import (
     summability_partial_sum,
 )
 from qwps.operators import TruncatedOperator, gram_norm, operator_norm
-from qwps.qcore import q_int
+from qwps.qcore import q_int, weight_range
 
 CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]
 
 
 # ---------------------------------------------------------------------------
-# reference: each spinor as a pair of algebra elements, acted on word by word
+# reference: the ambient labels built from HalfInts, and each spinor as a pair
+# of algebra elements, acted on word by word
+
+
+def spinor_basis(j_max):
+    """The former ambient enumeration, kept as the reference: all spinor labels
+    with j <= j_max, ordered (j, arrow, m, mu), built from HalfInts."""
+    j_max = hi(j_max)
+    out = []
+    for tj in range(0, j_max.twice + 1):
+        j = HalfInt(tj)
+        for arrow in ("down", "up"):
+            if arrow == "down" and tj == 0:
+                continue
+            lam = HalfInt(tj + (1 if arrow == "up" else -1))
+            for m in weight_range(lam):
+                for mu in weight_range(j):
+                    out.append(SpinorBasisIndex(j, m, mu, arrow))
+    return out
+
+
+def reference_legs(idx, ctx):
+    """spinor_legs as it was computed on HalfInts, with cg_coeff_updown's former
+    body: the exponents -(j+mu).float/2 and (j-mu).float/2, the q-integers
+    [2j], [j-mu] and [j+mu] read from HalfInts."""
+    down = idx.arrow == "down"
+    j, mu, q = (idx.j if down else idx.j + 1), idx.mu, ctx.q
+    denom = q_int(2 * j, ctx)
+    c = q ** (-(j + mu).float / 2.0) * math.sqrt(q_int(j - mu, ctx) / denom)
+    s = q ** ((j - mu).float / 2.0) * math.sqrt(q_int(j + mu, ctx) / denom)
+    minus, plus = (c, s) if down else (-s, c)
+    tl, tm, tmu = idx.lam.twice, idx.m.twice, idx.mu.twice
+    return [
+        (sign, BasisIndex.doubled(tl, tm, tn), coeff)
+        for sign, tn, coeff in (("-", tmu + 1, minus), ("+", tmu - 1, plus))
+        if abs(tn) <= tl
+    ]
 
 
 @dataclass(frozen=True)
@@ -161,6 +197,25 @@ def test_spinor_index_validation():
         SpinorBasisIndex(hi(0.5), hi(1.5), hi(0.5), "up")  # |m| > j + 1/2
     idx = SpinorBasisIndex(hi(0.5), hi(0), hi(0.5), "down")
     assert idx.lam.twice == 0
+    # the doubled constructor refuses the same labels with the same messages
+    for args, message in [((0, 1, 0, "down"), "down vectors need j >= 1/2, got j = 0"),
+                          ((2, 0, 4, "up"), "mu = 2 out of range for j = 1"),
+                          ((2, 0, 1, "up"), "mu = 1/2 out of range for j = 1"),
+                          ((1, 3, 1, "up"), "m = 3/2 out of range for arrow up, j = 1/2"),
+                          ((3, 1, 1, "down"), "m = 1/2 out of range for arrow down, j = 3/2")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpinorBasisIndex.doubled(*args)
+
+
+def test_spinor_index_is_a_doubled_tuple():
+    idx = SpinorBasisIndex(hi(1.5), hi(-1), hi(0.5), "down")
+    assert idx == SpinorBasisIndex.doubled(3, -2, 1, "down") == (3, -2, 1, "down")
+    assert hash(idx) == hash(SpinorBasisIndex.doubled(3, -2, 1, "down"))
+    assert len({idx, SpinorBasisIndex.doubled(3, -2, 1, "down")}) == 1
+    assert idx != SpinorBasisIndex.doubled(3, -2, 1, "up")
+    assert (idx.j, idx.m, idx.mu, idx.arrow, idx.lam) == (hi(1.5), hi(-1), hi(0.5), "down", hi(1))
+    assert all(type(x) is int for x in idx[:3])
+    assert pickle.loads(pickle.dumps(idx)) == idx
 
 
 def test_spinor_basis_counts_match_dirac_multiplicities():
@@ -198,6 +253,15 @@ def test_spinor_vectors_orthogonal():
     for i in range(len(basis)):
         for k in range(i + 1, len(basis)):
             assert abs(spinor_inner(vecs[i], vecs[k])) < 1e-10
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_spinor_legs_equal_the_halfint_computation(q):
+    ctx = QContext(q, 1e-9)
+    for idx in spinor_basis(hi(4)):
+        got, expected = spinor_legs(idx, ctx), reference_legs(idx, ctx)
+        assert [(sign, t, c.hex()) for sign, t, c in got] == \
+            [(sign, t, c.hex()) for sign, t, c in expected], idx
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
@@ -333,6 +397,19 @@ def test_q_dirac_matches_per_vector_reference(q, j_max):
     ctx = QContext(q, 1e-9)
     assert q_dirac_reference(hi(j_max), ctx) <= 1e-15
     assert q_dirac_check(hi(j_max), ctx) <= 1e-15
+
+
+@pytest.mark.parametrize("tj", range(7))
+def test_q_dirac_check_reads_the_former_labels(monkeypatch, tj):
+    # shell by shell, lam ascending, the labels with m = lam of the former
+    # enumeration in its order: the up labels at j = lam - 1/2 before the
+    # down labels at j = lam + 1/2, mu ascending
+    top = [idx for idx in spinor_basis(hi(tj / 2)) if idx.m == idx.lam]
+    read, legs = [], dirac.spinor_legs
+    monkeypatch.setattr(dirac, "spinor_legs", lambda idx, ctx: read.append(idx) or legs(idx, ctx))
+    q_dirac_check(hi(tj / 2), CTX)
+    assert read == [idx for lam in sorted({idx.lam for idx in top}) for idx in top if idx.lam == lam]
+    assert all(type(idx) is SpinorBasisIndex for idx in read)
 
 
 def mutated_q_dirac_check(func, old, new):

@@ -8,7 +8,7 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Seven things are timed per round, the side that goes first alternating:
+Eight things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
@@ -17,7 +17,11 @@ Seven things are timed per round, the side that goes first alternating:
   q: ``actions``, ``coord.action_table_residuals`` and
   ``equivariance_residuals``, which read the regular actions;
   ``star-pairing``, ``coord.star_pairing_residual``; and ``qdirac``,
-  ``dirac.q_dirac_check(2)``, which reads dense words;
+  ``dirac.q_dirac_check(2)``, which reads dense words and the legs of its
+  spinor labels;
+- ``spinors``: ``dirac.coinvariant_spinor_basis`` up to j = 6 and the
+  ``spinor_legs`` of every label, for (k, l) = (1, 1), (1, 2) and (2, 3) at
+  the same three q: the labels and legs the odd triple's operators read;
 - ``cold-pass``: the checks that build most blocks, from an emptied block
   cache at the same three q: ``coaction.verify_wp_relations`` for every
   coprime (k, l) with k + l <= 8, ``coord.haar_orthogonality_residual(2)``,
@@ -47,6 +51,7 @@ GRID = range(9)  # doubled highest weights
 QS = (0.3, 0.5, 0.8)
 WP_PAIRS = [(k, s - k) for s in range(2, 9) for k in range(1, s) if math.gcd(k, s - k) == 1]
 CHIRALITY_PAIRS = ((1, 1), (1, 2), (2, 3))
+SPINOR_J_MAX = 6
 HIT_REPEATS = 20
 NORM_CAPS = (4, 6, 8, 10, 12, 16)
 ROUNDS = 60  # interleaved rounds per task
@@ -90,6 +95,14 @@ def qdirac(pkg):
         pkg["dirac"].q_dirac_check(2, ctx)
 
 
+def spinors(pkg):
+    dirac, pair = pkg["dirac"], pkg["exact"].WeightPair
+    for ctx in pkg["ctxs"]:
+        for k, l in CHIRALITY_PAIRS:
+            for idx in dirac.coinvariant_spinor_basis(pair(k, l), SPINOR_J_MAX):
+                dirac.spinor_legs(idx, ctx)
+
+
 def cold_pass(pkg):
     pkg["cg"].clear_cache()
     coaction, dirac, pair = pkg["coaction"], pkg["dirac"], pkg["exact"].WeightPair
@@ -129,7 +142,7 @@ def main(argv=None) -> int:
             pkg["norm_ctx"] = pkg["exact"].QContext(0.5, 1e-9)
         print(f"{'task':<12} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
         for label, fn in (("build", build), ("block-hit", block_hits), ("actions", actions),
-                          ("star-pairing", star_pairing), ("qdirac", qdirac),
+                          ("star-pairing", star_pairing), ("qdirac", qdirac), ("spinors", spinors),
                           ("cold-pass", cold_pass), ("norms", norms)):
             for pkg in sides.values():
                 fn(pkg)  # one untimed run warms the allocator and the blocks the task reads

@@ -17,23 +17,43 @@ The families are:
 - ``reports``: the library report behind every verify suite, with
   ``coord.action_table_residuals`` and ``star_pairing_residual``;
 - ``couplings``: the ``coupling`` lists of every Clebsch-Gordan block with
-  2 lam1, 2 lam2 <= 12, from an emptied cache;
-- ``norms``: ``dirac.commutator_norm`` for alpha and beta at caps 4 to 16.
+  2 lam1, 2 lam2 <= 20, from an emptied cache;
+- ``norms``: ``dirac.commutator_norm`` for alpha and beta at caps 4 to 16;
+- ``spinors``: the labels of ``dirac.coinvariant_spinor_basis`` with their
+  ``spinor_legs`` for (k, l) = (1, 1), (1, 2), (2, 3) and (3, 5) up to j = 4,
+  ``cg.cg_coeff_updown`` for every 2j <= 16 and every mu, with the
+  refusals at mu = j + 1/2 and j + 1, and
+  ``dirac.q_dirac_check`` at j_max from -1/2 to 7/2 in steps of 1/2 (the
+  ends are refusals).  A label is compared as (2j, 2m, 2mu, arrow), so a
+  change of the label's type alone does not count;
+- ``teardrop``: ``teardrop.wp_rep`` and ``wp_rep_via_ambient`` (m = -2, 0
+  and 5) for every l <= 3, copy s and generator at N = 12, the
+  ``block_structure_evidence`` reports for every l <= 3, 1 <= j <= l and
+  n = -1, 0, 1 at N = 64, and ``wp_relation_residuals`` for l <= 4 at N = 64;
+- ``even``: the ``dirac.even_triple_operators`` arrays at lam_max 5, and the
+  ``gns_multiplication`` triplets of a and b on their labels;
+- ``exact``: both triples' spectra up to cap 20, ``dim_table`` up to index
+  25 and ``summability_partial_sum`` at N = 512, 1024 and 2048 with the
+  exponents 2 and 3.
 
-Words, actions and reports run at q = 0.3, 0.5, 0.8 and 1e-3, couplings and
-norms at the first three.  An entry whose function one side lacks is counted
-as absent, not as equal.  It prints the counts per family and the first
-mismatch, and exits 1 on any mismatch.
+Words, actions, reports, teardrop and even run at q = 0.3, 0.5, 0.8 and 1e-3,
+spinors at those and 0.05, couplings and norms at the first three; exact
+reads no q.  The pairs (k, l) are (1, 1), (1, 2) and (2, 3) unless named.
+An entry whose function one side lacks is counted as absent, not as equal.
+It prints the counts per family and the first mismatch, and exits 1 on any
+mismatch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from ab_inprocess import load
 
 QS = (0.3, 0.5, 0.8, 1e-3)
@@ -43,6 +63,9 @@ ACTION_WORDS = [w for r in range(3) for w in itertools.product(LETTERS, repeat=r
 ELEMENTS_PER_Q = 40
 WP_PAIRS = ((1, 1), (1, 2), (2, 3))
 NORM_CAPS = (4, 6, 8, 10, 12, 16)
+SPINOR_QS = QS + (0.05,)
+SPINOR_PAIRS = WP_PAIRS + ((3, 5),)
+SUMMABILITY_NS = (512, 1024, 2048)
 ABSENT = object()
 
 
@@ -62,6 +85,9 @@ def dump(value) -> str:
         return "[" + ", ".join(dump(v) for v in value) + "]"
     if hasattr(value, "terms"):  # an AlgebraElement, terms in insertion order
         return "element" + dump(list(value.terms.items()))
+    if dataclasses.is_dataclass(value):  # a TruncatedOperator or SpectrumTable, field by field
+        return type(value).__name__ + dump({f.name: getattr(value, f.name)
+                                            for f in dataclasses.fields(value)})
     return repr(value)
 
 
@@ -85,15 +111,25 @@ def catalogue(pkg):
     the modules of ``pkg`` only when it is called."""
     ctxs = {q: pkg["exact"].QContext(q, 1e-9) for q in QS}
 
-    def call(module, name, *args, before=None):
+    def call(module, name, *args, before=None, then=None):
         def thunk():
             fn = getattr(pkg[module], name, ABSENT)
             if fn is ABSENT:
                 return ABSENT
             if before is not None:
                 before()
-            return fn(*args)
+            value = fn(*args)
+            return value if then is None else then(value)
         return thunk
+
+    def legs(ctx):  # each label as its doubled ints, with its legs
+        return lambda labels: [((idx.j.twice, idx.m.twice, idx.mu.twice, idx.arrow),
+                                pkg["dirac"].spinor_legs(idx, ctx)) for idx in labels]
+
+    def triplets(wp, ctx):  # the triplets of a and b on the even triple's labels
+        labels = np.array(pkg["coaction"].coinvariant_coord_basis(wp, 5), dtype=int).T
+        return [pkg["dirac"].gns_multiplication(x, labels, ctx)
+                for x in pkg["coaction"].wp_gens(wp, ctx)]
 
     pair = pkg["exact"].WeightPair
     for q, ctx in ctxs.items():
@@ -119,7 +155,7 @@ def catalogue(pkg):
             yield "reports", (q, "teardrop", l), call("teardrop", "wp_relation_residuals", l, 16, ctx)
     for q in QS[:3]:
         ctx = ctxs[q]
-        for t1, t2 in itertools.product(range(13), repeat=2):
+        for t1, t2 in itertools.product(range(21), repeat=2):
             # the first block of a q empties the cache, so every block is built here
             clear = pkg["cg"].clear_cache if (t1, t2) == (0, 0) else None
             block = call("cg", "cg_block", t1 / 2, t2 / 2, ctx, before=clear)
@@ -127,6 +163,42 @@ def catalogue(pkg):
         for gen in ("alpha", "beta"):
             for cap in NORM_CAPS:
                 yield "norms", (q, gen, cap), call("dirac", "commutator_norm", gen, cap, ctx)
+    for q in SPINOR_QS:
+        ctx = pkg["exact"].QContext(q, 1e-9)
+        for k, l in SPINOR_PAIRS:
+            yield "spinors", (q, "legs", k, l), call(
+                "dirac", "coinvariant_spinor_basis", pair(k, l), 4, then=legs(ctx))
+        for tj in range(17):
+            for tmu in (*range(-tj, tj + 1, 2), tj + 1, tj + 2):  # and two refusals
+                yield "spinors", (q, "updown", tj, tmu), call(
+                    "cg", "cg_coeff_updown", tj / 2, tmu / 2, ctx)
+        for tj in range(-1, 8):
+            yield "spinors", (q, "qdirac", tj), call("dirac", "q_dirac_check", tj / 2, ctx)
+    for q, ctx in ctxs.items():
+        for l in (1, 2, 3):
+            for s, gen in itertools.product(range(1, l + 1), ("a", "b", "bstar")):
+                yield "teardrop", (q, "wp_rep", l, s, gen), call(
+                    "teardrop", "wp_rep", l, 0, s, gen, 12, ctx)
+                for m in (-2, 0, 5):
+                    yield "teardrop", (q, "via_ambient", l, m, s, gen), call(
+                        "teardrop", "wp_rep_via_ambient", l, m, s, gen, 12, ctx)
+            for j, n in itertools.product(range(1, l + 1), (-1, 0, 1)):
+                yield "teardrop", (q, "blocks", l, j, n), call(
+                    "teardrop", "block_structure_evidence", l, n, j, 64, ctx)
+        for l in (1, 2, 3, 4):
+            yield "teardrop", (q, "relations", l), call("teardrop", "wp_relation_residuals", l, 64, ctx)
+    for q, ctx in ctxs.items():
+        for k, l in WP_PAIRS:
+            yield "even", (q, "operators", k, l), call("dirac", "even_triple_operators", pair(k, l), 5, ctx)
+            yield "even", (q, "triplets", k, l), lambda wp=pair(k, l), ctx=ctx: triplets(wp, ctx)
+    for k, l in WP_PAIRS:
+        yield "exact", ("dim_table", k, l), call("exact", "dim_table", pair(k, l), 25)
+        for triple in ("odd", "even"):
+            yield "exact", ("spectrum", k, l, triple), call(
+                "exact", f"{triple}_triple_spectrum", pair(k, l), 20)
+            for n, exponent in itertools.product(SUMMABILITY_NS, (2, 3)):
+                yield "exact", ("summability", k, l, triple, n, exponent), call(
+                    "exact", "summability_partial_sum", pair(k, l), n, triple, exponent)
 
 
 def outcome(thunk):

@@ -8,7 +8,7 @@ qcore     q-integers, ladder-form irreducibles
 cg        orthogonal q-Clebsch-Gordan block matrices with a cache
 coord     the coordinate algebra: product, star, actions, Haar state
 coaction  circle grading and the degree-zero subalgebra
-operators the screened Gram-matrix norm of the commutators, truncated operators
+operators stacked Hermitian eigensolves, the sparse norm, truncated operators
 dirac     spinor bases, odd and even spectral triples, commutators
 teardrop  weight-(1, l) operator models and the block-pattern evidence that
           reads the K-theory classes of exact.ktheory_class

@@ -23,16 +23,20 @@ from .exact import QContext, WeightPair, hi
 
 __all__ = ["RunConfig", "main"]
 
-_SUITES = (
-    "su2q-relations",
-    "wp-relations",
-    "haar",
-    "equivariance",
-    "qdirac",
-    "chirality",
-    "fredholm",
-    "teardrop",
-)
+# each verify suite's threshold in units of tol, and the names of the elements it is
+# built from, which --dump serializes: a and b of coaction.wp_gens, or the coordinate
+# generators of coord.gens; a suite with None builds no algebra element and refuses --dump
+_WP_GENS, _SU2Q_GENS = ("a", "b"), ("alpha", "beta", "alpha_star", "beta_star")
+_SUITES = {
+    "su2q-relations": (1, _SU2Q_GENS),
+    "wp-relations": (10, _WP_GENS),
+    "haar": (1, _SU2Q_GENS),
+    "equivariance": (1, _SU2Q_GENS),
+    "qdirac": (1, None),
+    "chirality": (1e-3, _WP_GENS),
+    "fredholm": (1e-3, _WP_GENS),
+    "teardrop": (1, None),
+}
 _FORMATS = ("csv", "json")
 # jmax/lmax above this exit 2: at cap 1e4 dims took 17-19 s (its oracle grows with
 # the square of the cap) and spectrum 0.4 s; at 1e5 dims would take about 30 min
@@ -179,23 +183,21 @@ def _cmd_dims(args, cfg: RunConfig) -> int:
 def _run_suite(suite: str, cfg: RunConfig) -> dict:
     from . import coaction, coord, dirac, teardrop
     # the pair is built by the suites that read it, so a non-coprime one stops no other suite
-    ctx, wp, tol = cfg.context(), cfg.weight_pair, cfg.tol
+    ctx, wp = cfg.context(), cfg.weight_pair
     if suite == "teardrop" and cfg.k != 1:
         raise ValueError(f"the teardrop suite checks the weight-(1, l) model, got k = {cfg.k}")
-    # each thunk returns (residuals, threshold) and reads only the caps its suite uses
+    # each thunk returns the residuals and reads only the caps its suite uses
     thunks = {
-        "su2q-relations": lambda: (coord.relation_residuals(ctx), tol),
-        "wp-relations": lambda: (coaction.verify_wp_relations(wp(), ctx), 10 * tol),
-        "haar": lambda: ({"max": coord.haar_orthogonality_residual(ctx, 2)}, tol),
-        "equivariance": lambda: (coord.equivariance_residuals(ctx), tol),
-        "qdirac": lambda: ({"max": dirac.q_dirac_check(min(hi(cfg.jmax), hi(2)), ctx)}, tol),
-        "chirality": lambda: (dirac.chirality_checks(wp(), min(hi(cfg.lmax), hi(5)), ctx),
-                              1e-3 * tol),
-        "fredholm": lambda: (dirac.fredholm_degeneracy(wp(), min(hi(cfg.lmax), hi(5)), ctx),
-                             1e-3 * tol),
-        "teardrop": lambda: (teardrop.wp_relation_residuals(cfg.l, cfg.N, ctx), tol),
+        "su2q-relations": lambda: coord.relation_residuals(ctx),
+        "wp-relations": lambda: coaction.verify_wp_relations(wp(), ctx),
+        "haar": lambda: {"max": coord.haar_orthogonality_residual(ctx, 2)},
+        "equivariance": lambda: coord.equivariance_residuals(ctx),
+        "qdirac": lambda: {"max": dirac.q_dirac_check(min(hi(cfg.jmax), hi(2)), ctx)},
+        "chirality": lambda: dirac.chirality_checks(wp(), min(hi(cfg.lmax), hi(5)), ctx),
+        "fredholm": lambda: dirac.fredholm_degeneracy(wp(), min(hi(cfg.lmax), hi(5)), ctx),
+        "teardrop": lambda: teardrop.wp_relation_residuals(cfg.l, cfg.N, ctx),
     }
-    residuals, threshold = thunks[suite]()
+    residuals, threshold = thunks[suite](), _SUITES[suite][0] * cfg.tol
     return {
         "suite": suite,
         "q": cfg.q,
@@ -208,18 +210,10 @@ def _run_suite(suite: str, cfg: RunConfig) -> dict:
     }
 
 
-# the names of the elements each suite is built from, which --dump serializes:
-# a and b of coaction.wp_gens, or the coordinate generators of coord.gens; a
-# suite not listed builds no algebra element and refuses --dump
-_WP_GENS, _SU2Q_GENS = ("a", "b"), ("alpha", "beta", "alpha_star", "beta_star")
-_DUMPED = {"wp-relations": _WP_GENS, "chirality": _WP_GENS, "fredholm": _WP_GENS,
-           "su2q-relations": _SU2Q_GENS, "haar": _SU2Q_GENS, "equivariance": _SU2Q_GENS}
-
-
 def _dump_elements(suite: str, cfg: RunConfig, path: str) -> None:
     """Golden-file hook: serialize the elements a suite is built from."""
     from . import coaction, coord
-    ctx, names = cfg.context(), _DUMPED[suite]
+    ctx, names = cfg.context(), _SUITES[suite][1]
     gens = coaction.wp_gens(cfg.weight_pair(), ctx) if names is _WP_GENS else coord.gens(ctx)
     chunks = [f"# {name}\n{coord.to_jsonl(el)}" for name, el in zip(names, gens)]
     with open(path, "w", encoding="utf-8") as handle:
@@ -227,7 +221,7 @@ def _dump_elements(suite: str, cfg: RunConfig, path: str) -> None:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    if args.dump and args.suite not in _DUMPED:
+    if args.dump and _SUITES[args.suite][1] is None:
         raise ValueError(f"--dump: the {args.suite} suite builds no algebra element")
     report = _run_suite(args.suite, cfg)
     if args.dump:

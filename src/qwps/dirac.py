@@ -38,7 +38,7 @@ from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
 from .exact import HalfInt, QContext, WeightPair, _p_window, hi, nonneg_hi, residual_max
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
-from .operators import GERSHGORIN_SLACK, eigvalsh_max
+from .operators import eigvalsh_max
 from .qcore import irrep_word, q_int
 
 __all__ = [
@@ -279,6 +279,13 @@ def gns_multiplication(element: AlgebraElement, labels, ctx: QContext):
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
+# the Gershgorin screen's relative slack.  eigvalsh is backward stable, each computed
+# eigenvalue within about n eps ||B|| of an exact one, under 1e-14 relative for chains of
+# side n <= 80 (COMMUTATOR_GUARD); 100 times that keeps the maximising chain, so the max
+# over the kept chains is the unscreened max bit for bit
+GERSHGORIN_SLACK = 1e-12
+
+
 def _chains(scale, leg_m, leg_n, parity, mirrored):
     """The Gram blocks of C*C (see :func:`commutator_norm`) on the GNS shells
     of one parity that its Gershgorin screen can keep, from the factors of
@@ -338,9 +345,9 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
     the row (lam + 1/2, m', n') is shared by the columns (lam, m, n) and
     (lam + 1, m, n) only.  Each block is the chain of :func:`_chains`; the
-    blocks the Gershgorin screen of :func:`~qwps.operators.gram_norm` keeps
-    are eigensolved a size at a time.  Where m' = n' (alpha), the blocks (m, n)
-    and (n, m) are the same matrix, so only those with m <= n are solved.
+    blocks its Gershgorin screen keeps are eigensolved a size at a time.
+    Where m' = n' (alpha), the blocks (m, n) and (n, m) are the same matrix,
+    so only those with m <= n are solved.
     """
     lam_cap = hi(lam_cap)
     if lam_cap.twice < 2:

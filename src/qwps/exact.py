@@ -338,7 +338,8 @@ def dim_table(wp: WeightPair, index_max) -> list[dict]:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Eigenvalue/multiplicity rows, strictly increasing, zero rows omitted."""
+    """Eigenvalue/multiplicity rows, strictly increasing, zero rows omitted:
+    the shells' negatives, the last shell first, then the shells."""
 
     rows: tuple
 
@@ -351,14 +352,6 @@ class SpectrumTable:
                 raise ValueError("eigenvalues must be strictly increasing")
             prev = ev
 
-    @staticmethod
-    def from_pairs(pairs) -> "SpectrumTable":
-        merged: dict[float, int] = {}
-        for ev, mult in pairs:
-            if mult:
-                merged[ev] = merged.get(ev, 0) + mult
-        return SpectrumTable(tuple(sorted(merged.items())))
-
     def multiplicity(self, eigenvalue: float) -> int:
         for ev, mult in self.rows:
             if ev == eigenvalue:
@@ -369,20 +362,24 @@ class SpectrumTable:
         return sum(mult for _, mult in self.rows)
 
 
-def _shells(wp: WeightPair, triple: str, cap):
-    """(|eigenvalue|, multiplicity) of every shell with index <= cap: 2(j+1)
-    with dim V^down_{j+1} for the odd triple, lam+1 with dim V_lam for the even."""
-    ts = range(hi(cap).twice + 1)
-    if triple == "odd":
-        return zip([t + 2.0 for t in ts], [dim_V_down_doubled(wp, t + 2) for t in ts])
-    if triple == "even":
-        return zip([t / 2.0 + 1 for t in ts], [dim_V_doubled(wp, t) for t in ts])
-    raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
+# each triple's shell at doubled index t: |eigenvalue| (t + 2)/scale, 2(j+1) at
+# j = t/2 (odd) or lam+1 at lam = t/2 (even), and multiplicity core(wp, t)
+_TRIPLES = {"odd": (1.0, lambda wp, t: dim_V_down_doubled(wp, t + 2)),
+            "even": (2.0, dim_V_doubled)}
+
+
+def _triple(triple: str):
+    """(scale, core) of :data:`_TRIPLES` for ``triple``, refused unless it names one."""
+    if triple not in ("odd", "even"):
+        raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
+    return _TRIPLES[triple]
 
 
 def _spectrum(wp: WeightPair, triple: str, cap) -> SpectrumTable:
-    pairs = [(sign * ev, mult) for ev, mult in _shells(wp, triple, cap) for sign in (1, -1)]
-    return SpectrumTable.from_pairs(pairs)
+    t_max = hi(cap).twice
+    scale, core = _triple(triple)
+    shells = [((t + 2) / scale, mult) for t in range(t_max + 1) if (mult := core(wp, t))]
+    return SpectrumTable(tuple([(-ev, mult) for ev, mult in reversed(shells)] + shells))
 
 
 def odd_triple_spectrum(wp: WeightPair, j_max) -> SpectrumTable:
@@ -402,27 +399,22 @@ def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -
     With exponent 2 the sum diverges logarithmically in N for both triples
     (the dimension is exactly 2); with exponent 3 it converges.
 
-    The shell at doubled index t has eigenvalue (t + 2)/1 (odd) or (t + 2)/2
-    (even), exactly the values :func:`_shells` gives.  Its multiplicity is
-    linear on each residue class of t mod 2(k+l), so the int cores are read
-    for two periods only, and each later period of 2 mult is the one before
-    plus the class steps (exact: these are integers in a double).  No more
-    than t_max + 1 multiplicities are read, so the cost is O(min(k+l, N) + N).
+    The shells are those of :data:`_TRIPLES`.  A shell's multiplicity is
+    linear on each residue class of t mod 2(k+l), so the core is read for two
+    periods only, and each later period of 2 mult is the one before plus the
+    class steps (exact: these are integers in a double).  No more than
+    t_max + 1 multiplicities are read, so the cost is O(min(k+l, N) + N).
     The terms ev^-exponent (2 mult) are added in ascending t with no Python
-    call per shell, as a loop over :func:`_shells` adds (2 mult) ev^-exponent
-    (a product of two doubles is the same either way round); a shell of
+    call per shell, as a loop over the shells adds (2 mult) ev^-exponent (a
+    product of two doubles is the same either way round); a shell of
     multiplicity 0 adds +0.0, which leaves the sum bitwise the same.
     """
     t_max = hi(N).twice
     if t_max < 2:
         raise ValueError(f"N must be >= 1, got {N}")
     period, ts = 2 * wp.s, range(min(4 * wp.s, t_max + 1))
-    if triple == "odd":
-        scale, mults = 1.0, [dim_V_down_doubled(wp, t + 2) for t in ts]
-    elif triple == "even":
-        scale, mults = 2.0, [dim_V_doubled(wp, t) for t in ts]
-    else:
-        raise ValueError(f"triple must be 'odd' or 'even', got {triple!r}")
+    scale, core = _triple(triple)
+    mults = [core(wp, t) for t in ts]
     steps = [2.0 * (b - a) for a, b in zip(mults, mults[period:])]
     periods = accumulate(repeat(steps), lambda row, step: list(map(add, row, step)),
                          initial=[2.0 * m for m in mults[:period]])

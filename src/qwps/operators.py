@@ -4,11 +4,9 @@ A TruncatedOperator is a square matrix together with the explicit ordered
 basis of the truncated Hilbert space it acts on: row and column i belong to
 basis[i].
 
-A Gram matrix that is block diagonal needs only the blocks whose Gershgorin
-bound reaches its largest diagonal entry, within GERSHGORIN_SLACK, and
-eigvalsh_max solves the blocks of one size as one stack.  The commutator norms
-of qwps.dirac screen their tridiagonal blocks so and call eigvalsh_max;
-gram_norm does the same for any Gram matrix given as entries, for
+eigvalsh_max solves the Hermitian blocks of one size as one stack.  The
+commutator norms of qwps.dirac call it on the tridiagonal blocks they keep;
+gram_norm calls it on every block of a Gram matrix given as entries, for
 operator_norm's sparse branch, and no module of the package calls
 operator_norm.  The teardrop relations are diagonals or single shifts, and
 are normed entrywise.
@@ -46,10 +44,6 @@ class TruncatedOperator:
             )
 
 
-# the Gershgorin screen's relative slack; see gram_norm
-GERSHGORIN_SLACK = 1e-12
-
-
 def eigvalsh_max(count, size, entries, dtype=float) -> float:
     """The largest eigenvalue over a stack of ``count`` Hermitian matrices of
     side ``size``, 0 but for ``entries``: pairs (index, vals), written in turn
@@ -70,22 +64,10 @@ def gram_norm(block, pos, rows, cols, vals) -> float:
     block diagonal up to a permutation.
 
     Index i sits at position ``pos[i]`` of block ``block[i]``; A*A holds
-    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each entry once.  The largest
-    diagonal entry, ``floor``, is a lower bound on the result, and a block's
-    eigenvalues are at most its largest absolute row sum (Gershgorin).  A block
-    whose row sums all fall below floor (1 - GERSHGORIN_SLACK) cannot hold the
-    maximum and is skipped; the block holding ``floor`` is always kept.  eigvalsh
-    is backward stable, each computed eigenvalue within about n eps ||B|| of an
-    exact one, under 1e-14 relative for blocks of side n <= 80 (cap 80); the
-    slack is 100 times that, so the max over the kept blocks is the unscreened
-    max bit for bit.  The kept blocks of each size are one stack for
-    :func:`eigvalsh_max`.
+    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each entry once.  The blocks of
+    each size are one stack for :func:`eigvalsh_max`.
     """
-    floor = float(vals[rows == cols].real.max(initial=0.0))
     sizes = np.bincount(block)
-    bound = np.zeros(sizes.size)
-    np.maximum.at(bound, block, np.bincount(rows, np.abs(vals), minlength=block.size))
-    sizes[bound < floor * (1.0 - GERSHGORIN_SLACK)] = 0
     home = sizes[block[rows]]
     top = 0.0
     for size in np.unique(sizes[sizes > 0]).tolist():

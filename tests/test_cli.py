@@ -565,7 +565,7 @@ def test_exact_names_have_one_definition(module):
     for name in OLD_HOMES[module]:
         assert getattr(mod, name) is getattr(exact, name), name
     # no other module keeps a second copy of anything the exact layer defines
-    moved = [*exact.__all__, "_p_window", "_shells", "_spectrum", "KTHEORY_GUARD"]
+    moved = [*exact.__all__, "_p_window", "_TRIPLES", "_spectrum", "KTHEORY_GUARD"]
     for name in moved:
         if hasattr(mod, name):
             assert getattr(mod, name) is getattr(exact, name), name

@@ -446,6 +446,47 @@ def test_q_dirac_check_fails_on_mutants(q):
 # spectra of the two triples
 
 
+COPRIME_PAIRS = [WeightPair(k, s - k) for s in range(2, 13) for k in range(1, s)
+                 if math.gcd(k, s - k) == 1]
+
+
+def reference_spectrum_rows(wp, triple, cap):
+    """The spectrum as merged from each shell's ± pair: every (eigenvalue,
+    multiplicity) pair summed by eigenvalue, zero multiplicities dropped, and
+    sorted, as the former SpectrumTable.from_pairs built it."""
+    ts = range(hi(cap).twice + 1)
+    if triple == "odd":
+        shells = zip([t + 2.0 for t in ts], [dim_V_down_doubled(wp, t + 2) for t in ts])
+    else:
+        shells = zip([t / 2.0 + 1 for t in ts], [dim_V_doubled(wp, t) for t in ts])
+    merged = {}
+    for ev, mult in [(sign * ev, mult) for ev, mult in shells for sign in (1, -1)]:
+        if mult:
+            merged[ev] = merged.get(ev, 0) + mult
+    return tuple(sorted(merged.items()))
+
+
+@pytest.mark.parametrize("triple", ["odd", "even"])
+@pytest.mark.parametrize("wp", COPRIME_PAIRS, ids=str)
+def test_spectrum_rows_equal_the_merged_pairs(wp, triple):
+    spectrum = odd_triple_spectrum if triple == "odd" else even_triple_spectrum
+    for cap in (t / 2 for t in range(41)):
+        rows, want = spectrum(wp, cap).rows, reference_spectrum_rows(wp, triple, cap)
+        assert rows == want and repr(rows) == repr(want), cap
+
+
+@pytest.mark.parametrize("bad", ["", "Odd", "both", None, ["odd"]])
+def test_a_triple_is_refused_unless_odd_or_even(bad):
+    message = f"triple must be 'odd' or 'even', got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        summability_partial_sum(WeightPair(1, 2), 4, bad)
+    # the cap and N are refused first
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        summability_partial_sum(WeightPair(1, 2), 0, bad)
+    with pytest.raises(ValueError, match="not a half-integer"):
+        summability_partial_sum(WeightPair(1, 2), 0.3, bad)
+
+
 def test_odd_spectrum_pairing_and_oracle():
     for wp in WPS:
         table = odd_triple_spectrum(wp, hi(20))
@@ -536,10 +577,6 @@ def test_summability_monotone(triple):
     wp = WeightPair(1, 2)
     values = [summability_partial_sum(wp, n, triple) for n in (8, 16, 32, 64)]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-COPRIME_PAIRS = [WeightPair(k, s - k) for s in range(2, 13) for k in range(1, s)
-                 if math.gcd(k, s - k) == 1]
 
 
 @pytest.mark.parametrize("triple", ["odd", "even"])
@@ -868,7 +905,9 @@ def test_gram_norm_skips_empty_blocks():
 
 
 def _screen_cases():
-    """Sparse A whose Gram blocks sit at the edges of gram_norm's Gershgorin screen."""
+    """Sparse A whose Gram blocks tie or nearly tie for the largest eigenvalue, at
+    the edges of a Gershgorin screen like commutator_norm's; gram_norm solves
+    every block, and must still return the reference norm on them."""
     rng = np.random.default_rng(11)
     unitary = lambda s: np.linalg.qr(  # noqa: E731
         rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))[0]

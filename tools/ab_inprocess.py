@@ -8,7 +8,7 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Eight things are timed per round, the side that goes first alternating:
+Nine things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
@@ -28,7 +28,12 @@ Eight things are timed per round, the side that goes first alternating:
   and ``dirac.chirality_checks(5)`` for (k, l) = (1, 1), (1, 2) and (2, 3);
 - ``norms``: ``dirac.commutator_norm`` for alpha and beta at caps 4, 6, 8, 10,
   12 and 16 and q = 0.5, the benchmark's ``spectral`` norms, with their
-  blocks already built.
+  blocks already built;
+- ``exact``: ``exact.summability_partial_sum`` at N = 512, 1024 and 2048
+  with the exponents 2 and 3, and ``odd_triple_spectrum`` and
+  ``even_triple_spectrum`` at cap 20, for both triples and (k, l) = (1, 1),
+  (1, 2) and (2, 3): the summability path of the benchmark's ``algebra``
+  workload.
 
 Each task runs once on each side before its timed rounds.  For each it
 prints the median change/parent time ratio, its quartiles and the
@@ -54,13 +59,15 @@ CHIRALITY_PAIRS = ((1, 1), (1, 2), (2, 3))
 SPINOR_J_MAX = 6
 HIT_REPEATS = 20
 NORM_CAPS = (4, 6, 8, 10, 12, 16)
+SUMMABILITY_NS = (512, 1024, 2048)
 ROUNDS = 60  # interleaved rounds per task
 
 
 def load(root: Path, name: str, into: Path):
     shutil.copytree(root / "src" / "qwps", into / name)
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("cg", "coaction", "coord", "dirac", "exact", "qcore", "teardrop")}
+            for mod in ("cg", "coaction", "coord", "dirac", "exact", "operators", "qcore",
+                        "teardrop")}
 
 
 def build(pkg):
@@ -121,6 +128,18 @@ def norms(pkg):
             pkg["dirac"].commutator_norm(gen, cap, ctx)
 
 
+def exact(pkg):
+    ex = pkg["exact"]
+    for k, l in CHIRALITY_PAIRS:
+        wp = ex.WeightPair(k, l)
+        for triple in ("odd", "even"):
+            for n in SUMMABILITY_NS:
+                for exponent in (2, 3):
+                    ex.summability_partial_sum(wp, n, triple, exponent)
+        ex.odd_triple_spectrum(wp, 20)
+        ex.even_triple_spectrum(wp, 20)
+
+
 def timed(fn, pkg) -> float:
     start = time.perf_counter()
     fn(pkg)
@@ -143,7 +162,7 @@ def main(argv=None) -> int:
         print(f"{'task':<12} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
         for label, fn in (("build", build), ("block-hit", block_hits), ("actions", actions),
                           ("star-pairing", star_pairing), ("qdirac", qdirac), ("spinors", spinors),
-                          ("cold-pass", cold_pass), ("norms", norms)):
+                          ("cold-pass", cold_pass), ("norms", norms), ("exact", exact)):
             for pkg in sides.values():
                 fn(pkg)  # one untimed run warms the allocator and the blocks the task reads
             ratios = []

@@ -32,13 +32,22 @@ The families are:
   n = -1, 0, 1 at N = 64, and ``wp_relation_residuals`` for l <= 4 at N = 64;
 - ``even``: the ``dirac.even_triple_operators`` arrays at lam_max 5, and the
   ``gns_multiplication`` triplets of a and b on their labels;
-- ``exact``: both triples' spectra up to cap 20, ``dim_table`` up to index
-  25 and ``summability_partial_sum`` at N = 512, 1024 and 2048 with the
-  exponents 2 and 3.
+- ``exact``: both triples' spectra up to cap 20 for every coprime (k, l)
+  with k + l <= 12, ``dim_table`` up to index 25 and
+  ``summability_partial_sum`` at N = 512, 1024 and 2048 with the exponents 2
+  and 3, and the refusals of a triple that is neither 'odd' nor 'even' by
+  ``summability_partial_sum`` and the spectra's ``_spectrum``, alone and
+  after a refused N or cap;
+- ``sparse``: ``operators.operator_norm`` on the benchmark warm-up's sparse
+  identity of side 801, on seeded real and complex block-diagonal CSR
+  matrices with permuted rows and columns, on blocks whose Gram tops tie or
+  nearly tie, on an all-zero and an empty matrix and on two dense ones; and
+  ``operators.gram_norm`` on the Gram entries of each sparse one, split into
+  connected components as ``operator_norm`` splits them.
 
 Words, actions, reports, teardrop and even run at q = 0.3, 0.5, 0.8 and 1e-3,
-spinors at those and 0.05, couplings and norms at the first three; exact
-reads no q.  The pairs (k, l) are (1, 1), (1, 2) and (2, 3) unless named.
+spinors at those and 0.05, couplings and norms at the first three; exact and
+sparse read no q.  The pairs (k, l) are (1, 1), (1, 2) and (2, 3) unless named.
 An entry whose function one side lacks is counted as absent, not as equal.
 It prints the counts per family and the first mismatch, and exits 1 on any
 mismatch.
@@ -48,13 +57,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from ab_inprocess import load
+from scipy.sparse.csgraph import connected_components
 
 QS = (0.3, 0.5, 0.8, 1e-3)
 LETTERS = ("e", "f", "k", "kinv")
@@ -66,6 +78,9 @@ NORM_CAPS = (4, 6, 8, 10, 12, 16)
 SPINOR_QS = QS + (0.05,)
 SPINOR_PAIRS = WP_PAIRS + ((3, 5),)
 SUMMABILITY_NS = (512, 1024, 2048)
+EXACT_PAIRS = [(k, s - k) for s in range(2, 13) for k in range(1, s) if math.gcd(k, s - k) == 1]
+BAD_TRIPLES = ("", "Odd", "both", None)
+SPARSE_PER_DTYPE = 20
 ABSENT = object()
 
 
@@ -104,6 +119,42 @@ def elements(pkg, q):
             terms[idx] = complex(rng.uniform(-2, 2), rng.choice((0.0, rng.uniform(-2, 2))))
         out.append(pkg["coord"].AlgebraElement(terms))
     return out
+
+
+def sparse_inputs():
+    """(name, matrix) for the norm inputs, seeded; all but the last two are CSR."""
+    rng = np.random.default_rng(2024)
+    unitary = lambda s: np.linalg.qr(  # noqa: E731
+        rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))[0]
+    yield "identity-801", sp.identity(801, format="csr")
+    for kind, n in itertools.product(("real", "complex"), range(SPARSE_PER_DTYPE)):
+        sizes = rng.integers(1, 7, size=rng.integers(1, 12))
+        blocks = [rng.standard_normal((s, s)) + (kind == "complex") * 1j * rng.standard_normal((s, s))
+                  for s in sizes]
+        mat = sp.block_diag(blocks, format="csr")
+        yield f"{kind}-{n}", mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+    # Gram blocks whose tops tie or lie one ulp apart, either way round
+    yield "bound-equals-floor", sp.block_diag([[[1.0, 1.0]], [[1.0], [1.0]]], format="csr")
+    yield "one-ulp-apart", sp.block_diag([[[1.0], [2.0**-26]], [[1.0]]], format="csr")
+    yield "one-ulp-apart-swapped", sp.block_diag([[[1.0]], [[1.0], [2.0**-26]]], format="csr")
+    yield "complex-ties", sp.block_diag([0.5 * unitary(s) for s in (1, 2, 3, 4, 3, 2)], format="csr")
+    yield "all-zero", sp.csr_matrix((6, 9))
+    yield "empty", sp.csr_matrix((0, 0))
+    yield "dense-eye", np.eye(2)
+    yield "dense-complex", rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+
+
+def gram_entries(mat):
+    """(block, pos, rows, cols, vals) of A*A by connected component, in the
+    order of ``operators.operator_norm``'s sparse branch."""
+    gram = (mat.conj().T @ mat).tocsr()
+    n_comp, labels = connected_components(gram != 0, directed=False)
+    gram = gram.tocoo()
+    sizes = np.bincount(labels, minlength=n_comp)
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty_like(labels)
+    pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return labels, pos, gram.row, gram.col, gram.data
 
 
 def catalogue(pkg):
@@ -191,14 +242,29 @@ def catalogue(pkg):
         for k, l in WP_PAIRS:
             yield "even", (q, "operators", k, l), call("dirac", "even_triple_operators", pair(k, l), 5, ctx)
             yield "even", (q, "triplets", k, l), lambda wp=pair(k, l), ctx=ctx: triplets(wp, ctx)
-    for k, l in WP_PAIRS:
-        yield "exact", ("dim_table", k, l), call("exact", "dim_table", pair(k, l), 25)
+    for k, l in EXACT_PAIRS:
         for triple in ("odd", "even"):
             yield "exact", ("spectrum", k, l, triple), call(
                 "exact", f"{triple}_triple_spectrum", pair(k, l), 20)
+    for bad in BAD_TRIPLES:  # alone, then after a refused N or cap
+        for n in (4, 0, 0.3):
+            yield "exact", ("refusal", bad, "N", n), call(
+                "exact", "summability_partial_sum", pair(1, 2), n, bad)
+        for cap in (2, 0.3):
+            yield "exact", ("refusal", bad, "cap", cap), call(
+                "exact", "_spectrum", pair(1, 2), bad, cap)
+    for k, l in WP_PAIRS:
+        yield "exact", ("dim_table", k, l), call("exact", "dim_table", pair(k, l), 25)
+        for triple in ("odd", "even"):
             for n, exponent in itertools.product(SUMMABILITY_NS, (2, 3)):
                 yield "exact", ("summability", k, l, triple, n, exponent), call(
                     "exact", "summability_partial_sum", pair(k, l), n, triple, exponent)
+
+    for name, mat in sparse_inputs():
+        yield "sparse", ("operator_norm", name), call("operators", "operator_norm", mat)
+        if sp.issparse(mat):
+            yield "sparse", ("gram_norm", name), lambda mat=mat: call(
+                "operators", "gram_norm", *gram_entries(mat))()
 
 
 def outcome(thunk):

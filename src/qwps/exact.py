@@ -393,35 +393,92 @@ def even_triple_spectrum(wp: WeightPair, lam_max) -> SpectrumTable:
     return _spectrum(wp, "even", lam_max)
 
 
+# B_2, B_4, ..., B_16.  For s = 1, 2, 3 and x >= 10, with c_j = B_2j/(2j), B_2j
+# and (2j+1) B_2j/2 (DLMF 5.11.2, 25.11.43),
+#     R_s(x) = x^(1-s) (1/(s-1) [s > 1] + 1/(2x) + sum_{j=1}^{8} c_j x^(-2j))
+# is ln x - psi(x) for s = 1 and zeta(s, x) for s = 2, 3, short of less than the
+# first term left out, B_18 = 43867/798 times x^-18/18, x^-19 and (19/2) x^-20:
+# 3.1e-18, 5.5e-18 and 5.3e-18 at x = 10
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_EM_COEFFS = {1: [b / (2 * j) for j, b in enumerate(_BERNOULLI, 1)],
+              2: list(_BERNOULLI),
+              3: [(2 * j + 1) * b / 2 for j, b in enumerate(_BERNOULLI, 1)]}
+# shells per residue class summed one by one before the class's tail is taken
+# in closed form, so that every expansion is read at x >= 10
+_HEAD_PERIODS = 10
+
+
+def _em_tail(s: int, x: float) -> float:
+    """R_s(x) of the expansions above, for s in (1, 2, 3) and x >= 10."""
+    y, series = 1.0 / (x * x), 0.0
+    for c in reversed(_EM_COEFFS[s]):  # Horner's rule in y
+        series = (series + c) * y
+    return x ** (1 - s) * (series + 0.5 / x + (1 / (s - 1) if s > 1 else 0.0))
+
+
+def _power_sum(s: int, a: float, n: int) -> float:
+    """sum_{i=0}^{n-1} (a + i)^-s for a >= 10: psi(a + n) - psi(a) for s = 1,
+    zeta(s, a) - zeta(s, a + n) for s = 2, 3."""
+    b = a + n
+    return _em_tail(s, a) - _em_tail(s, b) + (math.log1p(n / a) if s == 1 else 0.0)
+
+
 def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -> float:
     """Partial trace sum(mult * |eigenvalue|^-exponent) over shells with index <= N.
 
     With exponent 2 the sum diverges logarithmically in N for both triples
-    (the dimension is exactly 2); with exponent 3 it converges.
+    (the dimension is exactly 2); with exponent 3 it converges.  Only these
+    two exponents are accepted: the tail below reads asymptotic expansions
+    at x >= 10, which are accurate only for x much larger than the exponent.
 
     The shells are those of :data:`_TRIPLES`.  A shell's multiplicity is
-    linear on each residue class of t mod 2(k+l), so the core is read for two
-    periods only, and each later period of 2 mult is the one before plus the
-    class steps (exact: these are integers in a double).  No more than
-    t_max + 1 multiplicities are read, so the cost is O(min(k+l, N) + N).
-    The terms ev^-exponent (2 mult) are added in ascending t with no Python
-    call per shell, as a loop over the shells adds (2 mult) ev^-exponent (a
-    product of two doubles is the same either way round); a shell of
-    multiplicity 0 adds +0.0, which leaves the sum bitwise the same.
+    linear on each residue class r of t mod P = 2(k+l), so the core is read
+    for two periods only: class r's doubled multiplicity is M_r + i D_r at
+    t = r + i P.  The sum has two stages (Euler-Maclaurin summation):
+
+    - the head, the shells t < 10 P, is added one by one in ascending t with
+      no Python call per shell: each later period of 2 mult is the one before
+      plus the class steps (exact: these are integers in a double), and the
+      terms ev^-exponent (2 mult) are added as a loop over the shells adds
+      (2 mult) ev^-exponent.  A shell of multiplicity 0 adds +0.0.  So where
+      2N + 1 <= 20(k+l) the sum is bitwise that loop's;
+    - the tail of class r, its shells i = 10 ... K_r - 1, is
+      (scale/P)^e [(M_r - D_r w) Z_e + D_r Z_(e-1)] with w = (r + 2)/P and
+      Z_s = sum (w + i)^-s, a difference of digamma (s = 1) or Hurwitz zeta
+      values read from :func:`_power_sum`.  Each expansion is cut below
+      6e-18 at x >= 10.  Against exact sums the relative error is below
+      2e-15 (every coprime k + l <= 20 up to N = 4096, where the loop's
+      float sums drift to 1.1e-14), and below 1e-15 for (1, 1), (1, 2),
+      (2, 3), (3, 5) and (5, 7) up to N = 3e5.
+
+    The cost is O(min(N, 10(k+l)) + k + l), whatever N is.
     """
     t_max = hi(N).twice
     if t_max < 2:
         raise ValueError(f"N must be >= 1, got {N}")
     period, ts = 2 * wp.s, range(min(4 * wp.s, t_max + 1))
     scale, core = _triple(triple)
+    if exponent not in (2, 3):
+        raise ValueError(f"exponent must be 2 or 3, got {exponent!r}")
     mults = [core(wp, t) for t in ts]
     steps = [2.0 * (b - a) for a, b in zip(mults, mults[period:])]
+    firsts = [2.0 * m for m in mults[:period]]
     periods = accumulate(repeat(steps), lambda row, step: list(map(add, row, step)),
-                         initial=[2.0 * m for m in mults[:period]])
-    # the powers come first, so the sweep stops after shell t_max even where a
-    # short table leaves the later period rows empty
-    powers = map(pow, map(truediv, range(2, t_max + 3), repeat(scale)), repeat(-exponent))
-    return reduce(add, map(mul, powers, chain.from_iterable(periods)), 0.0)
+                         initial=firsts)
+    # the powers come first, so the sweep stops after the head's last shell even
+    # where a short table leaves the later period rows empty
+    t_head = min(t_max, _HEAD_PERIODS * period - 1)
+    powers = map(pow, map(truediv, range(2, t_head + 3), repeat(scale)), repeat(-exponent))
+    head = reduce(add, map(mul, powers, chain.from_iterable(periods)), 0.0)
+    tail = 0.0
+    for r, (first, step) in enumerate(zip(firsts, steps)):
+        count = (t_max - r) // period + 1 - _HEAD_PERIODS
+        if count > 0 and (first or step):
+            w = (r + 2) / period
+            a = w + _HEAD_PERIODS
+            tail += ((first - step * w) * _power_sum(exponent, a, count)
+                     + step * _power_sum(exponent - 1, a, count))
+    return head + (scale / period) ** exponent * tail
 
 
 # ---------------------------------------------------------------------------

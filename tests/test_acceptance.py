@@ -145,12 +145,21 @@ def test_criterion_09_summability():
             cube_ok = e2 < e1 and e2 < 0.01 * c[512]
             ok = ok and ratio_ok and cube_ok
             details.append(f"{wp.k},{wp.l}:{triple} d1/d2={d1/d2:.4f}")
+    # far out the increments per ln 2 reach the coefficient c of the log:
+    # 2/(k+l) for the odd triple and 8/(k+l) for the even one
+    slope_err = 0.0
+    for wp in [*SUMMABILITY_WPS, WeightPair(3, 5)]:
+        for triple, c in (("odd", 2 / wp.s), ("even", 8 / wp.s)):
+            s_n, s_2n = (exact.summability_partial_sum(wp, n, triple)
+                         for n in (10**12, 2 * 10**12))
+            slope_err = max(slope_err, abs((s_2n - s_n) / math.log(2) - c))
+    ok = ok and slope_err < 1e-11
     elapsed = time.monotonic() - t0
     report(
         9,
         "inverse-square sums diverge logarithmically, inverse-cube sums converge",
         ok and elapsed < 30.0,
-        f"{'; '.join(details[:3])}; {elapsed:.1f}s",
+        f"{'; '.join(details[:3])}; |slope - c| at N = 1e12 {slope_err:.1e}; {elapsed:.1f}s",
     )
 
 

@@ -105,7 +105,8 @@ USAGE_ERRORS = [
     ["verify", "--suite", "teardrop", "--N", "1000000"],
     ["verify", "--suite", "teardrop", "--q", "0.01", "--l", "100"],
     ["verify", "--suite", "teardrop", "--q", "1e-200"],
-    # ktheory lists l ranks; summability sums 2N + 1 shells per --nlist entry
+    # ktheory lists l ranks; summability adds up to 2N + 1 shells one by one per
+    # --nlist entry, all of them where k + l exceeds about N/10
     ["ktheory", "--l", "2000000000", "--n", "1", "--j", "1"],
     ["summability", "--nlist", "1000000000"],
     ["summability", "--nlist", "600000,700000"],

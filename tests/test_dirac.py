@@ -1,5 +1,6 @@
 """Spectral triples: spinor basis, spectra, summability, commutators, grading."""
 
+import functools
 import gc
 import inspect
 import math
@@ -7,13 +8,16 @@ import pickle
 import re
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qwps import cg, cli, dirac, qcore
+from qwps import cg, cli, dirac, exact, qcore
 from qwps.cg import cg_coeff_updown
 from qwps.coaction import coinvariant_coord_basis, degree, spinor_degree, wp_gens
 from qwps.coord import AlgebraElement, BasisIndex, gens, inner, multiply, right_act, unit
@@ -579,14 +583,23 @@ def test_summability_monotone(triple):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("triple", ["odd", "even"])
-@pytest.mark.parametrize("wp", COPRIME_PAIRS, ids=str)
-def test_summability_matches_halfint_dimension_sum(wp, triple):
-    # the one-sweep sum, bitwise against a loop that calls an int core per shell;
-    # the loop's running sums at the cuts are its partial sums
+# the relative error summability_partial_sum's docstring states past its head
+SUMMABILITY_RTOL = 2e-15
+# the loop's exact sums are fixed-point integers in units of 1/SUMMABILITY_ONE:
+# each of at most 8193 terms is cut by less than one unit, so by < 1e-36 in all
+SUMMABILITY_ONE = 10**40
+
+
+@functools.cache
+def summability_loop(wp, triple):
+    """A loop that calls an int core per shell, summing 2 mult ev^-2 and
+    2 mult ev^-3: {N: (float sums, exact sums)} at its cuts.  N = 1 and 7.5 lie
+    in the head, where the function must return the float sums bitwise; at 513,
+    2047.5 and 4096 the exact sums are Fractions."""
     cuts = {2: 1, 15: 7.5, 1026: 513, 4095: 2047.5, 8192: 4096}  # 2N: N
-    expected = {}
-    square = cube = 0.0
+    # ev = (t + 2)/scale, so 2 mult ev^-e = 2 mult scale^e / (t + 2)^e
+    scale = 1 if triple == "odd" else 2
+    sums, square, cube, exact_square, exact_cube = {}, 0.0, 0.0, 0, 0
     for t in range(max(cuts) + 1):
         if triple == "odd":
             ev, mult = t + 2.0, dim_V_down_doubled(wp, t + 2)
@@ -595,11 +608,68 @@ def test_summability_matches_halfint_dimension_sum(wp, triple):
         if mult:
             square += 2.0 * mult * ev ** (-2)
             cube += 2.0 * mult * ev ** (-3)
+            exact_square += 2 * mult * scale**2 * SUMMABILITY_ONE // (t + 2) ** 2
+            exact_cube += 2 * mult * scale**3 * SUMMABILITY_ONE // (t + 2) ** 3
         if t in cuts:
-            expected[cuts[t]] = square, cube
-    for N, (square, cube) in expected.items():
+            sums[cuts[t]] = (square, cube), (Fraction(exact_square, SUMMABILITY_ONE),
+                                             Fraction(exact_cube, SUMMABILITY_ONE))
+    return sums
+
+
+def summability_errors(func, wp, triple):
+    """Relative errors of ``func`` against the loop's exact sums at the cuts
+    past the head, both exponents."""
+    return [abs(Fraction(func(wp, N, triple, exponent)) - ref) / ref
+            for N, (_, refs) in summability_loop(wp, triple).items() if N > 7.5
+            for exponent, ref in zip((2, 3), refs)]
+
+
+@pytest.mark.parametrize("triple", ["odd", "even"])
+@pytest.mark.parametrize("wp", COPRIME_PAIRS, ids=str)
+def test_summability_matches_halfint_dimension_sum(wp, triple):
+    # within the head the one-sweep sum is bitwise the loop's running sums;
+    # past it the Euler-Maclaurin tail is within the stated bound of the exact sums
+    sums = summability_loop(wp, triple)
+    for N in (1, 7.5):
+        (square, cube), _ = sums[N]
         assert summability_partial_sum(wp, N, triple).hex() == square.hex(), N
         assert summability_partial_sum(wp, N, triple, exponent=3).hex() == cube.hex(), N
+    assert max(summability_errors(summability_partial_sum, wp, triple)) <= SUMMABILITY_RTOL
+
+
+def mutated_summability(old, new):
+    """summability_partial_sum from a copy of the exact namespace in which its
+    source has ``old`` replaced by ``new``; the module itself is untouched."""
+    namespace = dict(vars(exact))
+    source = inspect.getsource(exact.summability_partial_sum)
+    assert source.count(old) == 1, old
+    exec(source.replace(old, new), namespace)
+    return namespace["summability_partial_sum"]
+
+
+@pytest.mark.parametrize("mutant", [f"B{2 * j}" for j in range(1, 5)] + ["K+1", "K-1"])
+def test_summability_error_check_fails_on_mutants(monkeypatch, mutant):
+    # B_2 ... B_8 scaled by 1 + 1e-3; the later ones so scaled move a term at
+    # x >= 10 by less than the bound, below what a double sum can show
+    func = summability_partial_sum
+    if mutant.startswith("B"):
+        j = int(mutant[1:]) // 2
+        monkeypatch.setattr(exact, "_EM_COEFFS", {
+            s: [c * (1 + 1e-3) if i == j else c for i, c in enumerate(coeffs, 1)]
+            for s, coeffs in exact._EM_COEFFS.items()})
+    else:  # each class's shell count K_r off by one
+        new = {"K+1": "// period + 2 -", "K-1": "// period -"}[mutant]
+        func = mutated_summability("// period + 1 -", new)
+    errors = [e for wp in WPS for triple in ("odd", "even")
+              for e in summability_errors(func, wp, triple)]
+    assert max(errors) > SUMMABILITY_RTOL
+
+
+@pytest.mark.parametrize("triple", ["odd", "even"])
+def test_summability_refuses_other_exponents(triple):
+    for exponent in (1, 4, 2.5):
+        with pytest.raises(ValueError, match=f"exponent must be 2 or 3, got {exponent!r}"):
+            summability_partial_sum(WeightPair(1, 2), 4, triple, exponent)
 
 
 @pytest.mark.parametrize("core", [dim_V_down_doubled, dim_V_doubled])
@@ -610,6 +680,19 @@ def test_int_cores_are_linear_on_each_residue_class(core):
         for t in range(period):
             first, second, third = (core(wp, t + n * period) for n in range(3))
             assert third - second == second - first, (wp, t)
+
+
+@pytest.mark.parametrize("core", [dim_V_down_doubled, dim_V_doubled])
+@settings(deadline=None)
+@given(ks=st.integers(2, 10_000).flatmap(lambda s: st.tuples(st.integers(1, s - 1), st.just(s))),
+       t=st.integers(0, 10**12))
+def test_int_cores_are_linear_on_residue_classes_of_large_pairs(core, ks, t):
+    # the one assumption of the summability tail, past the pairs pinned above
+    k, s = ks
+    assume(math.gcd(k, s) == 1)
+    wp, period = WeightPair(k, s - k), 2 * s
+    first, second, third = (core(wp, t + n * period) for n in range(3))
+    assert third - second == second - first
 
 
 @pytest.mark.parametrize("triple", ["odd", "even"])

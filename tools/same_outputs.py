@@ -34,8 +34,9 @@ The families are:
   ``gns_multiplication`` triplets of a and b on their labels;
 - ``exact``: both triples' spectra up to cap 20 for every coprime (k, l)
   with k + l <= 12, ``dim_table`` up to index 25 and
-  ``summability_partial_sum`` at N = 512, 1024 and 2048 with the exponents 2
-  and 3, and the refusals of a triple that is neither 'odd' nor 'even' by
+  ``summability_partial_sum`` at N = 7.5 (within the sum's head for every
+  pair), 512, 1024, 2048 and 65536 with the exponents 2 and 3, and the
+  refusals of a triple that is neither 'odd' nor 'even' by
   ``summability_partial_sum`` and the spectra's ``_spectrum``, alone and
   after a refused N or cap;
 - ``sparse``: ``operators.operator_norm`` on the benchmark warm-up's sparse
@@ -77,7 +78,8 @@ WP_PAIRS = ((1, 1), (1, 2), (2, 3))
 NORM_CAPS = (4, 6, 8, 10, 12, 16)
 SPINOR_QS = QS + (0.05,)
 SPINOR_PAIRS = WP_PAIRS + ((3, 5),)
-SUMMABILITY_NS = (512, 1024, 2048)
+# 7.5 lies within every pair's head (2N + 1 <= 20(k+l)), the rest past it
+SUMMABILITY_NS = (7.5, 512, 1024, 2048, 65536)
 EXACT_PAIRS = [(k, s - k) for s in range(2, 13) for k in range(1, s) if math.gcd(k, s - k) == 1]
 BAD_TRIPLES = ("", "Odd", "both", None)
 SPARSE_PER_DTYPE = 20

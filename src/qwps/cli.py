@@ -44,7 +44,7 @@ CAP_GUARD = 10_000
 # summability adds min(2N + 1, 20(k+l)) shells one by one, twice for each --nlist
 # entry N, and the rest in closed form per residue class mod 2(k+l); so the guard
 # binds only pairs whose k + l exceeds about N/10: entries summing to 1e6 took
-# 1.9-2.7 s and 88 MB at (1, 1e9), against 0.08-0.14 s and 16 MB at (1, 1)
+# 2.0-2.3 s and 32 MB at (1, 1e9), against 0.08-0.14 s and 16 MB at (1, 1)
 NLIST_GUARD = 1_000_000
 
 

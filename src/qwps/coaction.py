@@ -16,8 +16,10 @@ The eigenspace dimension formulas and their counting oracles live in
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import reduce
 
+from .cg import cg_blocks
 from .coord import AlgebraElement, BasisIndex, gens, multiply, star, unit
 from .exact import QContext, WeightPair, _p_window, hi, residual_max, wp_relations, wp_words
 # bench/ reads the five dimension functions under this module's name
@@ -48,7 +50,15 @@ def degree(wp: WeightPair, idx: BasisIndex) -> int:
 
 def wp_gens(wp: WeightPair, ctx: QContext):
     """Generators a = beta beta*, b = beta^k alpha^l of the degree-0 subalgebra,
-    the words of :func:`qwps.exact.wp_words` multiplied left to right."""
+    the words of :func:`qwps.exact.wp_words` multiplied left to right.
+
+    Each prefix of b is one matrix element of spin i/2, so the product reads the
+    blocks (2lam1, 2lam2) = (i, 1), i < k + l; one call builds them in batches
+    first.  A block refused there (an overflowing q-integer) is left to the
+    product, which reads it only if its prefix has not underflowed to zero, so
+    every refusal is the product's."""
+    with suppress(ValueError):
+        cg_blocks(range(1, wp.s), (1,), ctx)
     letters = dict(zip(("alpha", "beta", "alphastar", "betastar"), gens(ctx)))
     return tuple(reduce(lambda x, y: multiply(x, y, ctx), map(letters.get, word))
                  for word in wp_words(wp.k, wp.l)[:2])

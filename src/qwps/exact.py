@@ -460,9 +460,12 @@ def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -
     scale, core = _triple(triple)
     if exponent not in (2, 3):
         raise ValueError(f"exponent must be 2 or 3, got {exponent!r}")
-    mults = [core(wp, t) for t in ts]
-    steps = [2.0 * (b - a) for a, b in zip(mults, mults[period:])]
-    firsts = [2.0 * m for m in mults[:period]]
+    # one list, of doubled multiplicities as ints, cut to the first period once the
+    # class steps are read: each is exact in a double, so the sums below read the
+    # bits they would read from floats
+    firsts = [2 * core(wp, t) for t in ts]
+    steps = [float(b - a) for a, b in zip(firsts, firsts[period:])]
+    del firsts[period:]
     periods = accumulate(repeat(steps), lambda row, step: list(map(add, row, step)),
                          initial=firsts)
     # the powers come first, so the sweep stops after the head's last shell even

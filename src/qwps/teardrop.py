@@ -13,8 +13,11 @@ coordinate algebra lives on l2(Z) ⊗ l2(N0),
 
 The models are evaluated on finite truncations, the relations of a and b
 stated by :func:`~qwps.exact.wp_relations` entrywise on their coefficient
-arrays.  The ambient generators are weighted shifts, so an ambient word is
-applied exactly to one basis vector at a time.  Restricting the ambient
+arrays.  The ambient generators are weighted shifts, so an ambient word sends
+each basis vector to one multiple of one basis vector; it is walked once over
+arrays of basis vectors, with one table of Python's powers q**e per walk and
+the letters' coefficients multiplied in word order, so each entry is bitwise
+the walk of that vector alone.  Restricting the ambient
 representation to the invariant subspaces X_m (spanned by e_{m+p} ⊗ e_p^s)
 recovers the closed forms above independently of m, degree-nl elements move
 X_m to X_{m+n}, and products drawn from alpha*^j times the degree-nl
@@ -25,7 +28,8 @@ component of order nl + j.
 
 from __future__ import annotations
 
-import math
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -55,14 +59,19 @@ def _check_wp_args(l, s, N):
         raise ValueError(f"N must be >= 2, got {N}")
 
 
+def _powers(q: float, stop: int) -> np.ndarray:
+    """Python's q**e for e = 0 .. stop - 1, as float64: the exponents are Python
+    ints in an object array, so each entry is the scalar formulas' q**e;
+    numpy's SIMD power rounds some of them differently."""
+    return np.power(q, np.arange(stop, dtype=object)).astype(float)
+
+
 def _wp_coefficients(l, s, N, q):
     """The diagonal of a on copy s, and c with b* e_{p+1} = c[p] e_p, b e_p = c[p] e_{p+1},
     one row per s if s is an int column: with n = lp + s - 1, a = q^{2n} and c the
-    product of q^{n+l} and sqrt(1 - q^{2(n+i)}) over i = l, ..., 1, in that order.
-    The powers are Python's q**e, as in the scalar formulas; numpy's SIMD power
-    rounds some of them differently."""
+    product of q^{n+l} and sqrt(1 - q^{2(n+i)}) over i = l, ..., 1, in that order."""
     n = l * np.arange(N) + s - 1
-    pw = np.array([q**e for e in range(2 * int(np.max(n)) + 1)])
+    pw = _powers(q, 2 * int(np.max(n)) + 1)
     prod = np.ones(n[..., 1:].shape)
     for i in range(l, 0, -1):
         prod *= np.sqrt(1.0 - pw[2 * (n[..., :-1] + i)])
@@ -87,34 +96,44 @@ def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> Truncated
 # ambient representation on l2(Z) ⊗ l2(N0)
 
 
-def _ambient_word(word, z: int, n: int, ctx: QContext):
-    """Image of e_z ⊗ e_n under a word in the generators, as (coeff, z', n').
+def _ambient_word(word, z, n, ctx: QContext):
+    """Image of e_z ⊗ e_n under a word in the generators, as (coeff, z', n'),
+    entrywise over int arrays z, n of one shape; on ints it returns
+    (float, int, int).
 
     Every generator is a weighted shift, so a word sends a basis vector to one
     multiple of one basis vector; the rightmost letter acts first, and alpha*
-    kills e_0.  The coefficients are multiplied in word order, the association
-    order of the matrix product of the letters.
+    kills e_0: a killed entry reads 0.0 and keeps the z, n it had there.  The
+    powers are Python's q**e from one table of :func:`_powers`, and the
+    letters' coefficients are multiplied in word order, the association order
+    of the matrix product of the letters, so every entry is bitwise the walk
+    of one basis vector at a time in Python floats.
     """
-    q = ctx.q
+    z, n = np.asarray(z, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    if n.min(initial=0) < 0:
+        raise ValueError("n must be >= 0: the ambient representation lives on l2(Z) ⊗ l2(N0)")
+    top = int(n.max(initial=0)) + word.count("alpha")  # the largest n reached
+    pw = _powers(ctx.q, 2 * top + 1)  # the beta, beta* weight q^n at n
+    root = np.sqrt(1.0 - pw[::2])  # the alpha, alpha* weight sqrt(1 - q^{2n}) at n
+    alive = np.ones(n.shape, dtype=bool)
     coeffs = []
     for letter in reversed(word):
         if letter == "alpha":
-            n += 1
-            coeffs.append(math.sqrt(1.0 - q ** (2 * n)))
+            n = n + alive
+            coeffs.append(root[n])
         elif letter == "alphastar":
-            if n == 0:
-                return 0.0, z, n
-            coeffs.append(math.sqrt(1.0 - q ** (2 * n)))
-            n -= 1
-        elif letter == "beta":
-            coeffs.append(q**n)
-            z += 1
-        elif letter == "betastar":
-            coeffs.append(q**n)
-            z -= 1
+            alive = alive & (n > 0)
+            coeffs.append(root[n])
+            n = n - alive
+        elif letter in ("beta", "betastar"):
+            coeffs.append(pw[n])
+            z = z + alive if letter == "beta" else z - alive
         else:
             raise ValueError(f"unknown generator letter {letter!r}")
-    return math.prod(reversed(coeffs)), z, n
+    coeff = np.where(alive, reduce(mul, reversed(coeffs), 1.0), 0.0)
+    if coeff.ndim == 0:
+        return float(coeff), int(z), int(n)
+    return coeff, z, n
 
 
 def wp_rep_via_ambient(
@@ -126,12 +145,12 @@ def wp_rep_via_ambient(
     word = dict(zip(("a", "b", "bstar"), wp_words(1, l))).get(gen)
     if word is None:
         raise ValueError(f"gen must be 'a', 'b' or 'bstar', got {gen!r}")
+    p = np.arange(N)
+    coeff, z, n = _ambient_word(word, m + p, l * p + s - 1, ctx)
+    p_out = z - m
+    kept = (0 <= p_out) & (p_out < N) & (n == l * p_out + s - 1)
     mat = np.zeros((N, N), dtype=complex)
-    for p in range(N):
-        coeff, z, n = _ambient_word(word, m + p, l * p + s - 1, ctx)
-        p_out = z - m
-        if 0 <= p_out < N and n == l * p_out + s - 1:
-            mat[p_out, p] = coeff
+    mat[p_out[kept], p[kept]] = coeff[kept]
     basis = tuple((s, p) for p in range(N))
     return TruncatedOperator(basis, mat)
 
@@ -207,8 +226,10 @@ def block_structure_evidence(l: int, n: int, j: int, N: int, ctx: QContext) -> d
     s <= j and n for s > j), with compact corrections that decay
     geometrically; everything off that pattern should vanish.
 
-    The compact-tail criterion is conservative: beyond row/column N/2 the
-    residual against the asymptotic shift must fall below q^{N/4}.
+    Each sample word is walked once over every copy s and index p, and each
+    copy's block is scattered from the walk's arrays.  The compact-tail
+    criterion is conservative: beyond row/column N/2 the residual against the
+    asymptotic shift must fall below q^{N/4}.
     """
     if not (1 <= j <= l):
         raise ValueError(f"need 1 <= j <= l, got j = {j}")
@@ -218,29 +239,29 @@ def block_structure_evidence(l: int, n: int, j: int, N: int, ctx: QContext) -> d
     m0 = 0
     ranks = ktheory_class(l, n + j // l, j % l).ranks
     report = {"l": l, "n": n, "j": j, "N": N, "samples": [], "pass": True}
+    # copy s goes to copy t_of[s - 1] with shift power pow_of[s - 1]
+    t_of = [(s_in - j - 1) % l + 1 for s_in in range(1, l + 1)]
+    pow_of = [ranks[s_t - 1] for s_t in t_of]
+    # row s - 1 of each array holds copy s: e_{m0+p} ⊗ e^s_p at column p, and
+    # the pattern's z' - p' and n' mod l for it
+    copy, p = np.indices((l, N))
+    z_in, n_in = m0 + p, l * p + copy
+    z_to, mod_to = m0 + np.array(pow_of)[:, None], np.array(t_of)[:, None] - 1
     for sample in _degree_samples(l, n):
         word = ("alphastar",) * j + sample
         entry = {"word": "*".join(word) if word else "1", "blocks": {}, "off_pattern": 0.0}
-        off_pattern = []
-        for s_in in range(1, l + 1):
-            s_t = (s_in - j - 1) % l + 1
-            pow_t = ranks[s_t - 1]
-            block = np.zeros((N, N))
-            for p in range(N):
-                coeff, z_out, n_out = _ambient_word(word, m0 + p, l * p + s_in - 1, ctx)
-                if abs(coeff) <= 1e-16:
-                    continue
-                p_out, s_out = divmod(n_out, l)
-                s_out += 1
-                if (z_out - p_out, s_out) == (m0 + pow_t, s_t):
-                    if p_out < N:
-                        block[p_out, p] = coeff
-                else:
-                    off_pattern.append(abs(coeff))
+        coeff, z_out, n_out = _ambient_word(word, z_in, n_in, ctx)
+        p_out, mod_out = np.divmod(n_out, l)
+        kept = ~(np.abs(coeff) <= 1e-16)
+        on = (z_out - p_out == z_to) & (mod_out == mod_to)
+        put = kept & on & (p_out < N)
+        blocks = np.zeros((l, N, N))
+        blocks[copy[put], p_out[put], p[put]] = coeff[put]
+        for s_in, (block, s_t, pow_t) in enumerate(zip(blocks, t_of, pow_of), 1):
             info = _shift_plus_compact(block, pow_t, q, N)
             info["s_in"], info["s_out"] = s_in, s_t
             entry["blocks"][f"{s_in}->{s_t}"] = info
-        entry["off_pattern"] = float(residual_max(off_pattern))
+        entry["off_pattern"] = float(residual_max(np.abs(coeff[kept & ~on]).tolist()))
         ok = entry["off_pattern"] < 10 * ctx.tol
         entry["pass"] = bool(ok and all(info["pass"] for info in entry["blocks"].values()))
         report["samples"].append(entry)

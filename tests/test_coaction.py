@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qwps import coaction, exact, teardrop
+from qwps import cg, coaction, exact, teardrop
 from qwps.coaction import (
     coinvariant_coord_basis,
     degree,
@@ -100,6 +100,28 @@ def test_wp_b_is_one_matrix_element(q):
             if math.gcd(k, s - k) == 1:
                 _, b = wp_gens(WeightPair(k, s - k), ctx)
                 assert list(b.terms) == [BasisIndex.doubled(s, s, s - 2 * k)], (k, s - k)
+
+
+def test_cold_wp_gens_builds_its_chain_in_few_batches(monkeypatch):
+    # b = beta^k alpha^l reads the blocks (i, 1), i < k + l, one per letter; they
+    # are requested before the product, so a cold call builds each once, in 22
+    # batches at (1, 64) where it took one build per letter, and a warm one none
+    calls = []
+    build_batch = cg._build_batch
+
+    def counted(pairs, ctx):
+        calls.append(list(pairs))
+        return build_batch(pairs, ctx)
+
+    monkeypatch.setattr(cg, "_cache", {})
+    monkeypatch.setattr(cg, "_build_batch", counted)
+    wp = WeightPair(1, 64)
+    wp_gens(wp, CTX)
+    assert sorted(pair for batch in calls for pair in batch) == [(i, 1) for i in range(1, 65)]
+    assert len(calls) <= wp.s // 2
+    calls.clear()
+    wp_gens(wp, CTX)
+    assert calls == []
 
 
 WP_RELATION_CASES = [

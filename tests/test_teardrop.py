@@ -1,5 +1,6 @@
 """Teardrop operator models, block patterns, projection classes."""
 
+import itertools
 import math
 import re
 
@@ -184,6 +185,55 @@ def test_wp_rep_independent_of_m():
         assert np.abs(mats[0] - closed).max() < 1e-12
 
 
+def reference_ambient_word(word, z, n, q):
+    """The scalar walk the array walk replaced: one basis vector, rightmost
+    letter first, coefficients multiplied in word order."""
+    coeffs = []
+    for letter in reversed(word):
+        if letter == "alpha":
+            n += 1
+            coeffs.append(math.sqrt(1.0 - q ** (2 * n)))
+        elif letter == "alphastar":
+            if n == 0:
+                return 0.0, z, n
+            coeffs.append(math.sqrt(1.0 - q ** (2 * n)))
+            n -= 1
+        elif letter == "beta":
+            coeffs.append(q**n)
+            z += 1
+        else:
+            coeffs.append(q**n)
+            z -= 1
+    return math.prod(reversed(coeffs)), z, n
+
+
+LETTERS = ("alpha", "alphastar", "beta", "betastar")
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_ambient_word_matches_scalar_reference_bitwise(q):
+    ctx = QContext(q, 1e-9)
+    z, n = np.meshgrid(np.arange(-2, 3), np.arange(41), indexing="ij")
+    points = list(zip(z.ravel().tolist(), n.ravel().tolist()))
+    killed = 0
+    for length in range(7):
+        for word in itertools.product(LETTERS, repeat=length):
+            coeff, z_out, n_out = _ambient_word(word, z, n, ctx)
+            want_c, want_z, want_n = zip(*[reference_ambient_word(word, *pt, q) for pt in points])
+            # equal bytes of float64 entries: equal float.hex
+            assert coeff.tobytes() == np.array(want_c, dtype=float).tobytes(), word
+            assert z_out.ravel().tolist() == list(want_z), word
+            assert n_out.ravel().tolist() == list(want_n), word
+            killed += want_c.count(0.0)
+    assert killed > 0
+    # on ints the walk returns (float, int, int)
+    got = _ambient_word(("alphastar", "beta", "alpha"), 1, 2, ctx)
+    assert [type(x) for x in got] == [float, int, int]
+    assert got == reference_ambient_word(("alphastar", "beta", "alpha"), 1, 2, q)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        _ambient_word(("alpha",), 0, -1, ctx)
+
+
 def _apply(words, z, n, ctx):
     """Sum of coefficient * word over (coefficient, word) pairs, on e_z ⊗ e_n."""
     out = {}
@@ -240,9 +290,8 @@ def test_block_report_off_pattern_propagates_nan(monkeypatch):
 
     def strays(word, z, n, ctx):
         coeff, z_out, n_out = ambient_word(word, z, n, ctx)
-        if z in (3, 5):
-            return (1e-12 if z == 3 else math.nan), z_out + 1, n_out
-        return coeff, z_out, n_out
+        coeff = np.where(z == 3, 1e-12, np.where(z == 5, math.nan, coeff))
+        return coeff, z_out + np.isin(z, (3, 5)), n_out
 
     monkeypatch.setattr(teardrop, "_ambient_word", strays)
     report = block_structure_evidence(2, 1, 1, 16, CTX)

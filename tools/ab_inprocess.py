@@ -8,7 +8,7 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Nine things are timed per round, the side that goes first alternating:
+Eleven things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
@@ -33,7 +33,15 @@ Nine things are timed per round, the side that goes first alternating:
   with the exponents 2 and 3, and ``odd_triple_spectrum`` and
   ``even_triple_spectrum`` at cap 20, for both triples and (k, l) = (1, 1),
   (1, 2) and (2, 3): the summability path of the benchmark's ``algebra``
-  workload.
+  workload;
+- ``teardrop``: the ``spectral`` benchmark's teardrop ambient words,
+  ``teardrop.block_structure_evidence`` for (l, j, n) = (2, 1, 0), (2, 1, 1),
+  (3, 1, -1) and (3, 2, 0) at N = 64 and ``wp_rep_via_ambient`` for
+  (l, s, gen) = (2, 1, a), (2, 2, b) and (3, 1, bstar) at m = -2, 0 and 5 and
+  N = 12, at q = 0.5;
+- ``cold-chain``: ``dirac.chirality_checks((1, 64), 5)`` from an emptied
+  block cache at the same three q as ``build``, which builds the chain of
+  blocks that ``coaction.wp_gens`` multiplies through.
 
 Each task runs once on each side before its timed rounds.  For each it
 prints the median change/parent time ratio, its quartiles and the
@@ -60,6 +68,8 @@ SPINOR_J_MAX = 6
 HIT_REPEATS = 20
 NORM_CAPS = (4, 6, 8, 10, 12, 16)
 SUMMABILITY_NS = (512, 1024, 2048)
+TEARDROP_BLOCKS = ((2, 1, 0), (2, 1, 1), (3, 1, -1), (3, 2, 0))  # (l, j, n)
+TEARDROP_AMBIENT = ((2, 1, "a"), (2, 2, "b"), (3, 1, "bstar"))  # (l, s, gen)
 ROUNDS = 60  # interleaved rounds per task
 
 
@@ -140,6 +150,27 @@ def exact(pkg):
         ex.even_triple_spectrum(wp, 20)
 
 
+def teardrop(pkg):
+    ctx, td = pkg["norm_ctx"], pkg["teardrop"]
+    for l, j, n in TEARDROP_BLOCKS:
+        td.block_structure_evidence(l, n, j, 64, ctx)
+    for l, s, gen in TEARDROP_AMBIENT:
+        for m in (-2, 0, 5):
+            td.wp_rep_via_ambient(l, m, s, gen, 12, ctx)
+
+
+def cold_chain(pkg):
+    pkg["cg"].clear_cache()
+    for ctx in pkg["ctxs"]:
+        pkg["dirac"].chirality_checks(pkg["exact"].WeightPair(1, 64), 5, ctx)
+
+
+TASKS = (("build", build), ("block-hit", block_hits), ("actions", actions),
+         ("star-pairing", star_pairing), ("qdirac", qdirac), ("spinors", spinors),
+         ("cold-pass", cold_pass), ("norms", norms), ("exact", exact), ("teardrop", teardrop),
+         ("cold-chain", cold_chain))
+
+
 def timed(fn, pkg) -> float:
     start = time.perf_counter()
     fn(pkg)
@@ -160,9 +191,7 @@ def main(argv=None) -> int:
             pkg["ctxs"] = [pkg["exact"].QContext(q, 1e-9) for q in QS]
             pkg["norm_ctx"] = pkg["exact"].QContext(0.5, 1e-9)
         print(f"{'task':<12} {'median':>7} {'q1':>7} {'q3':>7}  change faster")
-        for label, fn in (("build", build), ("block-hit", block_hits), ("actions", actions),
-                          ("star-pairing", star_pairing), ("qdirac", qdirac), ("spinors", spinors),
-                          ("cold-pass", cold_pass), ("norms", norms), ("exact", exact)):
+        for label, fn in TASKS:
             for pkg in sides.values():
                 fn(pkg)  # one untimed run warms the allocator and the blocks the task reads
             ratios = []

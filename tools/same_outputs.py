@@ -15,7 +15,9 @@ The families are:
   letters and every two-letter word on 40 seeded mixed elements per q, with
   terms and their order;
 - ``reports``: the library report behind every verify suite, with
-  ``coord.action_table_residuals`` and ``star_pairing_residual``;
+  ``coord.action_table_residuals`` and ``star_pairing_residual``, and
+  ``coaction.verify_wp_relations`` for every coprime (k, l) with k + l <= 8,
+  the pairs of the ``algebra`` benchmark;
 - ``couplings``: the ``coupling`` lists of every Clebsch-Gordan block with
   2 lam1, 2 lam2 <= 20, from an emptied cache;
 - ``norms``: ``dirac.commutator_norm`` for alpha and beta at caps 4 to 16;
@@ -26,10 +28,12 @@ The families are:
   ``dirac.q_dirac_check`` at j_max from -1/2 to 7/2 in steps of 1/2 (the
   ends are refusals).  A label is compared as (2j, 2m, 2mu, arrow), so a
   change of the label's type alone does not count;
-- ``teardrop``: ``teardrop.wp_rep`` and ``wp_rep_via_ambient`` (m = -2, 0
-  and 5) for every l <= 3, copy s and generator at N = 12, the
-  ``block_structure_evidence`` reports for every l <= 3, 1 <= j <= l and
-  n = -1, 0, 1 at N = 64, and ``wp_relation_residuals`` for l <= 4 at N = 64;
+- ``teardrop``: ``teardrop.wp_rep`` at N = 12 and ``wp_rep_via_ambient``
+  (m = -2, 0 and 5) at N = 2 (the benchmark warm-up's) and 12, for every
+  l <= 3, copy s and generator, the ``block_structure_evidence`` reports for
+  every l <= 3, 1 <= j <= l and n = -1, 0, 1 at N = 64 and for every l <= 6,
+  1 <= j <= l and |n| <= 3 (criterion 13's grid) at N = 8 (the guard's
+  edge) and 16, and ``wp_relation_residuals`` for l <= 4 at N = 64;
 - ``even``: the ``dirac.even_triple_operators`` arrays at lam_max 5, and the
   ``gns_multiplication`` triplets of a and b on their labels;
 - ``exact``: both triples' spectra up to cap 20 for every coprime (k, l)
@@ -75,6 +79,7 @@ WORDS = [w for r in range(4) for w in itertools.product(LETTERS, repeat=r)]
 ACTION_WORDS = [w for r in range(3) for w in itertools.product(LETTERS, repeat=r)]
 ELEMENTS_PER_Q = 40
 WP_PAIRS = ((1, 1), (1, 2), (2, 3))
+RELATION_PAIRS = [(k, s - k) for s in range(2, 9) for k in range(1, s) if math.gcd(k, s - k) == 1]
 NORM_CAPS = (4, 6, 8, 10, 12, 16)
 SPINOR_QS = QS + (0.05,)
 SPINOR_PAIRS = WP_PAIRS + ((3, 5),)
@@ -200,8 +205,9 @@ def catalogue(pkg):
             yield "reports", (q, name), call("coord", name, ctx)
         yield "reports", (q, "haar"), call("coord", "haar_orthogonality_residual", ctx, 2)
         yield "reports", (q, "qdirac"), call("dirac", "q_dirac_check", 2, ctx)
-        for k, l in WP_PAIRS:
+        for k, l in RELATION_PAIRS:
             yield "reports", (q, "wp", k, l), call("coaction", "verify_wp_relations", pair(k, l), ctx)
+        for k, l in WP_PAIRS:
             for name in ("chirality_checks", "fredholm_degeneracy"):
                 yield "reports", (q, name, k, l), call("dirac", name, pair(k, l), 5, ctx)
         for l in (1, 2, 3):
@@ -232,12 +238,16 @@ def catalogue(pkg):
             for s, gen in itertools.product(range(1, l + 1), ("a", "b", "bstar")):
                 yield "teardrop", (q, "wp_rep", l, s, gen), call(
                     "teardrop", "wp_rep", l, 0, s, gen, 12, ctx)
-                for m in (-2, 0, 5):
-                    yield "teardrop", (q, "via_ambient", l, m, s, gen), call(
-                        "teardrop", "wp_rep_via_ambient", l, m, s, gen, 12, ctx)
+                for m, N in itertools.product((-2, 0, 5), (2, 12)):
+                    yield "teardrop", (q, "via_ambient", l, m, s, gen, N), call(
+                        "teardrop", "wp_rep_via_ambient", l, m, s, gen, N, ctx)
             for j, n in itertools.product(range(1, l + 1), (-1, 0, 1)):
                 yield "teardrop", (q, "blocks", l, j, n), call(
                     "teardrop", "block_structure_evidence", l, n, j, 64, ctx)
+        for l in range(1, 7):
+            for j, n, N in itertools.product(range(1, l + 1), range(-3, 4), (8, 16)):
+                yield "teardrop", (q, "blocks", l, j, n, N), call(
+                    "teardrop", "block_structure_evidence", l, n, j, N, ctx)
         for l in (1, 2, 3, 4):
             yield "teardrop", (q, "relations", l), call("teardrop", "wp_relation_residuals", l, 64, ctx)
     for q, ctx in ctxs.items():

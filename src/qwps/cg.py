@@ -43,11 +43,12 @@ import math
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
-from .exact import HalfInt, QContext, hi, nonneg_hi
+from .exact import QContext, twice
 from .qcore import q_int, q_roots
 
 __all__ = ["CGBlock", "cg_block", "cg_blocks", "cg_coeff_updown_doubled", "clear_cache"]
@@ -75,8 +76,8 @@ class CGBlock:
     (lam1 + m1)(2lam2 + 1) + lam2 + m2.
     """
 
-    lam1: HalfInt
-    lam2: HalfInt
+    lam1: Fraction
+    lam2: Fraction
     coupling: list = field(repr=False)
 
     @property
@@ -102,8 +103,7 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
     The lock guards the dict only, so builds may nest; of two racing builds,
     the first stored wins.
     """
-    lam1, lam2 = hi(lam1), hi(lam2)
-    key = (lam1.twice, lam2.twice, ctx.q)
+    key = (twice(lam1), twice(lam2), ctx.q)
     with _cache_lock:
         block = _cache.get(key)
     if block is None:
@@ -140,19 +140,22 @@ def cg_blocks(twice1, twice2, ctx: QContext) -> dict:
     return couplings
 
 
-def _build_block(lam1: HalfInt, lam2: HalfInt, ctx: QContext) -> CGBlock:
-    return _build_batch([(hi(lam1).twice, hi(lam2).twice)], ctx)[0]
+def _build_block(lam1, lam2, ctx: QContext) -> CGBlock:
+    return _build_batch([(twice(lam1), twice(lam2))], ctx)[0]
 
 
 def _build_batch(pairs: list, ctx: QContext) -> list[CGBlock]:
     """The blocks (a2/2, b2/2) of ``pairs`` from one pass of the single sum,
     each checked; raises, and returns none of them, if any fails its check."""
-    # a miss for any negative key
-    lams = [(nonneg_hi(HalfInt(a2), "lam1"), nonneg_hi(HalfInt(b2), "lam2")) for a2, b2 in pairs]
+    for a2, b2 in pairs:  # a miss for any negative key
+        for name, t in (("lam1", a2), ("lam2", b2)):
+            if t < 0:
+                raise ValueError(f"{name} must be >= 0, got {Fraction(t, 2)}")
     cells = _cells(pairs)
     couplings = _racah_blocks(cells, ctx.q)
     _check_blocks(couplings, cells, ctx)  # tolist() is exact: these are the stored numbers
-    return [CGBlock(lam1, lam2, coupling.tolist()) for (lam1, lam2), coupling in zip(lams, couplings)]
+    return [CGBlock(Fraction(a2, 2), Fraction(b2, 2), coupling.tolist())
+            for (a2, b2), coupling in zip(pairs, couplings)]
 
 
 def _term_count(a2: int, b2: int) -> int:
@@ -320,8 +323,8 @@ def _check_blocks(couplings: list, cells: _Cells, ctx: QContext) -> list[tuple[f
     for (t1, t2), (orth, inter) in zip(pairs, errors):
         if not (orth <= _BLOCK_GATE and inter <= _BLOCK_GATE):
             raise ValueError(
-                f"Clebsch-Gordan block ({HalfInt(t1)}, {HalfInt(t2)}) at q = {ctx.q} fails its "
-                f"build check: orthogonality error {orth:.3g}, intertwining error {inter:.3g} "
+                f"Clebsch-Gordan block ({Fraction(t1, 2)}, {Fraction(t2, 2)}) at q = {ctx.q} "
+                f"fails its build check: orthogonality error {orth:.3g}, intertwining error {inter:.3g} "
                 f"(bound {_BLOCK_GATE:g})"
             )
     return errors
@@ -329,7 +332,7 @@ def _check_blocks(couplings: list, cells: _Cells, ctx: QContext) -> list[tuple[f
 
 def cg_coeff_updown(j, mu, ctx: QContext) -> tuple[float, float]:
     """:func:`cg_coeff_updown_doubled` at (2j, 2mu)."""
-    return cg_coeff_updown_doubled(hi(j).twice, hi(mu).twice, ctx)
+    return cg_coeff_updown_doubled(twice(j), twice(mu), ctx)
 
 
 def cg_coeff_updown_doubled(tj: int, tmu: int, ctx: QContext) -> tuple[float, float]:
@@ -340,9 +343,9 @@ def cg_coeff_updown_doubled(tj: int, tmu: int, ctx: QContext) -> tuple[float, fl
     they satisfy C^2 + S^2 = 1.
     """
     if tj < 1:
-        raise ValueError(f"need j >= 1/2, got {HalfInt(tj)}")
+        raise ValueError(f"need j >= 1/2, got {Fraction(tj, 2)}")
     if abs(tmu) > tj or (tj - tmu) % 2:
-        raise ValueError(f"mu = {HalfInt(tmu)} out of range for j = {HalfInt(tj)}")
+        raise ValueError(f"mu = {Fraction(tmu, 2)} out of range for j = {Fraction(tj, 2)}")
     denom = q_int(tj, ctx)
     c = ctx.q ** (-(tj + tmu) / 4.0) * math.sqrt(q_int((tj - tmu) // 2, ctx) / denom)
     s = ctx.q ** ((tj - tmu) / 4.0) * math.sqrt(q_int((tj + tmu) // 2, ctx) / denom)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import exact
-from .exact import QContext, WeightPair, hi
+from .exact import QContext, WeightPair, twice
 
 __all__ = ["RunConfig", "main"]
 
@@ -168,16 +168,16 @@ def _emit_table(header, rows, cfg: RunConfig) -> None:
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
     wp = cfg.weight_pair()
     if args.triple == "odd":
-        table = exact.odd_triple_spectrum(wp, hi(cfg.jmax))
+        table = exact.odd_triple_spectrum(wp, cfg.jmax)
     else:
-        table = exact.even_triple_spectrum(wp, hi(cfg.lmax))
+        table = exact.even_triple_spectrum(wp, cfg.lmax)
     rows = [{"eigenvalue": ev, "multiplicity": mult} for ev, mult in table.rows]
     _emit_table(("eigenvalue", "multiplicity"), rows, cfg)
     return 0
 
 
 def _cmd_dims(args, cfg: RunConfig) -> int:
-    rows = exact.dim_table(cfg.weight_pair(), hi(cfg.jmax))
+    rows = exact.dim_table(cfg.weight_pair(), cfg.jmax)
     _emit_table(("family", "index", "closed_form", "oracle", "match"), rows, cfg)
     return 0 if all(row["match"] for row in rows) else 1
 
@@ -188,15 +188,16 @@ def _run_suite(suite: str, cfg: RunConfig) -> dict:
     ctx, wp = cfg.context(), cfg.weight_pair
     if suite == "teardrop" and cfg.k != 1:
         raise ValueError(f"the teardrop suite checks the weight-(1, l) model, got k = {cfg.k}")
-    # each thunk returns the residuals and reads only the caps its suite uses
+    # each thunk returns the residuals and reads only the caps its suite uses; a cap is
+    # parsed before it is clamped, so one that is no half-integer is refused at any size
     thunks = {
         "su2q-relations": lambda: coord.relation_residuals(ctx),
         "wp-relations": lambda: coaction.verify_wp_relations(wp(), ctx),
         "haar": lambda: {"max": coord.haar_orthogonality_residual(ctx, 2)},
         "equivariance": lambda: coord.equivariance_residuals(ctx),
-        "qdirac": lambda: {"max": dirac.q_dirac_check(min(hi(cfg.jmax), hi(2)), ctx)},
-        "chirality": lambda: dirac.chirality_checks(wp(), min(hi(cfg.lmax), hi(5)), ctx),
-        "fredholm": lambda: dirac.fredholm_degeneracy(wp(), min(hi(cfg.lmax), hi(5)), ctx),
+        "qdirac": lambda: {"max": dirac.q_dirac_check(min(twice(cfg.jmax) / 2, 2), ctx)},
+        "chirality": lambda: dirac.chirality_checks(wp(), min(twice(cfg.lmax) / 2, 5), ctx),
+        "fredholm": lambda: dirac.fredholm_degeneracy(wp(), min(twice(cfg.lmax) / 2, 5), ctx),
         "teardrop": lambda: teardrop.wp_relation_residuals(cfg.l, cfg.N, ctx),
     }
     residuals, threshold = thunks[suite](), _SUITES[suite][0] * cfg.tol

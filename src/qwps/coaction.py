@@ -21,7 +21,7 @@ from functools import reduce
 
 from .cg import cg_blocks
 from .coord import AlgebraElement, BasisIndex, gens, multiply, star, unit
-from .exact import QContext, WeightPair, _p_window, hi, residual_max, wp_relations, wp_words
+from .exact import QContext, WeightPair, _p_window, residual_max, twice, wp_relations, wp_words
 # bench/ reads the five dimension functions under this module's name
 from .exact import dim_V, dim_V_down, dim_V_oracle  # noqa: F401
 from .exact import dim_V_down_oracle, dim_V_up_oracle  # noqa: F401
@@ -120,9 +120,8 @@ def coinvariant_coord_basis(wp: WeightPair, lam_max) -> list[BasisIndex]:
 
     |p(l-k)| <= |p(l+k)| <= lam, so the window on m alone bounds n too.
     """
-    lam_max = hi(lam_max)
     return [
         BasisIndex.doubled(tl, tp * wp.s, tp * (wp.l - wp.k))
-        for tl in range(0, lam_max.twice + 1)
+        for tl in range(0, twice(lam_max) + 1)
         for tp in _p_window(wp, -tl, tl, tl)
     ]

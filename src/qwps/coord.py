@@ -17,23 +17,21 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from .cg import cg_blocks
-from .exact import nonneg_hi, residual_max
+from .exact import residual_max, twice
 from .qcore import (
     COPRODUCT,
     LETTERS,
-    HalfInt,
     QContext,
     antipode_letter,
-    hi,
     q_int,
     star_antipode_letter,
     theta_letter,
-    weight_range,
     word_shift,
 )
 
@@ -63,40 +61,37 @@ class BasisIndex(tuple):
     """Label (lam, m, n) of the matrix element t^lam_{mn}.
 
     An immutable tuple of the doubled integers (2 lam, 2 m, 2 n), so hashing
-    and equality run on ints; ``lam``, ``m`` and ``n`` read them back as
-    :class:`HalfInt`.  Both constructors check that lam >= 0 and that m and n
-    lie in {-lam, ..., lam}.
+    and equality run on ints.  The constructor reads any values
+    :func:`~qwps.exact.twice` parses, :meth:`doubled` the doubled ints;
+    ``lam``, ``m`` and ``n`` read them back as Fractions.  Both check that
+    lam >= 0 and that m and n lie in {-lam, ..., lam}.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lam: HalfInt, m: HalfInt, n: HalfInt):
-        return cls.doubled(lam.twice, m.twice, n.twice)
+    def __new__(cls, lam, m, n):
+        return cls.doubled(twice(lam), twice(m), twice(n))
 
     @classmethod
     def doubled(cls, tl: int, tm: int, tn: int) -> "BasisIndex":
         """The index (tl/2, tm/2, tn/2), from its doubled integers."""
         if abs(tm) > tl or abs(tn) > tl or (tl - tm) % 2 or (tl - tn) % 2:
-            lam = HalfInt(tl)
+            lam = Fraction(tl, 2)
             if tl < 0:
                 raise ValueError(f"lam must be >= 0, got {lam}")
-            for name, w in (("m", HalfInt(tm)), ("n", HalfInt(tn))):
-                if abs(w.twice) > tl:
-                    raise ValueError(f"|{name}| = |{w}| exceeds lam = {lam}")
-                if (tl - w.twice) % 2:
-                    raise ValueError(f"{name} = {w} has wrong parity for lam = {lam}")
+            for name, tw in (("m", tm), ("n", tn)):
+                if abs(tw) > tl:
+                    raise ValueError(f"|{name}| = |{Fraction(tw, 2)}| exceeds lam = {lam}")
+                if (tl - tw) % 2:
+                    raise ValueError(f"{name} = {Fraction(tw, 2)} has wrong parity for lam = {lam}")
         return tuple.__new__(cls, (tl, tm, tn))
 
-    lam = property(lambda self: HalfInt(self[0]))
-    m = property(lambda self: HalfInt(self[1]))
-    n = property(lambda self: HalfInt(self[2]))
+    lam = property(lambda self: Fraction(self[0], 2))
+    m = property(lambda self: Fraction(self[1], 2))
+    n = property(lambda self: Fraction(self[2], 2))
 
     def __getnewargs__(self):
         return self.lam, self.m, self.n
-
-    @staticmethod
-    def of(lam, m, n) -> "BasisIndex":
-        return BasisIndex(hi(lam), hi(m), hi(n))
 
     def __str__(self):
         return f"t[{self.lam};{self.m},{self.n}]"
@@ -105,7 +100,7 @@ class BasisIndex(tuple):
         return f"BasisIndex(lam={self.lam!r}, m={self.m!r}, n={self.n!r})"
 
 
-_UNIT_INDEX = BasisIndex.of(0, 0, 0)
+_UNIT_INDEX = BasisIndex.doubled(0, 0, 0)
 
 
 class AlgebraElement:
@@ -176,11 +171,10 @@ def gens(ctx: QContext):
     alpha = t^{1/2}_{1/2,1/2}, beta = t^{1/2}_{1/2,-1/2},
     alpha* = t^{1/2}_{-1/2,-1/2}, beta* = -(1/q) t^{1/2}_{-1/2,1/2}.
     """
-    h = hi(0.5)
-    alpha = AlgebraElement.basis(BasisIndex(h, h, h))
-    beta = AlgebraElement.basis(BasisIndex(h, h, -h))
-    alpha_star = AlgebraElement.basis(BasisIndex(h, -h, -h))
-    beta_star = AlgebraElement.basis(BasisIndex(h, -h, h), -1.0 / ctx.q)
+    alpha = AlgebraElement.basis(BasisIndex.doubled(1, 1, 1))
+    beta = AlgebraElement.basis(BasisIndex.doubled(1, 1, -1))
+    alpha_star = AlgebraElement.basis(BasisIndex.doubled(1, -1, -1))
+    beta_star = AlgebraElement.basis(BasisIndex.doubled(1, -1, 1), -1.0 / ctx.q)
     return alpha, beta, alpha_star, beta_star
 
 
@@ -224,7 +218,7 @@ def star(a: AlgebraElement, ctx: QContext) -> AlgebraElement:
 def right_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
     """Right regular representation: the word's weighted shift moves the column index n."""
     out: dict[BasisIndex, complex] = {}
-    shifts = {tl: word_shift(HalfInt(tl), word, ctx) for tl in {idx[0] for idx in a.terms}}
+    shifts = {tl: word_shift(tl / 2, word, ctx) for tl in {idx[0] for idx in a.terms}}
     for (tl, tm, tn), c in a.terms.items():
         shift, coeffs = shifts[tl]
         v = coeffs[(tn + tl) // 2]
@@ -246,7 +240,7 @@ def left_act(word, a: AlgebraElement, ctx: QContext) -> AlgebraElement:
         letters.append(image)
         scalars.append(sign * scalar)
     out: dict[BasisIndex, complex] = {}
-    shifts = {tl: word_shift(HalfInt(tl), letters, ctx, scalars)
+    shifts = {tl: word_shift(tl / 2, letters, ctx, scalars)
               for tl in {idx[0] for idx in a.terms}}
     for (tl, tm, tn), c in a.terms.items():
         shift, coeffs = shifts[tl]
@@ -403,17 +397,12 @@ def action_table_residuals(ctx: QContext) -> dict:
 
 def haar_orthogonality_residual(ctx: QContext, lam_max=2) -> float:
     """Max deviation of <t^lam_{mn}, t^lam'_{m'n'}> from delta*q^{-2m}/[2lam+1]."""
-    lam_max = nonneg_hi(lam_max, "lam_max")
-    indices = []
-    for tl in range(0, lam_max.twice + 1):
-        lam = HalfInt(tl)
-        for m in weight_range(lam):
-            for n in weight_range(lam):
-                indices.append(BasisIndex(lam, m, n))
-    basis = [AlgebraElement.basis(idx) for idx in indices]
+    indices = [(tl, tm, tn) for tl in range(twice(lam_max, "lam_max") + 1)
+               for tm in range(-tl, tl + 1, 2) for tn in range(-tl, tl + 1, 2)]
+    basis = [AlgebraElement.basis(BasisIndex.doubled(*idx)) for idx in indices]
     deviation = gram(basis, basis, ctx)
-    for k, idx in enumerate(indices):
-        deviation[k, k] -= ctx.q ** (-2 * idx.m.float) / q_int(2 * idx.lam + 1, ctx)
+    for k, (tl, tm, _) in enumerate(indices):
+        deviation[k, k] -= ctx.q ** -tm / q_int(tl + 1, ctx)
     return residual_max(np.abs(deviation).ravel().tolist())
 
 
@@ -456,7 +445,7 @@ def star_pairing_residual(ctx: QContext) -> float:
         images = [star_antipode_letter(letter, ctx) for letter in w]
         mapped.append((w, math.prod(c for c, _ in images), tuple(x for _, x in images)))
     tls = range(4)  # 2 lam
-    rho = {(tl, w): word_shift(HalfInt(tl), w, ctx) for tl in tls for w in words}
+    rho = {(tl, w): word_shift(tl / 2, w, ctx) for tl in tls for w in words}
 
     def pair(a, word):  # the dual pairing, by linearity
         total = 0j

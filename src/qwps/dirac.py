@@ -29,6 +29,7 @@ at a time and, for alpha, one of each mirrored pair.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .cg import cg_blocks, cg_coeff_updown_doubled
 from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
-from .exact import HalfInt, QContext, WeightPair, _p_window, hi, nonneg_hi, residual_max
+from .exact import QContext, WeightPair, _p_window, residual_max, twice
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
 from .operators import eigvalsh_max
 from .qcore import irrep_word, q_int
@@ -52,7 +53,7 @@ __all__ = [
     "fredholm_degeneracy",
 ]
 
-Q_DIRAC_GUARD = hi(3)
+Q_DIRAC_GUARD = 3
 # b is one matrix element, but pi(b) reads the coupling lists of the CG blocks ((k+l)/2, lam),
 # and building b the other blocks and irreps up to (k+l)/2: at (1, 127), lam_max 5 these kept
 # 1.5, 2.7 and 12 MB.  verify --suite chirality at (1, 64) took 0.35 s and 37 MB, (1, 127)
@@ -61,7 +62,7 @@ EVEN_TRIPLE_GUARD = 128
 # commutator_norm reads the (2 cap)^3 / 3 or so GNS labels of its interior shells, 2.7e9 at cap 1000.
 # At cap 80 and q = 0.5, alpha took 0.60-0.65 s with a tracemalloc peak of 76 MiB, and beta
 # 0.68-0.77 s and 80 MiB, on 2 cores
-COMMUTATOR_GUARD = hi(80)
+COMMUTATOR_GUARD = 80
 
 
 class SpinorBasisIndex(tuple):
@@ -71,14 +72,15 @@ class SpinorBasisIndex(tuple):
     lam = j - 1/2 (j >= 1/2, |m| <= j-1/2), lam the highest weight of the
     coordinate leg; |mu| <= j for both.  An immutable tuple (2j, 2m, 2mu,
     arrow) of the doubled integers, as :class:`~qwps.coord.BasisIndex`, so
-    hashing and equality run on ints; ``j``, ``m``, ``mu`` and ``lam`` read
-    them back as :class:`HalfInt`.
+    hashing and equality run on ints.  The constructor reads any values
+    :func:`~qwps.exact.twice` parses, :meth:`doubled` the doubled ints;
+    ``j``, ``m``, ``mu`` and ``lam`` read them back as Fractions.
     """
 
     __slots__ = ()
 
-    def __new__(cls, j: HalfInt, m: HalfInt, mu: HalfInt, arrow: str):
-        return cls.doubled(j.twice, m.twice, mu.twice, arrow)
+    def __new__(cls, j, m, mu, arrow: str):
+        return cls.doubled(twice(j), twice(m), twice(mu), arrow)
 
     @classmethod
     def doubled(cls, tj: int, tm: int, tmu: int, arrow: str) -> "SpinorBasisIndex":
@@ -87,19 +89,21 @@ class SpinorBasisIndex(tuple):
             raise ValueError(f"arrow must be 'up' or 'down', got {arrow!r}")
         tl = tj + 1 if arrow == "up" else tj - 1
         if abs(tmu) > tj or (tj - tmu) % 2 or abs(tm) > tl or (tl - tm) % 2:
-            j = nonneg_hi(HalfInt(tj), "j")
+            j = Fraction(tj, 2)
+            if tj < 0:
+                raise ValueError(f"j must be >= 0, got {j}")
             if abs(tmu) > tj or (tj - tmu) % 2:
-                raise ValueError(f"mu = {HalfInt(tmu)} out of range for j = {j}")
+                raise ValueError(f"mu = {Fraction(tmu, 2)} out of range for j = {j}")
             if tl < 0:
                 raise ValueError(f"down vectors need j >= 1/2, got j = {j}")
-            raise ValueError(f"m = {HalfInt(tm)} out of range for arrow {arrow}, j = {j}")
+            raise ValueError(f"m = {Fraction(tm, 2)} out of range for arrow {arrow}, j = {j}")
         return tuple.__new__(cls, (tj, tm, tmu, arrow))
 
-    j = property(lambda self: HalfInt(self[0]))
-    m = property(lambda self: HalfInt(self[1]))
-    mu = property(lambda self: HalfInt(self[2]))
+    j = property(lambda self: Fraction(self[0], 2))
+    m = property(lambda self: Fraction(self[1], 2))
+    mu = property(lambda self: Fraction(self[2], 2))
     arrow = property(lambda self: self[3])
-    lam = property(lambda self: HalfInt(self[0] + (1 if self[3] == "up" else -1)))
+    lam = property(lambda self: Fraction(self[0] + (1 if self[3] == "up" else -1), 2))
 
     def __getnewargs__(self):
         return self.j, self.m, self.mu, self.arrow
@@ -115,7 +119,7 @@ def coinvariant_spinor_basis(wp: WeightPair, j_max) -> list[SpinorBasisIndex]:
     """
     return [
         SpinorBasisIndex.doubled(tj, tp * wp.s - 1, tp * (wp.l - wp.k), arrow)
-        for tj in range(0, hi(j_max).twice + 1)
+        for tj in range(0, twice(j_max) + 1)
         for arrow, tl in (("down", tj - 1), ("up", tj + 1))
         for tp in _p_window(wp, 1 - tl, 1 + tl, tj)
     ]
@@ -159,24 +163,23 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
     eigenvalues are q^{-(2j+3/2)} on up vectors and q^{2j+1/2} on down
     vectors.  Refuses q for which ev_max or the block overflows a double.
     """
-    j_max = nonneg_hi(j_max, "j_max")
-    if j_max.twice > Q_DIRAC_GUARD.twice:
-        raise ValueError(f"j_max = {j_max} exceeds the cost guard {Q_DIRAC_GUARD}")
+    tj_max = twice(j_max, "j_max")
+    if tj_max > 2 * Q_DIRAC_GUARD:
+        raise ValueError(f"j_max = {Fraction(tj_max, 2)} exceeds the cost guard {Q_DIRAC_GUARD}")
     q = ctx.q
     try:
-        ev_max = q ** (-(2 * j_max.float + 1.5))
+        ev_max = q ** (-(tj_max + 1.5))
     except OverflowError:
         raise ValueError(f"q = {q:g}: q^-(2 j_max + 3/2) overflows a double") from None
     lam_q = q - 1.0 / q
 
     def shell(tl):
         labels = [SpinorBasisIndex.doubled(tj, tl, tmu, arrow)
-                  for arrow, tj in (("up", tl - 1), ("down", tl + 1)) if 0 <= tj <= j_max.twice
+                  for arrow, tj in (("up", tl - 1), ("down", tl + 1)) if 0 <= tj <= tj_max
                   for tmu in range(-tj, tj + 1, 2)]
         if not labels:  # lam = 0 at j_max = 0
             return 0.0
-        lam = HalfInt(tl)
-        rho = lambda *word: irrep_word(lam, word, ctx)  # noqa: E731
+        rho = lambda *word: irrep_word(tl / 2, word, ctx)  # noqa: E731
         block = q**1.5 * np.block([
             [rho("k", "k") + (lam_q**2 / q) * rho("f", "e"), (lam_q / q**0.5) * rho("f", "kinv")],
             [(lam_q / q**0.5) * rho("kinv", "e"), rho("kinv", "kinv")]])
@@ -184,14 +187,14 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
         for col, idx in enumerate(labels):
             for sign, (_, _, tn), coeff in spinor_legs(idx, ctx):
                 vecs[(tn + tl) // 2 + (tl + 1 if sign == "-" else 0), col] = coeff
-            evs[col] = q ** (-(idx.j.twice + 1.5) if idx.arrow == "up" else idx.j.twice + 0.5)
+            evs[col] = q ** (-(idx[0] + 1.5) if idx[3] == "up" else idx[0] + 0.5)
         resid = np.abs(block @ vecs - vecs * evs).max(axis=0)
         return float((resid / (ev_max * np.abs(vecs).max(axis=0))).max())
 
     # at small q the block's coefficients overflow: (q - 1/q)^2 raises, or inf * 0 reads NaN
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = residual_max([shell(tl) for tl in range(j_max.twice + 2)])
+            worst = residual_max([shell(tl) for tl in range(tj_max + 2)])
     except OverflowError:
         worst = math.nan
     if not math.isfinite(worst):
@@ -349,18 +352,19 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     Where m' = n' (alpha), the blocks (m, n) and (n, m) are the same matrix,
     so only those with m <= n are solved.
     """
-    lam_cap = hi(lam_cap)
-    if lam_cap.twice < 2:
-        raise ValueError(f"lambda cap must be >= 1, got {lam_cap}")
-    if lam_cap.twice > COMMUTATOR_GUARD.twice:
-        raise ValueError(f"lambda cap {lam_cap} exceeds the cost guard {COMMUTATOR_GUARD}")
+    t_cap = twice(lam_cap)
+    if t_cap < 2:
+        raise ValueError(f"lambda cap must be >= 1, got {Fraction(t_cap, 2)}")
+    if t_cap > 2 * COMMUTATOR_GUARD:
+        raise ValueError(
+            f"lambda cap {Fraction(t_cap, 2)} exceeds the cost guard {COMMUTATOR_GUARD}")
     if gen == "one":  # pi(1) commutes with Q
         return 0.0
     if gen not in ("alpha", "beta"):
         raise ValueError(f"gen must be 'alpha', 'beta' or 'one', got {gen!r}")
     # alpha = t^{1/2}_{1/2,1/2}, beta = t^{1/2}_{1/2,-1/2}; the interior shells lie below the cap
     element = AlgebraElement.basis(BasisIndex.doubled(1, 1, 1 if gen == "alpha" else -1))
-    [(_, a, b, scale, leg_m, leg_n)] = _gns_factors(element, np.arange(lam_cap.twice), ctx)
+    [(_, a, b, scale, leg_m, leg_n)] = _gns_factors(element, np.arange(t_cap), ctx)
     chains = [_chains(scale, leg_m, leg_n, parity, a == b) for parity in (0, 1)]
     floor = max(floor for floor, *_ in chains)
     by_size = {}
@@ -399,7 +403,7 @@ def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext) -> dict:
     """
     if wp.s > EVEN_TRIPLE_GUARD:
         raise ValueError(f"k + l = {wp.s} exceeds the cost guard {EVEN_TRIPLE_GUARD}")
-    base = coinvariant_coord_basis(wp, nonneg_hi(lam_max, "lam_max"))
+    base = coinvariant_coord_basis(wp, twice(lam_max, "lam_max") / 2)
     B = len(base)
     labels = np.array(base, dtype=int).T
     Pa, Pb = np.zeros((2, B, B), dtype=complex)

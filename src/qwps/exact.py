@@ -1,6 +1,10 @@
 """The exact layer: half-integer weights, the deformation context and the
 integer combinatorics of both spectral triples, in the standard library only.
 
+A weight or a cap enters through :func:`twice`, the one parser, and is kept
+as twice its value, an int; ``Fraction(t, 2)`` is the one formatter, and
+prints t = 3, 4, -1 as 3/2, 2, -1/2.
+
 The eigenspace dimensions of the odd and even triples have closed forms in
 integer arithmetic on doubled indices, checked against counting oracles over
 the same p-window; the spectra ±2(j+1) and ±(lam+1), the summability sums and
@@ -16,15 +20,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce, total_ordering
+from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add, mul, truediv
 
 __all__ = [
+    "twice",
     "HalfInt",
     "QContext",
     "hi",
-    "nonneg_hi",
     "WeightPair",
     "dim_V_down",
     "dim_V_down_doubled",
@@ -49,108 +54,30 @@ __all__ = [
 KTHEORY_GUARD = 1_000_000
 
 
-@total_ordering
-@dataclass(frozen=True)
-class HalfInt:
-    """Exact half-integer, stored as twice its value.
-
-    All weight bookkeeping (lambda, m, n, j, mu, p) goes through this type so
-    that basis indexing never suffers floating point drift.
-    """
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError(f"twice must be int, got {type(self.twice).__name__}")
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    @property
-    def float(self) -> float:
-        return self.twice / 2.0
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def as_int(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def _coerce(self, other) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, int):
-            return HalfInt(2 * other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(self.twice + o.twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(self.twice - o.twice)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(o.twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice < o.twice
-
-    def __eq__(self, other):
-        if isinstance(other, (HalfInt, int)):
-            return self.twice == self._coerce(other).twice
-        return NotImplemented
-
-    def __hash__(self):
-        # HalfInt(2n) == n, so it hashes as n; an odd twice equals no int
-        return hash(self.twice // 2 if self.twice % 2 == 0 else self.twice)
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self):
-        return f"HalfInt({self.twice})"
-
-
-def hi(value) -> HalfInt:
-    """Coerce an int, an exact multiple of 1/2 whose double is finite, or a HalfInt."""
-    if isinstance(value, HalfInt):
-        return value
-    if isinstance(value, int):
-        return HalfInt(2 * value)
+def twice(value, name: str | None = None) -> int:
+    """2 value as an int, for an int or an exact multiple of 1/2 whose double is
+    finite (a float or a Fraction, say); a ``name`` marks a highest weight or a
+    cap, refused by that name when negative.  Fraction(t, 2) formats t back."""
     doubled = 2 * value
-    if not math.isfinite(doubled):
-        raise ValueError(f"{value!r} is out of range: twice it is not finite")
-    if doubled != int(doubled):
+    try:
+        t = int(doubled)
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(f"{value!r} is out of range: twice it is not finite") from None
+    if t != doubled:
         raise ValueError(f"{value!r} is not a half-integer")
-    return HalfInt(int(doubled))
+    if name is not None and t < 0:
+        raise ValueError(f"{name} must be >= 0, got {Fraction(t, 2)}")
+    return t
 
 
-def nonneg_hi(value, name: str) -> HalfInt:
-    """:func:`hi` of a highest weight or cap, refused by name when negative."""
-    value = hi(value)
-    if value.twice < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+# bench/workloads.py reads these two from qwps.qcore; the benchmark's next change
+# (ROADMAP item 1) calls twice and Fraction itself and deletes them
+def HalfInt(t: int) -> Fraction:  # noqa: N802
+    return Fraction(t, 2)
+
+
+def hi(value):
+    twice(value)
     return value
 
 
@@ -244,13 +171,13 @@ def _p_window(wp: WeightPair, lo: int, hi: int, t: int) -> list[int]:
 def dim_V_down(wp: WeightPair, j) -> int:
     """Closed-form dimension of the level-j down space of coinvariant spinors;
     :func:`dim_V_down_doubled` at 2j."""
-    return dim_V_down_doubled(wp, hi(j).twice)
+    return dim_V_down_doubled(wp, twice(j))
 
 
 def dim_V_down_doubled(wp: WeightPair, t: int) -> int:
     """dim V^down_j at j = t/2, in integer arithmetic on the doubled index t."""
     if t < 0:
-        raise ValueError(f"j must be >= 0, got {HalfInt(t)}")
+        raise ValueError(f"j must be >= 0, got {Fraction(t, 2)}")
     s = wp.s
     if t == 0:
         return 0
@@ -268,26 +195,26 @@ def dim_V_down_doubled(wp: WeightPair, t: int) -> int:
 
 def dim_V_down_oracle(wp: WeightPair, j) -> int:
     """Count half-integers p with p(l+k) in {-j+1, ..., j}."""
-    t = hi(j).twice
+    t = twice(j)
     return len(_p_window(wp, -t + 2, t, t))
 
 
 def dim_V_up_oracle(wp: WeightPair, j) -> int:
     """Count half-integers p with p(l+k) in {-j, ..., j+1}."""
-    t = hi(j).twice
+    t = twice(j)
     return len(_p_window(wp, -t, t + 2, t))
 
 
 def dim_V(wp: WeightPair, lam) -> int:
     """Closed-form dimension of the degree-0 subspace at highest weight lam;
     :func:`dim_V_doubled` at 2 lam."""
-    return dim_V_doubled(wp, hi(lam).twice)
+    return dim_V_doubled(wp, twice(lam))
 
 
 def dim_V_doubled(wp: WeightPair, t: int) -> int:
     """dim V_lam at lam = t/2, in integer arithmetic on the doubled index t."""
     if t < 0:
-        raise ValueError(f"lam must be >= 0, got {HalfInt(t)}")
+        raise ValueError(f"lam must be >= 0, got {Fraction(t, 2)}")
     s = wp.s
     if s % 2 == 0:
         if t % 2:
@@ -300,7 +227,7 @@ def dim_V_doubled(wp: WeightPair, t: int) -> int:
 
 def dim_V_oracle(wp: WeightPair, lam) -> int:
     """Count half-integers p with p(l+k) in {-lam, ..., lam}."""
-    t = hi(lam).twice
+    t = twice(lam)
     return len(_p_window(wp, -t, t, t))
 
 
@@ -310,20 +237,19 @@ def dim_table(wp: WeightPair, index_max) -> list[dict]:
     Half-integer rows appear only when k+l is odd; for even k+l those spaces
     vanish identically and the rows are omitted.
     """
-    index_max = hi(index_max)
+    t_max = twice(index_max)
     step = 2 if wp.s % 2 == 0 else 1
     rows = []
     for family, closed_form, oracle in (
         ("V_down", dim_V_down, dim_V_down_oracle),
         ("V", dim_V, dim_V_oracle),
     ):
-        for t in range(0, index_max.twice + 1, step):
-            x = HalfInt(t)
-            closed, counted = closed_form(wp, x), oracle(wp, x)
+        for t in range(0, t_max + 1, step):
+            closed, counted = closed_form(wp, t / 2), oracle(wp, t / 2)
             rows.append(
                 {
                     "family": family,
-                    "index": x.float,
+                    "index": t / 2,
                     "closed_form": closed,
                     "oracle": counted,
                     "match": closed == counted,
@@ -376,7 +302,7 @@ def _triple(triple: str):
 
 
 def _spectrum(wp: WeightPair, triple: str, cap) -> SpectrumTable:
-    t_max = hi(cap).twice
+    t_max = twice(cap)
     scale, core = _triple(triple)
     shells = [((t + 2) / scale, mult) for t in range(t_max + 1) if (mult := core(wp, t))]
     return SpectrumTable(tuple([(-ev, mult) for ev, mult in reversed(shells)] + shells))
@@ -453,7 +379,7 @@ def summability_partial_sum(wp: WeightPair, N, triple: str, exponent: int = 2) -
 
     The cost is O(min(N, 10(k+l)) + k + l), whatever N is.
     """
-    t_max = hi(N).twice
+    t_max = twice(N)
     if t_max < 2:
         raise ValueError(f"N must be >= 1, got {N}")
     period, ts = 2 * wp.s, range(min(4 * wp.s, t_max + 1))

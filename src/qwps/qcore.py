@@ -1,9 +1,9 @@
 """q-arithmetic and the finite dimensional representation theory of U_q(su2).
 
-Weights live in (1/2)Z and are kept exact by storing twice their value as an
-integer (:class:`~qwps.exact.HalfInt`).  The deformation parameter q and the
-numeric tolerance travel together in a :class:`~qwps.exact.QContext`; every
-module downstream takes its q from there.
+Weights live in (1/2)Z and are kept exact as twice their value, an int that
+:func:`~qwps.exact.twice` reads at each public entry.  The deformation
+parameter q and the numeric tolerance travel together in a
+:class:`~qwps.exact.QContext`; every module downstream takes its q from there.
 
 The irreducible module of highest weight lam has the ordered weight basis
 u_{lam,-lam}, ..., u_{lam,lam} and the generators act in ladder form
@@ -22,11 +22,13 @@ and :func:`irrep_word` is that shift laid out as a dense matrix.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
-from .exact import HalfInt, QContext, hi, nonneg_hi
+from .exact import QContext, twice
+from .exact import HalfInt, hi  # noqa: F401  (bench/ reads them here)
 
 __all__ = [
     "LETTERS",
@@ -35,7 +37,6 @@ __all__ = [
     "antipode_letter",
     "theta_letter",
     "star_antipode_letter",
-    "weight_range",
     "q_roots",
     "word_shift",
     "irrep_word",
@@ -54,11 +55,11 @@ COPRODUCT = {
 
 def q_int(n, ctx: QContext) -> float:
     """q-integer [n] = (q^n - q^-n)/(q - q^-1); odd in n, positive for n > 0."""
-    if not isinstance(n, int):  # a HalfInt, or a float that is one
-        n = hi(n)
-        if not n.is_integer():
-            raise ValueError(f"q_int expects an integer, got {n}")
-        n = n.as_int()
+    if not isinstance(n, int):  # a float or a Fraction that is one
+        t = twice(n)
+        if t % 2:
+            raise ValueError(f"q_int expects an integer, got {Fraction(t, 2)}")
+        n = t // 2
     q = ctx.q
     try:
         return (q**n - q**-n) / (q - 1.0 / q)
@@ -97,12 +98,6 @@ def star_antipode_letter(letter: str, ctx: QContext):
     return scalar, {"e": "f", "f": "e", "k": "k", "kinv": "kinv"}[image]
 
 
-def weight_range(lam) -> list[HalfInt]:
-    """Weights -lam, -lam+1, ..., lam in basis order."""
-    lam = hi(lam)
-    return [HalfInt(t) for t in range(-lam.twice, lam.twice + 1, 2)]
-
-
 def q_roots(top: int, ctx: QContext) -> list[float]:
     """sqrt([n]) at index n for n = 0, ..., top, with sqrt([0]) = 0.
 
@@ -126,7 +121,7 @@ def word_shift(lam, word, ctx: QContext, scalars=None) -> tuple[int, list[float]
     for letter in word:
         if letter not in LETTERS:
             raise ValueError(f"unknown generator letter {letter!r}")
-    tl = nonneg_hi(lam, "highest weight").twice
+    tl = twice(lam, "highest weight")
     q, shift, coeffs = ctx.q, 0, [1.0] * (tl + 1)
     if "e" in word or "f" in word:  # sqrt([lam-m]) sqrt([lam+m+1]) at i = lam + m < 2 lam
         roots = q_roots(tl, ctx)
@@ -135,7 +130,7 @@ def word_shift(lam, word, ctx: QContext, scalars=None) -> tuple[int, list[float]
         try:
             powers = [q ** (t / 2) for t in range(-tl, tl + 1, 2)]  # q^m; q^-m reversed
         except OverflowError:  # q < 1, so q^-lam is the largest power
-            raise ValueError(f"q = {q:g}: q^(-{HalfInt(tl)}) overflows a double") from None
+            raise ValueError(f"q = {q:g}: q^(-{Fraction(tl, 2)}) overflows a double") from None
     for i, letter in enumerate(word):
         factors = band if letter in ("e", "f") else powers if letter == "k" else powers[::-1]
         if scalars is not None:

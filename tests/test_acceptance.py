@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from qwps import coaction, coord, dirac, exact, teardrop
-from qwps.exact import QContext, WeightPair, hi
+from qwps.exact import QContext, WeightPair
 
 DEFAULT_CTX = QContext(0.5, 1e-9)
 
@@ -76,7 +76,7 @@ def test_criterion_05_dimension_formulas():
     for k, l in pairs:
         wp = WeightPair(k, l)
         for t in range(0, 51):  # half-integer steps up to 25
-            x = hi(t / 2)
+            x = t / 2
             if exact.dim_V_down(wp, x) != exact.dim_V_down_oracle(wp, x):
                 mismatches += 1
             if exact.dim_V(wp, x) != exact.dim_V_oracle(wp, x):
@@ -90,7 +90,7 @@ def test_criterion_05_dimension_formulas():
 
 
 def test_criterion_06_even_spectrum_unit_weights():
-    table = exact.even_triple_spectrum(WeightPair(1, 1), hi(20))
+    table = exact.even_triple_spectrum(WeightPair(1, 1), 20)
     ok = True
     for tl in range(0, 41):
         expected = tl + 1 if tl % 2 == 0 else 0
@@ -103,16 +103,16 @@ def test_criterion_06_even_spectrum_unit_weights():
 def test_criterion_07_odd_pairing_and_reported_divergence():
     ok = True
     for wp in SUMMABILITY_WPS:
-        table = exact.odd_triple_spectrum(wp, hi(20))
+        table = exact.odd_triple_spectrum(wp, 20)
         for ev, mult in table.rows:
             ok = ok and table.multiplicity(-ev) == mult
     # unit weights: multiplicity at ±2(j+1) is 2j+2 by enumeration
     wp11 = WeightPair(1, 1)
-    table = exact.odd_triple_spectrum(wp11, hi(10))
+    table = exact.odd_triple_spectrum(wp11, 10)
     divergent = []
     for tj in range(0, 21, 2):
         mult = table.multiplicity(float(tj + 2))
-        oracle = exact.dim_V_down_oracle(wp11, hi(tj / 2) + 1)
+        oracle = exact.dim_V_down_oracle(wp11, tj / 2 + 1)
         ok = ok and mult == oracle == tj + 2
         divergent.append((tj // 2, mult))
     print(
@@ -125,7 +125,7 @@ def test_criterion_07_odd_pairing_and_reported_divergence():
 
 
 def test_criterion_08_q_dirac_identity():
-    worst = dirac.q_dirac_check(hi(2), DEFAULT_CTX)
+    worst = dirac.q_dirac_check(2, DEFAULT_CTX)
     report(8, "q^{-D} block identity reproduces the spinor eigenvalues, j <= 2",
            worst < DEFAULT_CTX.tol, f"max backward error {worst:.2e}")
 
@@ -164,8 +164,8 @@ def test_criterion_09_summability():
 
 
 def test_criterion_10_commutator_plateau():
-    n20 = dirac.commutator_norm("alpha", hi(20), DEFAULT_CTX)
-    n40 = dirac.commutator_norm("alpha", hi(40), DEFAULT_CTX)
+    n20 = dirac.commutator_norm("alpha", 20, DEFAULT_CTX)
+    n40 = dirac.commutator_norm("alpha", 40, DEFAULT_CTX)
     increment = abs(n40 - n20) / n20
     report(
         10,
@@ -178,8 +178,8 @@ def test_criterion_10_commutator_plateau():
 def test_criterion_11_chirality_and_fredholm():
     worst = 0.0
     for wp in SUMMABILITY_WPS:
-        worst = max(worst, dirac.chirality_checks(wp, hi(5), DEFAULT_CTX)["max"])
-        worst = max(worst, dirac.fredholm_degeneracy(wp, hi(5), DEFAULT_CTX)["max"])
+        worst = max(worst, dirac.chirality_checks(wp, 5, DEFAULT_CTX)["max"])
+        worst = max(worst, dirac.fredholm_degeneracy(wp, 5, DEFAULT_CTX)["max"])
     report(11, "grading and Fredholm swap identities exact on lam <= 5",
            worst < 1e-12, f"max residual {worst:.2e}")
 

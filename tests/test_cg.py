@@ -4,6 +4,7 @@ import dataclasses
 import random
 import re
 import threading
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from qwps import cg, coord, dirac
 from qwps.cg import cg_block, cg_coeff_updown, clear_cache
 from qwps.coord import AlgebraElement, BasisIndex
-from qwps.exact import HalfInt, QContext, hi, nonneg_hi
+from qwps.exact import QContext, twice
 from qwps.qcore import coproduct_action, irrep_word
 
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -24,42 +25,42 @@ def ctx_for(q=0.5):
 
 def couple(lam1, lam2):
     """Highest weights |lam1-lam2|, ..., lam1+lam2 of the tensor product."""
-    lam1, lam2 = nonneg_hi(lam1, "lam1"), nonneg_hi(lam2, "lam2")
-    return [HalfInt(t) for t in range(abs(lam1.twice - lam2.twice), lam1.twice + lam2.twice + 1, 2)]
+    t1, t2 = twice(lam1, "lam1"), twice(lam2, "lam2")
+    return [Fraction(t, 2) for t in range(abs(t1 - t2), t1 + t2 + 1, 2)]
 
 
 def row_of(block, mu, m):
     """Row of (mu, m): the rows of every mu' < mu come first, m ascending."""
-    lo = abs(block.lam1.twice - block.lam2.twice)
-    return sum(t + 1 for t in range(lo, mu.twice, 2)) + (mu.twice + m.twice) // 2
+    lo = abs(twice(block.lam1) - twice(block.lam2))
+    return sum(t + 1 for t in range(lo, twice(mu), 2)) + (twice(mu) + twice(m)) // 2
 
 
 def col_of(block, m1, m2):
     """Column of (m1, m2), lexicographic."""
-    t1, t2 = block.lam1.twice, block.lam2.twice
-    return (t1 + m1.twice) // 2 * (t2 + 1) + (t2 + m2.twice) // 2
+    t1, t2 = twice(block.lam1), twice(block.lam2)
+    return (t1 + twice(m1)) // 2 * (t2 + 1) + (t2 + twice(m2)) // 2
 
 
 def test_couple_examples():
-    assert couple(hi(0), hi(1.5)) == [hi(1.5)]
-    assert couple(hi(0.5), hi(0.5)) == [hi(0), hi(1)]
-    assert couple(hi(1), hi(0.5)) == [hi(0.5), hi(1.5)]
+    assert couple(0, 1.5) == [1.5]
+    assert couple(0.5, 0.5) == [0, 1]
+    assert couple(1, 0.5) == [0.5, 1.5]
     with pytest.raises(ValueError):
-        couple(hi(-0.5), hi(1))
+        couple(-0.5, 1)
 
 
 @pytest.mark.parametrize("t1,t2", [(1, 2), (3, 1), (2, 2)])
 def test_couple_dimension_sum(t1, t2):
-    lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
-    total = sum(mu.twice + 1 for mu in couple(lam1, lam2))
+    lam1, lam2 = t1 / 2, t2 / 2
+    total = sum(twice(mu) + 1 for mu in couple(lam1, lam2))
     assert total == (t1 + 1) * (t2 + 1)
 
 
 def test_trivial_factor_gives_identity():
     ctx = ctx_for()
-    block = cg_block(hi(1.5), hi(0), ctx)
+    block = cg_block(1.5, 0, ctx)
     assert np.abs(block.matrix - np.eye(4)).max() < 1e-14
-    block = cg_block(hi(0), hi(1), ctx)
+    block = cg_block(0, 1, ctx)
     assert np.abs(block.matrix - np.eye(3)).max() < 1e-14
 
 
@@ -71,7 +72,7 @@ def block_errors(lam1, lam2, ctx):
         target = np.zeros_like(c)
         r = 0
         for mu in couple(lam1, lam2):
-            d = mu.twice + 1
+            d = twice(mu) + 1
             target[r : r + d, r : r + d] = irrep_word(mu, g, ctx).real
             r += d
         action = coproduct_action(lam1, lam2, g, ctx).real
@@ -88,13 +89,13 @@ def test_block_invariants(q):
     ctx = ctx_for(q)
     for t1 in (0, 1, 2, 3, 4, 7, 8, 13, 20):
         for t2 in (0, 1, 2, 3, 4, 7, 8, 13, 20):
-            lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
+            lam1, lam2 = t1 / 2, t2 / 2
             assert block_errors(lam1, lam2, ctx) < 1e-13, (t1, t2)
             block = cg_block(lam1, lam2, ctx)
             matrix = block.matrix  # laid out on each read
             # doubled labels of every row (mu, m) and column (m1, m2), in the
             # layout the CGBlock docstring states
-            mus = [mu.twice for mu in couple(lam1, lam2)]
+            mus = [twice(mu) for mu in couple(lam1, lam2)]
             row_mu = np.repeat(mus, np.array(mus) + 1)
             row_m = np.concatenate([np.arange(-t, t + 1, 2) for t in mus])
             col_m1 = np.repeat(np.arange(-t1, t1 + 1, 2), t2 + 1)
@@ -119,7 +120,7 @@ def dense_check_errors(matrix, lam1, lam2, ctx):
     target = np.zeros_like(matrix)
     r = 0
     for mu in couple(lam1, lam2):
-        d = mu.twice + 1
+        d = twice(mu) + 1
         target[r : r + d, r : r + d] = irrep_word(mu, "e", ctx)
         r += d
     raising = matrix @ coproduct_action(lam1, lam2, "e", ctx) @ matrix.T
@@ -144,7 +145,7 @@ def test_build_check_agrees_with_the_dense_reference(q):
         pairs = [(t1, t2) for t2 in range(17)]
         couplings = racah_blocks(pairs, q)
         for (_, t2), coupling, errors in zip(pairs, couplings, check_blocks(couplings, pairs, ctx)):
-            lam1, lam2 = hi(t1 / 2), hi(t2 / 2)
+            lam1, lam2 = t1 / 2, t2 / 2
             dense = dense_check_errors(cg.CGBlock(lam1, lam2, coupling.tolist()).matrix,
                                        lam1, lam2, ctx)
             assert max(errors + dense) < 1e-14, (t1, t2)
@@ -192,7 +193,7 @@ def test_failed_build_check_raises_and_caches_nothing(monkeypatch, fault):
     ctx = ctx_for(0.45)
     clear_cache()
     with pytest.raises(ValueError, match="build check") as failure:
-        cg_block(hi(1), hi(1.5), ctx)
+        cg_block(1, 1.5, ctx)
     assert (2, 3, ctx.q) not in cg._cache
     if fault == "sign_flipped_row":
         orth_err = re.search(r"orthogonality error (\S+),", str(failure.value)).group(1)
@@ -220,13 +221,13 @@ def test_failed_build_check_in_a_batch_raises_and_caches_nothing(monkeypatch, fa
 def test_dense_reference_rejects_every_planted_fault(fault):
     ctx = ctx_for(0.45)
     mutant = plant(fault, racah_blocks([(2, 3)], ctx.q)[0])
-    matrix = cg.CGBlock(hi(1), hi(1.5), mutant.tolist()).matrix
-    assert not all(err <= cg._BLOCK_GATE for err in dense_check_errors(matrix, hi(1), hi(1.5), ctx))
+    matrix = cg.CGBlock(1, 1.5, mutant.tolist()).matrix
+    assert not all(err <= cg._BLOCK_GATE for err in dense_check_errors(matrix, 1, 1.5, ctx))
 
 
 def test_cached_block_stores_only_its_coupling_lists():
     assert [f.name for f in dataclasses.fields(cg.CGBlock)] == ["lam1", "lam2", "coupling"]
-    block = cg_block(hi(1), hi(1.5), ctx_for(0.5))
+    block = cg_block(1, 1.5, ctx_for(0.5))
     assert not any(isinstance(v, np.ndarray) for v in vars(block).values())
     # each read lays the matrix out afresh, so a caller's write reaches no other reader
     first = block.matrix
@@ -238,14 +239,14 @@ def test_singlet_row_against_null_space_oracle():
     # independent oracle: brute-force kernel of the raising action on the
     # weight-zero subspace of M_1/2 ⊗ M_1/2
     ctx = ctx_for(0.5)
-    raising = coproduct_action(hi(0.5), hi(0.5), "e", ctx).real
+    raising = coproduct_action(0.5, 0.5, "e", ctx).real
     # tensor basis order: (-,-), (-,+), (+,-), (+,+); weight-zero columns 1, 2
     sub = raising[:, [1, 2]]
     sub = sub[[3], :]  # weight-one row
     null = np.array([sub[0, 1], -sub[0, 0]])
     null /= np.linalg.norm(null)
-    block = cg_block(hi(0.5), hi(0.5), ctx)
-    row = block.matrix[row_of(block, hi(0), hi(0))]
+    block = cg_block(0.5, 0.5, ctx)
+    row = block.matrix[row_of(block, 0, 0)]
     assert abs(row[0]) < 1e-14 and abs(row[3]) < 1e-14
     vec = np.array([row[1], row[2]])
     # ratio c2/c1 = -q and unit length
@@ -257,10 +258,10 @@ def test_singlet_row_against_null_space_oracle():
 
 def test_coeff_updown_boundary():
     ctx = ctx_for(0.5)
-    c, s = cg_coeff_updown(hi(0.5), hi(0.5), ctx)
+    c, s = cg_coeff_updown(0.5, 0.5, ctx)
     assert c == pytest.approx(0.0, abs=1e-15)
     assert s == pytest.approx(1.0, abs=1e-15)
-    c, s = cg_coeff_updown(hi(0.5), hi(-0.5), ctx)
+    c, s = cg_coeff_updown(0.5, -0.5, ctx)
     assert c == pytest.approx(1.0, abs=1e-15)
     assert s == pytest.approx(0.0, abs=1e-15)
 
@@ -270,7 +271,7 @@ def test_coeff_updown_midpoint():
     q = ctx.q
     from qwps.qcore import q_int
 
-    c, s = cg_coeff_updown(hi(1), hi(0), ctx)
+    c, s = cg_coeff_updown(1, 0, ctx)
     assert c == pytest.approx(q**-0.5 * np.sqrt(q_int(1, ctx) / q_int(2, ctx)), abs=1e-14)
     assert s == pytest.approx(q**0.5 * np.sqrt(q_int(1, ctx) / q_int(2, ctx)), abs=1e-14)
     assert c * c + s * s == pytest.approx(1.0, abs=1e-14)
@@ -280,39 +281,39 @@ def test_coeff_updown_midpoint():
 def test_coeff_updown_normalization(q):
     ctx = ctx_for(q)
     for tj in range(1, 11):
-        j = hi(tj / 2)
+        j = tj / 2
         for tmu in range(-tj, tj + 1, 2):
-            c, s = cg_coeff_updown(j, hi(tmu / 2), ctx)
+            c, s = cg_coeff_updown(j, tmu / 2, ctx)
             assert c * c + s * s == pytest.approx(1.0, abs=ctx.tol)
 
 
 def test_coeff_updown_range_errors():
     ctx = ctx_for()
     with pytest.raises(ValueError):
-        cg_coeff_updown(hi(0), hi(0), ctx)
+        cg_coeff_updown(0, 0, ctx)
     with pytest.raises(ValueError):
-        cg_coeff_updown(hi(1), hi(1.5), ctx)
+        cg_coeff_updown(1, 1.5, ctx)
     with pytest.raises(ValueError):
-        cg_coeff_updown(hi(1), hi(0.5), ctx)  # parity mismatch
+        cg_coeff_updown(1, 0.5, ctx)  # parity mismatch
 
 
 @pytest.mark.parametrize("tj", range(1, 21))
 def test_closed_form_matches_block_rows(tj):
     # rows (j, mu) of the (j - 1/2, 1/2) block against the closed forms
-    j = hi(tj / 2)
-    jm = j - hi(0.5)
+    j = tj / 2
+    jm = j - 0.5
     for q in Q_VALUES:
         ctx = ctx_for(q)
-        block = cg_block(jm, hi(0.5), ctx)
+        block = cg_block(jm, 0.5, ctx)
         matrix = block.matrix  # laid out on each read
         for tmu in range(-tj, tj + 1, 2):
-            mu = hi(tmu / 2)
+            mu = tmu / 2
             c, s = cg_coeff_updown(j, mu, ctx)
             row = row_of(block, j, mu)
             got = []
-            for dm, spin in ((hi(0.5), hi(-0.5)), (hi(-0.5), hi(0.5))):
+            for dm, spin in ((0.5, -0.5), (-0.5, 0.5)):
                 m1 = mu + dm
-                if abs(m1.twice) <= jm.twice:
+                if abs(twice(m1)) <= twice(jm):
                     got.append(matrix[row, col_of(block, m1, spin)])
                 else:
                     got.append(0.0)
@@ -321,7 +322,7 @@ def test_closed_form_matches_block_rows(tj):
 
 
 def test_large_weight_orthogonality_stable():
-    assert block_errors(hi(0.5), hi(30), ctx_for(0.5)) < 1e-12
+    assert block_errors(0.5, 30, ctx_for(0.5)) < 1e-12
 
 
 def test_cache_returns_same_object_and_is_thread_safe():
@@ -330,7 +331,7 @@ def test_cache_returns_same_object_and_is_thread_safe():
     results = []
 
     def worker():
-        results.append(cg_block(hi(1), hi(1.5), ctx))
+        results.append(cg_block(1, 1.5, ctx))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -338,21 +339,21 @@ def test_cache_returns_same_object_and_is_thread_safe():
     for t in threads:
         t.join()
     assert all(r is results[0] for r in results)
-    assert cg_block(hi(1), hi(1.5), ctx) is results[0]
+    assert cg_block(1, 1.5, ctx) is results[0]
     # distinct q gets a distinct entry
-    other = cg_block(hi(1), hi(1.5), ctx_for(0.3))
+    other = cg_block(1, 1.5, ctx_for(0.3))
     assert other is not results[0]
 
 
 def test_row_lookup_weight_conservation():
     ctx = ctx_for(0.5)
-    block = cg_block(hi(1), hi(0.5), ctx)
+    block = cg_block(1, 0.5, ctx)
     # the entry with mismatched total weight is zero; both mu = 1/2, 3/2 carry
     # the column (m1, m2) = (1, -1/2) of m = 1/2, only mu = 3/2 that of m = 3/2
-    row = row_of(block, hi(1.5), hi(1.5))
-    assert block.matrix[row, col_of(block, hi(1), hi(-0.5))] == 0.0
-    assert [mu.twice for mu, v in zip(couple(hi(1), hi(0.5)), block.coupling[2][0]) if v] == [1, 3]
-    assert [mu.twice for mu, v in zip(couple(hi(1), hi(0.5)), block.coupling[2][1]) if v] == [3]
+    row = row_of(block, 1.5, 1.5)
+    assert block.matrix[row, col_of(block, 1, -0.5)] == 0.0
+    assert [twice(mu) for mu, v in zip(couple(1, 0.5), block.coupling[2][0]) if v] == [1, 3]
+    assert [twice(mu) for mu, v in zip(couple(1, 0.5), block.coupling[2][1]) if v] == [3]
 
 
 def brute_term_count(a2, b2):
@@ -438,7 +439,7 @@ def test_a_batch_builds_each_block_bit_for_bit_as_alone(monkeypatch, q):
     # cg_blocks, on requests with duplicate and already cached members
     monkeypatch.setattr(cg, "_cache", {})
     for t1, t2 in pairs[::7]:
-        cg_block(hi(t1 / 2), hi(t2 / 2), ctx)
+        cg_block(t1 / 2, t2 / 2, ctx)
     for _ in range(40):
         twice1, twice2 = rng.sample(grid, 4), rng.sample(grid, 3)
         couplings = cg.cg_blocks(twice1 + twice1[:2], twice2, ctx)

@@ -596,8 +596,8 @@ def test_commutator_norm_loads_no_scipy(tmp_path):
         """
         import sys
         from qwps import dirac
-        from qwps.exact import QContext, hi
-        assert dirac.commutator_norm("alpha", hi(4), QContext(0.5, 1e-9)) > 0
+        from qwps.exact import QContext
+        assert dirac.commutator_norm("alpha", 4, QContext(0.5, 1e-9)) > 0
         assert "scipy" not in sys.modules
         """,
         tmp_path,

@@ -1,6 +1,7 @@
 """Circle grading, weighted projective generators, coinvariants, dimensions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qwps.coaction import (
 from qwps.coord import AlgebraElement, BasisIndex, gens, multiply, right_act, star
 from qwps.dirac import SpinorBasisIndex, coinvariant_spinor_basis
 from qwps.exact import (
-    HalfInt,
     QContext,
     WeightPair,
     dim_table,
@@ -27,9 +27,8 @@ from qwps.exact import (
     dim_V_down_oracle,
     dim_V_oracle,
     dim_V_up_oracle,
-    hi,
+    twice,
 )
-from qwps.qcore import weight_range
 
 CTX = QContext(0.5, 1e-9)
 
@@ -63,7 +62,7 @@ def test_generator_degrees():
     for el, expected in ((alpha, -2), (beta, 3), (alpha_s, 2), (beta_s, -3)):
         (idx,) = el.terms
         assert degree(wp, idx) == expected
-    assert degree(wp, BasisIndex.of(0, 0, 0)) == 0
+    assert degree(wp, BasisIndex(0, 0, 0)) == 0
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -82,11 +81,11 @@ def test_wp_b_oracle_for_unit_weights():
     _, b = wp_gens(wp, CTX)
     from qwps.cg import cg_block
 
-    block = cg_block(hi(0.5), hi(0.5), CTX)
+    block = cg_block(0.5, 0.5, CTX)
     # C(1/2 1/2 1; 1/2 1/2 1) and C(1/2 1/2 1; -1/2 1/2 0), at [lam + m1][lam + m2][mu]
     cm = block.coupling[1][1][1]
     cn = block.coupling[0][1][1]
-    expected = AlgebraElement.basis(BasisIndex.of(1, 1, 0), cm * cn)
+    expected = AlgebraElement.basis(BasisIndex(1, 1, 0), cm * cn)
     assert (b - expected).norm_inf() < 1e-14
 
 
@@ -219,24 +218,23 @@ def test_degree_additivity_of_products(k, l):
 
 
 def test_coinvariant_coord_basis_examples():
-    assert coinvariant_coord_basis(WeightPair(2, 3), hi(0)) == [BasisIndex.of(0, 0, 0)]
+    assert coinvariant_coord_basis(WeightPair(2, 3), 0) == [BasisIndex(0, 0, 0)]
     lam1 = [
         idx
-        for idx in coinvariant_coord_basis(WeightPair(1, 1), hi(1))
-        if idx.lam.twice == 2
+        for idx in coinvariant_coord_basis(WeightPair(1, 1), 1)
+        if idx[0] == 2
     ]
-    assert {(i.m.twice, i.n.twice) for i in lam1} == {(-2, 0), (0, 0), (2, 0)}
+    assert {(i[1], i[2]) for i in lam1} == {(-2, 0), (0, 0), (2, 0)}
     # half-integer levels below 3/2 are empty for (1, 2)
-    small = coinvariant_coord_basis(WeightPair(1, 2), hi(1.0))
-    assert [i for i in small if i.lam.twice == 1] == []
+    small = coinvariant_coord_basis(WeightPair(1, 2), 1.0)
+    assert [i for i in small if i[0] == 1] == []
 
 
 def degree_zero_scan(wp, lam_max):
     """Oracle: every (lam, m, n) with lam <= lam_max, in that order, kept if
     it has degree 0."""
-    lams = [HalfInt(tl) for tl in range(hi(lam_max).twice + 1)]
-    scan = (BasisIndex(lam, m, n) for lam in lams
-            for m in weight_range(lam) for n in weight_range(lam))
+    scan = (BasisIndex.doubled(tl, tm, tn) for tl in range(twice(lam_max) + 1)
+            for tm in range(-tl, tl + 1, 2) for tn in range(-tl, tl + 1, 2))
     return [idx for idx in scan if degree(wp, idx) == 0]
 
 
@@ -251,24 +249,24 @@ def test_coinvariant_coord_basis_is_degree_zero_scan(k, l):
     wp = WeightPair(k, l)
     brute = degree_zero_scan(wp, 6)
     for t in range(13):
-        fast = coinvariant_coord_basis(wp, hi(t / 2))
-        assert fast == [idx for idx in brute if idx.lam.twice <= t]
+        fast = coinvariant_coord_basis(wp, t / 2)
+        assert fast == [idx for idx in brute if idx[0] <= t]
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3)])
 def test_coord_basis_cardinality_matches_dimensions(k, l):
     wp = WeightPair(k, l)
-    count = len(coinvariant_coord_basis(wp, hi(8)))
-    assert count == sum(dim_V(wp, hi(t / 2)) for t in range(17))
+    count = len(coinvariant_coord_basis(wp, 8))
+    assert count == sum(dim_V(wp, t / 2) for t in range(17))
 
 
 def test_spinor_index_validation():
     # coinvariant spinors are labelled |j, p(l+k) - 1/2, p(l-k), arrow>; at
     # p = 0 that is m = -1/2, mu = 0
     with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(1), hi(-0.5), hi(0), "sideways")
+        SpinorBasisIndex(1, -0.5, 0, "sideways")
     with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(-1), hi(-0.5), hi(0), "up")
+        SpinorBasisIndex(-1, -0.5, 0, "up")
     with pytest.raises(ValueError):
         spinor_degree(WeightPair(1, 1), -1, "sideways")
     # the doubled constructor refuses them with the same messages
@@ -276,8 +274,8 @@ def test_spinor_index_validation():
         SpinorBasisIndex.doubled(2, -1, 0, "sideways")
     with pytest.raises(ValueError, match="^j must be >= 0, got -1$"):
         SpinorBasisIndex.doubled(-2, -1, 0, "up")
-    idx = SpinorBasisIndex(hi(1), hi(-0.5), hi(0), "up")
-    assert idx in coinvariant_spinor_basis(WeightPair(1, 1), hi(1))
+    idx = SpinorBasisIndex(1, -0.5, 0, "up")
+    assert idx in coinvariant_spinor_basis(WeightPair(1, 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +286,7 @@ def test_spinor_index_validation():
 def test_dimensions_match_oracles(k, l):
     wp = WeightPair(k, l)
     for t in range(0, 51):
-        x = hi(t / 2)
+        x = t / 2
         assert dim_V_down(wp, x) == dim_V_down_oracle(wp, x)
         assert dim_V(wp, x) == dim_V_oracle(wp, x)
 
@@ -299,42 +297,42 @@ def test_doubled_dimension_cores_match_oracles():
     for k, l in pairs:
         wp = WeightPair(k, l)
         for t in range(0, 6 * wp.s + 1):
-            assert dim_V_down_doubled(wp, t) == dim_V_down_oracle(wp, HalfInt(t)), (k, l, t)
-            assert dim_V_doubled(wp, t) == dim_V_oracle(wp, HalfInt(t)), (k, l, t)
+            assert dim_V_down_doubled(wp, t) == dim_V_down_oracle(wp, Fraction(t, 2)), (k, l, t)
+            assert dim_V_doubled(wp, t) == dim_V_oracle(wp, Fraction(t, 2)), (k, l, t)
     families = ((dim_V_down_doubled, dim_V_down, "j"), (dim_V_doubled, dim_V, "lam"))
     for core, wrapper, name in families:
         for bad in (-1, -2):
             for call in (lambda: core(WeightPair(1, 2), bad),
-                         lambda: wrapper(WeightPair(1, 2), HalfInt(bad))):
+                         lambda: wrapper(WeightPair(1, 2), Fraction(bad, 2))):
                 with pytest.raises(ValueError) as info:
                     call()
-                assert str(info.value) == f"{name} must be >= 0, got {HalfInt(bad)}"
+                assert str(info.value) == f"{name} must be >= 0, got {Fraction(bad, 2)}"
 
 
 @pytest.mark.parametrize("k,l", COPRIME_PAIRS)
 def test_up_down_shift_identity(k, l):
     wp = WeightPair(k, l)
     for t in range(0, 41):
-        j = hi(t / 2)
+        j = t / 2
         assert dim_V_up_oracle(wp, j) == dim_V_down_oracle(wp, j + 1)
 
 
 def test_dimension_examples():
-    assert dim_V_down(WeightPair(1, 1), hi(0)) == 0
-    assert dim_V_down(WeightPair(2, 3), hi(0)) == 0
-    assert dim_V_down(WeightPair(1, 1), hi(2)) == 4
-    assert dim_V_down(WeightPair(1, 2), hi(1.5)) == 1
-    assert dim_V(WeightPair(1, 2), hi(1)) == 1
-    assert dim_V(WeightPair(1, 1), hi(0)) == 1
+    assert dim_V_down(WeightPair(1, 1), 0) == 0
+    assert dim_V_down(WeightPair(2, 3), 0) == 0
+    assert dim_V_down(WeightPair(1, 1), 2) == 4
+    assert dim_V_down(WeightPair(1, 2), 1.5) == 1
+    assert dim_V(WeightPair(1, 2), 1) == 1
+    assert dim_V(WeightPair(1, 1), 0) == 1
     for t in range(0, 9, 2):
-        assert dim_V(WeightPair(1, 1), hi(t / 2)) == t + 1  # 2*lam + 1
+        assert dim_V(WeightPair(1, 1), t / 2) == t + 1  # 2*lam + 1
 
 
 def test_dim_table_shape():
-    rows = dim_table(WeightPair(1, 2), hi(3))
+    rows = dim_table(WeightPair(1, 2), 3)
     assert all(row["match"] for row in rows)
     # odd k+l: half-integer rows included
     assert any(row["index"] == 1.5 for row in rows)
-    rows = dim_table(WeightPair(1, 1), hi(3))
+    rows = dim_table(WeightPair(1, 1), 3)
     # even k+l: integer rows only
     assert all(float(row["index"]).is_integer() for row in rows)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qwps.coord import (
     to_jsonl,
     unit,
 )
-from qwps.exact import HalfInt, QContext, hi
+from qwps.exact import QContext, twice
 from qwps.qcore import (
     COPRODUCT,
     LETTERS,
@@ -36,7 +37,6 @@ from qwps.qcore import (
     q_int,
     star_antipode_letter,
     theta_letter,
-    weight_range,
     word_shift,
 )
 
@@ -44,10 +44,10 @@ CTX = QContext(0.5, 1e-9)
 Q_VALUES = (0.3, 0.5, 0.8)
 
 SMALL_INDICES = [
-    BasisIndex(HalfInt(tl), m, n)
+    BasisIndex.doubled(tl, tm, tn)
     for tl in range(0, 3)
-    for m in weight_range(HalfInt(tl))
-    for n in weight_range(HalfInt(tl))
+    for tm in range(-tl, tl + 1, 2)
+    for tn in range(-tl, tl + 1, 2)
 ]
 
 coeffs = st.complex_numbers(
@@ -64,11 +64,11 @@ elements = st.dictionaries(st.sampled_from(SMALL_INDICES), coeffs, max_size=4).m
 
 def test_basis_index_validation():
     with pytest.raises(ValueError):
-        BasisIndex.of(-0.5, 0, 0)
+        BasisIndex(-0.5, 0, 0)
     with pytest.raises(ValueError):
-        BasisIndex.of(1, 2, 0)
+        BasisIndex(1, 2, 0)
     with pytest.raises(ValueError):
-        BasisIndex.of(1, 0.5, 0)  # parity mismatch
+        BasisIndex(1, 0.5, 0)  # parity mismatch
 
 
 BAD_INDICES = [
@@ -85,7 +85,7 @@ BAD_INDICES = [
 def test_basis_index_rejects_bad_labels(args, message):
     # the text the dataclass-based index raised, from both constructors
     doubled = [int(2 * x) for x in args]
-    for build in (lambda: BasisIndex.of(*args), lambda: BasisIndex.doubled(*doubled)):
+    for build in (lambda: BasisIndex(*args), lambda: BasisIndex.doubled(*doubled)):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
@@ -95,27 +95,28 @@ def test_basis_index_contract():
     for idx in SMALL_INDICES:
         tl, tm, tn = idx
         assert hash(idx) == hash((tl, tm, tn))
-        assert all(type(x) is HalfInt for x in (idx.lam, idx.m, idx.n))
-        assert (idx.lam.twice, idx.m.twice, idx.n.twice) == (tl, tm, tn)
+        assert all(type(x) is Fraction for x in (idx.lam, idx.m, idx.n))
+        assert (twice(idx.lam), twice(idx.m), twice(idx.n)) == (tl, tm, tn)
         same = BasisIndex.doubled(tl, tm, tn)
         assert same == idx and hash(same) == hash(idx) and type(same) is BasisIndex
-        assert BasisIndex.of(tl / 2, tm / 2, tn / 2) == idx
+        assert BasisIndex(tl / 2, tm / 2, tn / 2) == idx == BasisIndex(idx.lam, idx.m, idx.n)
+        assert str(idx) == f"t[{Fraction(tl, 2)};{Fraction(tm, 2)},{Fraction(tn, 2)}]"
         assert {idx: 1}[same] == 1
         for name in ("lam", "m", "n"):
             with pytest.raises(AttributeError):
-                setattr(idx, name, HalfInt(0))
+                setattr(idx, name, Fraction(0, 2))
         assert pickle.loads(pickle.dumps(idx)) == idx
         assert repr(idx) == f"BasisIndex(lam={idx.lam!r}, m={idx.m!r}, n={idx.n!r})"
 
 
 def test_element_drops_zeros():
-    idx = BasisIndex.of(0.5, 0.5, 0.5)
+    idx = BasisIndex(0.5, 0.5, 0.5)
     a = AlgebraElement({idx: 0.0})
     assert len(a) == 0 and a.norm_inf() == 0.0
 
 
 def test_norm_inf_propagates_nan():
-    one, other = BasisIndex.of(0, 0, 0), BasisIndex.of(0.5, 0.5, 0.5)
+    one, other = BasisIndex(0, 0, 0), BasisIndex(0.5, 0.5, 0.5)
     for terms in ({one: 1.0, other: math.nan}, {other: math.nan, one: 1.0}):
         assert math.isnan(AlgebraElement(terms).norm_inf())
 
@@ -132,11 +133,11 @@ def test_add_negate_roundtrip(a):
 
 def test_generator_terms():
     alpha, beta, alpha_s, beta_s = gens(CTX)
-    assert alpha.terms == {BasisIndex.of(0.5, 0.5, 0.5): 1.0 + 0j}
-    assert beta.terms == {BasisIndex.of(0.5, 0.5, -0.5): 1.0 + 0j}
-    assert alpha_s.terms == {BasisIndex.of(0.5, -0.5, -0.5): 1.0 + 0j}
-    assert beta_s.terms == {BasisIndex.of(0.5, -0.5, 0.5): -2.0 + 0j}  # -1/q at q = 1/2
-    assert unit().terms == {BasisIndex.of(0, 0, 0): 1.0 + 0j}
+    assert alpha.terms == {BasisIndex(0.5, 0.5, 0.5): 1.0 + 0j}
+    assert beta.terms == {BasisIndex(0.5, 0.5, -0.5): 1.0 + 0j}
+    assert alpha_s.terms == {BasisIndex(0.5, -0.5, -0.5): 1.0 + 0j}
+    assert beta_s.terms == {BasisIndex(0.5, -0.5, 0.5): -2.0 + 0j}  # -1/q at q = 1/2
+    assert unit().terms == {BasisIndex(0, 0, 0): 1.0 + 0j}
 
 
 @settings(max_examples=30)
@@ -160,18 +161,18 @@ def reference_multiply(a, b, ctx):
         for i2, c2 in b.terms.items():
             matrix = cg_block(i1.lam, i2.lam, ctx).matrix  # laid out on each read
             m, n = i1.m + i2.m, i1.n + i2.n
-            t1, t2 = i1.lam.twice, i2.lam.twice
+            t1, t2 = twice(i1.lam), twice(i2.lam)
 
             def coeff(mu, w, w1, w2):
                 # rows (mu, m) with mu, then m, ascending; columns (m1, m2)
                 # lexicographic (the CGBlock layout)
-                row = sum(t + 1 for t in range(abs(t1 - t2), mu.twice, 2))
-                row += (mu.twice + w.twice) // 2
-                col = (t1 + w1.twice) // 2 * (t2 + 1) + (t2 + w2.twice) // 2
+                row = sum(t + 1 for t in range(abs(t1 - t2), twice(mu), 2))
+                row += (twice(mu) + twice(w)) // 2
+                col = (t1 + twice(w1)) // 2 * (t2 + 1) + (t2 + twice(w2)) // 2
                 return float(matrix[row, col])
 
-            for mu in map(HalfInt, range(abs(t1 - t2), t1 + t2 + 1, 2)):
-                if abs(m.twice) > mu.twice or abs(n.twice) > mu.twice:
+            for mu in (Fraction(t, 2) for t in range(abs(t1 - t2), t1 + t2 + 1, 2)):
+                if abs(twice(m)) > twice(mu) or abs(twice(n)) > twice(mu):
                     continue
                 cm = coeff(mu, m, i1.m, i2.m)
                 if cm == 0.0:
@@ -237,7 +238,7 @@ def pairing(a: AlgebraElement, word, ctx: QContext) -> complex:
     """Dual pairing: linear extension of t^lam_{mn}(x) = (rho_lam(x))_{mn}."""
     total = 0j
     for (tl, tm, tn), c in a.terms.items():
-        total += c * irrep_word(HalfInt(tl), word, ctx)[(tm + tl) // 2, (tn + tl) // 2]
+        total += c * irrep_word(Fraction(tl, 2), word, ctx)[(tm + tl) // 2, (tn + tl) // 2]
     return total
 
 
@@ -247,8 +248,8 @@ def test_star_pairing_residual_matches_the_pairing_loop(q):
     ctx = QContext(q, 1e-9)
     words = [()] + [(a,) for a in LETTERS] + [(a, b) for a in LETTERS for b in LETTERS]
     gaps = []
-    for idx in (BasisIndex(HalfInt(tl), m, n) for tl in range(4)
-                for m in weight_range(HalfInt(tl)) for n in weight_range(HalfInt(tl))):
+    for idx in (BasisIndex.doubled(tl, tm, tn) for tl in range(4)
+                for tm in range(-tl, tl + 1, 2) for tn in range(-tl, tl + 1, 2)):
         t = AlgebraElement.basis(idx)
         for w in words:
             images = [star_antipode_letter(letter, ctx) for letter in w]
@@ -330,7 +331,7 @@ def test_actions_are_homomorphisms_on_words():
 
 def reference_right_matrix(lam, word, ctx):
     """rho_lam(word) as the product of the dense one-letter matrices, left to right."""
-    out = np.eye(hi(lam).twice + 1)
+    out = np.eye(twice(lam) + 1)
     for letter in word:
         out = out @ irrep_word(lam, letter, ctx)
     return out
@@ -339,7 +340,7 @@ def reference_right_matrix(lam, word, ctx):
 def reference_left_matrix(lam, word, ctx):
     """rho_lam(S(theta(word))); S∘theta is an anti-homomorphism, so the
     per-letter matrices multiply in reversed word order."""
-    out = np.eye(hi(lam).twice + 1)
+    out = np.eye(twice(lam) + 1)
     for letter in reversed(word):
         sign, mapped = theta_letter(letter)
         a_coeff, a_letter = antipode_letter(mapped, ctx)
@@ -354,9 +355,9 @@ def reference_act(word, a, ctx, side):
     for (tl, tm, tn), c in a.terms.items():
         if tl not in rows:
             if side == "right":
-                rows[tl] = reference_right_matrix(HalfInt(tl), word, ctx).T.tolist()
+                rows[tl] = reference_right_matrix(Fraction(tl, 2), word, ctx).T.tolist()
             else:
-                rows[tl] = reference_left_matrix(HalfInt(tl), word, ctx).tolist()
+                rows[tl] = reference_left_matrix(Fraction(tl, 2), word, ctx).tolist()
         row = rows[tl][((tn if side == "right" else tm) + tl) // 2]
         for t_new, v in zip(range(-tl, tl + 1, 2), row):
             if v != 0:
@@ -438,7 +439,7 @@ def test_haar_examples():
 def test_inner_examples():
     alpha, beta, _, _ = gens(CTX)
     assert inner(alpha, beta, CTX) == pytest.approx(0.0, abs=1e-15)
-    t = AlgebraElement.basis(BasisIndex.of(0.5, 0.5, 0.5))
+    t = AlgebraElement.basis(BasisIndex(0.5, 0.5, 0.5))
     assert inner(t, t, CTX) == pytest.approx(CTX.q**-1 / q_int(2, CTX), abs=1e-14)
     assert inner(unit(), unit(), CTX) == pytest.approx(1.0)
 
@@ -482,7 +483,7 @@ def test_gram_matches_whole_product_reference(q, xs, ys):
 @pytest.mark.parametrize("q", Q_VALUES)
 def test_gram_of_basis_matches_whole_product_reference(q):
     ctx = QContext(q, 1e-9)
-    basis = [AlgebraElement.basis(idx) for idx in GRAM_INDICES if idx.lam.twice <= 4]
+    basis = [AlgebraElement.basis(idx) for idx in GRAM_INDICES if twice(idx.lam) <= 4]
     assert len(basis) == 55
     g = gram(basis, basis, ctx)
     expected = [[reference_inner(x, y, ctx) for y in basis] for x in basis]
@@ -570,18 +571,18 @@ def test_haar_check_builds_every_block_it_pairs(fresh_cg_cache):
 
 def gns_basis_vector(idx, ctx):
     """Orthonormal GNS basis vector q^m sqrt([2 lam + 1]) t^lam_{mn}."""
-    return AlgebraElement.basis(idx, ctx.q ** idx.m.float * np.sqrt(q_int(2 * idx.lam + 1, ctx)))
+    return AlgebraElement.basis(idx, ctx.q ** float(idx.m) * np.sqrt(q_int(2 * idx.lam + 1, ctx)))
 
 
 def test_gns_basis_examples():
-    idx0 = BasisIndex.of(0, 0, 0)
+    idx0 = BasisIndex(0, 0, 0)
     assert (gns_basis_vector(idx0, CTX) - unit()).norm_inf() == 0.0
-    idx = BasisIndex.of(0.5, 0.5, 0.5)
+    idx = BasisIndex(0.5, 0.5, 0.5)
     v = gns_basis_vector(idx, CTX)
     expected = CTX.q**0.5 * np.sqrt(q_int(2, CTX))
     assert v.coeff(idx) == pytest.approx(expected)
     assert inner(v, v, CTX) == pytest.approx(1.0, abs=1e-12)
-    w = gns_basis_vector(BasisIndex.of(1, 0, 1), CTX)
+    w = gns_basis_vector(BasisIndex(1, 0, 1), CTX)
     assert inner(v, w, CTX) == pytest.approx(0.0, abs=1e-12)
     assert inner(w, w, CTX) == pytest.approx(1.0, abs=1e-12)
 
@@ -593,9 +594,9 @@ def test_gns_basis_examples():
 def test_jsonl_round_trip():
     a = AlgebraElement(
         {
-            BasisIndex.of(0.5, 0.5, -0.5): 1.25 - 0.75j,
-            BasisIndex.of(1.5, -0.5, 1.5): -3.0 + 0.125j,
-            BasisIndex.of(0, 0, 0): 2.0,
+            BasisIndex(0.5, 0.5, -0.5): 1.25 - 0.75j,
+            BasisIndex(1.5, -0.5, 1.5): -3.0 + 0.125j,
+            BasisIndex(0, 0, 0): 2.0,
         }
     )
     text = to_jsonl(a)
@@ -610,7 +611,7 @@ def test_jsonl_round_trip():
 
 def test_records_are_sorted_and_typed():
     a = AlgebraElement(
-        {BasisIndex.of(1, 0, 0): 1.0, BasisIndex.of(0, 0, 0): 1.0}
+        {BasisIndex(1, 0, 0): 1.0, BasisIndex(0, 0, 0): 1.0}
     )
     recs = coord.to_records(a)
     assert [r["two_lambda"] for r in recs] == [0, 2]

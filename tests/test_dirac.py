@@ -34,7 +34,6 @@ from qwps.dirac import (
     spinor_legs,
 )
 from qwps.exact import (
-    HalfInt,
     QContext,
     SpectrumTable,
     WeightPair,
@@ -43,50 +42,49 @@ from qwps.exact import (
     dim_V_down_oracle,
     dim_V_oracle,
     even_triple_spectrum,
-    hi,
     odd_triple_spectrum,
     summability_partial_sum,
+    twice,
 )
 from qwps.operators import TruncatedOperator, gram_norm, operator_norm
-from qwps.qcore import q_int, weight_range
+from qwps.qcore import q_int
 
 CTX = QContext(0.5, 1e-9)
 WPS = [WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3)]
 
 
 # ---------------------------------------------------------------------------
-# reference: the ambient labels built from HalfInts, and each spinor as a pair
+# reference: the ambient labels built from Fractions, and each spinor as a pair
 # of algebra elements, acted on word by word
 
 
 def spinor_basis(j_max):
     """The former ambient enumeration, kept as the reference: all spinor labels
-    with j <= j_max, ordered (j, arrow, m, mu), built from HalfInts."""
-    j_max = hi(j_max)
+    with j <= j_max, ordered (j, arrow, m, mu), built from Fractions."""
     out = []
-    for tj in range(0, j_max.twice + 1):
-        j = HalfInt(tj)
+    for tj in range(0, twice(j_max) + 1):
+        j = Fraction(tj, 2)
         for arrow in ("down", "up"):
             if arrow == "down" and tj == 0:
                 continue
-            lam = HalfInt(tj + (1 if arrow == "up" else -1))
-            for m in weight_range(lam):
-                for mu in weight_range(j):
-                    out.append(SpinorBasisIndex(j, m, mu, arrow))
+            tl = tj + (1 if arrow == "up" else -1)
+            for tm in range(-tl, tl + 1, 2):
+                for tmu in range(-tj, tj + 1, 2):
+                    out.append(SpinorBasisIndex(j, Fraction(tm, 2), Fraction(tmu, 2), arrow))
     return out
 
 
 def reference_legs(idx, ctx):
-    """spinor_legs as it was computed on HalfInts, with cg_coeff_updown's former
-    body: the exponents -(j+mu).float/2 and (j-mu).float/2, the q-integers
-    [2j], [j-mu] and [j+mu] read from HalfInts."""
+    """spinor_legs as it was computed on half-integer values, with
+    cg_coeff_updown's former body: the exponents -float(j+mu)/2 and
+    float(j-mu)/2, the q-integers [2j], [j-mu] and [j+mu] read from Fractions."""
     down = idx.arrow == "down"
     j, mu, q = (idx.j if down else idx.j + 1), idx.mu, ctx.q
     denom = q_int(2 * j, ctx)
-    c = q ** (-(j + mu).float / 2.0) * math.sqrt(q_int(j - mu, ctx) / denom)
-    s = q ** ((j - mu).float / 2.0) * math.sqrt(q_int(j + mu, ctx) / denom)
+    c = q ** (-float(j + mu) / 2.0) * math.sqrt(q_int(j - mu, ctx) / denom)
+    s = q ** (float(j - mu) / 2.0) * math.sqrt(q_int(j + mu, ctx) / denom)
     minus, plus = (c, s) if down else (-s, c)
-    tl, tm, tmu = idx.lam.twice, idx.m.twice, idx.mu.twice
+    tl, tm, tmu = twice(idx.lam), twice(idx.m), twice(idx.mu)
     return [
         (sign, BasisIndex.doubled(tl, tm, tn), coeff)
         for sign, tn, coeff in (("-", tmu + 1, minus), ("+", tmu - 1, plus))
@@ -120,15 +118,15 @@ def spinor_vector(idx, ctx):
                            + C_{j+1,mu} t^{j+}_{m,mu-1/2} ⊗ e_+ )
     """
     lam = idx.lam
-    scale = ctx.q ** idx.m.float * math.sqrt(q_int(2 * lam + 1, ctx))
-    half = hi(0.5)
+    scale = ctx.q ** float(idx.m) * math.sqrt(q_int(2 * lam + 1, ctx))
+    half = Fraction(1, 2)
     if idx.arrow == "down":
         c, s = cg_coeff_updown(idx.j, idx.mu, ctx)
         minus_coeff, plus_coeff = c, s
         # C vanishes iff mu = j, S vanishes iff mu = -j (exact boundary cases)
-        if idx.mu.twice == idx.j.twice:
+        if idx.mu == idx.j:
             minus_coeff = 0.0
-        if idx.mu.twice == -idx.j.twice:
+        if idx.mu == -idx.j:
             plus_coeff = 0.0
     else:
         c, s = cg_coeff_updown(idx.j + 1, idx.mu, ctx)
@@ -145,11 +143,10 @@ def spinor_vector(idx, ctx):
 def q_dirac_reference(j_max, ctx):
     """The q^{-D} backward error, every spinor of the basis acted on by five
     two-letter right_act words."""
-    j_max = hi(j_max)
     q = ctx.q
     lam_q = q - 1.0 / q
     pref = q**1.5
-    ev_max = q ** (-(2 * j_max.float + 1.5))
+    ev_max = q ** (-(2 * float(j_max) + 1.5))
     worst = 0.0
     for idx in spinor_basis(j_max):
         v = spinor_vector(idx, ctx)
@@ -163,9 +160,9 @@ def q_dirac_reference(j_max, ctx):
             + right_act(("kinv", "kinv"), v.minus, ctx)
         )
         if idx.arrow == "up":
-            expected = q ** (-(2 * idx.j.float + 1.5))
+            expected = q ** (-(2 * float(idx.j) + 1.5))
         else:
-            expected = q ** (2 * idx.j.float + 0.5)
+            expected = q ** (2 * float(idx.j) + 0.5)
         resid = (Spinor(out_minus, out_plus) - expected * v).norm_inf()
         worst = max(worst, resid / (ev_max * v.norm_inf()))
     return worst
@@ -194,13 +191,13 @@ def leg_matrix(labels, ctx):
 
 def test_spinor_index_validation():
     with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(0), hi(0.5), hi(0), "down")  # down needs j >= 1/2
+        SpinorBasisIndex(0, 0.5, 0, "down")  # down needs j >= 1/2
     with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(1), hi(0), hi(2), "up")  # |mu| > j
+        SpinorBasisIndex(1, 0, 2, "up")  # |mu| > j
     with pytest.raises(ValueError):
-        SpinorBasisIndex(hi(0.5), hi(1.5), hi(0.5), "up")  # |m| > j + 1/2
-    idx = SpinorBasisIndex(hi(0.5), hi(0), hi(0.5), "down")
-    assert idx.lam.twice == 0
+        SpinorBasisIndex(0.5, 1.5, 0.5, "up")  # |m| > j + 1/2
+    idx = SpinorBasisIndex(0.5, 0, 0.5, "down")
+    assert twice(idx.lam) == 0
     # the doubled constructor refuses the same labels with the same messages
     for args, message in [((0, 1, 0, "down"), "down vectors need j >= 1/2, got j = 0"),
                           ((2, 0, 4, "up"), "mu = 2 out of range for j = 1"),
@@ -212,19 +209,20 @@ def test_spinor_index_validation():
 
 
 def test_spinor_index_is_a_doubled_tuple():
-    idx = SpinorBasisIndex(hi(1.5), hi(-1), hi(0.5), "down")
+    idx = SpinorBasisIndex(1.5, -1, 0.5, "down")
     assert idx == SpinorBasisIndex.doubled(3, -2, 1, "down") == (3, -2, 1, "down")
     assert hash(idx) == hash(SpinorBasisIndex.doubled(3, -2, 1, "down"))
     assert len({idx, SpinorBasisIndex.doubled(3, -2, 1, "down")}) == 1
     assert idx != SpinorBasisIndex.doubled(3, -2, 1, "up")
-    assert (idx.j, idx.m, idx.mu, idx.arrow, idx.lam) == (hi(1.5), hi(-1), hi(0.5), "down", hi(1))
+    assert (idx.j, idx.m, idx.mu, idx.arrow, idx.lam) == (1.5, -1, 0.5, "down", 1)
     assert all(type(x) is int for x in idx[:3])
+    assert all(type(x) is Fraction for x in (idx.j, idx.m, idx.mu, idx.lam))
     assert pickle.loads(pickle.dumps(idx)) == idx
 
 
 def test_spinor_basis_counts_match_dirac_multiplicities():
     for tj in range(0, 6):
-        j = hi(tj / 2)
+        j = tj / 2
         ups = [x for x in spinor_basis(j) if x.arrow == "up" and x.j == j]
         downs = [x for x in spinor_basis(j) if x.arrow == "down" and x.j == j]
         assert len(ups) == (tj + 1) * (tj + 2)
@@ -232,10 +230,10 @@ def test_spinor_basis_counts_match_dirac_multiplicities():
 
 
 def test_boundary_spinor_has_single_leg():
-    idx = SpinorBasisIndex(hi(0.5), hi(0), hi(0.5), "down")
+    idx = SpinorBasisIndex(0.5, 0, 0.5, "down")
     legs = spinor_legs(idx, CTX)
     # C vanishes at mu = j: only the e_+ leg, at n = mu - 1/2
-    assert [(sign, t) for sign, t, _ in legs] == [("+", BasisIndex.of(0, 0, 0))]
+    assert [(sign, t) for sign, t, _ in legs] == [("+", BasisIndex(0, 0, 0))]
     assert legs[0][2] > 0
 
 
@@ -244,7 +242,7 @@ def test_spinor_vectors_normalized(tj):
     # shell lam = tj/2 holds the up labels with j = lam - 1/2 and the down
     # labels with j = lam + 1/2; their legs are orthonormal there
     for q in (0.3, 0.5, 0.8):
-        labels = [idx for idx in spinor_basis(hi(tj / 2 + 0.5)) if idx.lam.twice == tj]
+        labels = [idx for idx in spinor_basis(tj / 2 + 0.5) if twice(idx.lam) == tj]
         vecs = leg_matrix(labels, QContext(q, 1e-9))
         assert np.abs(vecs.T @ vecs - np.eye(len(labels))).max() <= 1e-15, q
 
@@ -252,7 +250,7 @@ def test_spinor_vectors_normalized(tj):
 def test_spinor_vectors_orthogonal():
     # the reference vectors, which are the legs times their GNS norms, are
     # orthogonal in the Haar inner product
-    basis = spinor_basis(hi(1.5))
+    basis = spinor_basis(1.5)
     vecs = [spinor_vector(i, CTX) for i in basis]
     for i in range(len(basis)):
         for k in range(i + 1, len(basis)):
@@ -262,7 +260,7 @@ def test_spinor_vectors_orthogonal():
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
 def test_spinor_legs_equal_the_halfint_computation(q):
     ctx = QContext(q, 1e-9)
-    for idx in spinor_basis(hi(4)):
+    for idx in spinor_basis(4):
         got, expected = spinor_legs(idx, ctx), reference_legs(idx, ctx)
         assert [(sign, t, c.hex()) for sign, t, c in got] == \
             [(sign, t, c.hex()) for sign, t, c in expected], idx
@@ -272,9 +270,9 @@ def test_spinor_legs_equal_the_halfint_computation(q):
 def test_spinor_legs_match_reference_vectors(q):
     # each leg is the reference term divided by the GNS norm q^m sqrt([2lam+1])
     ctx = QContext(q, 1e-9)
-    for idx in spinor_basis(hi(2)):
+    for idx in spinor_basis(2):
         ref = spinor_vector(idx, ctx)
-        scale = q**idx.m.float * math.sqrt(q_int(2 * idx.lam + 1, ctx))
+        scale = q**float(idx.m) * math.sqrt(q_int(2 * idx.lam + 1, ctx))
         expected = [("-", t, c) for t, c in ref.minus.terms.items()]
         expected += [("+", t, c) for t, c in ref.plus.terms.items()]
         assert [(sign, t, scale * c) for sign, t, c in spinor_legs(idx, ctx)] == expected
@@ -286,15 +284,15 @@ def test_spinor_legs_match_reference_vectors(q):
 
 def test_coinvariant_spinor_basis_examples():
     for wp in (WeightPair(1, 1), WeightPair(1, 2)):
-        basis = coinvariant_spinor_basis(wp, hi(3))
-        assert not any(x.arrow == "down" and x.j.twice <= 1 for x in basis)
+        basis = coinvariant_spinor_basis(wp, 3)
+        assert not any(x.arrow == "down" and twice(x.j) <= 1 for x in basis)
     down1 = [
         x
-        for x in coinvariant_spinor_basis(WeightPair(1, 1), hi(1))
-        if x.arrow == "down" and x.j.twice == 2
+        for x in coinvariant_spinor_basis(WeightPair(1, 1), 1)
+        if x.arrow == "down" and twice(x.j) == 2
     ]
     # twice p(l+k) = twice (m + 1/2)
-    assert {x.m.twice + 1 for x in down1} == {0, 2}
+    assert {twice(x.m) + 1 for x in down1} == {0, 2}
     assert len(down1) == 2
 
 
@@ -330,8 +328,8 @@ def test_coinvariant_spinor_basis_recombination_oracle():
                     if all(abs(n2) <= lam2 for n2 in legs) and legs:
                         basis.add((tj, m2, mu2, arrow))
         fast = {
-            (x.j.twice, x.m.twice, x.mu.twice, x.arrow)
-            for x in coinvariant_spinor_basis(wp, hi(6))
+            (twice(x.j), twice(x.m), twice(x.mu), x.arrow)
+            for x in coinvariant_spinor_basis(wp, 6)
         }
         assert fast == basis
 
@@ -350,10 +348,10 @@ def test_coinvariant_spinor_basis_is_degree_zero_scan(k, l):
         legs = spinor_legs(idx, CTX)
         return all(degree(wp, t) + spinor_degree(wp, -wp.k, sign) == 0 for sign, t, _ in legs)
 
-    brute = [idx for idx in spinor_basis(hi(4)) if coinvariant(idx)]
+    brute = [idx for idx in spinor_basis(4) if coinvariant(idx)]
     for tj in range(9):
-        fast = coinvariant_spinor_basis(wp, hi(tj / 2))
-        assert fast == [idx for idx in brute if idx.j.twice <= tj]
+        fast = coinvariant_spinor_basis(wp, tj / 2)
+        assert fast == [idx for idx in brute if twice(idx.j) <= tj]
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +362,25 @@ def test_coinvariant_spinor_basis_is_degree_zero_scan(k, l):
 def test_ambient_spectrum_counts(tj):
     # level 2j = t holds (t+1)(t+2) up and t(t+1) down labels, the multiplicities
     # of the classical Dirac eigenvalues t+3/2 and -(t+1/2)
-    basis = spinor_basis(hi(tj / 2))
+    basis = spinor_basis(tj / 2)
     for t in range(tj + 1):
-        arrows = [idx.arrow for idx in basis if idx.j.twice == t]
+        arrows = [idx.arrow for idx in basis if twice(idx.j) == t]
         assert (arrows.count("up"), arrows.count("down")) == ((t + 1) * (t + 2), t * (t + 1))
     assert len(basis) == sum(2 * (t + 1) ** 2 for t in range(tj + 1))
 
 
 def test_q_dirac_eigenvalues():
-    assert q_dirac_check(hi(2), CTX) < CTX.tol
+    assert q_dirac_check(2, CTX) < CTX.tol
 
 
 def test_q_dirac_guard():
     with pytest.raises(ValueError):
-        q_dirac_check(hi(3.5), CTX)
+        q_dirac_check(3.5, CTX)
 
 
 def test_q_dirac_refuses_a_negative_cap():
     with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
-        q_dirac_check(hi(-1), CTX)
+        q_dirac_check(-1, CTX)
 
 
 def test_q_dirac_refuses_an_overflowing_block():
@@ -392,15 +390,15 @@ def test_q_dirac_refuses_an_overflowing_block():
                               (0, 1e-160, "the q^-D block overflows a double"),
                               (0.5, 1e-103, "the q-integer [3] overflows a double")]:
         with pytest.raises(ValueError, match=re.escape(f"q = {q:g}: {message}")):
-            q_dirac_check(hi(j_max), QContext(q, 1e-9))
+            q_dirac_check(j_max, QContext(q, 1e-9))
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
 @pytest.mark.parametrize("j_max", [0, 1, 2])
 def test_q_dirac_matches_per_vector_reference(q, j_max):
     ctx = QContext(q, 1e-9)
-    assert q_dirac_reference(hi(j_max), ctx) <= 1e-15
-    assert q_dirac_check(hi(j_max), ctx) <= 1e-15
+    assert q_dirac_reference(j_max, ctx) <= 1e-15
+    assert q_dirac_check(j_max, ctx) <= 1e-15
 
 
 @pytest.mark.parametrize("tj", range(7))
@@ -408,10 +406,10 @@ def test_q_dirac_check_reads_the_former_labels(monkeypatch, tj):
     # shell by shell, lam ascending, the labels with m = lam of the former
     # enumeration in its order: the up labels at j = lam - 1/2 before the
     # down labels at j = lam + 1/2, mu ascending
-    top = [idx for idx in spinor_basis(hi(tj / 2)) if idx.m == idx.lam]
+    top = [idx for idx in spinor_basis(tj / 2) if idx.m == idx.lam]
     read, legs = [], dirac.spinor_legs
     monkeypatch.setattr(dirac, "spinor_legs", lambda idx, ctx: read.append(idx) or legs(idx, ctx))
-    q_dirac_check(hi(tj / 2), CTX)
+    q_dirac_check(tj / 2, CTX)
     assert read == [idx for lam in sorted({idx.lam for idx in top}) for idx in top if idx.lam == lam]
     assert all(type(idx) is SpinorBasisIndex for idx in read)
 
@@ -435,15 +433,15 @@ def test_q_dirac_check_fails_on_mutants(q):
         dirac.q_dirac_check, '+ (lam_q**2 / q) * rho("f", "e")', '- (lam_q**2 / q) * rho("f", "e")')
     swapped_up = mutated_q_dirac_check(dirac.spinor_legs, "else (-s, c)", "else (-c, s)")
     for mutant in (flipped_fe, swapped_up):
-        assert mutant(hi(2), ctx) >= 0.1
+        assert mutant(2, ctx) >= 0.1
     # the next down level's eigenvalue q^{2j+5/2}: the residual is scaled by the
     # largest eigenvalue q^{-(2 j_max + 3/2)}, so a down error reads largest at
     # large q and the smallest cap holding down labels
     shifted_down = mutated_q_dirac_check(
-        dirac.q_dirac_check, "else idx.j.twice + 0.5", "else idx.j.twice + 2.5")
+        dirac.q_dirac_check, "else idx[0] + 0.5", "else idx[0] + 2.5")
     if q == 0.8:
-        assert shifted_down(hi(0.5), ctx) >= 0.1
-    assert shifted_down(hi(2), ctx) > 1e3 * ctx.tol
+        assert shifted_down(0.5, ctx) >= 0.1
+    assert shifted_down(2, ctx) > 1e3 * ctx.tol
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,7 @@ def reference_spectrum_rows(wp, triple, cap):
     """The spectrum as merged from each shell's ± pair: every (eigenvalue,
     multiplicity) pair summed by eigenvalue, zero multiplicities dropped, and
     sorted, as the former SpectrumTable.from_pairs built it."""
-    ts = range(hi(cap).twice + 1)
+    ts = range(twice(cap) + 1)
     if triple == "odd":
         shells = zip([t + 2.0 for t in ts], [dim_V_down_doubled(wp, t + 2) for t in ts])
     else:
@@ -493,15 +491,15 @@ def test_a_triple_is_refused_unless_odd_or_even(bad):
 
 def test_odd_spectrum_pairing_and_oracle():
     for wp in WPS:
-        table = odd_triple_spectrum(wp, hi(20))
+        table = odd_triple_spectrum(wp, 20)
         for ev, mult in table.rows:
             assert table.multiplicity(-ev) == mult
             # ev = ±2(j+1), so the shifted level is j + 1 = |ev|/2
-            assert mult == dim_V_down_oracle(wp, hi(abs(ev) / 2))
+            assert mult == dim_V_down_oracle(wp, abs(ev) / 2)
 
 
 def test_odd_spectrum_unit_weights():
-    table = odd_triple_spectrum(WeightPair(1, 1), hi(4))
+    table = odd_triple_spectrum(WeightPair(1, 1), 4)
     assert [(ev, m) for ev, m in table.rows if ev > 0] == [
         (2.0, 2),
         (4.0, 4),
@@ -512,7 +510,7 @@ def test_odd_spectrum_unit_weights():
 
 
 def test_even_spectrum_examples():
-    table = even_triple_spectrum(WeightPair(1, 1), hi(3))
+    table = even_triple_spectrum(WeightPair(1, 1), 3)
     assert table.rows == (
         (-4.0, 7),
         (-3.0, 5),
@@ -524,10 +522,10 @@ def test_even_spectrum_examples():
         (4.0, 7),
     )
     for wp in WPS:
-        assert even_triple_spectrum(wp, hi(0)).rows == ((-1.0, 1), (1.0, 1))
-    table = even_triple_spectrum(WeightPair(2, 3), hi(12))
+        assert even_triple_spectrum(wp, 0).rows == ((-1.0, 1), (1.0, 1))
+    table = even_triple_spectrum(WeightPair(2, 3), 12)
     for ev, mult in table.rows:
-        assert mult == dim_V_oracle(WeightPair(2, 3), hi(abs(ev) - 1))
+        assert mult == dim_V_oracle(WeightPair(2, 3), abs(ev) - 1)
 
 
 def test_spectrum_totals_match_enumeration():
@@ -538,16 +536,16 @@ def test_spectrum_totals_match_enumeration():
         if k + l <= 7 and math.gcd(k, l) == 1
     ]
     for wp in pairs:
-        table = odd_triple_spectrum(wp, hi(20))
+        table = odd_triple_spectrum(wp, 20)
         # rows at ±2(j+1) for j <= 20 count the down labels at levels 1..21
         downs = [
             x
-            for x in coinvariant_spinor_basis(wp, hi(21))
-            if x.arrow == "down" and x.j.twice >= 2
+            for x in coinvariant_spinor_basis(wp, 21)
+            if x.arrow == "down" and twice(x.j) >= 2
         ]
         assert table.total() == 2 * len(downs)
-        table = even_triple_spectrum(wp, hi(20))
-        assert table.total() == 2 * len(coinvariant_coord_basis(wp, hi(20)))
+        table = even_triple_spectrum(wp, 20)
+        assert table.total() == 2 * len(coinvariant_coord_basis(wp, 20))
 
 
 def test_spectrum_table_validation():
@@ -559,7 +557,7 @@ def test_spectrum_table_validation():
 
 def test_spectrum_serialization(capsys):
     # the table goes out through the command line writer
-    table = even_triple_spectrum(WeightPair(1, 1), hi(1))
+    table = even_triple_spectrum(WeightPair(1, 1), 1)
     argv = ["spectrum", "--triple", "even", "--k", "1", "--l", "1", "--lmax", "1"]
     assert cli.main(argv) == 0
     csv = capsys.readouterr().out
@@ -720,10 +718,10 @@ def test_summability_cube_converges(wp, triple):
 # commutator boundedness evidence
 
 
-def _gns_labels(lam_cap: HalfInt) -> tuple:
+def _gns_labels(lam_cap) -> tuple:
     """Doubled (lam, m, n) of every GNS vector with lam <= lam_cap, in that order."""
-    size = np.arange(1, lam_cap.twice + 2) ** 2
-    tl = np.repeat(np.arange(lam_cap.twice + 1), size)
+    size = np.arange(1, twice(lam_cap) + 2) ** 2
+    tl = np.repeat(np.arange(twice(lam_cap) + 1), size)
     i = np.arange(tl.size) - np.repeat(np.cumsum(size) - size, size)
     return tl, 2 * (i // (tl + 1)) - tl, 2 * (i % (tl + 1)) - tl
 
@@ -794,10 +792,10 @@ def test_gns_multiplication_equals_per_label_reference(q):
     # generator, its adjoint and the unit on all shells up to 12
     ctx = QContext(q, 1e-9)
     for wp in (WeightPair(1, 1), WeightPair(1, 2), WeightPair(2, 3), WeightPair(1, 16)):
-        labels = np.array(coinvariant_coord_basis(wp, hi(6)), dtype=int).T
+        labels = np.array(coinvariant_coord_basis(wp, 6), dtype=int).T
         for element in wp_gens(wp, ctx):
             _assert_same_triplets(element, labels, ctx)
-    labels = _gns_labels(hi(12))
+    labels = _gns_labels(12)
     for element in (*gens(ctx), unit()):
         _assert_same_triplets(element, labels, ctx)
 
@@ -807,7 +805,7 @@ def _multiply_reference(element, base, ctx):
     the element into each vector and divide every coefficient by the norm of
     its target t^lam_mn."""
     def norm(idx):
-        return ctx.q**idx.m.float * math.sqrt(q_int(2 * idx.lam + 1, ctx))
+        return ctx.q**float(idx.m) * math.sqrt(q_int(2 * idx.lam + 1, ctx))
 
     pos = {idx: i for i, idx in enumerate(base)}
     mat = np.zeros((len(base), len(base)), dtype=complex)
@@ -836,8 +834,8 @@ def test_gns_multiplication_matrix_matches_multiply(name, wp, q):
     if wp is None:
         alpha, beta, _, _ = gens(ref_ctx)
         element = {"alpha": alpha, "beta": beta, "one": unit()}[name]
-        labels = _gns_labels(hi(3))
-        base = [BasisIndex(HalfInt(tl), HalfInt(tm), HalfInt(tn))
+        labels = _gns_labels(3)
+        base = [BasisIndex(Fraction(tl, 2), Fraction(tm, 2), Fraction(tn, 2))
                 for tl, tm, tn in np.array(labels).T.tolist()]
         got = np.zeros((len(base), len(base)))
         rows, cols, vals = gns_multiplication(element, labels, ctx)
@@ -845,7 +843,7 @@ def test_gns_multiplication_matrix_matches_multiply(name, wp, q):
     else:
         wp = WeightPair(*wp)
         element = dict(zip("ab", wp_gens(wp, ref_ctx)))[name]
-        ops = even_triple_operators(wp, hi(5), ctx)
+        ops = even_triple_operators(wp, 5, ctx)
         B = len(ops["basis"]) // 2
         base = [idx for idx, _ in ops["basis"][:B]]
         full = ops[f"pi_{name}"]
@@ -858,29 +856,29 @@ def test_gns_multiplication_matrix_matches_multiply(name, wp, q):
 
 
 def test_commutator_norm_identity_is_zero():
-    assert commutator_norm("one", hi(4), CTX) == 0.0
+    assert commutator_norm("one", 4, CTX) == 0.0
 
 
 def test_gns_multiplication_edge_cases():
     with pytest.raises(ValueError):
-        commutator_norm("gamma", hi(4), CTX)
+        commutator_norm("gamma", 4, CTX)
     rows, cols, vals = gns_multiplication(unit(), np.zeros((3, 0), dtype=int), CTX)
     assert rows.size == cols.size == vals.size == 0
     # images outside the labels are dropped: alpha sends shell 0 to shell 1/2 only
-    rows, cols, vals = gns_multiplication(gens(CTX)[0], _gns_labels(hi(0)), CTX)
+    rows, cols, vals = gns_multiplication(gens(CTX)[0], _gns_labels(0), CTX)
     assert rows.size == 0
 
 
 def test_commutator_norm_plateau_small():
-    n10 = commutator_norm("alpha", hi(10), CTX)
-    n20 = commutator_norm("alpha", hi(20), CTX)
+    n10 = commutator_norm("alpha", 10, CTX)
+    n20 = commutator_norm("alpha", 20, CTX)
     assert n20 >= n10 - 1e-12  # the cap-10 block is a submatrix of the cap-20 one
     assert abs(n20 - n10) / n10 < 0.01
 
 
 def _doubled_commutator_interior(gen, cap):
     """The interior block of [Q, Pi] on two GNS copies, built explicitly."""
-    labels = _gns_labels(hi(cap))
+    labels = _gns_labels(cap)
     shells = labels[0]
     alpha, beta, _, _ = gens(CTX)
     rows, cols, vals = gns_multiplication(alpha if gen == "alpha" else beta, labels, CTX)
@@ -897,7 +895,7 @@ def _doubled_commutator_interior(gen, cap):
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
 def test_commutator_norm_matches_doubled_operator(gen, cap):
     expected = np.linalg.norm(_doubled_commutator_interior(gen, cap), 2)
-    assert commutator_norm(gen, hi(cap), CTX) == pytest.approx(expected, rel=1e-13)
+    assert commutator_norm(gen, cap, CTX) == pytest.approx(expected, rel=1e-13)
 
 
 def test_sparse_operator_norm_matches_dense():
@@ -943,12 +941,11 @@ def _reference_operator_norm(mat):
 def _reference_commutator_norm(gen, cap, ctx):
     """commutator_norm's former path: the interior operator C as a CSR matrix,
     normed by _reference_operator_norm."""
-    cap = hi(cap)
     labels = _gns_labels(cap)
     element = dict(zip(("alpha", "beta"), gens(ctx)), one=unit())[gen]
     rows, cols, vals = gns_multiplication(element, labels, ctx)
     shells = labels[0]
-    interior = int(np.count_nonzero(shells <= cap.twice - 1))
+    interior = int(np.count_nonzero(shells <= twice(cap) - 1))
     keep = cols < interior
     rows, cols = rows[keep], cols[keep]
     vals = (shells[rows] - shells[cols]) / 2.0 * vals[keep]
@@ -961,7 +958,7 @@ def _reference_commutator_norm(gen, cap, ctx):
 def test_commutator_norm_equals_sparse_reference(gen, q):
     ctx = QContext(q, 1e-9)
     for cap in (1, 1.5, 2, 2.5, 3, 4, 5.5, 6, 8, 12, 16, 20):
-        assert commutator_norm(gen, hi(cap), ctx) == _reference_commutator_norm(gen, cap, ctx), cap
+        assert commutator_norm(gen, cap, ctx) == _reference_commutator_norm(gen, cap, ctx), cap
 
 
 def test_sparse_operator_norm_equals_reference():
@@ -1045,7 +1042,7 @@ def test_commutator_norm_eigensolves_only_screened_blocks(monkeypatch, gen, solv
         return eigvalsh(stack)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    commutator_norm(gen, hi(16), CTX)
+    commutator_norm(gen, 16, CTX)
     assert sum(seen) == solved
 
 
@@ -1056,18 +1053,18 @@ def test_commutator_norm_guard(monkeypatch):
 
     monkeypatch.setattr(dirac, "_gns_factors", unreachable)
     with pytest.raises(ValueError, match="cost guard"):
-        commutator_norm("alpha", dirac.COMMUTATOR_GUARD + hi(0.5), CTX)
+        commutator_norm("alpha", dirac.COMMUTATOR_GUARD + 0.5, CTX)
 
 
 def test_commutator_norm_peak_memory():
     # the tracemalloc peak of alpha at cap 40 with its blocks built: 9.17 MiB,
     # bounded here at 10 % more.  With per-label images and one buffer for
     # every kept Gram block it was 68.3 MiB
-    commutator_norm("alpha", hi(40), CTX)
+    commutator_norm("alpha", 40, CTX)
     gc.collect()
     tracemalloc.start(1)
     try:
-        commutator_norm("alpha", hi(40), CTX)
+        commutator_norm("alpha", 40, CTX)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1075,7 +1072,7 @@ def test_commutator_norm_peak_memory():
 
 
 def test_commutator_norm_beta_bounded():
-    n = commutator_norm("beta", hi(10), CTX)
+    n = commutator_norm("beta", 10, CTX)
     assert 0.1 < n < 1.0
 
 
@@ -1085,13 +1082,13 @@ def test_commutator_norm_beta_bounded():
 
 @pytest.mark.parametrize("wp", WPS, ids=str)
 def test_chirality_exact(wp):
-    report = chirality_checks(wp, hi(3), CTX)
+    report = chirality_checks(wp, 3, CTX)
     assert report["max"] < 1e-12
 
 
 @pytest.mark.parametrize("wp", WPS, ids=str)
 def test_fredholm_exact(wp):
-    report = fredholm_degeneracy(wp, hi(3), CTX)
+    report = fredholm_degeneracy(wp, 3, CTX)
     assert report["max"] < 1e-12
 
 
@@ -1106,7 +1103,7 @@ def test_even_triple_report_max_propagates_nan(monkeypatch, check):
         return ops
 
     monkeypatch.setattr(dirac, "even_triple_operators", nan_in_pi_b)
-    report = check(WeightPair(1, 1), hi(1), CTX)
+    report = check(WeightPair(1, 1), 1, CTX)
     assert math.isnan(report["commutes_pi_b"]) and not math.isnan(report["commutes_pi_a"])
     assert math.isnan(report["max"])
 
@@ -1114,7 +1111,7 @@ def test_even_triple_report_max_propagates_nan(monkeypatch, check):
 @pytest.mark.parametrize("cap", [-1, -0.5])
 @pytest.mark.parametrize("entry", [even_triple_operators, chirality_checks, fredholm_degeneracy])
 def test_even_triple_refuses_a_negative_cap(entry, cap):
-    with pytest.raises(ValueError, match=f"lam_max must be >= 0, got {hi(cap)}"):
+    with pytest.raises(ValueError, match=f"lam_max must be >= 0, got {Fraction(cap)}"):
         entry(WeightPair(1, 1), cap, CTX)
 
 
@@ -1133,7 +1130,7 @@ def test_chirality_checks_retain_little_memory(monkeypatch):
     gc.collect()
     tracemalloc.start(4)  # deep enough to reach the cg or qcore frame of each allocation
     try:
-        chirality_checks(WeightPair(1, 32), hi(5), QContext(0.5, 1e-9))
+        chirality_checks(WeightPair(1, 32), 5, QContext(0.5, 1e-9))
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
@@ -1149,7 +1146,7 @@ def test_chirality_checks_peak_memory_from_an_empty_cache(monkeypatch):
     gc.collect()
     tracemalloc.start(1)
     try:
-        chirality_checks(WeightPair(1, 64), hi(5), QContext(0.5, 1e-9))
+        chirality_checks(WeightPair(1, 64), 5, QContext(0.5, 1e-9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1167,7 +1164,7 @@ def test_clear_cache_releases_what_a_loop_over_q_retains(monkeypatch):
     tracemalloc.start(1)
     try:
         for i in range(20):
-            chirality_checks(WeightPair(1, 64), hi(5), QContext(0.3 + 0.025 * i, 1e-9))
+            chirality_checks(WeightPair(1, 64), 5, QContext(0.3 + 0.025 * i, 1e-9))
         cg.clear_cache()
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
@@ -1177,9 +1174,9 @@ def test_clear_cache_releases_what_a_loop_over_q_retains(monkeypatch):
 
 
 def test_even_triple_operators_structure():
-    ops = even_triple_operators(WeightPair(1, 1), hi(2), CTX)
+    ops = even_triple_operators(WeightPair(1, 1), 2, CTX)
     # two copies of the degree-0 basis, each operator a square array on it
-    base = coinvariant_coord_basis(WeightPair(1, 1), hi(2))
+    base = coinvariant_coord_basis(WeightPair(1, 1), 2)
     assert ops["basis"] == tuple((i, "up") for i in base) + tuple((i, "down") for i in base)
     for name in ("D", "omega", "F", "pi_a", "pi_b"):
         assert isinstance(ops[name], np.ndarray)
@@ -1189,7 +1186,7 @@ def test_even_triple_operators_structure():
     # eigenvalues ±(lam+1) with multiplicity dim V_lam
     expected = []
     for tl in range(0, 5):
-        mult = dim_V_oracle(WeightPair(1, 1), hi(tl / 2))
+        mult = dim_V_oracle(WeightPair(1, 1), tl / 2)
         expected += [tl / 2.0 + 1.0] * mult + [-(tl / 2.0 + 1.0)] * mult
     assert np.allclose(evals, np.sort(expected), atol=1e-12)
 
@@ -1199,7 +1196,7 @@ def test_even_triple_pi_a_is_hermitian(q):
     # a = beta beta^* is self-adjoint; pi(a) is built from (1, lam)
     # Clebsch-Gordan blocks, whose errors show up as non-Hermitian entries
     ops = even_triple_operators(WeightPair(1, 2), 10, QContext(q, 1e-9))
-    keep = [i for i, (idx, _) in enumerate(ops["basis"]) if idx.lam.twice <= 18]
+    keep = [i for i, (idx, _) in enumerate(ops["basis"]) if twice(idx.lam) <= 18]
     p = ops["pi_a"][np.ix_(keep, keep)]
     assert np.abs(p - p.conj().T).max() <= 1e-11
 
@@ -1210,7 +1207,7 @@ def test_coinvariant_spinors_are_ambient_eigenvectors():
     # the ambient Dirac is diagonal on them, and after the +1/2 shift the
     # eigenvalue is exactly ±2(j+1)
     for wp in WPS:
-        for idx in coinvariant_spinor_basis(wp, hi(3)):
+        for idx in coinvariant_spinor_basis(wp, 3):
             for sign, term, _ in spinor_legs(idx, CTX):
                 assert degree(wp, term) == (wp.k if sign == "+" else -wp.l)
             j = float(idx.j)

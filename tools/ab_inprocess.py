@@ -8,7 +8,7 @@ only relatively, so both load side by side.  Separate processes cannot resolve
 a few percent on a host whose speed drifts between runs; interleaved rounds in
 one process see the same drift on both sides.
 
-Eleven things are timed per round, the side that goes first alternating:
+Twelve things are timed per round, the side that goes first alternating:
 
 - ``build``: every Clebsch-Gordan block with 2 lam1, 2 lam2 <= 8 at
   q = 0.3, 0.5 and 0.8, from an emptied block cache;
@@ -41,7 +41,12 @@ Eleven things are timed per round, the side that goes first alternating:
   N = 12, at q = 0.5;
 - ``cold-chain``: ``dirac.chirality_checks((1, 64), 5)`` from an emptied
   block cache at the same three q as ``build``, which builds the chain of
-  blocks that ``coaction.wp_gens`` multiplies through.
+  blocks that ``coaction.wp_gens`` multiplies through;
+- ``dims``: the ``algebra`` benchmark's ``dims`` tasks, ``hi(t / 2)`` for
+  t = 0, ..., 50 into ``exact.dim_V_down`` and ``dim_V``, then into
+  ``dim_V_down_oracle`` and ``dim_V_oracle``, for every coprime (k, l) with
+  k + l <= 9: the parse of a weight at the boundary and the integer cores
+  behind it.
 
 Each task runs once on each side before its timed rounds.  For each it
 prints the median change/parent time ratio, its quartiles and the
@@ -63,6 +68,7 @@ from pathlib import Path
 GRID = range(9)  # doubled highest weights
 QS = (0.3, 0.5, 0.8)
 WP_PAIRS = [(k, s - k) for s in range(2, 9) for k in range(1, s) if math.gcd(k, s - k) == 1]
+DIMS_PAIRS = [(k, s - k) for s in range(2, 10) for k in range(1, s) if math.gcd(k, s - k) == 1]
 CHIRALITY_PAIRS = ((1, 1), (1, 2), (2, 3))
 SPINOR_J_MAX = 6
 HIT_REPEATS = 20
@@ -165,10 +171,20 @@ def cold_chain(pkg):
         pkg["dirac"].chirality_checks(pkg["exact"].WeightPair(1, 64), 5, ctx)
 
 
+def dims(pkg):
+    ex = pkg["exact"]
+    for k, l in DIMS_PAIRS:
+        wp = ex.WeightPair(k, l)
+        for fns in ((ex.dim_V_down, ex.dim_V), (ex.dim_V_down_oracle, ex.dim_V_oracle)):
+            for t in range(51):
+                for fn in fns:
+                    fn(wp, ex.hi(t / 2))
+
+
 TASKS = (("build", build), ("block-hit", block_hits), ("actions", actions),
          ("star-pairing", star_pairing), ("qdirac", qdirac), ("spinors", spinors),
          ("cold-pass", cold_pass), ("norms", norms), ("exact", exact), ("teardrop", teardrop),
-         ("cold-chain", cold_chain))
+         ("cold-chain", cold_chain), ("dims", dims))
 
 
 def timed(fn, pkg) -> float:

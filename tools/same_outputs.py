@@ -26,8 +26,8 @@ The families are:
   ``cg.cg_coeff_updown`` for every 2j <= 16 and every mu, with the
   refusals at mu = j + 1/2 and j + 1, and
   ``dirac.q_dirac_check`` at j_max from -1/2 to 7/2 in steps of 1/2 (the
-  ends are refusals).  A label is compared as (2j, 2m, 2mu, arrow), so a
-  change of the label's type alone does not count;
+  ends are refusals).  A label is compared as its tuple (2j, 2m, 2mu,
+  arrow), so a change of the label's type alone does not count;
 - ``teardrop``: ``teardrop.wp_rep`` at N = 12 and ``wp_rep_via_ambient``
   (m = -2, 0 and 5) at N = 2 (the benchmark warm-up's) and 12, for every
   l <= 3, copy s and generator, the ``block_structure_evidence`` reports for
@@ -48,7 +48,13 @@ The families are:
   matrices with permuted rows and columns, on blocks whose Gram tops tie or
   nearly tie, on an all-zero and an empty matrix and on two dense ones; and
   ``operators.gram_norm`` on the Gram entries of each sparse one, split into
-  connected components as ``operator_norm`` splits them.
+  connected components as ``operator_norm`` splits them;
+- ``parse``: the values of ``PARSE_VALUES`` (not half-integers, doubles
+  that overflow, inf, nan, -1/2, 3/2, 2 and 2**60 + 1, as floats, ints and
+  Fractions) through every public entry that reads a weight or a cap, with
+  (k, l) = (1, 2) and q = 0.5; 2**60 + 1 only through the entries whose cost
+  does not grow with it.  ``coord.BasisIndex`` is read through its ``of``
+  where a tree has one.
 
 Words, actions, reports, teardrop and even run at q = 0.3, 0.5, 0.8 and 1e-3,
 spinors at those and 0.05, couplings and norms at the first three; exact and
@@ -66,6 +72,7 @@ import math
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +95,9 @@ SUMMABILITY_NS = (7.5, 512, 1024, 2048, 65536)
 EXACT_PAIRS = [(k, s - k) for s in range(2, 13) for k in range(1, s) if math.gcd(k, s - k) == 1]
 BAD_TRIPLES = ("", "Odd", "both", None)
 SPARSE_PER_DTYPE = 20
+HUGE = 2**60 + 1  # not a double: a parse through float would round it
+PARSE_VALUES = (0.3, 1e308, -1e308, math.inf, math.nan, Fraction(1, 3), -0.5, Fraction(3, 2),
+                2, HUGE)
 ABSENT = object()
 
 
@@ -181,8 +191,11 @@ def catalogue(pkg):
         return thunk
 
     def legs(ctx):  # each label as its doubled ints, with its legs
-        return lambda labels: [((idx.j.twice, idx.m.twice, idx.mu.twice, idx.arrow),
-                                pkg["dirac"].spinor_legs(idx, ctx)) for idx in labels]
+        return lambda labels: [(tuple(idx), pkg["dirac"].spinor_legs(idx, ctx)) for idx in labels]
+
+    def basis_index(value):  # through BasisIndex.of where a tree's constructor reads no value
+        index = pkg["coord"].BasisIndex
+        return getattr(index, "of", index)(value, value, value)
 
     def triplets(wp, ctx):  # the triplets of a and b on the even triple's labels
         labels = np.array(pkg["coaction"].coinvariant_coord_basis(wp, 5), dtype=int).T
@@ -271,6 +284,29 @@ def catalogue(pkg):
             for n, exponent in itertools.product(SUMMABILITY_NS, (2, 3)):
                 yield "exact", ("summability", k, l, triple, n, exponent), call(
                     "exact", "summability_partial_sum", pair(k, l), n, triple, exponent)
+
+    ctx, wp = ctxs[0.5], pair(1, 2)
+    coupling = lambda block: block.coupling  # noqa: E731  (the block's labels change type)
+    for value in PARSE_VALUES:
+        entries = [("exact", "dim_V", wp, value), ("exact", "dim_V_down", wp, value),
+                   ("qcore", "word_shift", value, "e", ctx), ("qcore", "q_int", value, ctx),
+                   ("cg", "cg_coeff_updown", value, value, ctx),
+                   ("dirac", "q_dirac_check", value, ctx),
+                   ("dirac", "commutator_norm", "alpha", value, ctx),
+                   ("exact", "summability_partial_sum", wp, value, "odd")]
+        if value != HUGE:  # these list or loop over every shell up to the value
+            entries += [("exact", name, wp, value)
+                        for name in ("dim_V_down_oracle", "dim_V_up_oracle", "dim_V_oracle",
+                                     "dim_table", "odd_triple_spectrum", "even_triple_spectrum")]
+            entries += [("coaction", "coinvariant_coord_basis", wp, value),
+                        ("dirac", "coinvariant_spinor_basis", wp, value),
+                        ("coord", "haar_orthogonality_residual", ctx, value),
+                        ("dirac", "chirality_checks", wp, value, ctx)]
+            yield "parse", (value, "cg_block"), call(
+                "cg", "cg_block", value, 0.5, ctx, then=coupling)
+            yield "parse", (value, "BasisIndex"), lambda v=value: basis_index(v)
+        for module, name, *args in entries:
+            yield "parse", (value, name), call(module, name, *args)
 
     for name, mat in sparse_inputs():
         yield "sparse", ("operator_norm", name), call("operators", "operator_norm", mat)

@@ -395,9 +395,19 @@ def action_table_residuals(ctx: QContext) -> dict:
     return residuals
 
 
+# the Haar check pairs every t^lam_{mn} with lam <= lam_max, so its cost grows about as
+# lam_max^6: from an emptied cache at q = 0.5 with one BLAS thread it took 0.05 s at 4,
+# 0.19 s at 5, 0.49 s (75 MB peak RSS) at 6 and 0.92 s (131 MB) at 7 on 2 cores
+HAAR_GUARD = 6
+
+
 def haar_orthogonality_residual(ctx: QContext, lam_max=2) -> float:
-    """Max deviation of <t^lam_{mn}, t^lam'_{m'n'}> from delta*q^{-2m}/[2lam+1]."""
-    indices = [(tl, tm, tn) for tl in range(twice(lam_max, "lam_max") + 1)
+    """Max deviation of <t^lam_{mn}, t^lam'_{m'n'}> from delta*q^{-2m}/[2lam+1];
+    refuses lam_max above HAAR_GUARD before it builds a block."""
+    t_max = twice(lam_max, "lam_max")
+    if t_max > 2 * HAAR_GUARD:
+        raise ValueError(f"lam_max = {Fraction(t_max, 2)} exceeds the cost guard {HAAR_GUARD}")
+    indices = [(tl, tm, tn) for tl in range(t_max + 1)
                for tm in range(-tl, tl + 1, 2) for tn in range(-tl, tl + 1, 2)]
     basis = [AlgebraElement.basis(BasisIndex.doubled(*idx)) for idx in indices]
     deviation = gram(basis, basis, ctx)

@@ -22,8 +22,8 @@ and two Clebsch-Gordan leg tables by (shell, weight, mu-shift).
 :func:`gns_multiplication` reads them at its labels for the triplets of the
 even triple's pi(a), pi(b).  :func:`commutator_norm` takes their outer
 products shell by shell, reads the bands of its Gram matrix along each
-weight chain, and eigensolves the chains its Gershgorin screen keeps, a size
-at a time and, for alpha, one of each mirrored pair.
+weight chain, and eigensolves the chains its Gershgorin screen keeps, in one
+stack it fills per size and, for alpha, one of each mirrored pair.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .coaction import coinvariant_coord_basis, wp_gens
 from .coord import AlgebraElement, BasisIndex
 from .exact import QContext, WeightPair, _p_window, residual_max, twice
 from .exact import summability_partial_sum  # noqa: F401  (bench/ reads it here)
-from .operators import eigvalsh_max
 from .qcore import irrep_word, q_int
 
 __all__ = [
@@ -348,7 +347,8 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     C*C is block diagonal by the column weight (m, n) and tridiagonal in lam:
     the row (lam + 1/2, m', n') is shared by the columns (lam, m, n) and
     (lam + 1, m, n) only.  Each block is the chain of :func:`_chains`; the
-    blocks its Gershgorin screen keeps are eigensolved a size at a time.
+    blocks its Gershgorin screen keeps are eigensolved a size at a time, as
+    one stack of dense tridiagonal matrices.
     Where m' = n' (alpha), the blocks (m, n) and (n, m) are the same matrix,
     so only those with m <= n are solved.
     """
@@ -380,9 +380,10 @@ def commutator_norm(gen: str, lam_cap, ctx: QContext) -> float:
     top = 0.0
     for size, parts in by_size.items():
         diag, off = (np.concatenate(x) for x in zip(*parts))
-        # a matrix's diagonal, upper and lower band, in its row-major entries
-        bands = [(slice(None), slice(first, None, size + 1)) for first in (0, 1, size)]
-        top = max(top, eigvalsh_max(len(diag), size, zip(bands, (diag, off, off))))
+        # each matrix's diagonal, upper and lower band, in its row-major entries
+        stack = np.zeros((len(diag), size * size))
+        stack[:, ::size + 1], stack[:, 1::size + 1], stack[:, size::size + 1] = diag, off, off
+        top = max(top, float(np.linalg.eigvalsh(stack.reshape(-1, size, size)).max()))
     return math.sqrt(top)
 
 

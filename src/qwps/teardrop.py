@@ -15,7 +15,7 @@ The models are evaluated on finite truncations, the relations of a and b
 stated by :func:`~qwps.exact.wp_relations` entrywise on their coefficient
 arrays.  The ambient generators are weighted shifts, so an ambient word sends
 each basis vector to one multiple of one basis vector; it is walked once over
-arrays of basis vectors, with one table of Python's powers q**e per walk and
+arrays of basis vectors, with a cached table of Python's powers q**e and
 the letters' coefficients multiplied in word order, so each entry is bitwise
 the walk of that vector alone.  Restricting the ambient
 representation to the invariant subspaces X_m (spanned by e_{m+p} ⊗ e_p^s)
@@ -28,7 +28,7 @@ component of order nl + j.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 import numpy as np
@@ -59,11 +59,14 @@ def _check_wp_args(l, s, N):
         raise ValueError(f"N must be >= 2, got {N}")
 
 
+@lru_cache(maxsize=16)
 def _powers(q: float, stop: int) -> np.ndarray:
-    """Python's q**e for e = 0 .. stop - 1, as float64: the exponents are Python
-    ints in an object array, so each entry is the scalar formulas' q**e;
-    numpy's SIMD power rounds some of them differently."""
-    return np.power(q, np.arange(stop, dtype=object)).astype(float)
+    """Python's q**e for e = 0 .. stop - 1, as read-only float64 kept for the
+    next walks: the exponents are Python ints in an object array, so each entry
+    is the scalar formulas' q**e; numpy's SIMD power rounds some differently."""
+    table = np.power(q, np.arange(stop, dtype=object)).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 def _wp_coefficients(l, s, N, q):

@@ -5,13 +5,17 @@ cannot find, so a rename inside qwps would zero that span's per-layer
 metrics without any error.  The file is parsed here, not imported.
 ``bench/workloads.py`` passes weights through ``hi`` and ``HalfInt``, which
 it reads from ``qwps.qcore``; its calls must read what the doubled cores do.
+Its warm-up norms a sparse identity and a dense one through ``operator_norm``.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-from qwps import cg, coaction, dirac, exact
+import numpy as np
+import scipy.sparse as sp
+
+from qwps import cg, coaction, dirac, exact, operators
 from qwps.coaction import WeightPair
 from qwps.qcore import HalfInt, QContext, hi
 
@@ -67,3 +71,10 @@ def test_workload_call_patterns_equal_the_doubled_cores():
         assert hi(cap) is cap
         assert dirac.commutator_norm("alpha", hi(cap), ctx) == dirac.commutator_norm(
             "alpha", HalfInt(int(2 * cap)), ctx)
+
+
+def test_warm_up_norms():
+    # bench/workloads.py's warm_up: a sparse input above the former dense cut-over,
+    # normed through its Gram matrix, and a dense one through LAPACK's SVD
+    assert operators.operator_norm(sp.identity(801, format="csr")) == 1.0
+    assert operators.operator_norm(np.eye(2)) == 1.0

@@ -584,6 +584,7 @@ def test_sparse_operator_norm_loads_scipy_on_demand(tmp_path):
         dense = np.arange(1.0, 37.0).reshape(6, 6) * (np.arange(36).reshape(6, 6) % 4 == 0)
         got, want = operator_norm(sp.csr_matrix(dense)), np.linalg.norm(dense, 2)
         assert abs(got - want) <= 1e-14 * want, (got, want)
+        assert "scipy.sparse.csgraph" not in sys.modules
         """,
         tmp_path,
     )

@@ -544,6 +544,31 @@ def test_haar_check_refuses_a_negative_cap():
         coord.haar_orthogonality_residual(QContext(0.5, 1e-9), -1)
 
 
+def test_haar_check_refuses_caps_above_its_guard_before_building(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block was requested")
+
+    monkeypatch.setattr(coord, "cg_blocks", no_blocks)
+    twice_cap = 2 * coord.HAAR_GUARD + 1
+    with pytest.raises(ValueError, match=f"lam_max = {twice_cap}/2 exceeds the cost guard "
+                                         f"{coord.HAAR_GUARD}$"):
+        coord.haar_orthogonality_residual(CTX, coord.HAAR_GUARD + 0.5)
+
+
+def test_haar_check_accepts_its_guard(monkeypatch):
+    # the guard's edge pairs every label with 2 lam <= 2 HAAR_GUARD; gram is stubbed
+    sizes = []
+
+    def zero_gram(left, right, ctx):
+        sizes.append((len(left), len(right)))
+        return np.zeros((len(left), len(right)), dtype=complex)
+
+    monkeypatch.setattr(coord, "gram", zero_gram)
+    count = sum((tl + 1) ** 2 for tl in range(2 * coord.HAAR_GUARD + 1))
+    assert coord.haar_orthogonality_residual(CTX, coord.HAAR_GUARD) > 0
+    assert sizes == [(count, count)]
+
+
 def test_generator_matrices_are_real():
     # the left action's words carry the real scalars of S∘theta
     ctx = QContext(0.5, 1e-9)

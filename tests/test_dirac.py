@@ -46,7 +46,7 @@ from qwps.exact import (
     summability_partial_sum,
     twice,
 )
-from qwps.operators import TruncatedOperator, gram_norm, operator_norm
+from qwps.operators import TruncatedOperator, operator_norm
 from qwps.qcore import q_int
 
 CTX = QContext(0.5, 1e-9)
@@ -898,21 +898,6 @@ def test_commutator_norm_matches_doubled_operator(gen, cap):
     assert commutator_norm(gen, cap, CTX) == pytest.approx(expected, rel=1e-13)
 
 
-def test_sparse_operator_norm_matches_dense():
-    rng = np.random.default_rng(1)
-    blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in (3, 3, 1, 4)]
-    mat = sp.block_diag(blocks, format="csr")
-    perm = rng.permutation(mat.shape[1])
-    mats = [
-        mat[:, perm],
-        sp.csr_matrix((5, 7)),
-        sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]])),
-    ]
-    for m in mats:
-        dense = np.linalg.norm(m.toarray(), 2)
-        assert operator_norm(m) == pytest.approx(dense, rel=1e-13, abs=0.0)
-
-
 def _reference_operator_norm(mat):
     """operator_norm's former sparse branch: Gram matrix, connected components,
     and one zero-filled stack per component size, filled through a mask over
@@ -961,33 +946,9 @@ def test_commutator_norm_equals_sparse_reference(gen, q):
         assert commutator_norm(gen, cap, ctx) == _reference_commutator_norm(gen, cap, ctx), cap
 
 
-def test_sparse_operator_norm_equals_reference():
-    rng = np.random.default_rng(7)
-    mats = [sp.identity(801, format="csr"), sp.csr_matrix((6, 9))]
-    for _ in range(50):
-        sizes = rng.integers(1, 7, size=rng.integers(1, 12))
-        blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in sizes]
-        mat = sp.block_diag(blocks, format="csr")
-        mats.append(mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])])
-    for m in mats:
-        assert operator_norm(m) == _reference_operator_norm(m)
-    assert operator_norm(mats[0]) == 1.0 and operator_norm(mats[1]) == 0.0
-
-
-def test_gram_norm_skips_empty_blocks():
-    # blocks 0 and 2 are empty; block 1 holds [[2, 1], [1, 2]] (indices 2, 0),
-    # whose top eigenvalue 3 beats block 3's [2.5]
-    block, pos = np.array([1, 3, 1]), np.array([1, 0, 0])
-    rows, cols = np.array([0, 2, 0, 2, 1]), np.array([0, 2, 2, 0, 1])
-    vals = np.array([2.0, 2.0, 1.0, 1.0, 2.5])
-    assert gram_norm(block, pos, rows, cols, vals) == pytest.approx(math.sqrt(3.0))
-    assert gram_norm(np.zeros(0, int), np.zeros(0, int), rows[:0], cols[:0], vals[:0]) == 0.0
-
-
 def _screen_cases():
     """Sparse A whose Gram blocks tie or nearly tie for the largest eigenvalue, at
-    the edges of a Gershgorin screen like commutator_norm's; gram_norm solves
-    every block, and must still return the reference norm on them."""
+    the edges of a Gershgorin screen like commutator_norm's."""
     rng = np.random.default_rng(11)
     unitary = lambda s: np.linalg.qr(  # noqa: E731
         rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))[0]
@@ -1005,27 +966,24 @@ def _screen_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_screen_cases()))
-def test_gram_norm_screen_is_exact(case):
-    mat = _screen_cases()[case]
-    assert operator_norm(mat) == _reference_operator_norm(mat)
-
-
-def test_gram_norm_screen_edge_inputs():
-    # an all-zero Gram matrix, and the empty input
-    block, pos = np.array([0, 0, 1]), np.array([0, 1, 0])
-    every = np.arange(3)
-    assert gram_norm(block, pos, every, every, np.zeros(3)) == 0.0
-    assert gram_norm(block[:0], pos[:0], every[:0], every[:0], np.zeros(0)) == 0.0
-
-
-def test_gram_norm_keeps_a_zero_diagonal_block():
-    # [[0, 1], [1, 0]] beside [[0.9]]: the norm comes from the block whose diagonal
-    # is 0, so a screen that bounded a block by its diagonal would drop it
-    block, pos = np.array([0, 0, 1]), np.array([0, 1, 0])
-    rows, cols, vals = np.array([0, 1, 2]), np.array([1, 0, 2]), np.array([1.0, 1.0, 0.9])
-    top = float(np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 0.0]])).max())
-    assert gram_norm(block, pos, rows, cols, vals) == math.sqrt(top) == 1.0
+def test_sparse_operator_norm_matches_dense():
+    # the eigensolve of the dense Gram matrix against LAPACK's SVD of the dense
+    # matrix: at most 7.4 eps relative apart on these inputs
+    rng = np.random.default_rng(7)
+    identity, zero, empty = (sp.identity(801, format="csr"), sp.csr_matrix((6, 9)),
+                             sp.csr_matrix((0, 0)))
+    mats = [identity, zero, empty, sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]])),
+            *_screen_cases().values()]
+    for _ in range(50):
+        sizes = rng.integers(1, 7, size=rng.integers(1, 12))
+        blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in sizes]
+        mat = sp.block_diag(blocks, format="csr")
+        mats.append(mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])])
+    for m in mats:
+        dense = np.linalg.norm(m.toarray(), 2)
+        assert operator_norm(m) == pytest.approx(dense, rel=1e-13, abs=0.0)
+    assert operator_norm(identity) == 1.0
+    assert operator_norm(zero) == operator_norm(empty) == 0.0
 
 
 @pytest.mark.parametrize("gen, solved", [("alpha", 219), ("beta", 950)])

@@ -3,8 +3,7 @@
 Every name a module exports in ``__all__`` exists, so deleting a function
 cannot leave a dangling export behind; every exported name has a caller
 outside the tests, or a stated reason to stay; and numpy is the only runtime
-dependency, with scipy imported in one place, for callers that already hold a
-scipy matrix.
+dependency: no module imports scipy.
 """
 
 import ast
@@ -75,22 +74,13 @@ def test_numpy_is_the_only_runtime_dependency():
     assert "scipy" in [re.match(r"[\w-]+", dep)[0] for dep in test_extra]
 
 
-def imported_modules(node, func=None):
-    """(module name, innermost enclosing function) for each import under node."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            yield from ((alias.name, func) for alias in child.names)
-        elif isinstance(child, ast.ImportFrom):
-            yield child.module or "", func
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-        yield from imported_modules(child, inner)
-
-
-def test_scipy_is_imported_only_inside_operator_norm():
-    sites = [
-        (path.stem, func)
-        for path in sorted(SRC.glob("*.py"))
-        for module, func in imported_modules(ast.parse(path.read_text()))
-        if module.split(".")[0] == "scipy"
-    ]
-    assert sites == [("operators", "operator_norm")]
+def test_no_module_imports_scipy():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                sites += [(path.stem, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                sites.append((path.stem, node.module or ""))
+    assert [site for site in sites if site[1].split(".")[0] == "scipy"] == []
+    assert ("operators", "numpy") in sites  # the walk sees every import

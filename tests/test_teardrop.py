@@ -361,3 +361,14 @@ def test_projection_class_serialization():
     d = ktheory_class(2, 1, 1).to_dict()
     assert d["tokens"].startswith("I_1")
     assert d["ranks"] == [1, 2]
+
+
+def test_powers_tables_are_shared_read_only_and_bounded():
+    table = teardrop._powers(0.3, 40)
+    assert table.tolist() == [0.3**e for e in range(40)]
+    assert teardrop._powers(0.3, 40) is table and not table.flags.writeable
+    assert teardrop._powers.cache_info().maxsize == 16
+    teardrop._powers.cache_clear()
+    # n = 1: three sample words without an alpha letter, so one table of one size
+    block_structure_evidence(3, 1, 1, 64, CTX)
+    assert teardrop._powers.cache_info().misses == 1

@@ -46,9 +46,8 @@ The families are:
 - ``sparse``: ``operators.operator_norm`` on the benchmark warm-up's sparse
   identity of side 801, on seeded real and complex block-diagonal CSR
   matrices with permuted rows and columns, on blocks whose Gram tops tie or
-  nearly tie, on an all-zero and an empty matrix and on two dense ones; and
-  ``operators.gram_norm`` on the Gram entries of each sparse one, split into
-  connected components as ``operator_norm`` splits them;
+  nearly tie, on an all-zero and an empty matrix and on two dense ones
+  (``operators.gram_norm`` is deleted, so the family no longer calls it);
 - ``parse``: the values of ``PARSE_VALUES`` (not half-integers, doubles
   that overflow, inf, nan, -1/2, 3/2, 2 and 2**60 + 1, as floats, ints and
   Fractions) through every public entry that reads a weight or a cap, with
@@ -60,8 +59,10 @@ Words, actions, reports, teardrop and even run at q = 0.3, 0.5, 0.8 and 1e-3,
 spinors at those and 0.05, couplings and norms at the first three; exact and
 sparse read no q.  The pairs (k, l) are (1, 1), (1, 2) and (2, 3) unless named.
 An entry whose function one side lacks is counted as absent, not as equal.
-It prints the counts per family and the first mismatch, and exits 1 on any
-mismatch.
+It prints the counts per family, for each family with a mismatch the largest
+distance in ulps between the floats of its differing entries (where both
+sides give the same number of floats), and the first mismatch; it exits 1 on
+any mismatch.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from ab_inprocess import load
-from scipy.sparse.csgraph import connected_components
 
 QS = (0.3, 0.5, 0.8, 1e-3)
 LETTERS = ("e", "f", "k", "kinv")
@@ -123,6 +123,38 @@ def dump(value) -> str:
     return repr(value)
 
 
+def floats(value) -> np.ndarray:
+    """The floats of a library output, complex parts included, in ``dump``'s order."""
+    if hasattr(value, "tobytes"):
+        value = np.asarray(value)
+        if value.dtype.kind == "c":
+            return value.astype(complex).ravel().view(float)
+        return value.astype(float).ravel() if value.dtype.kind == "f" else np.zeros(0)
+    if isinstance(value, (float, complex)):
+        return np.array([value.real, value.imag] if isinstance(value, complex) else [value])
+    if isinstance(value, dict):
+        value = [x for item in value.items() for x in item]
+    elif hasattr(value, "terms"):
+        value = list(value.terms.items())
+    elif dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return np.concatenate([floats(v) for v in value] or [np.zeros(0)])
+    return np.zeros(0)
+
+
+def ulps(a, b):
+    """The largest distance in ulps between the floats of two differing outputs,
+    or None if they hold different numbers of floats or differ elsewhere."""
+    fa, fb = floats(a), floats(b)
+    if fa.size != fb.size:
+        return None
+    # the float64 bit patterns, made monotone in the value: -x maps to -bits(x)
+    ia, ib = ([-(i & 0x7FFFFFFFFFFFFFFF) if i < 0 else i for i in f.view(np.int64).tolist()]
+              for f in (fa, fb))
+    return max((abs(x - y) for x, y in zip(ia, ib)), default=0) or None
+
+
 def elements(pkg, q):
     """Seeded mixed elements: 1 to 6 terms with 2 lam <= 8 and complex coefficients."""
     rng = random.Random(f"same-outputs {q}")
@@ -159,19 +191,6 @@ def sparse_inputs():
     yield "empty", sp.csr_matrix((0, 0))
     yield "dense-eye", np.eye(2)
     yield "dense-complex", rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-
-
-def gram_entries(mat):
-    """(block, pos, rows, cols, vals) of A*A by connected component, in the
-    order of ``operators.operator_norm``'s sparse branch."""
-    gram = (mat.conj().T @ mat).tocsr()
-    n_comp, labels = connected_components(gram != 0, directed=False)
-    gram = gram.tocoo()
-    sizes = np.bincount(labels, minlength=n_comp)
-    order = np.argsort(labels, kind="stable")
-    pos = np.empty_like(labels)
-    pos[order] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return labels, pos, gram.row, gram.col, gram.data
 
 
 def catalogue(pkg):
@@ -310,17 +329,15 @@ def catalogue(pkg):
 
     for name, mat in sparse_inputs():
         yield "sparse", ("operator_norm", name), call("operators", "operator_norm", mat)
-        if sp.issparse(mat):
-            yield "sparse", ("gram_norm", name), lambda mat=mat: call(
-                "operators", "gram_norm", *gram_entries(mat))()
 
 
 def outcome(thunk):
+    """(the output's byte-exact form, the output); a refusal's output is ABSENT."""
     try:
         value = thunk()
     except Exception as exc:  # a refusal is an output too
-        return f"raised {type(exc).__name__}: {exc}"
-    return value if value is ABSENT else dump(value)
+        return f"raised {type(exc).__name__}: {exc}", ABSENT
+    return (value, value) if value is ABSENT else (dump(value), value)
 
 
 def main(argv=None) -> int:
@@ -335,18 +352,22 @@ def main(argv=None) -> int:
                  zip(("parent", "change"), roots)]
         counts, first = {}, None
         for (family, key, parent), (_, _, change) in zip(*map(catalogue, sides)):
-            got = outcome(parent), outcome(change)
+            got, values = zip(outcome(parent), outcome(change))
+            tally = counts.setdefault(family, {"equal": 0, "differ": 0, "absent": 0, "ulps": 0})
             if ABSENT in got:
                 kind = "absent"
             else:
                 kind = "equal" if got[0] == got[1] else "differ"
-                if kind == "differ" and first is None:
-                    first = family, key, got
-            tally = counts.setdefault(family, {"equal": 0, "differ": 0, "absent": 0})
+            if kind == "differ":
+                first = first or (family, key, got)
+                apart = None if any(v is ABSENT for v in values) else ulps(*values)
+                tally["ulps"] = None if None in (apart, tally["ulps"]) else max(tally["ulps"], apart)
             tally[kind] += 1
-    print(f"{'family':<10} {'equal':>7} {'differ':>7} {'absent':>7}")
+    print(f"{'family':<10} {'equal':>7} {'differ':>7} {'absent':>7} {'max ulps':>9}")
     for family, tally in counts.items():
-        print(f"{family:<10} {tally['equal']:>7} {tally['differ']:>7} {tally['absent']:>7}")
+        apart = "" if not tally["differ"] else "n/a" if tally["ulps"] is None else tally["ulps"]
+        print(f"{family:<10} {tally['equal']:>7} {tally['differ']:>7} {tally['absent']:>7} "
+              f"{apart:>9}")
     if first is None:
         return 0
     family, key, (parent, change) = first

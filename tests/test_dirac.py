@@ -966,24 +966,39 @@ def _screen_cases():
     }
 
 
-def test_sparse_operator_norm_matches_dense():
+def _assert_norm_matches_dense(mat):
     # the eigensolve of the dense Gram matrix against LAPACK's SVD of the dense
-    # matrix: at most 7.4 eps relative apart on these inputs
+    # matrix: at most 7.4 eps relative apart on the inputs of the tests below
+    dense = np.linalg.norm(mat.toarray(), 2)
+    assert operator_norm(mat) == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+def test_sparse_operator_norm_matches_dense():
+    zero, empty = sp.csr_matrix((6, 9)), sp.csr_matrix((0, 0))
+    for m in (zero, empty, sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]]))):
+        _assert_norm_matches_dense(m)
+    assert operator_norm(zero) == operator_norm(empty) == 0.0
+
+
+def test_sparse_operator_norm_equals_reference():
+    # the reference is the dense SVD; the connected-component split that this
+    # test once matched bitwise is gone
     rng = np.random.default_rng(7)
-    identity, zero, empty = (sp.identity(801, format="csr"), sp.csr_matrix((6, 9)),
-                             sp.csr_matrix((0, 0)))
-    mats = [identity, zero, empty, sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]])),
-            *_screen_cases().values()]
+    mats = [sp.identity(801, format="csr")]
     for _ in range(50):
         sizes = rng.integers(1, 7, size=rng.integers(1, 12))
         blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in sizes]
         mat = sp.block_diag(blocks, format="csr")
         mats.append(mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])])
     for m in mats:
-        dense = np.linalg.norm(m.toarray(), 2)
-        assert operator_norm(m) == pytest.approx(dense, rel=1e-13, abs=0.0)
-    assert operator_norm(identity) == 1.0
-    assert operator_norm(zero) == operator_norm(empty) == 0.0
+        _assert_norm_matches_dense(m)
+    assert operator_norm(mats[0]) == 1.0
+
+
+@pytest.mark.parametrize("case", sorted(_screen_cases()))
+def test_gram_norm_screen_is_exact(case):
+    # near-ties at a screen's edges lose no block: the norm is the dense one
+    _assert_norm_matches_dense(_screen_cases()[case])
 
 
 @pytest.mark.parametrize("gen, solved", [("alpha", 219), ("beta", 950)])

@@ -27,14 +27,16 @@ spinor decomposition (see :func:`cg_coeff_updown`).  Each block is checked
 for orthogonality and intertwining when it is built, and a block that fails
 raises instead of being cached.
 
-Blocks are built in batches.  :func:`cg_blocks` reads every block a product
-needs, (lam1, lam2) over its two sets of highest weights, and builds the ones
-the cache lacks together: the entries of a batch's blocks stand side by side
-in one vectorised pass of the single sum and one pass of the check, and a
-block of one is a batch of one.  A batch holds the largest block left and
-then the smallest ones whose terms total at most its own, so its memory is
-bounded by what its largest block needs.  Each entry's terms are summed in
-the same order whatever the batch, so a block is the same to the bit.
+Blocks are built in batches.  :func:`cg_blocks` reads every block a caller
+names, as pairs (2lam1, 2lam2), and builds the ones the cache lacks together:
+the entries of a batch's blocks stand side by side in one vectorised pass of
+the single sum and one pass of the check, and a block of one is a batch of
+one.  A batch holds the largest block left and then the smallest ones while
+its terms total at most twice its largest block's or a fixed budget,
+whichever is more: a request of many small blocks is built in a few calls,
+and a large block's batch is bounded by what that block needs.  Each entry's
+terms are summed in the same order whatever the batch, so a block is the same
+to the bit.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ _cache_lock = threading.Lock()
 # because the cache key (2 lam1, 2 lam2, q) carries no tolerance
 _BLOCK_GATE = 1e-12
 _PAST_LAST = np.zeros(1)  # the 0 the build check reads past a batch's last cell
+# a batch may fill up to this many terms of the single sum whatever its largest block.
+# A build costs about 130 us a call beside 0.1-0.35 us a term (2 cores, one BLAS thread).
+# From 2^12 on, a cold algebra benchmark pass builds its 234 blocks in 35 calls (56 at
+# 2^9), and 2^15 holds the whole chain (i, 1), i < 128, of wp_gens at the even-triple
+# guard k + l = 128 (32,766 terms) in one
+_TERM_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -113,24 +121,24 @@ def cg_block(lam1, lam2, ctx: QContext) -> CGBlock:
     return block
 
 
-def cg_blocks(twice1, twice2, ctx: QContext) -> dict:
-    """The ``coupling`` lists of every block (lam1, lam2) with 2lam1 in
-    ``twice1`` and 2lam2 in ``twice2``, keyed by (2lam1, 2lam2).
+def cg_blocks(pairs, ctx: QContext) -> dict:
+    """The ``coupling`` lists of the blocks (lam1, lam2) named in ``pairs`` by
+    their doubled highest weights (2lam1, 2lam2), keyed by those pairs.
 
     Each block is read from the cache of :func:`cg_block`; the missing ones
     are built in the batches of :func:`_batches`, and each is checked before
-    it is cached.
+    it is cached.  A caller that will read several sets of blocks asks for
+    their union in one call, so that its cold blocks share batches.
     """
-    q, twice2 = ctx.q, tuple(twice2)
+    q = ctx.q
     couplings, missing = {}, []
     with _cache_lock:
-        for t1 in twice1:
-            for t2 in twice2:
-                block = _cache.get((t1, t2, q))
-                if block is None:
-                    missing.append((t1, t2))
-                else:
-                    couplings[t1, t2] = block.coupling
+        for t1, t2 in pairs:
+            block = _cache.get((t1, t2, q))
+            if block is None:
+                missing.append((t1, t2))
+            else:
+                couplings[t1, t2] = block.coupling
     if missing:
         for batch in _batches(dict.fromkeys(missing)):
             built = _build_batch(batch, ctx)
@@ -168,17 +176,19 @@ def _term_count(a2: int, b2: int) -> int:
 
 def _batches(pairs):
     """Split ``pairs`` into batches: the largest block left, then the smallest
-    ones left while their terms total at most its own.
+    ones left while the batch's terms total at most max(2 x its largest,
+    _TERM_BUDGET).
 
-    A batch so holds at most twice the terms of its largest block, a bound
-    taken from the blocks themselves, and a build's memory is bounded by what
-    its largest block needs.
+    Blocks of similar small size so share a few builds, and a batch past the
+    budget holds at most twice the terms of its largest block, so its memory
+    is bounded by what that block needs.
     """
     by_count = sorted((_term_count(*pair), pair) for pair in pairs)
     lo, hi_ = 0, len(by_count)
     while lo < hi_:
         hi_ -= 1
-        room, largest = by_count[hi_]
+        count, largest = by_count[hi_]
+        room = max(count, _TERM_BUDGET - count)
         batch = [largest]
         while lo < hi_ and by_count[lo][0] <= room:
             room -= by_count[lo][0]

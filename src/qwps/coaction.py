@@ -17,7 +17,7 @@ The eigenspace dimension formulas and their counting oracles live in
 from __future__ import annotations
 
 from contextlib import suppress
-from functools import reduce
+from functools import cache, reduce
 
 from .cg import cg_blocks
 from .coord import AlgebraElement, BasisIndex, gens, multiply, star, unit
@@ -58,7 +58,7 @@ def wp_gens(wp: WeightPair, ctx: QContext):
     product, which reads it only if its prefix has not underflowed to zero, so
     every refusal is the product's."""
     with suppress(ValueError):
-        cg_blocks(range(1, wp.s), (1,), ctx)
+        cg_blocks([(i, 1) for i in range(1, wp.s)], ctx)
     letters = dict(zip(("alpha", "beta", "alphastar", "betastar"), gens(ctx)))
     return tuple(reduce(lambda x, y: multiply(x, y, ctx), map(letters.get, word))
                  for word in wp_words(wp.k, wp.l)[:2])
@@ -72,16 +72,41 @@ def _poly_in(a: AlgebraElement, factors, ctx: QContext) -> AlgebraElement:
     return out
 
 
+@cache  # WP_RELATION_GUARD bounds the weight pairs it sees
+def _wp_relation_blocks(k: int, l: int) -> tuple:
+    """Every block (2lam1, 2lam2) the products of :func:`verify_wp_relations`
+    read at (k, l): the chain (i, 1), i < k + l, of b = beta^k alpha^l;
+    a = beta beta* and a^j, j <= k or l, are degree 0 with every shell
+    lam <= j, and b, b* have the one shell (k + l)/2.  So a b* and b* a read
+    (0 or 2, k + l) and its mirror, b* b and b b* read (k + l, k + l), each
+    step of a^k and of the products of the l factors (1 + f a) reads
+    (2i, 0 or 2) with i < max(k, l), and a^k times those products reads
+    (2i, 2j), i <= k, j <= l."""
+    s = k + l
+    return tuple(dict.fromkeys([
+        *((i, 1) for i in range(1, s)),
+        (0, s), (2, s), (s, 0), (s, 2), (s, s),
+        *((2 * i, t) for i in range(max(k, l)) for t in (0, 2)),
+        *((2 * i, 2 * j) for i in range(k + 1) for j in range(l + 1)),
+    ]))
+
+
 def verify_wp_relations(wp: WeightPair, ctx: QContext) -> dict:
     """Residuals of the relations of :func:`qwps.exact.wp_relations`, computed in coord.
 
-    Refuses k + l beyond WP_RELATION_GUARD, and the q that wp_relations refuses."""
+    Every block the products read is asked for in one :func:`~qwps.cg.cg_blocks`
+    call first, so a cold check builds them in a few batches.  A block refused
+    there is left to the product that reads it, as in :func:`wp_gens`, so every
+    refusal is the product's.  Refuses k + l beyond WP_RELATION_GUARD, and the q
+    that wp_relations refuses."""
     if wp.s > WP_RELATION_GUARD:
         raise ValueError(
             f"k + l = {wp.s} exceeds the guard {WP_RELATION_GUARD}; "
             "rounding in the right-hand sides grows as q^(-l(l-1)), so the residuals would "
             "measure rounding, not the relations"
         )
+    with suppress(ValueError):
+        cg_blocks(_wp_relation_blocks(wp.k, wp.l), ctx)
     a, b = wp_gens(wp, ctx)
     bs = star(b, ctx)
     r, s, f_bsb, f_bbs = wp_relations(wp.k, wp.l, ctx.q)

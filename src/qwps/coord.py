@@ -185,7 +185,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: QContext) -> AlgebraElem
     ``coupling`` lists.  Nothing is pruned: only exact zeros are dropped, so
     the result does not depend on ctx.tol.
     """
-    couplings = cg_blocks({idx[0] for idx in a.terms}, {idx[0] for idx in b.terms}, ctx)
+    couplings = cg_blocks(product({idx[0] for idx in a.terms}, {idx[0] for idx in b.terms}), ctx)
     out: dict[tuple, complex] = {}
     for (l1, m1, n1), c1 in a.terms.items():
         for (l2, m2, n2), c2 in b.terms.items():
@@ -265,31 +265,33 @@ def gram(left, right, ctx: QContext) -> np.ndarray:
     """Matrix of GNS inner products h(a* b), a from ``left``, b from ``right``.
 
     Each entry sums only the unit coefficient of star(a) b: the mu = 0
-    coupling entries, which exist only where lam1 = lam2, added in the order
-    :func:`multiply` adds them, so it equals haar(multiply(star(a, ctx), b,
-    ctx)) bit for bit.  Every pair of terms still reads its own block, whatever
-    its highest weights.
+    coupling entries, which exist only where lam1 = lam2, so each term of
+    star(a) is paired with the terms of b in its own shell lam and reads the
+    block (lam, lam) alone.  The terms are added in the order :func:`multiply`
+    adds them, so an entry equals haar(multiply(star(a, ctx), b, ctx)) bit for
+    bit.
     """
-    right_terms = [b.terms.items() for b in right]
-    couplings = cg_blocks({idx[0] for a in left for idx in a.terms},
-                          {idx[0] for b in right for idx in b.terms}, ctx)
-    rows = []
-    for a in left:
-        a_star = star(a, ctx).terms.items()
-        row = []
-        for b_terms in right_terms:
-            total = 0
-            for (l1, m1, n1), c1 in a_star:
-                for (l2, m2, n2), c2 in b_terms:
-                    coupling = couplings[l1, l2]
-                    if l1 == l2:
-                        cm = coupling[(m1 + l1) // 2][(m2 + l2) // 2][0]
-                        cn = coupling[(n1 + l1) // 2][(n2 + l2) // 2][0]
-                        if cm and cn:
-                            total = total + c1 * c2 * cm * cn
-            row.append(total)
-        rows.append(row)
-    return np.array(rows, dtype=complex).reshape(len(left), len(right))
+    # shell -> column -> that column's terms in the shell, columns and terms in order
+    by_shell: dict[int, dict[int, list]] = {}
+    for col, b in enumerate(right):
+        for (tl, tm, tn), c in b.terms.items():
+            by_shell.setdefault(tl, {}).setdefault(col, []).append((tm, tn, c))
+    shells = {idx[0] for a in left for idx in a.terms} & by_shell.keys()
+    couplings = cg_blocks([(tl, tl) for tl in shells], ctx)
+    out = np.zeros((len(left), len(right)), dtype=complex)
+    for row, a in enumerate(left):
+        totals: dict[int, complex] = {}
+        for (tl, m1, n1), c1 in star(a, ctx).terms.items():
+            coupling = couplings.get((tl, tl))
+            for col, terms in by_shell.get(tl, {}).items():
+                for m2, n2, c2 in terms:
+                    cm = coupling[(m1 + tl) // 2][(m2 + tl) // 2][0]
+                    cn = coupling[(n1 + tl) // 2][(n2 + tl) // 2][0]
+                    if cm and cn:
+                        totals[col] = totals.get(col, 0) + c1 * c2 * cm * cn
+        for col, total in totals.items():
+            out[row, col] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +397,11 @@ def action_table_residuals(ctx: QContext) -> dict:
     return residuals
 
 
-# the Haar check pairs every t^lam_{mn} with lam <= lam_max, so its cost grows about as
-# lam_max^6: from an emptied cache at q = 0.5 with one BLAS thread it took 0.05 s at 4,
-# 0.19 s at 5, 0.49 s (75 MB peak RSS) at 6 and 0.92 s (131 MB) at 7 on 2 cores
+# the Haar check pairs each t^lam_{mn} with lam <= lam_max with the terms of its own shell,
+# about lam_max^5 pairs, but fills an n x n matrix over the n = sum (2lam+1)^2 labels, so its
+# memory grows about as lam_max^6: from an emptied cache at q = 0.5 with one BLAS thread it
+# took 0.015 s at 4, 0.031 s at 5, 0.076 s (76 MB peak RSS) at 6, 0.18 s (125 MB) at 7 and
+# 0.24 s (167 MB) at 15/2 on 2 cores
 HAAR_GUARD = 6
 
 

@@ -29,8 +29,9 @@ stack it fills per size and, for alpha, one of each mirrored pair.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -178,10 +179,16 @@ def q_dirac_check(j_max, ctx: QContext) -> float:
                   for tmu in range(-tj, tj + 1, 2)]
         if not labels:  # lam = 0 at j_max = 0
             return 0.0
-        rho = lambda *word: irrep_word(tl / 2, word, ctx)  # noqa: E731
+        # rho(f) is rho(e) transposed, so the shell's e band is read once; each entry of
+        # a product of two weighted shifts is one product of two factors, bitwise the
+        # word's.  The factors are read in the order the words once read them, so an
+        # overflow is refused as it was
+        k, kinv = (irrep_word(tl / 2, x, ctx) for x in ("k", "kinv"))
+        fe_scale = lam_q**2 / q
+        e = irrep_word(tl / 2, "e", ctx)
         block = q**1.5 * np.block([
-            [rho("k", "k") + (lam_q**2 / q) * rho("f", "e"), (lam_q / q**0.5) * rho("f", "kinv")],
-            [(lam_q / q**0.5) * rho("kinv", "e"), rho("kinv", "kinv")]])
+            [k @ k + fe_scale * (e.T @ e), (lam_q / q**0.5) * (e.T @ kinv)],
+            [(lam_q / q**0.5) * (kinv @ e), kinv @ kinv]])
         vecs, evs = np.zeros((2 * tl + 2, len(labels))), np.zeros(len(labels))
         for col, idx in enumerate(labels):
             for sign, (_, _, tn), coeff in spinor_legs(idx, ctx):
@@ -231,7 +238,7 @@ def _gns_factors(element: AlgebraElement, shells, ctx: QContext):
     coeffs = np.array(list(element.terms.values()), dtype=complex)
     if not coeffs.imag.any():  # real elements give real matrices
         coeffs = coeffs.real
-    couplings = cg_blocks({idx[0] for idx in element.terms}, shell_list, ctx)
+    couplings = cg_blocks(product({idx[0] for idx in element.terms}, shell_list), ctx)
     for (l2, a, b), c in zip(element.terms, coeffs):
         shift = np.arange(l2 + 1)
         scale = c * (ctx.q ** (-a / 2.0) * np.sqrt(
@@ -399,16 +406,24 @@ def even_triple_operators(wp: WeightPair, lam_max, ctx: QContext) -> dict:
     ndarrays on that basis, the Dirac swap "D" (eigenvalues ±(lam+1)), the
     chirality "omega", the Fredholm swap "F" and the represented generators
     "pi_a", "pi_b": left multiplication on the orthonormal GNS vectors of the
-    component (:func:`gns_multiplication`).  k + l above EVEN_TRIPLE_GUARD is
-    refused.
+    component (:func:`gns_multiplication`).  The blocks (lam', lam) that pi(a)
+    and pi(b) read, lam' a shell of a or b and lam one of the component, are
+    asked for in one :func:`~qwps.cg.cg_blocks` call, so a cold call builds
+    them in a few batches; a block refused there is left to the
+    multiplication that reads it, so every refusal is its own.  k + l above
+    EVEN_TRIPLE_GUARD is refused.
     """
     if wp.s > EVEN_TRIPLE_GUARD:
         raise ValueError(f"k + l = {wp.s} exceeds the cost guard {EVEN_TRIPLE_GUARD}")
     base = coinvariant_coord_basis(wp, twice(lam_max, "lam_max") / 2)
     B = len(base)
     labels = np.array(base, dtype=int).T
+    gens = wp_gens(wp, ctx)
+    with suppress(ValueError):
+        cg_blocks(product({idx[0] for x in gens for idx in x.terms},
+                          np.flatnonzero(np.bincount(labels[0])).tolist()), ctx)
     Pa, Pb = np.zeros((2, B, B), dtype=complex)
-    for mat, element in zip((Pa, Pb), wp_gens(wp, ctx)):
+    for mat, element in zip((Pa, Pb), gens):
         rows, cols, vals = gns_multiplication(element, labels, ctx)
         np.add.at(mat, (rows, cols), vals)
     eye = np.eye(B)

@@ -99,7 +99,7 @@ def wp_rep(l: int, m: int, s: int, gen: str, N: int, ctx: QContext) -> Truncated
 # ambient representation on l2(Z) ⊗ l2(N0)
 
 
-def _ambient_word(word, z, n, ctx: QContext):
+def _ambient_word(word, z, n, ctx: QContext, reach=0):
     """Image of e_z ⊗ e_n under a word in the generators, as (coeff, z', n'),
     entrywise over int arrays z, n of one shape; on ints it returns
     (float, int, int).
@@ -110,12 +110,13 @@ def _ambient_word(word, z, n, ctx: QContext):
     powers are Python's q**e from one table of :func:`_powers`, and the
     letters' coefficients are multiplied in word order, the association order
     of the matrix product of the letters, so every entry is bitwise the walk
-    of one basis vector at a time in Python floats.
+    of one basis vector at a time in Python floats.  The table reaches at
+    least n = ``reach``, so the walks of one call can read one table.
     """
     z, n = np.asarray(z, dtype=np.int64), np.asarray(n, dtype=np.int64)
     if n.min(initial=0) < 0:
         raise ValueError("n must be >= 0: the ambient representation lives on l2(Z) ⊗ l2(N0)")
-    top = int(n.max(initial=0)) + word.count("alpha")  # the largest n reached
+    top = max(reach, int(n.max(initial=0)) + word.count("alpha"))  # the largest n reached
     pw = _powers(ctx.q, 2 * top + 1)  # the beta, beta* weight q^n at n
     root = np.sqrt(1.0 - pw[::2])  # the alpha, alpha* weight sqrt(1 - q^{2n}) at n
     alive = np.ones(n.shape, dtype=bool)
@@ -250,10 +251,12 @@ def block_structure_evidence(l: int, n: int, j: int, N: int, ctx: QContext) -> d
     copy, p = np.indices((l, N))
     z_in, n_in = m0 + p, l * p + copy
     z_to, mod_to = m0 + np.array(pow_of)[:, None], np.array(t_of)[:, None] - 1
-    for sample in _degree_samples(l, n):
-        word = ("alphastar",) * j + sample
+    words = [("alphastar",) * j + sample for sample in _degree_samples(l, n)]
+    # every walk reads the table of the one with the most alpha letters from n = lN - 1
+    reach = l * N - 1 + max(word.count("alpha") for word in words)
+    for word in words:
         entry = {"word": "*".join(word) if word else "1", "blocks": {}, "off_pattern": 0.0}
-        coeff, z_out, n_out = _ambient_word(word, z_in, n_in, ctx)
+        coeff, z_out, n_out = _ambient_word(word, z_in, n_in, ctx, reach)
         p_out, mod_out = np.divmod(n_out, l)
         kept = ~(np.abs(coeff) <= 1e-16)
         on = (z_out - p_out == z_to) & (mod_out == mod_to)

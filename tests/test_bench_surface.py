@@ -66,7 +66,7 @@ def test_workload_call_patterns_equal_the_doubled_cores():
     ctx = QContext(0.5, 1e-9)
     for tl in range(9):
         block = cg.cg_block(hi(0.5), HalfInt(tl), ctx)
-        assert block.coupling is cg.cg_blocks([1], [tl], ctx)[1, tl]
+        assert block.coupling is cg.cg_blocks([(1, tl)], ctx)[1, tl]
     for cap in (1, 2.5, 4):
         assert hi(cap) is cap
         assert dirac.commutator_norm("alpha", hi(cap), ctx) == dirac.commutator_norm(

@@ -1,8 +1,10 @@
 """Clebsch-Gordan block matrices: orthogonality, ladder form, closed forms."""
 
 import dataclasses
+import math
 import random
 import re
+import sys
 import threading
 from fractions import Fraction
 from itertools import product
@@ -10,10 +12,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qwps import cg, coord, dirac
+from qwps import cg, coaction, coord, dirac
 from qwps.cg import cg_block, cg_coeff_updown, clear_cache
 from qwps.coord import AlgebraElement, BasisIndex
-from qwps.exact import QContext, twice
+from qwps.exact import QContext, WeightPair, twice
 from qwps.qcore import coproduct_action, irrep_word
 
 Q_VALUES = (0.3, 0.5, 0.8)
@@ -209,7 +211,7 @@ def test_failed_build_check_in_a_batch_raises_and_caches_nothing(monkeypatch, fa
     clear_cache()
     assert [len(batch) for batch in cg._batches([(0, 1), (0, 3), (2, 1), (2, 3), (4, 1), (4, 3)])] == [6]
     with pytest.raises(ValueError, match=re.escape("block (1, 3/2) at q = 0.45 fails")) as failure:
-        cg.cg_blocks([0, 2, 4], [1, 3], ctx)
+        cg.cg_blocks(product([0, 2, 4], [1, 3]), ctx)
     assert (2, 3, ctx.q) not in cg._cache
     assert not cg._cache
     if fault == "sign_flipped_row":
@@ -376,7 +378,7 @@ def test_term_count_counts_every_term():
             assert cg._term_count(a2, b2) == brute_term_count(a2, b2), (a2, b2)
 
 
-def test_batches_hold_each_block_once_and_at_most_twice_their_largest():
+def test_batches_hold_each_block_once_within_twice_their_largest_or_the_budget():
     rng = random.Random(7)
     for _ in range(50):
         pairs = list({(rng.randrange(40), rng.randrange(12)) for _ in range(rng.randrange(1, 30))})
@@ -384,7 +386,13 @@ def test_batches_hold_each_block_once_and_at_most_twice_their_largest():
         assert sorted(pair for batch in batches for pair in batch) == sorted(pairs)
         for batch in batches:
             counts = [cg._term_count(*pair) for pair in batch]
-            assert counts[0] == max(counts) and sum(counts) <= 2 * counts[0]
+            assert counts[0] == max(counts)
+            assert sum(counts) <= max(2 * counts[0], cg._TERM_BUDGET)
+    # the 81 blocks with 2 lam1, 2 lam2 <= 8 (10,791 terms) share one batch; the doubled
+    # pairs (64, 8), (64, 9) and (64, 10) (10,065, 13,310 and 17,160 terms) are past half
+    # the budget, so the largest takes only the smallest beside it, as twice its own allows
+    assert len(list(cg._batches(product(range(9), range(9))))) == 1
+    assert list(cg._batches([(64, 8), (64, 9), (64, 10)])) == [[(64, 10), (64, 8)], [(64, 9)]]
 
 
 def reference_racah_block(a2, b2, q):
@@ -442,7 +450,7 @@ def test_a_batch_builds_each_block_bit_for_bit_as_alone(monkeypatch, q):
         cg_block(t1 / 2, t2 / 2, ctx)
     for _ in range(40):
         twice1, twice2 = rng.sample(grid, 4), rng.sample(grid, 3)
-        couplings = cg.cg_blocks(twice1 + twice1[:2], twice2, ctx)
+        couplings = cg.cg_blocks(product(twice1 + twice1[:2], twice2), ctx)
         assert set(couplings) == set(product(twice1, twice2))
         for pair, coupling in couplings.items():
             assert np.array(coupling).tobytes() == alone[pair].tobytes(), pair
@@ -464,3 +472,49 @@ def test_products_build_only_the_blocks_of_their_pairs_of_terms(monkeypatch):
               for tn in range(-tl, tl + 1, 2)]
     dirac.gns_multiplication(element((1, 1, 1), (2, 0, 0)), np.array(labels).T, ctx)
     assert set(cg._cache) == {(t1, t2, 0.5) for t1 in (1, 2) for t2 in (0, 1, 2)}
+
+
+def spy_on_blocks(monkeypatch):
+    """Record the pairs of each _build_batch call, and every pair that a product
+    (coord.multiply or dirac._gns_factors) reads through cg_blocks."""
+    batches, reads = [], set()
+    build_batch = cg._build_batch
+
+    def counted(pairs, ctx):
+        batches.append(list(pairs))
+        return build_batch(pairs, ctx)
+
+    monkeypatch.setattr(cg, "_build_batch", counted)
+    for module in (coord, dirac):
+        def read(pairs, ctx, blocks=module.cg_blocks):
+            couplings = blocks(pairs, ctx)
+            if sys._getframe(1).f_code.co_name in ("multiply", "_gns_factors"):
+                reads.update(couplings)
+            return couplings
+
+        monkeypatch.setattr(module, "cg_blocks", read)
+    return batches, reads
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_cold_checks_ask_for_exactly_the_blocks_they_read_in_few_batches(monkeypatch, q):
+    # verify_wp_relations and even_triple_operators ask for every block their products
+    # read before they multiply: a cold call builds each of them once and no other, in
+    # at most 1 and 2 _build_batch calls (the most measured here; 15 and 9 when each
+    # product asked for its own), and a warm call builds none
+    ctx = ctx_for(q)
+    batches, reads = spy_on_blocks(monkeypatch)
+    checks = [(coaction.verify_wp_relations, (k, s - k), 1)
+              for s in range(2, 9) for k in range(1, s) if math.gcd(k, s - k) == 1]
+    checks += [(lambda wp, c: dirac.even_triple_operators(wp, 5, c), pair, 2)
+               for pair in ((1, 1), (1, 2), (2, 3))]
+    for check, pair, most in checks:
+        monkeypatch.setattr(cg, "_cache", {})
+        batches.clear()
+        reads.clear()
+        check(WeightPair(*pair), ctx)
+        assert sorted(p for batch in batches for p in batch) == sorted(reads), pair
+        assert len(batches) <= most, pair
+        batches.clear()
+        check(WeightPair(*pair), ctx)
+        assert batches == [], pair

@@ -587,11 +587,11 @@ def test_generator_matrices_are_real():
 
 
 def test_haar_check_builds_every_block_it_pairs(fresh_cg_cache):
-    # every pair of terms reads its own block, also where lam1 != lam2 leaves it
-    # no mu = 0 entry: no pair is taken to be zero from its weights alone
+    # a term is paired only with the terms of its own shell lam: a block with
+    # lam1 != lam2 has no mu = 0 entry, so the check builds the (lam, lam) blocks alone
     ctx = QContext(0.5, 1e-9)
     assert coord.haar_orthogonality_residual(ctx, 2) < ctx.tol
-    assert set(cg._cache) == {(t1, t2, ctx.q) for t1 in range(5) for t2 in range(5)}
+    assert set(cg._cache) == {(t, t, ctx.q) for t in range(5)}
 
 
 def gns_basis_vector(idx, ctx):

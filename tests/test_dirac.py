@@ -9,7 +9,7 @@ import re
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -430,7 +430,7 @@ def mutated_q_dirac_check(func, old, new):
 def test_q_dirac_check_fails_on_mutants(q):
     ctx = QContext(q, 1e-9)
     flipped_fe = mutated_q_dirac_check(
-        dirac.q_dirac_check, '+ (lam_q**2 / q) * rho("f", "e")', '- (lam_q**2 / q) * rho("f", "e")')
+        dirac.q_dirac_check, "+ fe_scale * (e.T @ e)", "- fe_scale * (e.T @ e)")
     swapped_up = mutated_q_dirac_check(dirac.spinor_legs, "else (-s, c)", "else (-c, s)")
     for mutant in (flipped_fe, swapped_up):
         assert mutant(2, ctx) >= 0.1
@@ -741,7 +741,7 @@ def _reference_gns_images(element, labels, ctx):
     if not coeffs.imag.any():
         coeffs = coeffs.real
     shell_list = shells.tolist()
-    couplings = cg.cg_blocks({idx[0] for idx in element.terms}, shell_list, ctx)
+    couplings = cg.cg_blocks(product({idx[0] for idx in element.terms}, shell_list), ctx)
     images = []
     for (l2, a, b), c in zip(element.terms, coeffs):
         blocks = [couplings[l2, s] for s in shell_list]

@@ -288,8 +288,8 @@ def test_block_report_off_pattern_propagates_nan(monkeypatch):
     # a stray coefficient below the threshold, then a NaN one: Python's max kept the first
     ambient_word = teardrop._ambient_word
 
-    def strays(word, z, n, ctx):
-        coeff, z_out, n_out = ambient_word(word, z, n, ctx)
+    def strays(word, z, n, ctx, reach=0):
+        coeff, z_out, n_out = ambient_word(word, z, n, ctx, reach)
         coeff = np.where(z == 3, 1e-12, np.where(z == 5, math.nan, coeff))
         return coeff, z_out + np.isin(z, (3, 5)), n_out
 
@@ -371,4 +371,9 @@ def test_powers_tables_are_shared_read_only_and_bounded():
     teardrop._powers.cache_clear()
     # n = 1: three sample words without an alpha letter, so one table of one size
     block_structure_evidence(3, 1, 1, 64, CTX)
+    assert teardrop._powers.cache_info().misses == 1
+    # n = -1: two of the words hold alpha letters and the third none; all three read
+    # the longest table, asked for once
+    teardrop._powers.cache_clear()
+    block_structure_evidence(3, -1, 1, 64, CTX)
     assert teardrop._powers.cache_info().misses == 1

@@ -50,7 +50,10 @@ Twelve things are timed per round, the side that goes first alternating:
 
 Each task runs once on each side before its timed rounds.  For each it
 prints the median change/parent time ratio, its quartiles and the
-number of rounds the change was faster.
+number of rounds the change was faster.  A task that builds Clebsch-Gordan
+blocks (``build``, ``cold-pass``, ``cold-chain``) also prints each side's
+``cg._build_batch`` calls per round, every distinct count seen: the count
+repeats exactly, so it backs the timing with a number that does not drift.
 """
 
 from __future__ import annotations
@@ -80,10 +83,22 @@ ROUNDS = 60  # interleaved rounds per task
 
 
 def load(root: Path, name: str, into: Path):
+    """The package's modules by name, with ``builds``, a one-item list that
+    counts the calls of its ``cg._build_batch``."""
     shutil.copytree(root / "src" / "qwps", into / name)
-    return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("cg", "coaction", "coord", "dirac", "exact", "operators", "qcore",
-                        "teardrop")}
+    pkg = {mod: importlib.import_module(f"{name}.{mod}")
+           for mod in ("cg", "coaction", "coord", "dirac", "exact", "operators", "qcore",
+                       "teardrop")}
+    cg, builds = pkg["cg"], [0]
+    build_batch = cg._build_batch
+
+    def counted(pairs, ctx):
+        builds[0] += 1
+        return build_batch(pairs, ctx)
+
+    cg._build_batch = counted
+    pkg["builds"] = builds
+    return pkg
 
 
 def build(pkg):
@@ -210,14 +225,21 @@ def main(argv=None) -> int:
         for label, fn in TASKS:
             for pkg in sides.values():
                 fn(pkg)  # one untimed run warms the allocator and the blocks the task reads
-            ratios = []
+            ratios, builds = [], {name: set() for name in sides}
             for r in range(ROUNDS):
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-                times = {name: timed(fn, sides[name]) for name in order}
+                times = {}
+                for name in order:
+                    sides[name]["builds"][0] = 0
+                    times[name] = timed(fn, sides[name])
+                    builds[name].add(sides[name]["builds"][0])
                 ratios.append(times["change"] / times["parent"])
             q1, median, q3 = statistics.quantiles(ratios, n=4)
             wins = sum(ratio < 1.0 for ratio in ratios)
             print(f"{label:<12} {median:7.3f} {q1:7.3f} {q3:7.3f}  {wins}/{len(ratios)}")
+            if builds != {name: {0} for name in sides}:
+                print(f"{'':<12} _build_batch calls per round: parent "
+                      f"{sorted(builds['parent'])}, change {sorted(builds['change'])}")
     return 0
 
 
